@@ -8,7 +8,6 @@ minute; default counts match the documented acceptance scale.
 """
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -32,17 +31,12 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("out"))
     args = ap.parse_args()
 
-    args.out.mkdir(parents=True, exist_ok=True)
     worst = 0
     for name in sorted(PRESETS):
         t0 = time.time()
         trials = FAST_TRIALS.get(name) if args.fast else None
         outcome = run_preset(name, seed=args.seed, trials=trials)
-        for table, text in outcome.tables.items():
-            (args.out / f"{table}.csv").write_text(text)
-        (args.out / f"{name}_summary.json").write_text(
-            json.dumps(outcome.summary(), indent=2) + "\n"
-        )
+        outcome.write(args.out)
         status = "PASS" if outcome.passed else "FAIL"
         print(f"{name:16s} {status}  ({time.time() - t0:5.1f}s)")
         if not outcome.passed:

@@ -3,7 +3,6 @@ checking, Ehrenfeucht games, and probability estimation."""
 
 from .efgame import (
     GameBudgetError,
-    GamePosition,
     fact4_search,
     partial_iso,
     pointed_equiv,
@@ -22,7 +21,6 @@ from .graph import (
     Graph,
     Subgraph,
     complete_graph,
-    concat_sum,
     count_triangles,
     disjoint_sum,
     edgeless_graph,
@@ -34,11 +32,10 @@ from .graph import (
     neighborhood,
     psi_r_holds,
 )
-from .logic import Formula, LabeledModel, Vocab, holds, library, parse, quantifier_depth, to_text
+from .logic import Formula, LabeledModel, Vocab, holds, library, parse, to_text
 from .probseq import (
     ProbSeq,
     condition_statistic,
-    eval_seq,
     is_admissible,
     log_partial_product,
     make_constant,

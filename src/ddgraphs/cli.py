@@ -225,10 +225,7 @@ def cmd_preset(args) -> int:
     if not args.name:
         raise CliError("preset name required (or --list)")
     outcome = run_preset(args.name, seed=args.seed, trials=args.trials)
-    out = args.out or Path("out")
-    for table, text in outcome.tables.items():
-        _write(out, f"{table}.csv", text)
-    _write(out, f"{outcome.name}_summary.json", json.dumps(outcome.summary(), indent=2) + "\n")
+    outcome.write(args.out or Path("out"))
     for check in outcome.checks:
         sys.stdout.write(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}\n")
     for note in outcome.notes:
@@ -270,13 +267,7 @@ def cmd_run(args) -> int:
     out = Path(cfg.out) if cfg.out else args.out
     if cfg.preset is not None:
         outcome = run_preset(cfg.preset, seed=cfg.master_seed, trials=cfg.trials or None)
-        for table, text in outcome.tables.items():
-            _write(out or Path("out"), f"{table}.csv", text)
-        _write(
-            out or Path("out"),
-            f"{outcome.name}_summary.json",
-            json.dumps(outcome.summary(), indent=2) + "\n",
-        )
+        outcome.write(out or Path("out"))
         return 0 if outcome.passed else 2
     seq = probseq.from_json_dict(cfg.sequence)
     if cfg.trials == 0:

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, concat_sum, disjoint_sum, neighborhood
-from .logic import LabeledModel, Vocab, cw_holds
+from .graph import Graph, cw_holds, disjoint_sum, neighborhood
+from .logic import LabeledModel, Vocab
 
 
 class GameBudgetError(RuntimeError):
@@ -38,21 +38,6 @@ class GameStats:
     positions: int = 0
     memo_hits: int = 0
     memo_size: int = 0
-
-
-@dataclass(frozen=True)
-class GamePosition:
-    """Matched picks in the two models with rounds still to play."""
-
-    picks1: tuple[int, ...]
-    picks2: tuple[int, ...]
-    rounds_left: int
-
-    def __post_init__(self):
-        if len(self.picks1) != len(self.picks2):
-            raise ValueError("pick lists must have equal length")
-        if self.rounds_left < 0:
-            raise ValueError("rounds_left must be >= 0")
 
 
 def _atom_pairs(m: LabeledModel, picks: tuple[int, ...]) -> tuple[int, ...]:
@@ -331,9 +316,9 @@ def fact4_search(
             if mode == SUM:
                 combined = disjoint_sum(g, h)
             elif mode == CONCAT_BOTH_ENDS:
-                combined = concat_sum(concat_sum(g, h), g)
+                combined = disjoint_sum(disjoint_sum(g, h), g)
             else:
-                combined = concat_sum(g, h)
+                combined = disjoint_sum(g, h)
             if not th_k_equal(mg, LabeledModel(combined, vocab), k, node_budget):
                 ok = False
                 break

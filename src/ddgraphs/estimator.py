@@ -17,12 +17,10 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .graph import Graph, _graph_unchecked, circular_distance
 from .logic import Formula, LabeledModel, holds
 from .probseq import ProbSeq, support_upto
-from .rng import derived_stream
+from .rng import derived_stream, stream_words
 from .sampler import LINE, PairBatch
 
 Target = Formula | Callable[[Graph], bool]
@@ -116,8 +114,7 @@ def mc_probability(
     batch = PairBatch(seq, n, model_kind)
     successes = 0
     for start in range(0, trials, chunk):
-        ids = np.array([stream_of(t) for t in range(start, min(start + chunk, trials))],
-                       dtype=np.uint64)
+        ids = stream_words(stream_of(t) for t in range(start, min(start + chunk, trials)))
         rows = batch.edge_matrix(master_seed, ids)
         for r in range(rows.shape[0]):
             if check(batch.graph_from_row(rows[r])):

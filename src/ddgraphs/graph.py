@@ -224,13 +224,6 @@ def disjoint_sum(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, frozenset(edges))
 
 
-def concat_sum(g1: Graph, g2: Graph) -> Graph:
-    """Same edge set as ``disjoint_sum``; the blocks sit contiguously on the
-    line, which matters only to order-aware model semantics downstream.
-    """
-    return disjoint_sum(g1, g2)
-
-
 # --- triangles ---------------------------------------------------------------
 
 
@@ -278,7 +271,8 @@ class Subgraph:
         return (min(a, b), max(a, b)) in self.edges
 
 
-def _cw(a: int, b: int, c: int) -> bool:
+def cw_holds(a: int, b: int, c: int) -> bool:
+    """Clockwise betweenness: some cyclic rotation is non-decreasing."""
     return (a <= b <= c) or (b <= c <= a) or (c <= a <= b)
 
 
@@ -395,7 +389,7 @@ def _flat_le(h: Subgraph, n: int) -> bool:
             for ipp in range(1, k + 1):
                 if ipp in (i, ip):
                     continue
-                if not _cw(pos[i - 1], pos[ip - 1], pos[ipp - 1]):
+                if not cw_holds(pos[i - 1], pos[ip - 1], pos[ipp - 1]):
                     continue
                 if abs(pos[ip - 1] - pos[i - 1]) + abs(pos[i - 1] - pos[ipp - 1]) > n / 2:
                     continue

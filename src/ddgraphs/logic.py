@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .graph import Graph
+from .graph import Graph, cw_holds
 
 
 class Vocab(str, Enum):
@@ -253,11 +253,6 @@ class Formula:
         return to_text(self)
 
 
-def quantifier_depth(f: Formula) -> int:
-    """Maximum quantifier nesting; atoms have depth 0."""
-    return f.depth
-
-
 # --- parser -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -445,11 +440,6 @@ def to_text(f: Formula) -> str:
 
 
 # --- models and satisfaction ---------------------------------------------------
-
-
-def cw_holds(a: int, b: int, c: int) -> bool:
-    """Clockwise betweenness: some cyclic rotation is non-decreasing."""
-    return (a <= b <= c) or (b <= c <= a) or (c <= a <= b)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,13 @@ the same seed are byte-identical.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 
 from . import estimator, probseq
 from .efgame import SUM, fact4_search, th_k_equal
@@ -49,7 +51,7 @@ from .probseq import (
     make_thm6,
 )
 from .rng import RngStream, keyed_u64
-from .sampler import CIRCLE, LINE, markov_step, sample_batch, sample_line
+from .sampler import CIRCLE, LINE, markov_step_batch, sample_batch, sample_line
 
 
 @dataclass(frozen=True)
@@ -79,6 +81,15 @@ class PresetOutcome:
             ],
             "notes": self.notes,
         }
+
+    def write(self, out_dir: Path) -> None:
+        """Write each table to ``<table>.csv`` and the summary to
+        ``<name>_summary.json`` in ``out_dir``."""
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for table, text in self.tables.items():
+            (out_dir / f"{table}.csv").write_text(text)
+        summary = json.dumps(self.summary(), indent=2) + "\n"
+        (out_dir / f"{self.name}_summary.json").write_text(summary)
 
 
 # --- reusable predicates --------------------------------------------------------
@@ -248,14 +259,15 @@ def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[flo
     (one midpoint step from a line sample on [n]) and a direct line sample
     on [n+1]; returns (tv, histogram CSV)."""
     start_streams = [keyed_u64(1, t) for t in range(trials)]
+    step_streams = [keyed_u64(3, t) for t in range(trials)]
+    # the start graphs live only inside the step generator
+    steps = markov_step_batch(
+        sample_batch(seq, n, seed, start_streams, LINE), seq, seed, step_streams
+    )
+    chain_counts = Counter(count_triangles(g) for g in steps)
     direct_streams = [keyed_u64(2, t) for t in range(trials)]
-    chain_counts: Counter[int] = Counter()
-    for t, g in enumerate(sample_batch(seq, n, seed, start_streams, LINE)):
-        stepped = markov_step(g, seq, RngStream(seed, keyed_u64(3, t)))
-        chain_counts[count_triangles(stepped)] += 1
-    direct_counts: Counter[int] = Counter()
-    for g in sample_batch(seq, n + 1, seed, direct_streams, LINE):
-        direct_counts[count_triangles(g)] += 1
+    direct = sample_batch(seq, n + 1, seed, direct_streams, LINE)
+    direct_counts = Counter(count_triangles(g) for g in direct)
     keys = sorted(set(chain_counts) | set(direct_counts))
     tv = 0.5 * sum(abs(chain_counts[k] - direct_counts[k]) / trials for k in keys)
     table = "triangles,freq_chain,freq_direct\n" + "".join(

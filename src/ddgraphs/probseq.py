@@ -195,10 +195,6 @@ class ProbSeq:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def eval_seq(seq: ProbSeq, i: int) -> float:
-    return seq.eval(i)
-
-
 # --- constructors ------------------------------------------------------------
 
 

@@ -5,6 +5,10 @@ Every random decision in this package is a pure function of a tuple of
 sequential generator state, so trial-level parallelism and evaluation order
 cannot change results, and the same inputs give bit-identical output on any
 platform.
+
+``keyed_u64`` is the scalar chain.  ``keyed_u64_grid`` computes the same
+words for a whole (streams x pairs) grid in numpy; every edge draw of the
+samplers goes through it.
 """
 
 from __future__ import annotations
@@ -41,11 +45,6 @@ def keyed_u64(*words: int) -> int:
     return h
 
 
-def keyed_unit(*words: int) -> float:
-    """Hash to a float in [0, 1)."""
-    return keyed_u64(*words) / TWO64
-
-
 def threshold_u64(p: float) -> int:
     """Acceptance threshold for ``keyed_u64(...) < threshold`` to fire with probability p.
 
@@ -56,10 +55,11 @@ def threshold_u64(p: float) -> int:
     return max(0, min(t, MASK64))
 
 
-# --- vectorized mirror -------------------------------------------------------
+# --- vectorized chain -------------------------------------------------------
 #
-# The numpy path must replicate the scalar chain bit for bit; the sampler
-# test-suite asserts equality between the two.
+# Every edge draw goes through ``keyed_u64_grid``.  It must equal the scalar
+# chain above bit for bit; tests/test_sampler.py checks this against
+# ``keyed_u64`` and a per-pair reference sampler.
 
 _NP33 = np.uint64(33)
 _NP_MUL1 = np.uint64(_MUL1)
@@ -91,6 +91,12 @@ def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarra
     return g
 
 
+def stream_words(stream_ids) -> np.ndarray:
+    """Stream ids as a uint64 array, each read mod 2^64 as ``keyed_u64``
+    reads its words."""
+    return np.array([s & MASK64 for s in stream_ids], dtype=np.uint64)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Addressable randomness source: (master_seed, stream_id) name a stream.
@@ -103,6 +109,8 @@ class RngStream:
     stream_id: int = 0
 
     def pair_u64(self, v: int, w: int) -> int:
+        """The scalar draw word of pair (v, w); the samplers compute the same
+        word through ``keyed_u64_grid``."""
         return keyed_u64(self.master_seed, self.stream_id, v, w)
 
     def child(self, *tags: int) -> "RngStream":
@@ -111,5 +119,10 @@ class RngStream:
 
 
 def derived_stream(n: int, trial: int) -> int:
-    """Stream id used by estimator scans: independent per (n, trial)."""
-    return ((n & 0xFFFFFFFF) << 32) | (trial & 0xFFFFFFFF)
+    """Stream id used by estimator scans: independent per (n, trial).
+
+    Both must lie in [0, 2^32): wider values would collide with others.
+    """
+    if not (0 <= n < 1 << 32 and 0 <= trial < 1 << 32):
+        raise ValueError(f"derived_stream needs n and trial in [0, 2^32), got {n}, {trial}")
+    return (n << 32) | trial

@@ -8,103 +8,72 @@ midpoint.
 
 Per-pair randomness comes from a counter-based hash keyed by
 (master_seed, stream_id, v, w) in canonical v < w order, so results are
-independent of evaluation order and identical across platforms.  A
-vectorized batch path produces bit-identical edge indicators for many trials
-at once; the estimator uses it for Monte Carlo runs.
+independent of evaluation order and identical across platforms.  There is one
+sampling path: ``PairBatch`` lists the candidate pairs and ``keyed_u64_grid``
+hashes them for many streams at once.  One draw is the one-row case, and the
+midpoint step resamples a column subset of the same table.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graph import Graph, _graph_unchecked
 from .probseq import ProbSeq, support_upto
-from .rng import RngStream, keyed_u64_grid, threshold_u64
+from .rng import RngStream, keyed_u64_grid, stream_words, threshold_u64
 
 LINE = "LINE"
 CIRCLE = "CIRCLE"
 
 
-def candidate_pairs(seq: ProbSeq, n: int, model_kind: str = LINE) -> list[tuple[int, int, float]]:
-    """All vertex pairs with positive edge probability, canonical v < w.
-
-    Iterates support distances rather than all pairs, so sparse sequences
-    cost O(n * |supp|).
-    """
-    out: list[tuple[int, int, float]] = []
-    if n < 2:
-        return out
-    if model_kind == LINE:
-        for d in support_upto(seq, n - 1):
-            p = seq.eval(d)
-            out.extend((v, v + d, p) for v in range(1, n - d + 1))
-    elif model_kind == CIRCLE:
-        for d in support_upto(seq, n // 2):
-            p = seq.eval(d)
-            if 2 * d == n:
-                out.extend((v, v + d, p) for v in range(1, n // 2 + 1))
-            else:
-                for v in range(1, n + 1):
-                    w = v + d if v + d <= n else v + d - n
-                    a, b = (v, w) if v < w else (w, v)
-                    if a < b:
-                        out.append((a, b, p))
-    else:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    if model_kind == CIRCLE:
-        out = sorted(set(out))
-    return out
-
-
-def _sample_pairs(pairs: list[tuple[int, int, float]], rng: RngStream) -> list[tuple[int, int]]:
-    edges = []
-    for v, w, p in pairs:
-        if p >= 1.0:
-            edges.append((v, w))
-        elif p > 0.0 and rng.pair_u64(v, w) < threshold_u64(p):
-            edges.append((v, w))
-    return edges
-
-
-def sample_line(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
-    """One draw of the line model on [n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _graph_unchecked(n, _sample_pairs(candidate_pairs(seq, n, LINE), rng))
-
-
-def sample_circle(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
-    """One draw of the circle model on [n]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _graph_unchecked(n, _sample_pairs(candidate_pairs(seq, n, CIRCLE), rng))
-
-
-def sample(seq: ProbSeq, n: int, rng: RngStream, model_kind: str = LINE) -> Graph:
-    return sample_line(seq, n, rng) if model_kind == LINE else sample_circle(seq, n, rng)
-
-
-# --- batched trials -----------------------------------------------------------
-
-
 class PairBatch:
-    """Precomputed pair table for one (sequence, n, model) triple."""
+    """Candidate-pair table for one (sequence, n, model) triple.
+
+    Columns ``v < w`` hold every pair with positive edge probability, in
+    support-distance order on the line and in (v, w) order on the circle.
+    ``thresholds`` and ``always`` give each pair's acceptance rule.  The table
+    walks support distances, not all pairs, so sparse sequences cost
+    O(n * |supp|), and ``seq.eval`` runs once per support distance.
+    """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
-        pairs = candidate_pairs(seq, n, model_kind)
+        if model_kind == LINE:
+            dists = support_upto(seq, n - 1) if n >= 2 else []
+            counts = [n - d for d in dists]
+        elif model_kind == CIRCLE:
+            dists = support_upto(seq, n // 2) if n >= 2 else []
+            counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
+        else:
+            raise ValueError(f"unknown model kind {model_kind!r}")
+        probs = [seq.eval(d) for d in dists]
+        d = np.repeat(np.array(dists, dtype=np.int64), counts)
+        starts = np.cumsum(counts, dtype=np.int64) - counts
+        v = np.arange(len(d), dtype=np.int64) - np.repeat(starts, counts) + 1
+        w = v + d
+        order = slice(None)
+        if model_kind == CIRCLE:
+            w = (w - 1) % n + 1
+            v, w = np.minimum(v, w), np.maximum(v, w)
+            order = np.lexsort((w, v))
+        thresholds = [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs]
         self.n = n
-        self.v = np.array([p[0] for p in pairs], dtype=np.uint64)
-        self.w = np.array([p[1] for p in pairs], dtype=np.uint64)
-        probs = [p[2] for p in pairs]
-        self.always = np.array([p >= 1.0 for p in probs], dtype=bool)
-        self.thresholds = np.array(
-            [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs], dtype=np.uint64
-        )
-        self.pair_list = [(int(a), int(b)) for a, b, _ in pairs]
+        self.v = v[order].astype(np.uint64)
+        self.w = w[order].astype(np.uint64)
+        self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)[order]
+        self.always = np.repeat(np.array([p >= 1.0 for p in probs], dtype=bool), counts)[order]
+        self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
+
+    def restrict(self, keep: np.ndarray) -> None:
+        """Drop the columns where ``keep`` is false."""
+        self.v, self.w = self.v[keep], self.w[keep]
+        self.thresholds, self.always = self.thresholds[keep], self.always[keep]
+        self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
 
     def edge_matrix(self, master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
-        """Boolean (trials, pairs) edge indicators, bit-identical to the
-        scalar sampler at the same (master_seed, stream_id)."""
+        """Boolean (trials, pairs) edge indicators; row t is the draw of
+        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``)."""
         if len(self.pair_list) == 0:
             return np.zeros((len(stream_ids), 0), dtype=bool)
         grid = keyed_u64_grid((master_seed,), stream_ids, self.v, self.w)
@@ -119,42 +88,69 @@ class PairBatch:
 
 
 def sample_batch(
-    seq: ProbSeq, n: int, master_seed: int, stream_ids: list[int], model_kind: str = LINE
+    seq: ProbSeq, n: int, master_seed: int, stream_ids: Sequence[int], model_kind: str = LINE
 ) -> list[Graph]:
-    """Many independent draws at once; equals per-stream scalar sampling."""
+    """One draw per stream id; ids are read mod 2^64."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     batch = PairBatch(seq, n, model_kind)
-    rows = batch.edge_matrix(master_seed, np.array(stream_ids, dtype=np.uint64))
-    return [batch.graph_from_row(rows[t]) for t in range(len(stream_ids))]
+    rows = batch.edge_matrix(master_seed, stream_words(stream_ids))
+    return [batch.graph_from_row(row) for row in rows]
+
+
+def sample(seq: ProbSeq, n: int, rng: RngStream, model_kind: str = LINE) -> Graph:
+    """One draw of the line or circle model on [n]."""
+    return sample_batch(seq, n, rng.master_seed, [rng.stream_id], model_kind)[0]
+
+
+def sample_line(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
+    """One draw of the line model on [n]."""
+    return sample(seq, n, rng, LINE)
+
+
+def sample_circle(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
+    """One draw of the circle model on [n]."""
+    return sample(seq, n, rng, CIRCLE)
 
 
 # --- midpoint growth chain ----------------------------------------------------
 
 
-def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
-    """Insert a vertex at the midpoint: n -> n+1.
+def markov_step_batch(
+    graphs: Sequence[Graph], seq: ProbSeq, master_seed: int, stream_ids: Sequence[int]
+) -> Iterator[Graph]:
+    """Insert a vertex at the midpoint of each graph: n -> n+1.
 
-    With mid = floor(n/2), a pair {v, w} (v < w) of the new graph is:
+    All graphs share one n.  With mid = floor(n/2), a pair {v, w} (v < w) of
+    a new graph is:
       (i)   kept from {v, w}       when w < mid,
       (ii)  kept from {v-1, w-1}   when v > mid,
       (iii) resampled with p(|v - w|) when v <= mid <= w.
-    Resampling draws fresh randomness from ``rng``; old draws are never
-    re-read, so callers should hand each step its own stream.
+    Graph t resamples from stream ``stream_ids[t]`` and old draws are never
+    re-read, so each step needs its own stream.  Stepped graphs are yielded
+    one at a time.
     """
-    n = g.n
+    if len(graphs) != len(stream_ids):
+        raise ValueError("need one stream id per graph")
+    if not graphs:
+        return
+    n = graphs[0].n
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
     mid = n // 2
-    edges: list[tuple[int, int]] = []
-    for a, b in g.edges:
-        if b < mid:
-            edges.append((a, b))
-        elif a >= mid:
-            edges.append((a + 1, b + 1))
+    table = PairBatch(seq, n + 1, LINE)
+    table.restrict((table.v <= mid) & (table.w >= mid))
+    rows = table.edge_matrix(master_seed, stream_words(stream_ids))
+    for g, row in zip(graphs, rows):
+        if g.n != n:
+            raise ValueError("all graphs of a batch step need the same n")
         # straddling old pairs are dropped; their successors fall to (iii)
-    for d in support_upto(seq, n):
-        p = seq.eval(d)
-        for v in range(max(1, mid - d), min(mid, n + 1 - d) + 1):
-            w = v + d
-            if p >= 1.0 or rng.pair_u64(v, w) < threshold_u64(p):
-                edges.append((v, w))
-    return _graph_unchecked(n + 1, edges)
+        edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]
+        edges.extend(table.pair_list[j] for j in np.flatnonzero(row))
+        yield _graph_unchecked(n + 1, edges)
+
+
+def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
+    """One midpoint step of ``g`` resampled from ``rng``; see
+    ``markov_step_batch``."""
+    return next(markov_step_batch([g], seq, rng.master_seed, [rng.stream_id]))

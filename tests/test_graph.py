@@ -11,7 +11,6 @@ from ddgraphs.graph import (
     GraphError,
     Subgraph,
     complete_graph,
-    concat_sum,
     count_triangles,
     cutpoints,
     disjoint_sum,
@@ -179,13 +178,8 @@ class TestSums:
 
     def test_single_vertex_prefix_shifts(self):
         g = make_graph(2, [(1, 2)])
-        s = concat_sum(edgeless_graph(1), g)
+        s = disjoint_sum(edgeless_graph(1), g)
         assert s.edges == frozenset({(2, 3)})
-
-    def test_sum_and_concat_agree(self):
-        a = make_graph(3, [(1, 2)])
-        b = make_graph(2, [(1, 2)])
-        assert disjoint_sum(a, b) == concat_sum(a, b)
 
     @given(graphs(max_n=6), graphs(max_n=6))
     @settings(max_examples=40, deadline=None)
@@ -196,7 +190,7 @@ class TestSums:
     @given(graphs(max_n=4), graphs(max_n=4), graphs(max_n=4))
     @settings(max_examples=30, deadline=None)
     def test_concat_associative(self, a, b, c):
-        assert concat_sum(concat_sum(a, b), c) == concat_sum(a, concat_sum(b, c))
+        assert disjoint_sum(disjoint_sum(a, b), c) == disjoint_sum(a, disjoint_sum(b, c))
 
 
 class TestTriangles:

@@ -34,7 +34,6 @@ from ddgraphs.logic import (
     library,
     library_sentences,
     parse,
-    quantifier_depth,
     to_text,
 )
 from ddgraphs.probseq import make_ones_powers
@@ -163,8 +162,8 @@ class TestQuantifierDepth:
         assert Formula(Adj(Const("first"), Const("last")), Vocab.L_PLUS).depth == 0
 
     def test_extension_family(self):
-        assert quantifier_depth(library("extension_Ak", k=1)) == 2
-        assert quantifier_depth(library("extension_Ak", k=3)) == 4
+        assert library("extension_Ak", k=1).depth == 2
+        assert library("extension_Ak", k=3).depth == 4
 
     def test_nested(self):
         assert parse("forall x. exists y. adj(x, y)", Vocab.L).depth == 2

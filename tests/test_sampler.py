@@ -1,21 +1,115 @@
-"""Seeded sampling: determinism, marginals, circle distances, midpoint chain."""
+"""Seeded sampling: determinism, marginals, circle distances, midpoint chain.
+
+The samplers draw every edge through ``PairBatch`` and ``keyed_u64_grid``.
+``reference_sample`` below is the independent per-pair scalar sampler they
+are checked against, draw for draw.
+"""
 
 import numpy as np
 import pytest
 
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
-from ddgraphs.probseq import make_constant, make_support, make_thm6
-from ddgraphs.rng import RngStream, derived_stream, keyed_u64
+from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
+from ddgraphs.rng import (
+    MASK64,
+    RngStream,
+    derived_stream,
+    keyed_u64,
+    keyed_u64_grid,
+    threshold_u64,
+)
 from ddgraphs.sampler import (
     CIRCLE,
     LINE,
     PairBatch,
-    candidate_pairs,
     markov_step,
+    markov_step_batch,
+    sample,
     sample_batch,
     sample_circle,
     sample_line,
 )
+
+
+def reference_pairs(seq, n, kind):
+    """Every pair v < w with positive probability, with that probability."""
+    out = []
+    for v in range(1, n + 1):
+        for w in range(v + 1, n + 1):
+            d = w - v if kind == LINE else min(w - v, n - (w - v))
+            p = seq.eval(d)
+            if p > 0.0:
+                out.append((v, w, p))
+    return out
+
+
+def reference_sample(seq, n, rng, kind):
+    """Scalar sampler: one keyed hash per pair, compared with its threshold."""
+    edges = [
+        (v, w)
+        for v, w, p in reference_pairs(seq, n, kind)
+        if p >= 1.0 or rng.pair_u64(v, w) < threshold_u64(p)
+    ]
+    return make_graph(n, edges)
+
+
+REFERENCE_SEQS = [
+    make_constant(0.0),
+    make_constant(1.0),
+    make_constant(0.5),
+    make_support({1: 0.3, 4: 0.9}),
+    make_support({2: 1.0, 3: 0.5}),
+    make_support({3: 0.25}),  # antipodal on the circle at n = 6
+    make_ones_powers(2),
+    make_thm6([0.5] * 4),
+]
+REFERENCE_NS = [1, 2, 3, 4, 5, 6, 9, 12, 17, 18]
+REFERENCE_STREAMS = [0, 1, 7, derived_stream(12, 3), keyed_u64(5, 9), MASK64]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(REFERENCE_SEQS)))
+    def test_sample_and_batch(self, kind, seq_index):
+        seq = REFERENCE_SEQS[seq_index]
+        for n in REFERENCE_NS:
+            batch = sample_batch(seq, n, 11, REFERENCE_STREAMS, kind)
+            for s, g in zip(REFERENCE_STREAMS, batch):
+                want = reference_sample(seq, n, RngStream(11, s), kind)
+                assert g == want, (n, s)
+                assert sample(seq, n, RngStream(11, s), kind) == want
+
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(REFERENCE_SEQS)))
+    def test_pair_table(self, kind, seq_index):
+        seq = REFERENCE_SEQS[seq_index]
+        for n in REFERENCE_NS:
+            ref = reference_pairs(seq, n, kind)
+            batch = PairBatch(seq, n, kind)
+            got = sorted(zip(batch.pair_list, batch.thresholds.tolist(), batch.always.tolist()))
+            want = [
+                ((v, w), threshold_u64(p) if p < 1.0 else 0, p >= 1.0) for v, w, p in ref
+            ]
+            assert got == want, n
+            assert batch.v.tolist() == [v for v, _ in batch.pair_list]
+            assert batch.w.tolist() == [w for _, w in batch.pair_list]
+
+    def test_grid_equals_scalar_chain(self):
+        rows = np.array([0, 5, MASK64], dtype=np.uint64)
+        v = np.array([1, 2, 7], dtype=np.uint64)
+        w = np.array([2, 9, 30], dtype=np.uint64)
+        grid = keyed_u64_grid((42,), rows, v, w)
+        for i, r in enumerate(rows.tolist()):
+            for j in range(3):
+                assert int(grid[i, j]) == keyed_u64(42, r, int(v[j]), int(w[j]))
+
+    @pytest.mark.parametrize("stream", [-1, 2**64 - 1, 2**64 + 3])
+    def test_stream_ids_read_mod_2_64(self, stream):
+        seq = make_constant(0.5)
+        got = sample_batch(seq, 6, 7, [stream])[0]
+        assert got == sample(seq, 6, RngStream(7, stream))
+        assert got == reference_sample(seq, 6, RngStream(7, stream), LINE)
+        assert got == sample(seq, 6, RngStream(7, stream & MASK64))
 
 
 class TestLineSampling:
@@ -62,8 +156,7 @@ class TestCircleSampling:
         assert g.edges == frozenset(want)
 
     def test_antipodal_pairs_once(self):
-        pairs = candidate_pairs(make_support({2: 0.5}), 4, CIRCLE)
-        assert [(v, w) for v, w, _ in pairs] == [(1, 3), (2, 4)]
+        assert PairBatch(make_support({2: 0.5}), 4, CIRCLE).pair_list == [(1, 3), (2, 4)]
 
     def test_support_above_half_is_inert(self):
         seq = make_support({10: 1.0})
@@ -84,9 +177,8 @@ class TestBatchSampling:
         n = 20
         streams = [derived_stream(n, t) for t in range(64)]
         batch = sample_batch(seq, n, 9, streams, kind)
-        sampler = sample_line if kind == LINE else sample_circle
         for t, g in enumerate(batch):
-            assert g == sampler(seq, n, RngStream(9, streams[t]))
+            assert g == reference_sample(seq, n, RngStream(9, streams[t]), kind)
 
     def test_edge_matrix_shape_and_padding(self):
         batch = PairBatch(make_constant(0.0), 8, LINE)
@@ -136,8 +228,6 @@ class TestMarkovStep:
     def naive_step(self, g, seq, rng):
         # direct transcription of the three clauses over all pairs; consumes
         # the same keyed randomness, so it must agree exactly
-        from ddgraphs.rng import threshold_u64
-
         n, mid = g.n, g.n // 2
         edges = []
         for v in range(1, n + 2):
@@ -153,6 +243,24 @@ class TestMarkovStep:
                     if p >= 1.0 or (p > 0.0 and rng.pair_u64(v, w) < threshold_u64(p)):
                         edges.append((v, w))
         return make_graph(n + 1, edges)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
+    def test_batch_step_matches_single_and_naive(self, n):
+        graphs = sample_batch(make_constant(0.4), n, 5, list(range(30)))
+        streams = [keyed_u64(3, t) for t in range(30)]
+        for seq in (make_constant(0.5), make_support({1: 0.3, 4: 0.9}), make_ones_powers(2)):
+            stepped = list(markov_step_batch(graphs, seq, 8, streams))
+            assert len(stepped) == len(graphs)
+            for g, s, out in zip(graphs, streams, stepped):
+                assert out == markov_step(g, seq, RngStream(8, s))
+                assert out == self.naive_step(g, seq, RngStream(8, s))
+
+    def test_batch_step_rejects_mixed_sizes(self):
+        graphs = [edgeless_graph(4), edgeless_graph(5)]
+        with pytest.raises(ValueError):
+            list(markov_step_batch(graphs, make_constant(0.5), 0, [1, 2]))
+        with pytest.raises(ValueError):
+            list(markov_step_batch(graphs[:1], make_constant(0.5), 0, [1, 2]))
 
     def test_matches_naive_reference(self):
         for seq in (make_constant(0.5), make_support({1: 0.3, 4: 0.9}), make_constant(0.0)):
@@ -175,3 +283,14 @@ class TestMarkovStep:
         keys = set(chain) | set(direct)
         tv = 0.5 * sum(abs(chain[k] - direct[k]) / trials for k in keys)
         assert tv <= 0.05
+
+
+class TestDerivedStream:
+    def test_packs_n_and_trial(self):
+        assert derived_stream(3, 5) == (3 << 32) | 5
+        assert derived_stream(2**32 - 1, 2**32 - 1) == MASK64
+
+    @pytest.mark.parametrize("n, trial", [(2**32 + 5, 1), (5, 2**32 + 1), (-1, 0), (0, -1)])
+    def test_out_of_range_rejected(self, n, trial):
+        with pytest.raises(ValueError):
+            derived_stream(n, trial)
