@@ -182,14 +182,22 @@ def cmd_scan(args) -> int:
     return 0
 
 
+def _closed_form_result(seq, n: int, target: str, model_kind: str, master_seed: int):
+    """The closed-form row for ``target`` on ``model_kind``: the endpoint
+    2-path on the line, or the triangle on the circle."""
+    if target == "path2" and model_kind == LINE:
+        return exact_result(exact_path2(seq, n), n, "path2_exact", LINE, master_seed)
+    if target in ("triangle", "has_triangle") and model_kind == CIRCLE:
+        return exact_result(exact_triangle_circle(seq, n), n, "triangle_exact", CIRCLE, master_seed)
+    raise CliError(f"no exact oracle for target {target!r} on the {model_kind.lower()} model")
+
+
 def cmd_oracle(args) -> int:
     seq = resolve_sequence(args.seq)
     if args.kind == "path2":
-        value = exact_path2(seq, args.n)
-        result = exact_result(value, args.n, "path2_exact", LINE, args.seed)
+        result = _closed_form_result(seq, args.n, "path2", _model_kind(args.model), args.seed)
     elif args.kind == "triangle_circle":
-        value = exact_triangle_circle(seq, args.n)
-        result = exact_result(value, args.n, "triangle_exact", CIRCLE, args.seed)
+        result = _closed_form_result(seq, args.n, "triangle", CIRCLE, args.seed)
     else:
         kind = _model_kind(args.model)
         value = brute_force_probability(seq, args.n, resolve_target(args.target), kind)
@@ -271,17 +279,10 @@ def cmd_run(args) -> int:
         return 0 if outcome.passed else 2
     seq = probseq.from_json_dict(cfg.sequence)
     if cfg.trials == 0:
-        # exact-oracle row per n where a closed form applies
-        results = []
-        for n in cfg.n_list:
-            if cfg.target == "path2":
-                results.append(exact_result(exact_path2(seq, n), n, "path2_exact", LINE, cfg.master_seed))
-            elif cfg.target in ("triangle", "has_triangle") and cfg.model_kind == CIRCLE:
-                results.append(
-                    exact_result(exact_triangle_circle(seq, n), n, "triangle_exact", CIRCLE, cfg.master_seed)
-                )
-            else:
-                raise CliError(f"no exact oracle for target {cfg.target!r} with trials = 0")
+        results = [
+            _closed_form_result(seq, n, cfg.target, cfg.model_kind, cfg.master_seed)
+            for n in cfg.n_list
+        ]
     else:
         results = estimator.scan(
             seq, resolve_target(cfg.target), cfg.model_kind, list(cfg.n_list), cfg.trials, cfg.master_seed

@@ -131,11 +131,14 @@ def _solve(
     rounds: int,
     memo: dict | None,
     stats: GameStats,
-    restricted: "tuple[LabeledModel, LabeledModel, int] | None" = None,
+    restricted: tuple[Graph, Graph, int] | None = None,
 ) -> bool:
     """Duplicator-win value of a position whose pairs already form a
     partial isomorphism (violations are pruned before recursing, which is
-    sound because the win condition is hereditary)."""
+    sound because the win condition is hereditary).
+
+    ``restricted`` = (metric graph of m1, metric graph of m2, k) plays the
+    distance-restricted game of ``pointed_equiv``."""
     if rounds == 0:
         return True
     key = (pairs, rounds)
@@ -148,11 +151,11 @@ def _solve(
 
     if restricted is not None:
         # move choices confined to radius 3^(k-i) around earlier picks
-        _, _, k_total = restricted
+        g1, g2, k_total = restricted
         i = k_total - rounds + 1  # this move's index, 1-based
         radius = 3 ** (k_total - i)
-        opts1 = _restricted_options(m1, picks1, radius)
-        opts2 = _restricted_options(m2, picks2, radius)
+        opts1 = _restricted_options(g1, picks1, radius)
+        opts2 = _restricted_options(g2, picks2, radius)
     else:
         opts1 = list(range(1, m1.n + 1))
         opts2 = list(range(1, m2.n + 1))
@@ -197,11 +200,10 @@ def _metric_adjacency(m: LabeledModel) -> Graph:
     return Graph(m.n, frozenset(edges))
 
 
-def _restricted_options(m: LabeledModel, picks: tuple[int, ...], radius: int) -> list[int]:
-    g = _metric_adjacency(m)
+def _restricted_options(g: Graph, picks: tuple[int, ...], radius: int) -> list[int]:
     out: set[int] = set()
     for v in set(picks):
-        out |= neighborhood(g, v, radius, augmented=False)
+        out |= neighborhood(g, v, radius)
     return sorted(out)
 
 
@@ -267,7 +269,7 @@ def pointed_equiv(
         k,
         {},
         stats,
-        restricted=(m1, m2, k),
+        restricted=(_metric_adjacency(m1), _metric_adjacency(m2), k),
     )
 
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
-from .graph import Graph, _graph_unchecked, circular_distance
+from .graph import Graph, _graph_unchecked
 from .logic import Formula, LabeledModel, holds
 from .probseq import ProbSeq, support_upto
 from .rng import derived_stream, stream_words
-from .sampler import LINE, PairBatch
+from .sampler import CIRCLE, LINE, PairBatch
 
 Target = Formula | Callable[[Graph], bool]
 
@@ -137,85 +137,70 @@ def exact_path2(seq: ProbSeq, n: int) -> float:
 
     The n-2 candidate midpoints use pairwise distinct edge pairs, so the
     non-existence probabilities multiply:
-    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), accumulated in log space.
+    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), accumulated in log space
+    over the midpoints v - 1 in the support (the others add log1p(-0) = -0).
     """
     if n < 3:
         raise EstimatorError("needs n >= 3")
+    p = {d: seq.eval(d) for d in support_upto(seq, n - 2)}
     log_miss = 0.0
-    for v in range(2, n):
-        q = seq.eval(v - 1) * seq.eval(n - v)
+    for d, p_left in p.items():  # midpoint v = d + 1
+        q = p_left * p.get(n - 1 - d, 0.0)
         if q >= 1.0:
             return 1.0
         log_miss += math.log1p(-q)
     return -math.expm1(log_miss) + 0.0  # normalize -0.0
 
 
-def _circle_triangle_candidates(seq: ProbSeq, n: int) -> set[frozenset[int]]:
-    """All vertex triples whose three circular distances have positive
-    probability.  Enumerates support-distance steps, O(n |supp|^2)."""
-    supp = support_upto(seq, n // 2) if n >= 2 else []
-    supp_set = set(supp)
-    found: set[frozenset[int]] = set()
-    for d1 in supp:
-        for d2 in supp:
-            for v in range(1, n + 1):
-                a = (v + d1 - 1) % n + 1
-                b = (a + d2 - 1) % n + 1
-                if len({v, a, b}) < 3:
-                    continue
-                if circular_distance(v, b, n) in supp_set:
-                    found.add(frozenset((v, a, b)))
-    return found
-
-
 def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
     """P(circle model on [n] contains a triangle), in closed form.
 
     Valid only when the positive-probability triangles are exactly the
-    edge-disjoint family {v, v+n/3, v+2n/3}; a verifier enumerates all
-    candidate triples and raises OracleValidityError otherwise.  With an
-    empty candidate set the probability is exactly 0.
+    edge-disjoint family {v, v+n/3, v+2n/3}; a verifier compares the pair
+    table's triangles with that family and raises OracleValidityError
+    otherwise.  With no candidate triangle the probability is exactly 0.
     """
     if n < 3:
         raise EstimatorError("needs n >= 3")
-    candidates = _circle_triangle_candidates(seq, n)
-    if not candidates:
+    batch = PairBatch(seq, n, CIRCLE)
+    triples = batch.triangles()
+    if len(triples) == 0:
         return 0.0
     if n % 3 != 0:
         raise OracleValidityError(
-            f"{len(candidates)} candidate triangles at n={n} with 3 not dividing n"
+            f"{len(triples)} candidate triangles at n={n} with 3 not dividing n"
         )
+    pairs = batch.pair_list
+    candidates = {(*pairs[j1], pairs[j2][1]) for j1, j2, _ in triples.tolist()}
     step = n // 3
-    mono = {frozenset((v, (v + step - 1) % n + 1, (v + 2 * step - 1) % n + 1)) for v in range(1, n + 1)}
-    if candidates != mono:
+    aligned = {(v, v + step, v + 2 * step) for v in range(1, step + 1)}
+    if candidates != aligned:
         raise OracleValidityError(
-            f"candidate triangles at n={n} are not the {n // 3} aligned triples "
-            f"({len(candidates)} candidates)"
+            f"candidate triangles at n={n} are not the {step} aligned triples "
+            f"({len(triples)} candidates)"
         )
-    p = seq.eval(step)
-    if p <= 0.0:
-        return 0.0
+    p = float(batch.p[triples[0, 0]])
+    if p >= 1.0:
+        return 1.0
     # the aligned triples partition their edges, so counts are binomial
-    per_triangle = p**3
-    return -math.expm1((n // 3) * math.log1p(-per_triangle))
+    return -math.expm1(step * math.log1p(-(p**3)))
 
 
 def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> float:
     """Exact probability by enumerating the free edge subsets.
 
-    Pairs with p = 0 are fixed absent and p = 1 fixed present; enumeration
-    is over the remaining pairs and guarded at 2^21 subsets.
+    The pair table's p = 1 pairs are fixed present (and pairs outside it
+    absent); enumeration is over its remaining pairs, in (v, w) order, and
+    guarded at 2^21 subsets.
     """
-    dist = (lambda v, w: w - v) if model_kind == LINE else (lambda v, w: circular_distance(v, w, n))
+    batch = PairBatch(seq, n, model_kind)
     fixed: list[tuple[int, int]] = []
     free: list[tuple[int, int, float]] = []
-    for v in range(1, n + 1):
-        for w in range(v + 1, n + 1):
-            p = seq.eval(dist(v, w))
-            if p >= 1.0:
-                fixed.append((v, w))
-            elif p > 0.0:
-                free.append((v, w, p))
+    for (v, w), p in sorted(zip(batch.pair_list, batch.p.tolist())):
+        if p >= 1.0:
+            fixed.append((v, w))
+        else:
+            free.append((v, w, p))
     if 2 ** len(free) > 2**21:
         raise BruteForceGuardError(f"{len(free)} free pairs is beyond the 2^21 subset guard")
     check = _evaluator(target, model_kind)

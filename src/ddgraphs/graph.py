@@ -91,20 +91,11 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(n, frozenset())
 
 
-def circular_distance(v: int, w: int, n: int) -> int:
-    d = abs(v - w)
-    return min(d, n - d)
-
-
 # --- neighborhoods -----------------------------------------------------------
 
 
-def neighborhood(g: Graph, v: int, r: int, augmented: bool = False) -> frozenset[int]:
-    """Ball of radius r around v; N_0(v) = {v}.
-
-    With ``augmented`` the metric also walks the path edges {i, i+1}, i.e.
-    distance is measured in the graph with the successor path added.
-    """
+def neighborhood(g: Graph, v: int, r: int) -> frozenset[int]:
+    """Ball of radius r around v in g; N_0(v) = {v}."""
     if not 1 <= v <= g.n:
         raise GraphError(f"vertex {v} out of range")
     if r < 0:
@@ -114,13 +105,7 @@ def neighborhood(g: Graph, v: int, r: int, augmented: bool = False) -> frozenset
     for _ in range(r):
         nxt = []
         for u in frontier:
-            steps = list(g.neighbor_sets[u])
-            if augmented:
-                if u > 1:
-                    steps.append(u - 1)
-                if u < g.n:
-                    steps.append(u + 1)
-            for x in steps:
+            for x in g.neighbor_sets[u]:
                 if x not in seen:
                     seen.add(x)
                     nxt.append(x)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -48,6 +49,17 @@ class IndexBudgetError(SequenceError):
 
 class ScaleWarning(UserWarning):
     """A desk-scale parameter violates a precondition the asymptotic argument uses."""
+
+
+def _scale_warning(message: str) -> None:
+    """Raise a ScaleWarning attributed to the first caller outside this
+    module, however many of its frames (constructors, ``from_json``) lie
+    in between."""
+    here = _scale_warning.__code__.co_filename
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_code.co_filename == here:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, ScaleWarning, stacklevel=level)
 
 
 # --- matcher rules -----------------------------------------------------------
@@ -242,11 +254,7 @@ def make_thm1(k: int, b: Sequence[int]) -> ProbSeq:
     if any(b[j] >= b[j + 1] for j in range(len(b) - 1)):
         raise SequenceError(f"b must be strictly increasing, got {b}")
     if b[0] <= 6 * k:
-        warnings.warn(
-            f"b(1)={b[0]} <= 6k={6 * k}: smaller than the asymptotic argument assumes",
-            ScaleWarning,
-            stacklevel=2,
-        )
+        _scale_warning(f"b(1)={b[0]} <= 6k={6 * k}: smaller than the asymptotic argument assumes")
     rules: list[Rule] = [BandRule(1, b[0], lambda i: 0.5)]
     for m in range(1, (len(b) + 1) // 2 + 1):
         lo_idx, hi_idx = 2 * m - 2, 2 * m - 1  # b(2m-1), b(2m) as 0-based slots
@@ -285,11 +293,9 @@ def make_thm2(f: Sequence[int]) -> ProbSeq:
                 f"band for m={m} ([{top - m ** 3}, {top}]) overlaps previous top f({m - 1})={prev_top}"
             )
         if prev_top is not None and top - 2 * m**3 - 1 <= prev_top:
-            warnings.warn(
+            _scale_warning(
                 f"f({m})={top}: f(m) - 2m^3 - 1 = {top - 2 * m**3 - 1} <= f({m - 1})={prev_top}, "
-                f"so band {m - 1} completes 2-paths at n = {2 * top - 2 * m**3}",
-                ScaleWarning,
-                stacklevel=2,
+                f"so band {m - 1} completes 2-paths at n = {2 * top - 2 * m**3}"
             )
         rules.append(BandRule(lo, top, lambda i, _m=m: 1.0 / _m))
         prev_top = top
@@ -313,11 +319,9 @@ def make_example2(b: Sequence[int], f: Sequence[int], b0: int = 0) -> ProbSeq:
     running = 0
     for j, fi in enumerate(f):
         if j >= 1 and fi <= 10 * running:
-            warnings.warn(
+            _scale_warning(
                 f"f({j + 1})={fi} <= 10 * sum of earlier terms ({running}): spacing below "
-                "what the oscillation argument assumes",
-                ScaleWarning,
-                stacklevel=2,
+                "what the oscillation argument assumes"
             )
         running += fi
 
@@ -412,7 +416,7 @@ def make_thm6(a: Sequence[float]) -> ProbSeq:
     if any(not 0.0 < x < 1.0 for x in a):
         raise SequenceError("all a(i) must lie strictly within (0,1)")
     if any(a[j] < a[j + 1] for j in range(len(a) - 1)):
-        warnings.warn("a is not non-increasing", ScaleWarning, stacklevel=2)
+        _scale_warning("a is not non-increasing")
     rules: list[Rule] = []
     support: list[int] = []
     power = 3
@@ -542,20 +546,24 @@ def support_upto(seq: ProbSeq, n: int) -> list[int]:
     return sorted(i for i in candidates if seq.eval(i) > 0.0)
 
 
-def log_partial_product(seq: ProbSeq, n: int) -> float:
-    """sum_{i<=n} ln(1 - p(i)); exactly -inf when some p(i) = 1 with i <= n.
-
-    Only support indices contribute, so the cost is O(|supp <= n|).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _log_miss_sum(seq: ProbSeq, n: int, weighted: bool) -> float:
+    """sum_{i<=n} w(i) ln(1 - p(i)) with w(i) = i or 1, over support indices
+    only; exactly -inf when some p(i) = 1 with i <= n."""
     total = 0.0
     for i in support_upto(seq, n):
         p = seq.eval(i)
         if p >= 1.0:
             return float("-inf")
-        total += math.log1p(-p)
+        total += (i if weighted else 1) * math.log1p(-p)
     return total
+
+
+def log_partial_product(seq: ProbSeq, n: int) -> float:
+    """sum_{i<=n} ln(1 - p(i)); exactly -inf when some p(i) = 1 with i <= n.
+
+    Only support indices contribute, so the cost is O(|supp <= n|).
+    """
+    return _log_miss_sum(seq, n, weighted=False)
 
 
 def partial_product(seq: ProbSeq, n: int) -> float:
@@ -578,13 +586,7 @@ def condition_statistic(seq: ProbSeq, n: int, kind: str) -> float:
     if kind == "C3_SUM":
         return sum(seq.eval(i) for i in support_upto(seq, n))
     if kind == "C5":
-        total = 0.0
-        for i in support_upto(seq, n):
-            p = seq.eval(i)
-            if p >= 1.0:
-                return float("-inf")
-            total += i * math.log1p(-p)
-        return total
+        return _log_miss_sum(seq, n, weighted=True)
     raise ValueError(f"unknown statistic kind {kind!r}")
 
 
@@ -592,16 +594,13 @@ def is_admissible(seq: ProbSeq, h) -> bool:
     """Can ``h`` occur as a sample on its own vertex range?
 
     True iff every edge {j,k} of h has p(|j-k|) > 0 and every non-edge has
-    p(|j-k|) < 1.
+    p(|j-k|) < 1: the edges must lie in the support, and every pair at a
+    distance with p = 1 must be an edge.
     """
     n = h.n
-    edges = h.edges
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            p = seq.eval(k - j)
-            if (j, k) in edges:
-                if p <= 0.0:
-                    return False
-            elif p >= 1.0:
-                return False
-    return True
+    p = {d: seq.eval(d) for d in support_upto(seq, n - 1)} if n >= 2 else {}
+    if any(w - v not in p for v, w in h.edges):
+        return False
+    return all(
+        (v, v + d) in h.edges for d, pd in p.items() if pd >= 1.0 for v in range(1, n - d + 1)
+    )

@@ -31,11 +31,14 @@ CIRCLE = "CIRCLE"
 class PairBatch:
     """Candidate-pair table for one (sequence, n, model) triple.
 
-    Columns ``v < w`` hold every pair with positive edge probability, in
+    This is the one place that knows which pairs of [n] can be edges: the
+    line measures |v - w|, the circle min(|v - w|, n - |v - w|).  Columns
+    ``v < w`` hold every pair with positive edge probability, in
     support-distance order on the line and in (v, w) order on the circle.
-    ``thresholds`` and ``always`` give each pair's acceptance rule.  The table
-    walks support distances, not all pairs, so sparse sequences cost
-    O(n * |supp|), and ``seq.eval`` runs once per support distance.
+    ``p`` is each pair's edge probability, and ``thresholds`` and ``always``
+    its acceptance rule.  The table walks support distances, not all pairs,
+    so sparse sequences cost O(n * |supp|), and ``seq.eval`` runs once per
+    support distance.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
@@ -61,15 +64,32 @@ class PairBatch:
         self.n = n
         self.v = v[order].astype(np.uint64)
         self.w = w[order].astype(np.uint64)
+        self.p = np.repeat(np.array(probs, dtype=np.float64), counts)[order]
         self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)[order]
-        self.always = np.repeat(np.array([p >= 1.0 for p in probs], dtype=bool), counts)[order]
+        self.always = self.p >= 1.0
         self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
 
     def restrict(self, keep: np.ndarray) -> None:
         """Drop the columns where ``keep`` is false."""
-        self.v, self.w = self.v[keep], self.w[keep]
+        self.v, self.w, self.p = self.v[keep], self.w[keep], self.p[keep]
         self.thresholds, self.always = self.thresholds[keep], self.always[keep]
         self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
+
+    def triangles(self) -> np.ndarray:
+        """Column triples (j1, j2, j3), shape (k, 3), one per vertex triple
+        a < b < c whose pairs {a, b}, {a, c}, {b, c} are all in the table,
+        i.e. every triangle with positive probability.  Ordered by j1."""
+        col = {pair: j for j, pair in enumerate(self.pair_list)}
+        above: dict[int, list[int]] = {}
+        for a, b in self.pair_list:
+            above.setdefault(a, []).append(b)
+        triples = [
+            (j1, col[(a, c)], col[(b, c)])
+            for j1, (a, b) in enumerate(self.pair_list)
+            for c in above.get(b, ())
+            if (a, c) in col
+        ]
+        return np.array(triples, dtype=np.int64).reshape(-1, 3)
 
     def edge_matrix(self, master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
         """Boolean (trials, pairs) edge indicators; row t is the draw of

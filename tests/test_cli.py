@@ -194,6 +194,34 @@ class TestConfigRunner:
         code, out, _ = run(capsys, "run", str(cfg))
         assert code == 0 and "5,0.578125," in out
 
+    def test_no_exact_path2_on_the_circle(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"sequence = {CONST_HALF}\ntarget = path2\nmodel_kind = circle\nn_list = 5\ntrials = 0\n"
+        )
+        code, out, err = run(capsys, "run", str(cfg))
+        assert code == 1 and out == "" and "no exact oracle" in err
+        code, out, err = run(
+            capsys, "oracle", "--kind", "path2", "--seq", CONST_HALF, "--n", "5", "--model", "circle"
+        )
+        assert code == 1 and out == "" and "no exact oracle" in err
+
+    def test_circle_triangle_row_equals_oracle(self, tmp_path, capsys):
+        thm6 = '{"kind":"thm6","params":{"a":[0.5,0.5,0.5]}}'
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"sequence = {thm6}\ntarget = triangle\nmodel_kind = circle\nn_list = 18\n"
+            "trials = 0\nmaster_seed = 4\n"
+        )
+        code, from_run, _ = run(capsys, "run", str(cfg))
+        assert code == 0
+        code, from_oracle, _ = run(
+            capsys, "--seed", "4", "oracle", "--kind", "triangle_circle", "--seq", thm6, "--n", "18"
+        )
+        assert code == 0
+        assert from_run == from_oracle
+        assert from_run.splitlines()[1].startswith("18,0.551204681396,") and "triangle_exact,CIRCLE" in from_run
+
     def test_preset_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"preset = lemma_copies\ntrials = 40\nout = {tmp_path}\n")

@@ -1,4 +1,12 @@
-"""Monte Carlo estimation, closed-form oracles, and brute-force enumeration."""
+"""Monte Carlo estimation, closed-form oracles, and brute-force enumeration.
+
+The oracles read their pairs from the sampler's pair table.  The
+``reference_*`` functions below re-derive every pair and distance on their
+own, one pair or one index at a time, and the oracles must equal them
+exactly.
+"""
+
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +27,80 @@ from ddgraphs.estimator import (
     wilson_ci,
 )
 from ddgraphs.graph import has_triangle
-from ddgraphs.logic import Vocab, library, parse
-from ddgraphs.presets import has_triangle_predicate
-from ddgraphs.probseq import make_constant, make_support, make_thm6
-from ddgraphs.sampler import CIRCLE, LINE
+from ddgraphs.logic import LabeledModel, Vocab, holds, library, parse
+from ddgraphs.graph import make_graph
+from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate
+from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
+from ddgraphs.sampler import CIRCLE, LINE, PairBatch
+
+
+def distance(v, w, n, kind):
+    d = w - v
+    return d if kind == LINE else min(d, n - d)
+
+
+def reference_brute_force(seq, n, check, kind):
+    """Sum over every subset of the 0 < p < 1 pairs, all pairs in (v, w) order."""
+    fixed, free = [], []
+    for v in range(1, n + 1):
+        for w in range(v + 1, n + 1):
+            p = seq.eval(distance(v, w, n, kind))
+            if p >= 1.0:
+                fixed.append((v, w))
+            elif p > 0.0:
+                free.append((v, w, p))
+    total = 0.0
+
+    def recurse(idx, edges, weight):
+        nonlocal total
+        if idx == len(free):
+            if check(make_graph(n, edges)):
+                total += weight
+            return
+        v, w, p = free[idx]
+        recurse(idx + 1, edges + [(v, w)], weight * p)
+        recurse(idx + 1, edges, weight * (1.0 - p))
+
+    recurse(0, fixed, 1.0)
+    return total
+
+
+def reference_circle_triangles(seq, n):
+    """Vertex triples a < b < c whose three circular distances have p > 0."""
+    p = {d: seq.eval(d) for d in range(1, n // 2 + 1)}
+    return {
+        (a, b, c)
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+        for c in range(b + 1, n + 1)
+        if p[distance(a, b, n, CIRCLE)] > 0.0
+        and p[distance(a, c, n, CIRCLE)] > 0.0
+        and p[distance(b, c, n, CIRCLE)] > 0.0
+    }
+
+
+def reference_triangle_circle(seq, n):
+    """The circle-triangle closed form on the triple-loop candidates."""
+    candidates = reference_circle_triangles(seq, n)
+    if not candidates:
+        return 0.0
+    step = n // 3
+    aligned = {(v, v + step, v + 2 * step) for v in range(1, step + 1)}
+    if n % 3 != 0 or candidates != aligned:
+        raise OracleValidityError("not aligned")
+    p = seq.eval(step)
+    return 1.0 if p == 1.0 else -math.expm1(step * math.log1p(-(p**3)))
+
+
+def reference_path2(seq, n):
+    """P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), one midpoint at a time."""
+    log_miss = 0.0
+    for v in range(2, n):
+        q = seq.eval(v - 1) * seq.eval(n - v)
+        if q >= 1.0:
+            return 1.0
+        log_miss += math.log1p(-q)
+    return -math.expm1(log_miss) + 0.0
 
 
 class TestWilson:
@@ -108,6 +186,71 @@ class TestBruteForce:
             brute_force_probability(make_constant(0.5), 8, library("triangle"), LINE)
 
 
+BRUTE_SEQS = [
+    make_constant(0.3),
+    make_constant(1.0),
+    make_support({1: 0.3, 2: 1.0, 3: 0.7}),
+    make_support({1: 1.0, 3: 0.35}),  # antipodal on the circle at n = 6
+    make_support({2: 0.1, 3: 0.6}),  # antipodal on the circle at n = 4 and 6
+    make_ones_powers(2),
+]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(BRUTE_SEQS)))
+    def test_brute_force(self, kind, seq_index):
+        seq = BRUTE_SEQS[seq_index]
+        targets = [has_triangle_predicate(), lambda g: g.m % 2 == 1]
+        for n in range(1, 7):
+            for target in targets:
+                want = reference_brute_force(seq, n, target, kind)
+                assert brute_force_probability(seq, n, target, kind) == want, n
+            if n <= 5:
+                f = library("path2")
+                want = reference_brute_force(seq, n, lambda g: holds(LabeledModel(g, f.vocab), f), kind)
+                assert brute_force_probability(seq, n, f, kind) == want, n
+
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            make_thm6([0.5] * 5),
+            make_constant(0.4),
+            make_support({6: 0.3}),
+            make_support({1: 0.5, 2: 0.5, 3: 0.5}),
+            make_support({4: 0.3, 8: 0.7, 12: 1.0}),
+            make_support({5: 0.6, 10: 0.2, 15: 0.9, 20: 0.4}),
+            make_ones_powers(2),
+        ],
+        ids=["thm6_half", "constant", "one_distance", "multi_near", "multi_aligned", "multi_far",
+             "ones_powers_2"],
+    )
+    def test_circle_triangles(self, seq):
+        for n in range(1, 61):
+            want = reference_circle_triangles(seq, n)
+            batch = PairBatch(seq, n, CIRCLE)
+            pairs = batch.pair_list
+            got = {(pairs[j1][0], *pairs[j3]) for j1, _, j3 in batch.triangles().tolist()}
+            assert got == want, n
+            if n < 3:
+                with pytest.raises(EstimatorError):
+                    exact_triangle_circle(seq, n)
+                continue
+            try:
+                value = reference_triangle_circle(seq, n)
+            except OracleValidityError:
+                with pytest.raises(OracleValidityError):
+                    exact_triangle_circle(seq, n)
+            else:
+                assert exact_triangle_circle(seq, n) == value, n
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SEQUENCES))
+    def test_path2(self, name):
+        seq = NAMED_SEQUENCES[name]()
+        for n in list(range(3, 40)) + [100, 212, 276, 341, 670, 795, 1000]:
+            assert exact_path2(seq, n) == reference_path2(seq, n), n
+
+
 class TestExactTriangleCircle:
     def test_geometric_support_values(self):
         seq = make_thm6([0.5] * 5)
@@ -126,6 +269,10 @@ class TestExactTriangleCircle:
         # distances 2 and 3 close triangles at n = 7, which is not 3-aligned
         with pytest.raises(OracleValidityError):
             exact_triangle_circle(make_support({1: 0.5, 2: 0.5, 3: 0.5}), 7)
+
+    def test_sure_aligned_triangle(self):
+        assert exact_triangle_circle(make_support({2: 1.0}), 6) == 1.0
+        assert exact_triangle_circle(make_ones_powers(2), 3) == 1.0
 
     def test_brute_force_cross_check(self):
         seq = make_thm6([0.5])

@@ -63,14 +63,6 @@ class TestNeighborhood:
         g = edgeless_graph(5)
         assert neighborhood(g, 3, 4) == {3}
 
-    def test_augmented_path_only(self):
-        g = edgeless_graph(5)
-        assert neighborhood(g, 3, 1, augmented=True) == {2, 3, 4}
-
-    def test_augmented_with_long_edge(self):
-        g = make_graph(5, [(1, 5)])
-        assert neighborhood(g, 1, 1, augmented=True) == {1, 2, 5}
-
     def test_radius_zero(self):
         g = complete_graph(4)
         assert neighborhood(g, 2, 0) == {2}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddgraphs.graph import complete_graph, edgeless_graph, make_graph
+from ddgraphs.presets import NAMED_SEQUENCES
 from ddgraphs.probseq import (
     IndexRule,
     IndexBudgetError,
@@ -32,6 +33,29 @@ from ddgraphs.probseq import (
     partial_product,
     support_upto,
 )
+from ddgraphs.rng import RngStream
+from ddgraphs.sampler import sample_line
+
+
+def reference_log_miss(seq, n, weighted):
+    """sum_{i=1}^{n} w(i) ln(1 - p(i)), w(i) = i or 1, one index at a time."""
+    total = 0.0
+    for i in range(1, n + 1):
+        p = seq.eval(i)
+        if p >= 1.0:
+            return float("-inf")
+        total += (i if weighted else 1) * math.log1p(-p)
+    return total
+
+
+def reference_admissible(seq, h):
+    """Every pair of [n]: edges need p > 0, non-edges p < 1."""
+    for j in range(1, h.n + 1):
+        for k in range(j + 1, h.n + 1):
+            p = seq.eval(k - j)
+            if ((j, k) in h.edges and p <= 0.0) or ((j, k) not in h.edges and p >= 1.0):
+                return False
+    return True
 
 
 def thm1_scaled(k=2, b=(4, 16)):
@@ -303,6 +327,38 @@ class TestConditionStatistics:
             condition_statistic(make_constant(0.5), 5, "C9")
 
 
+STAT_NS = list(range(1, 40)) + [64, 100, 212, 256, 300, 460, 1000, 1400]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(NAMED_SEQUENCES))
+    def test_statistics(self, name):
+        seq = NAMED_SEQUENCES[name]()
+        for n in STAT_NS:
+            lpp = reference_log_miss(seq, n, weighted=False)
+            assert log_partial_product(seq, n) == lpp, n
+            assert condition_statistic(seq, n, "C5") == reference_log_miss(seq, n, weighted=True), n
+            c3 = sum(seq.eval(i) for i in range(1, n + 1))
+            assert condition_statistic(seq, n, "C3_SUM") == c3, n
+            if n >= 2:
+                assert condition_statistic(seq, n, "C2") == lpp / math.log(n), n
+
+    @pytest.mark.parametrize("name", sorted(NAMED_SEQUENCES))
+    def test_admissibility(self, name):
+        seq = NAMED_SEQUENCES[name]()
+        verdicts = set()
+        for n in list(range(1, 13)) + [20, 41]:
+            graphs = [complete_graph(n), edgeless_graph(n)]
+            graphs += [sample_line(seq, n, RngStream(3, t)) for t in range(4)]
+            graphs += [sample_line(make_constant(0.5), n, RngStream(5, t)) for t in range(8)]
+            graphs += [make_graph(n, [(v, v + 1) for v in range(1, n)])]
+            for h in graphs:
+                want = reference_admissible(seq, h)
+                assert is_admissible(seq, h) == want, (n, sorted(h.edges))
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+
 class TestAdmissibility:
     def test_interior_constant_admits_everything(self):
         s = make_constant(0.5)
@@ -395,6 +451,14 @@ class TestJsonRoundTrip:
         assert clone.kind == seq.kind
         for i in list(range(1, 60)) + [97, 150, 200, 1000]:
             assert clone.eval(i) == seq.eval(i)
+
+    def test_scale_warning_names_the_caller(self):
+        with pytest.warns(ScaleWarning) as direct:
+            seq = make_thm2([1, 40, 150, 460])
+        with pytest.warns(ScaleWarning) as loaded:
+            from_json(seq.to_json())
+        assert len(direct) == len(loaded) == 2
+        assert {w.filename for w in direct} == {w.filename for w in loaded} == {__file__}
 
     def test_thm1_roundtrip(self):
         seq = thm1_scaled()

@@ -86,13 +86,50 @@ class TestAgainstReference:
         for n in REFERENCE_NS:
             ref = reference_pairs(seq, n, kind)
             batch = PairBatch(seq, n, kind)
-            got = sorted(zip(batch.pair_list, batch.thresholds.tolist(), batch.always.tolist()))
+            got = sorted(
+                zip(batch.pair_list, batch.p.tolist(), batch.thresholds.tolist(), batch.always.tolist())
+            )
             want = [
-                ((v, w), threshold_u64(p) if p < 1.0 else 0, p >= 1.0) for v, w, p in ref
+                ((v, w), p, threshold_u64(p) if p < 1.0 else 0, p >= 1.0) for v, w, p in ref
             ]
             assert got == want, n
             assert batch.v.tolist() == [v for v, _ in batch.pair_list]
             assert batch.w.tolist() == [w for _, w in batch.pair_list]
+
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(REFERENCE_SEQS)))
+    def test_triangles(self, kind, seq_index):
+        seq = REFERENCE_SEQS[seq_index]
+        for n in REFERENCE_NS:
+            prob = {(v, w): p for v, w, p in reference_pairs(seq, n, kind)}
+            want = [
+                (a, b, c)
+                for a in range(1, n + 1)
+                for b in range(a + 1, n + 1)
+                for c in range(b + 1, n + 1)
+                if (a, b) in prob and (a, c) in prob and (b, c) in prob
+            ]
+            batch = PairBatch(seq, n, kind)
+            triples = batch.triangles()
+            assert triples.shape == (len(want), 3)
+            pairs = batch.pair_list
+            got = []
+            for j1, j2, j3 in triples.tolist():
+                (a, b), (a2, c), (b2, c2) = pairs[j1], pairs[j2], pairs[j3]
+                assert (a2, b2, c2) == (a, b, c)
+                got.append((a, b, c))
+            assert sorted(got) == want, n
+
+    def test_restrict_keeps_columns_aligned(self):
+        batch = PairBatch(make_support({1: 0.3, 2: 1.0, 3: 0.7}), 9, LINE)
+        keep = batch.v % 2 == 1
+        want = [(pair, p, t, a) for pair, p, t, a, k in zip(
+            batch.pair_list, batch.p.tolist(), batch.thresholds.tolist(), batch.always.tolist(),
+            keep.tolist()) if k]
+        batch.restrict(keep)
+        got = list(zip(batch.pair_list, batch.p.tolist(), batch.thresholds.tolist(),
+                       batch.always.tolist()))
+        assert got == want and len(got) > 0
 
     def test_grid_equals_scalar_chain(self):
         rows = np.array([0, 5, MASK64], dtype=np.uint64)
