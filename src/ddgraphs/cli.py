@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +30,7 @@ from .estimator import (
 from .graph import from_edgelist_text, to_edgelist_text
 from .logic import Vocab, library
 from .presets import (
+    FAST_TRIALS,
     NAMED_SEQUENCES,
     PRESETS,
     PresetError,
@@ -225,15 +227,33 @@ def cmd_efgame(args) -> int:
     return 0
 
 
+def _preset_trials(name: str, args) -> int | None:
+    """--trials if given, else the --fast count, else the preset's default."""
+    if args.trials is None and args.fast:
+        return FAST_TRIALS.get(name)
+    return args.trials
+
+
 def cmd_preset(args) -> int:
     if args.list:
         for name in sorted(PRESETS):
             sys.stdout.write(f"{name}: {PRESETS[name][1]}\n")
         return 0
+    out = args.out or Path("out")
+    if args.all:
+        worst = 0
+        for name in sorted(PRESETS):
+            t0 = time.perf_counter()
+            outcome = run_preset(name, seed=args.seed, trials=_preset_trials(name, args))
+            outcome.write(out)
+            status = "PASS" if outcome.passed else "FAIL"
+            sys.stdout.write(f"{name:16s} {status}  ({time.perf_counter() - t0:5.1f}s)\n")
+            worst = max(worst, 0 if outcome.passed else 2)
+        return worst
     if not args.name:
-        raise CliError("preset name required (or --list)")
-    outcome = run_preset(args.name, seed=args.seed, trials=args.trials)
-    outcome.write(args.out or Path("out"))
+        raise CliError("preset name required (or --list or --all)")
+    outcome = run_preset(args.name, seed=args.seed, trials=_preset_trials(args.name, args))
+    outcome.write(out)
     for check in outcome.checks:
         sys.stdout.write(f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: {check.detail}\n")
     for note in outcome.notes:
@@ -356,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("preset", help="run a named experiment preset")
     s.add_argument("name", nargs="?")
     s.add_argument("--list", action="store_true")
+    s.add_argument("--all", action="store_true", help="run every preset")
+    s.add_argument("--fast", action="store_true", help="trimmed trial counts (FAST_TRIALS)")
     s.add_argument("--trials", type=int, default=None)
     s.set_defaults(fn=cmd_preset)
 

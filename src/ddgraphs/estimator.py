@@ -2,7 +2,14 @@
 
 Three routes, deliberately independent of each other:
 
-* ``mc_probability`` - seeded Monte Carlo with Wilson score intervals,
+* ``mc_probability`` - seeded Monte Carlo with Wilson score intervals.
+  The ``path2`` sentence and the triangle (the ``triangle`` sentence in any
+  vocabulary, or ``presets.has_triangle_predicate``) compile to column
+  kernels: only the pair columns they read are hashed, and one boolean
+  reduction per block decides every trial.  Other targets, and triangles on
+  tables with more than 16 triangles per pair, build each row's graph and
+  run ``holds`` or the predicate.  Blocks are bounded by ``CELL_BUDGET``
+  cells, not by a trial count, so memory does not grow with ``trials``.
 * ``exact_path2`` / ``exact_triangle_circle`` - closed forms valid under
   verified structural conditions,
 * ``brute_force_probability`` - exhaustive enumeration over the free edge
@@ -17,8 +24,10 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .graph import Graph, _graph_unchecked
-from .logic import Formula, LabeledModel, holds
+from .logic import Formula, LabeledModel, holds, library
 from .probseq import ProbSeq, support_upto
 from .rng import derived_stream, stream_words
 from .sampler import CIRCLE, LINE, PairBatch
@@ -67,6 +76,8 @@ def wilson_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, 
         raise EstimatorError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise EstimatorError("successes must lie in [0, trials]")
+    if not 0.0 < level < 1.0:
+        raise EstimatorError(f"level must lie in (0, 1), got {level}")
     z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -83,11 +94,59 @@ def _target_name(target: Target) -> str:
     return getattr(target, "target_name", getattr(target, "__name__", "predicate"))
 
 
-def _evaluator(target: Target, model_kind: str) -> Callable[[Graph], bool]:
+def _evaluator(target: Target) -> Callable[[Graph], bool]:
     if isinstance(target, Formula):
         vocab = target.vocab
         return lambda g: holds(LabeledModel(g, vocab), target)
     return target
+
+
+# Cells one Monte Carlo block may hold: trials x hashed columns, and for a
+# compiled target also trials x clauses.  A uint64 hash grid this size is 16 MB.
+CELL_BUDGET = 1 << 21
+
+# Past this many positive-probability triangles per pair the triangle kernel's
+# reduction costs more than building the row graphs (on the dense line the
+# two break even near n = 50-60, i.e. 16-19 triangles per pair).
+_TRIANGLES_PER_PAIR = 16
+
+_PATH2 = library("path2").root
+_TRIANGLE = library("triangle").root
+
+
+def _midpoint_pairs(batch: PairBatch) -> np.ndarray:
+    """Column pairs ((1, m), (m, n)) of every midpoint m both of whose pairs
+    are in the table, shape (k, 2)."""
+    n = batch.n
+    left = np.full(n + 1, -1, dtype=np.int64)
+    right = np.full(n + 1, -1, dtype=np.int64)
+    at_first, at_last = np.flatnonzero(batch.v == 1), np.flatnonzero(batch.w == n)
+    left[batch.w[at_first]] = at_first
+    right[batch.v[at_last]] = at_last
+    mids = (left >= 0) & (right >= 0)
+    return np.stack([left[mids], right[mids]], axis=1)
+
+
+def _clauses(target: Target, batch: PairBatch) -> np.ndarray | None:
+    """``target`` compiled to a disjunction of edge conjunctions: a (k, r)
+    array of pair-table columns, one clause per row, such that the target
+    holds on a draw iff some clause has all r of its columns as edges.
+    None for targets that are not compiled.
+
+    Compiled: the ``path2`` sentence (midpoint column pairs) and the
+    ``triangle`` sentence in any vocabulary, or a predicate whose
+    ``sentence`` attribute is one (column triples of ``batch.triangles``).
+    """
+    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
+    if sentence is None:
+        return None
+    if sentence.root == _PATH2:
+        return _midpoint_pairs(batch)
+    if sentence.root == _TRIANGLE:
+        triples = batch.triangles()
+        if len(triples) <= _TRIANGLES_PER_PAIR * len(batch.pair_list):
+            return triples
+    return None
 
 
 def mc_probability(
@@ -99,26 +158,52 @@ def mc_probability(
     master_seed: int,
     level: float = 0.95,
     stream_for_trial: Callable[[int], int] | None = None,
-    chunk: int = 4096,
 ) -> EstimateResult:
     """Monte Carlo estimate of P(n; target) over independent seeded samples.
 
     Trial t draws its graph from stream ``stream_for_trial(t)`` (default
     ``derived_stream(n, t)``), so results are independent of evaluation
     order and parallel scheduling.
+
+    Compiled targets (see ``_clauses``) hash only the pair columns they read
+    and are decided by one numpy reduction per block; every other target
+    builds each row's graph and runs ``holds`` or the predicate on it.  Both
+    give the same successes, since each draw is a pure function of
+    (master_seed, stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells
+    (at least one trial), which bounds memory independently of ``trials``.
     """
     if trials < 1:
         raise EstimatorError("trials must be >= 1")
+    if n < 1:
+        raise EstimatorError("n must be >= 1")
     stream_of = stream_for_trial or (lambda t: derived_stream(n, t))
-    check = _evaluator(target, model_kind)
     batch = PairBatch(seq, n, model_kind)
+    clauses = _clauses(target, batch)
+    if clauses is None:
+        check = _evaluator(target)
+        width = len(batch.pair_list)
+
+        def decide(rows: np.ndarray) -> int:
+            return sum(1 for row in rows if check(batch.graph_from_row(row)))
+
+    else:
+        keep, local = np.unique(clauses, return_inverse=True)
+        local = local.reshape(clauses.shape)
+        batch.restrict(keep)
+        width = max(len(keep), len(local))
+
+        def decide(rows: np.ndarray) -> int:
+            by_column = np.ascontiguousarray(rows.T)
+            hit = by_column[local[:, 0]]
+            for j in local.T[1:]:
+                hit &= by_column[j]
+            return int(np.count_nonzero(hit.any(axis=0)))
+
+    block = max(1, CELL_BUDGET // max(1, width))
     successes = 0
-    for start in range(0, trials, chunk):
-        ids = stream_words(stream_of(t) for t in range(start, min(start + chunk, trials)))
-        rows = batch.edge_matrix(master_seed, ids)
-        for r in range(rows.shape[0]):
-            if check(batch.graph_from_row(rows[r])):
-                successes += 1
+    for start in range(0, trials, block):
+        ids = stream_words(stream_of(t) for t in range(start, min(start + block, trials)))
+        successes += decide(batch.edge_matrix(master_seed, ids))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(
         estimate=successes / trials,
@@ -203,7 +288,7 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
             free.append((v, w, p))
     if 2 ** len(free) > 2**21:
         raise BruteForceGuardError(f"{len(free)} free pairs is beyond the 2^21 subset guard")
-    check = _evaluator(target, model_kind)
+    check = _evaluator(target)
     total = 0.0
     edges = list(fixed)
 

@@ -100,6 +100,7 @@ def has_triangle_predicate():
         return has_triangle(g)
 
     pred.target_name = "has_triangle"
+    pred.sentence = library("triangle")  # decides the same; lets the estimator compile it
     return pred
 
 
@@ -435,6 +436,18 @@ PRESETS: dict[str, tuple] = {
     "ak_random": (_run_ak_random, "seeded fair binary support: 1-set extension property across seeds"),
     "fact4_search": (_run_fact4_search, "search for a depth-k absorbing graph under disjoint sum"),
     "lemma_copies": (_run_lemma_copies, "sparse single-distance sequence: disjoint exact-copy counts"),
+}
+
+
+# Trial counts of ``ddgraphs preset --all --fast``: the whole sweep in seconds;
+# presets not named here keep their default counts.
+FAST_TRIALS = {
+    "thm1_osc": 50,
+    "example2_osc": 50,
+    "thm3_cutpoint": 50,
+    "thm5_chain": 10_000,
+    "thm6_triangle": 500,
+    "lemma_copies": 50,
 }
 
 

@@ -70,7 +70,8 @@ class PairBatch:
         self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
 
     def restrict(self, keep: np.ndarray) -> None:
-        """Drop the columns where ``keep`` is false."""
+        """Keep only the columns ``keep`` selects (a boolean mask or an
+        index array)."""
         self.v, self.w, self.p = self.v[keep], self.w[keep], self.p[keep]
         self.thresholds, self.always = self.thresholds[keep], self.always[keep]
         self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
@@ -78,18 +79,25 @@ class PairBatch:
     def triangles(self) -> np.ndarray:
         """Column triples (j1, j2, j3), shape (k, 3), one per vertex triple
         a < b < c whose pairs {a, b}, {a, c}, {b, c} are all in the table,
-        i.e. every triangle with positive probability.  Ordered by j1."""
-        col = {pair: j for j, pair in enumerate(self.pair_list)}
-        above: dict[int, list[int]] = {}
-        for a, b in self.pair_list:
-            above.setdefault(a, []).append(b)
-        triples = [
-            (j1, col[(a, c)], col[(b, c)])
-            for j1, (a, b) in enumerate(self.pair_list)
-            for c in above.get(b, ())
-            if (a, c) in col
-        ]
-        return np.array(triples, dtype=np.int64).reshape(-1, 3)
+        i.e. every triangle with positive probability.  Ordered by j1, then
+        by the column order of the pairs {b, c}."""
+        if len(self.pair_list) == 0:
+            return np.zeros((0, 3), dtype=np.int64)
+        v, w = self.v.astype(np.int64), self.w.astype(np.int64)
+        key = v * (self.n + 1) + w
+        by_key = np.argsort(key)
+        by_v = np.argsort(v, kind="stable")
+        starts = np.searchsorted(v[by_v], np.arange(self.n + 2))
+        # every path a < b < c along pair j1 = {a, b}, then pair j3 = {b, c}
+        count = starts[w + 1] - starts[w]
+        j1 = np.repeat(np.arange(len(v)), count)
+        first = np.repeat(starts[w] - (np.cumsum(count) - count), count)
+        j3 = by_v[first + np.arange(len(j1))]
+        # keep the paths whose closing pair {a, c} is in the table
+        want = v[j1] * (self.n + 1) + w[j3]
+        at = np.minimum(np.searchsorted(key[by_key], want), len(key) - 1)
+        closed = key[by_key[at]] == want
+        return np.stack([j1[closed], by_key[at[closed]], j3[closed]], axis=1)
 
     def edge_matrix(self, master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
         """Boolean (trials, pairs) edge indicators; row t is the draw of

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import re
 
 from ddgraphs.cli import main
 from ddgraphs.presets import PRESETS, Check, PresetOutcome
@@ -59,6 +60,27 @@ class TestPresetCommand:
         assert "[FAIL]" in out
         summary = json.loads((tmp_path / "always_fails_summary.json").read_text())
         assert summary["status"] == "FAIL"
+
+
+    def test_all_fast_runs_every_preset(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "--out", str(tmp_path), "preset", "--all", "--fast")
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == sorted(PRESETS)
+        assert all(re.fullmatch(r"\S+ +PASS  \( *\d+\.\ds\)", line) for line in lines), lines
+        tables = {f"{name}.csv" for name in PRESETS} | {"thm1_osc_stats.csv"}
+        summaries = {f"{name}_summary.json" for name in PRESETS}
+        assert {f.name for f in tmp_path.iterdir()} == tables | summaries
+
+    def test_all_exits_with_worst_status(self, tmp_path, capsys, monkeypatch):
+        def always_fails(seed, trials):
+            return PresetOutcome("always_fails", {"always_fails": "n\n"}, [Check("never", False)])
+
+        monkeypatch.setitem(PRESETS, "always_fails", (always_fails, "fails its only check"))
+        code, out, _ = run(capsys, "--out", str(tmp_path), "preset", "--all", "--fast")
+        assert code == 2
+        assert re.search(r"^always_fails +FAIL ", out, re.M)
+        assert out.count(" PASS ") == len(PRESETS) - 1
 
 
 class TestSampleAndEval:

@@ -8,10 +8,12 @@ exactly.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddgraphs import estimator, sampler
 from ddgraphs.estimator import (
     BruteForceGuardError,
     EstimateResult,
@@ -27,10 +29,11 @@ from ddgraphs.estimator import (
     wilson_ci,
 )
 from ddgraphs.graph import has_triangle
-from ddgraphs.logic import LabeledModel, Vocab, holds, library, parse
+from ddgraphs.logic import Formula, LabeledModel, Vocab, holds, library, parse
 from ddgraphs.graph import make_graph
-from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate
+from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
+from ddgraphs.rng import derived_stream, keyed_u64
 from ddgraphs.sampler import CIRCLE, LINE, PairBatch
 
 
@@ -124,6 +127,11 @@ class TestWilson:
     def test_zero_trials_rejected(self):
         with pytest.raises(EstimatorError):
             wilson_ci(0, 0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
+    def test_level_outside_unit_interval_rejected(self, level):
+        with pytest.raises(EstimatorError, match="level"):
+            wilson_ci(3, 10, level)
 
 
 class TestExactPath2:
@@ -315,6 +323,153 @@ class TestMonteCarloEstimates:
     def test_trials_required(self):
         with pytest.raises(EstimatorError):
             mc_probability(make_constant(0.5), 4, library("triangle"), LINE, 0, 0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_vertices_required(self, n):
+        with pytest.raises(EstimatorError, match="n must be >= 1"):
+            mc_probability(make_constant(1.0), n, library("path2"), LINE, 5, 0)
+
+
+def row_path_successes(seq, n, target, kind, trials, seed, stream_of):
+    """Successes of ``target`` judged on the graph of every row of the full
+    pair table, one row at a time."""
+    batch = PairBatch(seq, n, kind)
+    ids = np.array([stream_of(t) % 2**64 for t in range(trials)], dtype=np.uint64)
+
+    def check(g):
+        if isinstance(target, Formula):
+            return holds(LabeledModel(g, target.vocab), target)
+        return target(g)
+
+    return sum(bool(check(batch.graph_from_row(row))) for row in batch.edge_matrix(seed, ids))
+
+
+KERNEL_SEQS = [
+    make_constant(0.0),
+    make_constant(0.1),
+    make_constant(0.5),
+    make_constant(1.0),
+    seq_thm6_half(),
+    make_ones_powers(2),
+    make_support({1: 0.4, 2: 1.0, 3: 0.3}),
+]
+KERNEL_SEQ_IDS = ["const0", "const0.1", "const0.5", "const1", "thm6_half", "ones_powers_2",
+                  "support_p1"]
+KERNEL_TARGETS = [
+    (library("path2"), LINE),
+    (library("path2"), CIRCLE),
+    (library("triangle"), LINE),
+    (library("triangle", vocab=Vocab.LC), CIRCLE),
+    (has_triangle_predicate(), LINE),
+    (has_triangle_predicate(), CIRCLE),
+]
+KERNEL_TARGET_IDS = ["path2-line", "path2-circle", "triangle_L-line", "triangle_LC-circle",
+                     "has_triangle-line", "has_triangle-circle"]
+
+
+@pytest.fixture
+def row_graphs(monkeypatch):
+    """Counts the row graphs ``mc_probability`` builds."""
+    built = []
+    real = PairBatch.graph_from_row
+
+    def spy(self, row):
+        built.append(1)
+        return real(self, row)
+
+    monkeypatch.setattr(PairBatch, "graph_from_row", spy)
+    return built
+
+
+@pytest.fixture
+def grids(monkeypatch):
+    """Records the (trials, columns) shape of every hash grid."""
+    shapes = []
+    real = sampler.keyed_u64_grid
+
+    def spy(prefix, rows, v, w):
+        shapes.append((len(rows), len(v)))
+        return real(prefix, rows, v, w)
+
+    monkeypatch.setattr(sampler, "keyed_u64_grid", spy)
+    return shapes
+
+
+class TestColumnKernels:
+    """Compiled targets must count exactly the successes of the row path on
+    the same streams."""
+
+    @pytest.mark.parametrize("seq", KERNEL_SEQS, ids=KERNEL_SEQ_IDS)
+    @pytest.mark.parametrize("target,kind", KERNEL_TARGETS, ids=KERNEL_TARGET_IDS)
+    def test_kernel_equals_row_path(self, monkeypatch, row_graphs, seq, target, kind):
+        rule, trials, seed = estimator._TRIANGLES_PER_PAIR, 12, 5
+        for n in list(range(1, 31)) + [53, 54, 161, 162]:
+            # up to n = 54 the kernel runs even where the dense-triangle rule
+            # would pick the row path; at n = 161, 162 the rule decides
+            monkeypatch.setattr(estimator, "_TRIANGLES_PER_PAIR", 10**9 if n <= 54 else rule)
+            # holds on a triangle-free graph costs O(n^3); beyond n = 30 the
+            # triangle sentence is judged by has_triangle, the same event
+            reference = target if n <= 30 or target == library("path2") else has_triangle
+            overrides = [lambda t, n=n: keyed_u64(n, t) - 2**63] if n <= 54 else []
+            for streams in [None, *overrides]:
+                stream_of = streams or (lambda t, n=n: derived_stream(n, t))
+                built = len(row_graphs)
+                got = mc_probability(seq, n, target, kind, trials, seed, stream_for_trial=streams)
+                assert n > 54 or len(row_graphs) == built  # compiled: no row graph
+                want = row_path_successes(seq, n, reference, kind, trials, seed, stream_of)
+                assert round(got.estimate * trials) == want, (n, streams)
+
+    @pytest.mark.parametrize(
+        "target",
+        [library("edge_in_c4"), lambda g: has_triangle(g)],
+        ids=["edge_in_c4", "lambda"],
+    )
+    def test_other_targets_take_the_row_path(self, row_graphs, target):
+        seq = make_constant(0.5)
+        got = mc_probability(seq, 9, target, LINE, 40, 3)
+        assert len(row_graphs) == 40
+        want = row_path_successes(seq, 9, target, LINE, 40, 3, lambda t: derived_stream(9, t))
+        assert round(got.estimate * 40) == want
+
+    def test_dense_triangles_take_the_row_path(self, row_graphs):
+        # constant p: n(n-1)/2 pairs, C(n, 3) triangles, (n - 2) / 3 per pair
+        seq = make_constant(0.5)
+        for n in (50, 51):  # 16 and 16.33 triangles per pair
+            mc_probability(seq, n, has_triangle_predicate(), LINE, 10, 0)
+        assert len(row_graphs) == 10
+
+    def test_path2_hashes_only_midpoint_columns(self, grids):
+        n, trials = 200, 1000
+        mc_probability(make_constant(0.1), n, library("path2"), LINE, trials, 101)
+        assert {cols for _, cols in grids} == {2 * (n - 2)}
+        assert sum(rows for rows, _ in grids) == trials
+
+    def test_no_triangle_hashes_nothing(self, grids):
+        r = mc_probability(seq_thm6_half(), 53, has_triangle_predicate(), CIRCLE, 100, 0)
+        assert r.estimate == 0.0 and grids == []
+
+    @pytest.mark.parametrize("budget", [estimator.CELL_BUDGET, 5000])
+    def test_blocks_stay_within_cell_budget(self, monkeypatch, grids, budget):
+        monkeypatch.setattr(estimator, "CELL_BUDGET", budget)
+        seq, n = make_constant(0.5), 30
+        pairs, triangles = 435, len(PairBatch(seq, n, LINE).triangles())
+        assert triangles == 4060
+        # the kernel's widest array is trials x triangles, the row path's the grid
+        for target, trials, width in [(library("triangle"), 300, triangles),
+                                      (library("edge_in_c4"), 40, pairs)]:
+            grids.clear()
+            got = mc_probability(seq, n, target, LINE, trials, 0)
+            assert sum(rows for rows, _ in grids) == trials
+            assert all(rows * width <= budget for rows, _ in grids), grids
+            want = row_path_successes(seq, n, target, LINE, trials, 0,
+                                      lambda t: derived_stream(n, t))
+            assert round(got.estimate * trials) == want
+
+    def test_dense_row_path_blocks(self, grids):
+        r = mc_probability(make_constant(0.1), 200, lambda g: g.m > 0, LINE, 250, 0)
+        assert r.estimate == 1.0
+        assert len(grids) > 1 and sum(rows for rows, _ in grids) == 250
+        assert all(rows * cols <= estimator.CELL_BUDGET for rows, cols in grids)
 
 
 class TestScan:

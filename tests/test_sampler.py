@@ -112,6 +112,7 @@ class TestAgainstReference:
             batch = PairBatch(seq, n, kind)
             triples = batch.triangles()
             assert triples.shape == (len(want), 3)
+            assert (np.diff(triples[:, 0]) >= 0).all()  # ordered by j1
             pairs = batch.pair_list
             got = []
             for j1, j2, j3 in triples.tolist():
