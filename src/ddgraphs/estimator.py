@@ -29,8 +29,8 @@ import numpy as np
 from .graph import Graph, _graph_unchecked
 from .logic import Formula, LabeledModel, holds, library
 from .probseq import ProbSeq, support_upto
-from .rng import derived_stream, stream_words
-from .sampler import CIRCLE, LINE, PairBatch
+from .rng import derived_streams, stream_words
+from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
 
 Target = Formula | Callable[[Graph], bool]
 
@@ -101,10 +101,6 @@ def _evaluator(target: Target) -> Callable[[Graph], bool]:
     return target
 
 
-# Cells one Monte Carlo block may hold: trials x hashed columns, and for a
-# compiled target also trials x clauses.  A uint64 hash grid this size is 16 MB.
-CELL_BUDGET = 1 << 21
-
 # Past this many positive-probability triangles per pair the triangle kernel's
 # reduction costs more than building the row graphs (on the dense line the
 # two break even near n = 50-60, i.e. 16-19 triangles per pair).
@@ -143,9 +139,14 @@ def _clauses(target: Target, batch: PairBatch) -> np.ndarray | None:
     if sentence.root == _PATH2:
         return _midpoint_pairs(batch)
     if sentence.root == _TRIANGLE:
-        triples = batch.triangles()
-        if len(triples) <= _TRIANGLES_PER_PAIR * len(batch.pair_list):
-            return triples
+        # stop enumerating once the dense rule is decided
+        limit, blocks = _TRIANGLES_PER_PAIR * len(batch.v), []
+        for block in batch.triangle_blocks():
+            limit -= len(block)
+            if limit < 0:
+                return None
+            blocks.append(block)
+        return np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
     return None
 
 
@@ -176,12 +177,17 @@ def mc_probability(
         raise EstimatorError("trials must be >= 1")
     if n < 1:
         raise EstimatorError("n must be >= 1")
-    stream_of = stream_for_trial or (lambda t: derived_stream(n, t))
+
+    def streams(lo: int, hi: int) -> np.ndarray:
+        if stream_for_trial is None:
+            return derived_streams(n, lo, hi)
+        return stream_words(stream_for_trial(t) for t in range(lo, hi))
+
     batch = PairBatch(seq, n, model_kind)
     clauses = _clauses(target, batch)
     if clauses is None:
         check = _evaluator(target)
-        width = len(batch.pair_list)
+        width = len(batch.v)
 
         def decide(rows: np.ndarray) -> int:
             return sum(1 for row in rows if check(batch.graph_from_row(row)))
@@ -202,7 +208,7 @@ def mc_probability(
     block = max(1, CELL_BUDGET // max(1, width))
     successes = 0
     for start in range(0, trials, block):
-        ids = stream_words(stream_of(t) for t in range(start, min(start + block, trials)))
+        ids = streams(start, min(start + block, trials))
         successes += decide(batch.edge_matrix(master_seed, ids))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from . import estimator, probseq
 from .efgame import SUM, fact4_search, th_k_equal
 from .estimator import (
@@ -30,7 +32,6 @@ from .estimator import (
 from .graph import (
     Graph,
     complete_graph,
-    count_triangles,
     disjoint_sum,
     has_triangle,
     make_graph,
@@ -50,8 +51,8 @@ from .probseq import (
     make_thm3,
     make_thm6,
 )
-from .rng import RngStream, keyed_u64
-from .sampler import CIRCLE, LINE, markov_step_batch, sample_batch, sample_line
+from .rng import RngStream, keyed_u64_array
+from .sampler import CIRCLE, LINE, PairBatch, markov_step_rows, sample_batch, sample_line
 
 
 @dataclass(frozen=True)
@@ -262,18 +263,30 @@ def _run_thm5_chain(seed: int, trials: int | None) -> PresetOutcome:
 def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[float, str]:
     """Total-variation distance between triangle-count distributions of
     (one midpoint step from a line sample on [n]) and a direct line sample
-    on [n+1]; returns (tv, histogram CSV)."""
-    start_streams = [keyed_u64(1, t) for t in range(trials)]
-    step_streams = [keyed_u64(3, t) for t in range(trials)]
-    # the start graphs live only inside the step generator
-    steps = markov_step_batch(
-        sample_batch(seq, n, seed, start_streams, LINE), seq, seed, step_streams
-    )
-    chain_counts = Counter(count_triangles(g) for g in steps)
-    direct_streams = [keyed_u64(2, t) for t in range(trials)]
-    direct = sample_batch(seq, n + 1, seed, direct_streams, LINE)
-    direct_counts = Counter(count_triangles(g) for g in direct)
-    keys = sorted(set(chain_counts) | set(direct_counts))
+    on [n+1]; returns (tv, histogram CSV).
+
+    Trial t starts from stream ``keyed_u64(1, t)``, steps with
+    ``keyed_u64(3, t)`` and draws the direct sample with ``keyed_u64(2, t)``.
+    Every sample stays a row of its pair table: triangles are counted per row
+    over the [n+1] table's triples, in blocks of at most
+    ``estimator.CELL_BUDGET`` cells.
+    """
+    if n < 2:
+        raise ValueError("midpoint step needs n >= 2")
+    start, grown = PairBatch(seq, n, LINE), PairBatch(seq, n + 1, LINE)
+    triples = grown.triangles()
+    chain = np.zeros(len(triples) + 1, dtype=np.int64)
+    direct = np.zeros_like(chain)
+    block = max(1, estimator.CELL_BUDGET // max(1, len(grown.v), triples.size))
+    for lo in range(0, trials, block):
+        t = np.arange(lo, min(lo + block, trials), dtype=np.uint64)
+        begun = start.edge_matrix(seed, keyed_u64_array((1,), t))
+        stepped = markov_step_rows(seq, n, begun, seed, keyed_u64_array((3,), t))
+        drawn = grown.edge_matrix(seed, keyed_u64_array((2,), t))
+        for hist, rows in ((chain, stepped), (direct, drawn)):
+            hist += np.bincount(rows[:, triples].all(axis=2).sum(axis=1), minlength=len(hist))
+    keys = np.flatnonzero(chain + direct).tolist()
+    chain_counts, direct_counts = chain.tolist(), direct.tolist()
     tv = 0.5 * sum(abs(chain_counts[k] - direct_counts[k]) / trials for k in keys)
     table = "triangles,freq_chain,freq_direct\n" + "".join(
         f"{k},{chain_counts[k] / trials:.12g},{direct_counts[k] / trials:.12g}\n" for k in keys
@@ -406,7 +419,7 @@ def _run_lemma_copies(seed: int, trials: int | None) -> PresetOutcome:
     margin = math.ceil(math.log(n))
     lo, hi = margin, n - margin
     h = make_graph(2, [(1, 2)])
-    streams = [keyed_u64(7, t) for t in range(trials)]
+    streams = keyed_u64_array((7,), np.arange(trials, dtype=np.uint64))
     counts = [
         max_disjoint_exact_copies(g, h, lo, hi)
         for g in sample_batch(seq, n, seed, streams, LINE)

@@ -6,9 +6,10 @@ sequential generator state, so trial-level parallelism and evaluation order
 cannot change results, and the same inputs give bit-identical output on any
 platform.
 
-``keyed_u64`` is the scalar chain.  ``keyed_u64_grid`` computes the same
-words for a whole (streams x pairs) grid in numpy; every edge draw of the
-samplers goes through it.
+``keyed_u64`` is the scalar chain.  ``keyed_u64_array`` computes it over an
+array of last words (stream ids of many trials), and ``keyed_u64_grid`` for a
+whole (streams x pairs) grid in numpy; every edge draw of the samplers goes
+through the grid.
 """
 
 from __future__ import annotations
@@ -57,9 +58,9 @@ def threshold_u64(p: float) -> int:
 
 # --- vectorized chain -------------------------------------------------------
 #
-# Every edge draw goes through ``keyed_u64_grid``.  It must equal the scalar
-# chain above bit for bit; tests/test_sampler.py checks this against
-# ``keyed_u64`` and a per-pair reference sampler.
+# Every edge draw goes through ``keyed_u64_grid``.  It and ``keyed_u64_array``
+# must equal the scalar chain above bit for bit; tests/test_sampler.py checks
+# this against ``keyed_u64`` and a per-pair reference sampler.
 
 _NP33 = np.uint64(33)
 _NP_MUL1 = np.uint64(_MUL1)
@@ -76,16 +77,19 @@ def mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def keyed_u64_array(prefix_words: tuple[int, ...], last: np.ndarray) -> np.ndarray:
+    """``keyed_u64(*prefix_words, last[i])`` for every word of the uint64
+    array ``last``."""
+    return mix64_np(np.uint64(keyed_u64(*prefix_words)) ^ last.astype(np.uint64))
+
+
 def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Hash grid: rows absorb per-row words, columns absorb (v, w) pairs.
 
     Returns a (len(rows), len(v)) uint64 array equal elementwise to
     ``keyed_u64(*prefix_words, rows[i], v[j], w[j])``.
     """
-    h = _INIT
-    for word in prefix_words:
-        h = mix64(h ^ (word & MASK64))
-    base = mix64_np(np.uint64(h) ^ rows.astype(np.uint64))  # shape (T,)
+    base = keyed_u64_array(prefix_words, rows)  # shape (T,)
     g = mix64_np(base[:, None] ^ v.astype(np.uint64)[None, :])
     g = mix64_np(g ^ w.astype(np.uint64)[None, :])
     return g
@@ -93,8 +97,11 @@ def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarra
 
 def stream_words(stream_ids) -> np.ndarray:
     """Stream ids as a uint64 array, each read mod 2^64 as ``keyed_u64``
-    reads its words."""
-    return np.array([s & MASK64 for s in stream_ids], dtype=np.uint64)
+    reads its words.  An integer array is cast (a uint64 one is returned
+    as is); other ids go through Python ints."""
+    if isinstance(stream_ids, np.ndarray) and stream_ids.dtype.kind in "iu":
+        return stream_ids.astype(np.uint64, copy=False)
+    return np.array([int(s) & MASK64 for s in stream_ids], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -126,3 +133,13 @@ def derived_stream(n: int, trial: int) -> int:
     if not (0 <= n < 1 << 32 and 0 <= trial < 1 << 32):
         raise ValueError(f"derived_stream needs n and trial in [0, 2^32), got {n}, {trial}")
     return (n << 32) | trial
+
+
+def derived_streams(n: int, start: int, stop: int) -> np.ndarray:
+    """``derived_stream(n, t)`` for t in range(start, stop), as a uint64
+    array; the range is checked once per call."""
+    if not (0 <= n < 1 << 32 and 0 <= start <= stop <= 1 << 32):
+        raise ValueError(
+            f"derived_streams needs n and trials in [0, 2^32), got {n}, [{start}, {stop})"
+        )
+    return np.uint64(n << 32) | np.arange(start, stop, dtype=np.uint64)

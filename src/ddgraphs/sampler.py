@@ -10,12 +10,16 @@ Per-pair randomness comes from a counter-based hash keyed by
 (master_seed, stream_id, v, w) in canonical v < w order, so results are
 independent of evaluation order and identical across platforms.  There is one
 sampling path: ``PairBatch`` lists the candidate pairs and ``keyed_u64_grid``
-hashes them for many streams at once.  One draw is the one-row case, and the
-midpoint step resamples a column subset of the same table.
+hashes them for many streams at once, as boolean (trials, pairs) rows.  One
+draw is the one-row case.  The midpoint step works on those rows:
+``markov_step_rows`` moves the kept columns of the [n] table into the [n+1]
+table and hashes only the straddling columns, so the chain never builds a
+graph; ``markov_step`` is the same step on one graph's edge list.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,6 +30,11 @@ from .rng import RngStream, keyed_u64_grid, stream_words, threshold_u64
 
 LINE = "LINE"
 CIRCLE = "CIRCLE"
+
+# Cells one numpy block may hold: a Monte Carlo block's trials x hashed columns
+# (and for a compiled target trials x clauses), or the int64 words of a block
+# of enumerated triangle paths.  A uint64 array this size is 16 MB.
+CELL_BUDGET = 1 << 21
 
 
 class PairBatch:
@@ -67,42 +76,58 @@ class PairBatch:
         self.p = np.repeat(np.array(probs, dtype=np.float64), counts)[order]
         self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)[order]
         self.always = self.p >= 1.0
-        self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
+
+    @cached_property
+    def pair_list(self) -> list[tuple[int, int]]:
+        """The columns as (v, w) tuples of Python ints, built on first read."""
+        return list(zip(self.v.tolist(), self.w.tolist()))
 
     def restrict(self, keep: np.ndarray) -> None:
         """Keep only the columns ``keep`` selects (a boolean mask or an
         index array)."""
         self.v, self.w, self.p = self.v[keep], self.w[keep], self.p[keep]
         self.thresholds, self.always = self.thresholds[keep], self.always[keep]
-        self.pair_list = list(zip(self.v.tolist(), self.w.tolist()))
+        self.__dict__.pop("pair_list", None)
+
+    def triangle_blocks(self) -> Iterator[np.ndarray]:
+        """``triangles()`` in consecutive row blocks.  Each block comes from
+        at most ``CELL_BUDGET // 8`` enumerated two-paths (a path holds about
+        eight int64 words at once), or from the paths of one pair {a, b}, so
+        memory is bounded by the pairs and the budget, not by the paths."""
+        v, w = self.v.astype(np.int64), self.w.astype(np.int64)
+        key = v * (self.n + 1) + w
+        by_key = np.argsort(key)
+        sorted_key = key[by_key]
+        by_v = np.argsort(v, kind="stable")
+        starts = np.searchsorted(v[by_v], np.arange(self.n + 2))
+        # every path a < b < c along pair j1 = {a, b}, then pair j3 = {b, c}
+        count = starts[w + 1] - starts[w]
+        ends, paths = np.cumsum(count), CELL_BUDGET // 8
+        lo = 0
+        while lo < len(v):
+            hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - count[lo] + paths, "right")))
+            c = count[lo:hi]
+            j1 = np.repeat(np.arange(lo, hi), c)
+            first = np.repeat(starts[w[lo:hi]] - (np.cumsum(c) - c), c)
+            j3 = by_v[first + np.arange(len(j1))]
+            # keep the paths whose closing pair {a, c} is in the table
+            want = v[j1] * (self.n + 1) + w[j3]
+            at = np.minimum(np.searchsorted(sorted_key, want), len(key) - 1)
+            closed = sorted_key[at] == want
+            yield np.stack([j1[closed], by_key[at[closed]], j3[closed]], axis=1)
+            lo = hi
 
     def triangles(self) -> np.ndarray:
         """Column triples (j1, j2, j3), shape (k, 3), one per vertex triple
         a < b < c whose pairs {a, b}, {a, c}, {b, c} are all in the table,
         i.e. every triangle with positive probability.  Ordered by j1, then
         by the column order of the pairs {b, c}."""
-        if len(self.pair_list) == 0:
-            return np.zeros((0, 3), dtype=np.int64)
-        v, w = self.v.astype(np.int64), self.w.astype(np.int64)
-        key = v * (self.n + 1) + w
-        by_key = np.argsort(key)
-        by_v = np.argsort(v, kind="stable")
-        starts = np.searchsorted(v[by_v], np.arange(self.n + 2))
-        # every path a < b < c along pair j1 = {a, b}, then pair j3 = {b, c}
-        count = starts[w + 1] - starts[w]
-        j1 = np.repeat(np.arange(len(v)), count)
-        first = np.repeat(starts[w] - (np.cumsum(count) - count), count)
-        j3 = by_v[first + np.arange(len(j1))]
-        # keep the paths whose closing pair {a, c} is in the table
-        want = v[j1] * (self.n + 1) + w[j3]
-        at = np.minimum(np.searchsorted(key[by_key], want), len(key) - 1)
-        closed = key[by_key[at]] == want
-        return np.stack([j1[closed], by_key[at[closed]], j3[closed]], axis=1)
+        return np.concatenate([np.zeros((0, 3), dtype=np.int64), *self.triangle_blocks()])
 
     def edge_matrix(self, master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
         """Boolean (trials, pairs) edge indicators; row t is the draw of
         stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``)."""
-        if len(self.pair_list) == 0:
+        if len(self.v) == 0:
             return np.zeros((len(stream_ids), 0), dtype=bool)
         grid = keyed_u64_grid((master_seed,), stream_ids, self.v, self.w)
         hits = grid < self.thresholds[None, :]
@@ -142,43 +167,65 @@ def sample_circle(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
 
 
 # --- midpoint growth chain ----------------------------------------------------
+#
+# With mid = floor(n/2), a pair {v, w} (v < w) of the stepped graph on [n+1] is:
+#   (i)   kept from {v, w}       when w < mid,
+#   (ii)  kept from {v-1, w-1}   when v > mid,
+#   (iii) resampled with p(|v - w|) when v <= mid <= w.
+# Resampling hashes (v, w) over the step's stream, and old draws are never
+# re-read, so each step needs its own stream.
 
 
-def markov_step_batch(
-    graphs: Sequence[Graph], seq: ProbSeq, master_seed: int, stream_ids: Sequence[int]
-) -> Iterator[Graph]:
-    """Insert a vertex at the midpoint of each graph: n -> n+1.
+def _straddling(table: PairBatch, n: int) -> np.ndarray:
+    """Mask of the columns of the [n+1] table that a step from [n] resamples."""
+    mid = n // 2
+    return (table.v <= mid) & (table.w >= mid)
 
-    All graphs share one n.  With mid = floor(n/2), a pair {v, w} (v < w) of
-    a new graph is:
-      (i)   kept from {v, w}       when w < mid,
-      (ii)  kept from {v-1, w-1}   when v > mid,
-      (iii) resampled with p(|v - w|) when v <= mid <= w.
-    Graph t resamples from stream ``stream_ids[t]`` and old draws are never
-    re-read, so each step needs its own stream.  Stepped graphs are yielded
-    one at a time.
+
+def markov_step_rows(
+    seq: ProbSeq, n: int, rows: np.ndarray, master_seed: int, stream_ids: np.ndarray
+) -> np.ndarray:
+    """One midpoint step of each draw in ``rows``, boolean rows of
+    ``PairBatch(seq, n, LINE)``; returns the stepped draws as rows of
+    ``PairBatch(seq, n + 1, LINE)``.  Row t resamples from stream
+    ``stream_ids[t]`` (a uint64 array).
+
+    Kept pairs keep their distance, so the kept columns of the [n] table are
+    exactly the unresampled columns of the [n+1] table and move by one index
+    array; only the straddling columns are hashed.  Only rows of the [n]
+    table are valid input: a graph with edges outside the support needs
+    ``markov_step``.
     """
-    if len(graphs) != len(stream_ids):
-        raise ValueError("need one stream id per graph")
-    if not graphs:
-        return
-    n = graphs[0].n
+    if n < 2:
+        raise ValueError("midpoint step needs n >= 2")
+    old, new = PairBatch(seq, n, LINE), PairBatch(seq, n + 1, LINE)
+    if rows.shape != (len(stream_ids), len(old.v)):
+        raise ValueError(f"need rows of shape (streams, {len(old.v)}), got {rows.shape}")
+    resampled = _straddling(new, n)
+    key = old.v.astype(np.int64) * (n + 1) + old.w.astype(np.int64)
+    by_key = np.argsort(key)
+    v, w = new.v[~resampled].astype(np.int64), new.w[~resampled].astype(np.int64)
+    back = (v > n // 2).astype(np.int64)  # (ii): the high side moved up by one
+    source = by_key[np.searchsorted(key[by_key], (v - back) * (n + 1) + (w - back))]
+    stepped = np.empty((len(rows), len(new.v)), dtype=bool)
+    stepped[:, ~resampled] = rows[:, source]
+    new.restrict(resampled)
+    stepped[:, resampled] = new.edge_matrix(master_seed, stream_ids)
+    return stepped
+
+
+def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
+    """Insert a vertex at the midpoint of ``g``: n -> n+1, resampling the
+    straddling pairs from ``rng``.  Edges of ``g`` need not lie in the
+    support of ``seq``: kept edges move as edges, not as table columns."""
+    n = g.n
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
     mid = n // 2
     table = PairBatch(seq, n + 1, LINE)
-    table.restrict((table.v <= mid) & (table.w >= mid))
-    rows = table.edge_matrix(master_seed, stream_words(stream_ids))
-    for g, row in zip(graphs, rows):
-        if g.n != n:
-            raise ValueError("all graphs of a batch step need the same n")
-        # straddling old pairs are dropped; their successors fall to (iii)
-        edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]
-        edges.extend(table.pair_list[j] for j in np.flatnonzero(row))
-        yield _graph_unchecked(n + 1, edges)
-
-
-def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
-    """One midpoint step of ``g`` resampled from ``rng``; see
-    ``markov_step_batch``."""
-    return next(markov_step_batch([g], seq, rng.master_seed, [rng.stream_id]))
+    table.restrict(_straddling(table, n))
+    row = table.edge_matrix(rng.master_seed, stream_words([rng.stream_id]))[0]
+    # straddling old pairs are dropped; their successors fall to (iii)
+    edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]
+    edges.extend(table.pair_list[j] for j in np.flatnonzero(row))
+    return _graph_unchecked(n + 1, edges)

@@ -2,20 +2,30 @@
 
 The samplers draw every edge through ``PairBatch`` and ``keyed_u64_grid``.
 ``reference_sample`` below is the independent per-pair scalar sampler they
-are checked against, draw for draw.
+are checked against, draw for draw, and ``reference_chain_tv`` the
+graph-per-trial midpoint chain that the row-native one is checked against.
 """
+
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ddgraphs import estimator, sampler
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
+from ddgraphs.logic import library
+from ddgraphs.presets import midpoint_chain_tv
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
 from ddgraphs.rng import (
     MASK64,
     RngStream,
     derived_stream,
+    derived_streams,
     keyed_u64,
+    keyed_u64_array,
     keyed_u64_grid,
+    stream_words,
     threshold_u64,
 )
 from ddgraphs.sampler import (
@@ -23,7 +33,7 @@ from ddgraphs.sampler import (
     LINE,
     PairBatch,
     markov_step,
-    markov_step_batch,
+    markov_step_rows,
     sample,
     sample_batch,
     sample_circle,
@@ -140,6 +150,58 @@ class TestAgainstReference:
         for i, r in enumerate(rows.tolist()):
             for j in range(3):
                 assert int(grid[i, j]) == keyed_u64(42, r, int(v[j]), int(w[j]))
+
+    @pytest.mark.parametrize("prefix", [(), (1,), (3,), (42, 7)])
+    def test_array_equals_scalar_chain(self, prefix):
+        last = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
+        got = keyed_u64_array(prefix, np.array(last, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [keyed_u64(*prefix, t) for t in last]
+
+    def test_stream_words_passes_uint64_arrays_through(self):
+        ids = np.array([0, 5, MASK64], dtype=np.uint64)
+        assert stream_words(ids) is ids
+        assert stream_words([0, 5, -1]).tolist() == ids.tolist()
+        # numpy integers are read mod 2^64 too (they used to overflow)
+        assert stream_words(np.array([0, 5, -1])).tolist() == ids.tolist()
+        assert stream_words([np.int64(0), np.int64(5), np.int64(-1)]).tolist() == ids.tolist()
+        assert sample_batch(make_constant(0.5), 6, 7, np.arange(3)) == sample_batch(
+            make_constant(0.5), 6, 7, [0, 1, 2])
+
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(REFERENCE_SEQS)))
+    def test_triangle_blocks_under_a_small_budget(self, monkeypatch, kind, seq_index):
+        seq = REFERENCE_SEQS[seq_index]
+        for n in REFERENCE_NS + [30]:
+            want = PairBatch(seq, n, kind).triangles()
+            monkeypatch.setattr(sampler, "CELL_BUDGET", 8 * 5)  # five paths a block
+            blocks = list(PairBatch(seq, n, kind).triangle_blocks())
+            got = PairBatch(seq, n, kind).triangles()
+            monkeypatch.undo()
+            assert got.dtype == want.dtype and np.array_equal(got, want), n
+            if len(want) > 5:
+                assert len(blocks) > 1
+
+    def test_dense_triangle_rule_is_decided_in_bounded_memory(self):
+        # line n = 200 dense has 1.3M triangles; the rule refuses them after
+        # one block instead of holding every two-path at once
+        batch = PairBatch(make_constant(0.1), 200, LINE)
+        tracemalloc.start()
+        try:
+            assert estimator._clauses(library("triangle"), batch) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20, peak
+
+    def test_pair_list_is_built_on_first_read(self):
+        batch = PairBatch(make_constant(0.5), 12, LINE)
+        batch.edge_matrix(0, np.array([1], dtype=np.uint64))
+        batch.triangles()
+        assert "pair_list" not in vars(batch)
+        assert batch.pair_list == list(zip(batch.v.tolist(), batch.w.tolist()))
+        batch.restrict(batch.v == 1)
+        assert batch.pair_list == [(1, w) for w in range(2, 13)]
 
     @pytest.mark.parametrize("stream", [-1, 2**64 - 1, 2**64 + 3])
     def test_stream_ids_read_mod_2_64(self, stream):
@@ -284,21 +346,27 @@ class TestMarkovStep:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 9])
     def test_batch_step_matches_single_and_naive(self, n):
-        graphs = sample_batch(make_constant(0.4), n, 5, list(range(30)))
         streams = [keyed_u64(3, t) for t in range(30)]
-        for seq in (make_constant(0.5), make_support({1: 0.3, 4: 0.9}), make_ones_powers(2)):
-            stepped = list(markov_step_batch(graphs, seq, 8, streams))
-            assert len(stepped) == len(graphs)
-            for g, s, out in zip(graphs, streams, stepped):
-                assert out == markov_step(g, seq, RngStream(8, s))
-                assert out == self.naive_step(g, seq, RngStream(8, s))
+        for seq in STEP_SEQS:
+            old, new = PairBatch(seq, n, LINE), PairBatch(seq, n + 1, LINE)
+            rows = old.edge_matrix(5, np.arange(30, dtype=np.uint64))
+            stepped = markov_step_rows(seq, n, rows, 8, stream_words(streams))
+            assert stepped.shape == (30, len(new.v))
+            for row, s, out in zip(rows, streams, stepped):
+                g = old.graph_from_row(row)
+                assert new.graph_from_row(out) == markov_step(g, seq, RngStream(8, s))
+                assert new.graph_from_row(out) == self.naive_step(g, seq, RngStream(8, s))
 
     def test_batch_step_rejects_mixed_sizes(self):
-        graphs = [edgeless_graph(4), edgeless_graph(5)]
+        seq = make_constant(0.5)
+        rows = PairBatch(seq, 4, LINE).edge_matrix(0, np.array([1, 2], dtype=np.uint64))
+        ids = np.array([1, 2], dtype=np.uint64)
         with pytest.raises(ValueError):
-            list(markov_step_batch(graphs, make_constant(0.5), 0, [1, 2]))
+            markov_step_rows(seq, 5, rows, 0, ids)  # rows of the [4] table
         with pytest.raises(ValueError):
-            list(markov_step_batch(graphs[:1], make_constant(0.5), 0, [1, 2]))
+            markov_step_rows(seq, 4, rows, 0, ids[:1])
+        with pytest.raises(ValueError):
+            markov_step_rows(seq, 1, rows[:, :0], 0, ids)
 
     def test_matches_naive_reference(self):
         for seq in (make_constant(0.5), make_support({1: 0.3, 4: 0.9}), make_constant(0.0)):
@@ -328,7 +396,78 @@ class TestDerivedStream:
         assert derived_stream(3, 5) == (3 << 32) | 5
         assert derived_stream(2**32 - 1, 2**32 - 1) == MASK64
 
+    @pytest.mark.parametrize(
+        "n, start, stop", [(3, 0, 5), (0, 7, 7), (2**32 - 1, 2**32 - 3, 2**32)]
+    )
+    def test_block_equals_per_trial(self, n, start, stop):
+        got = derived_streams(n, start, stop)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derived_stream(n, t) for t in range(start, stop)]
+
+    @pytest.mark.parametrize(
+        "n, start, stop", [(2**32, 0, 1), (-1, 0, 1), (5, -1, 2), (5, 0, 2**32 + 1), (5, 3, 2)]
+    )
+    def test_block_out_of_range_rejected(self, n, start, stop):
+        with pytest.raises(ValueError):
+            derived_streams(n, start, stop)
+
     @pytest.mark.parametrize("n, trial", [(2**32 + 5, 1), (5, 2**32 + 1), (-1, 0), (0, -1)])
     def test_out_of_range_rejected(self, n, trial):
         with pytest.raises(ValueError):
             derived_stream(n, trial)
+
+
+STEP_SEQS = (make_constant(0.5), make_support({1: 0.3, 4: 0.9}), make_ones_powers(2))
+CHAIN_SEQS = (
+    make_constant(0.0),
+    make_constant(0.5),
+    make_constant(1.0),
+    make_support({1: 0.3, 4: 0.9}),
+    make_ones_powers(2),
+)
+
+
+def reference_chain_tv(seq, n, trials, seed):
+    """The graph-per-trial midpoint chain: ``presets.midpoint_chain_tv`` as it
+    was before it stepped pair-table rows."""
+    start_streams = [keyed_u64(1, t) for t in range(trials)]
+    step_streams = [keyed_u64(3, t) for t in range(trials)]
+    chain_counts = Counter(
+        count_triangles(markov_step(g, seq, RngStream(seed, s)))
+        for g, s in zip(sample_batch(seq, n, seed, start_streams, LINE), step_streams)
+    )
+    direct_streams = [keyed_u64(2, t) for t in range(trials)]
+    direct = sample_batch(seq, n + 1, seed, direct_streams, LINE)
+    direct_counts = Counter(count_triangles(g) for g in direct)
+    keys = sorted(set(chain_counts) | set(direct_counts))
+    tv = 0.5 * sum(abs(chain_counts[k] - direct_counts[k]) / trials for k in keys)
+    table = "triangles,freq_chain,freq_direct\n" + "".join(
+        f"{k},{chain_counts[k] / trials:.12g},{direct_counts[k] / trials:.12g}\n" for k in keys
+    )
+    return tv, table
+
+
+class TestRowChain:
+    @pytest.mark.parametrize("seq_index", range(len(CHAIN_SEQS)))
+    def test_equals_graph_per_trial_reference(self, seq_index):
+        seq = CHAIN_SEQS[seq_index]
+        for n in range(2, 10):
+            assert midpoint_chain_tv(seq, n, 150, 17 + n) == reference_chain_tv(seq, n, 150, 17 + n)
+
+    @pytest.mark.parametrize("budget", [1, 300, 60 * 70])
+    def test_blocks_do_not_change_counts(self, monkeypatch, budget):
+        # n = 5 -> 6 has 15 pairs and 20 triples: 60 cells a trial
+        seq = make_constant(0.5)
+        want = reference_chain_tv(seq, 5, 200, 3)
+        monkeypatch.setattr(estimator, "CELL_BUDGET", budget)
+        assert midpoint_chain_tv(seq, 5, 200, 3) == want
+
+    def test_pinned_tv(self):
+        tv, _ = midpoint_chain_tv(make_constant(0.5), 5, 10_000, 305)
+        assert tv == 0.011199999999999998
+
+    def test_no_trials_and_too_few_vertices(self):
+        header = "triangles,freq_chain,freq_direct\n"
+        assert midpoint_chain_tv(make_constant(0.5), 5, 0, 0) == (0.0, header)
+        with pytest.raises(ValueError):
+            midpoint_chain_tv(make_constant(0.5), 1, 10, 0)
