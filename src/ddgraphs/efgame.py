@@ -9,10 +9,22 @@ set-canonical positions have equal game value.  Constants act as pre-placed
 picks present from round 0, which also fixes the k = 0 semantics: the second
 player wins an empty game exactly when the constant atoms agree.
 
+Atomic agreement is read from each model's atom table
+(``LabeledModel.atoms``), which ``partial_iso`` and the solver share.  At a
+position the solver builds the consistency matrix of all candidate answer
+pairs with one broadcast compare per placed pair (plus the betweenness
+triples on LC_LE).  A position with one round left is decided by one
+reduction of that matrix: every move of either player needs a consistent
+answer.  Higher positions walk each spoiler move's consistent answers, the
+same vertex id first, then ascending, so the positions, memo hits and memo
+size counted are those of the plain recursion that checks each answer atom
+by atom.
+
 ``pointed_equiv`` solves the distance-restricted variant: the first picks
 are forced to the given points and the round-i choices are confined to
 radius 3^(k-i) neighborhoods of earlier picks, measured with the successor
-path added exactly when the vocabulary includes successor.
+path added exactly when the vocabulary includes successor.  The balls come
+from one all-pairs hop-distance array per model and game.
 """
 
 from __future__ import annotations
@@ -20,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, cw_holds, disjoint_sum, neighborhood
+import numpy as np
+
+from .graph import Graph, cw_holds, disjoint_sum
 from .logic import LabeledModel, Vocab
 
 
@@ -55,26 +69,17 @@ def partial_iso(
         raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
     if len(picks1) != len(picks2):
         raise ValueError("pick lists must have equal length")
-    vocab = m1.vocab
+    if not all(1 <= v <= m.n for m, picks in ((m1, picks1), (m2, picks2)) for v in picks):
+        raise ValueError("picks out of range")
     xs = _atom_pairs(m1, tuple(picks1))
     ys = _atom_pairs(m2, tuple(picks2))
-    t = len(xs)
-    for i in range(t):
-        for j in range(i + 1, t):
-            if (xs[i] == xs[j]) != (ys[i] == ys[j]):
-                return False
-            if m1.graph.has_edge(xs[i], xs[j]) != m2.graph.has_edge(ys[i], ys[j]):
-                return False
-            if vocab.has_succ:
-                if m1.succ(xs[i], xs[j]) != m2.succ(ys[i], ys[j]):
-                    return False
-                if m1.succ(xs[j], xs[i]) != m2.succ(ys[j], ys[i]):
-                    return False
-            if vocab.has_le:
-                if (xs[i] <= xs[j]) != (ys[i] <= ys[j]):
-                    return False
-    if vocab.has_cw:
-        for i, j, k in combinations(range(t), 3):
+    # each two picks agree on their binary atoms
+    i, j = np.triu_indices(len(xs), 1)
+    x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    if (m1.atoms[x[i], x[j]] != m2.atoms[y[i], y[j]]).any():
+        return False
+    if m1.vocab.has_cw:
+        for i, j, k in combinations(range(len(xs)), 3):
             for tri in ((i, j, k), (i, k, j)):
                 a = cw_holds(xs[tri[0]], xs[tri[1]], xs[tri[2]])
                 b = cw_holds(ys[tri[0]], ys[tri[1]], ys[tri[2]])
@@ -92,36 +97,37 @@ def _estimate_positions(n1: int, n2: int, k: int) -> int:
     return est
 
 
-def _pair_consistent(
-    m1: LabeledModel, m2: LabeledModel, pairs: frozenset[tuple[int, int]], new: tuple[int, int]
-) -> bool:
-    """Does adding ``new`` keep the correspondence a partial isomorphism?
+def _cw(a: np.ndarray, b: int, c: int) -> np.ndarray:
+    """``cw_holds(a, b, c)`` over an array of a."""
+    return ((a <= b) & (b <= c)) | ((b <= c) & (c <= a)) | ((c <= a) & (a <= b))
 
-    Assumes ``pairs`` is already consistent; with a ternary vocabulary the
-    triple atoms make incremental checks fiddly, so that case re-checks in
-    full (those games stay small here).
+
+def _consistency(
+    m1: LabeledModel,
+    m2: LabeledModel,
+    pairs: frozenset[tuple[int, int]],
+    opts1: np.ndarray,
+    opts2: np.ndarray,
+) -> np.ndarray:
+    """Boolean (|opts1|, |opts2|) matrix: does the answer pair
+    (opts1[i], opts2[j]) keep ``pairs`` a partial isomorphism?
+
+    Assumes ``pairs`` is one.  Each placed pair, and each constant, costs one
+    broadcast compare of atom-table rows; with betweenness, each two placed
+    pairs add the two orientations of the triples they form with the answer.
     """
-    vocab = m1.vocab
-    if vocab.has_cw:
-        all_pairs = pairs | {new}
-        return partial_iso(
-            m1, m2, tuple(p[0] for p in all_pairs), tuple(p[1] for p in all_pairs)
-        )
-    a, b = new
-    against: list[tuple[int, int]] = list(pairs)
-    if vocab.has_constants:
+    t1, t2 = m1.atoms, m2.atoms
+    against = list(pairs)
+    if m1.vocab.has_constants:
         against += [(1, 1), (m1.n, m2.n)]
+    c = np.ones((len(opts1), len(opts2)), dtype=bool)
     for x, y in against:
-        if (a == x) != (b == y):
-            return False
-        if m1.graph.has_edge(a, x) != m2.graph.has_edge(b, y):
-            return False
-        if vocab.has_succ:
-            if m1.succ(a, x) != m2.succ(b, y) or m1.succ(x, a) != m2.succ(y, b):
-                return False
-        if vocab.has_le and (a <= x) != (b <= y):
-            return False
-    return True
+        c &= t1[x, opts1][:, None] == t2[y, opts2]
+    if m1.vocab.has_cw:
+        for (x1, y1), (x2, y2) in combinations(pairs, 2):
+            c &= _cw(opts1, x1, x2)[:, None] == _cw(opts2, y1, y2)
+            c &= _cw(opts1, x2, x1)[:, None] == _cw(opts2, y2, y1)
+    return c
 
 
 def _solve(
@@ -131,13 +137,13 @@ def _solve(
     rounds: int,
     memo: dict | None,
     stats: GameStats,
-    restricted: tuple[Graph, Graph, int] | None = None,
+    dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> bool:
     """Duplicator-win value of a position whose pairs already form a
     partial isomorphism (violations are pruned before recursing, which is
     sound because the win condition is hereditary).
 
-    ``restricted`` = (metric graph of m1, metric graph of m2, k) plays the
+    ``dists`` = the hop distances of the two metric graphs plays the
     distance-restricted game of ``pointed_equiv``."""
     if rounds == 0:
         return True
@@ -146,65 +152,59 @@ def _solve(
         stats.memo_hits += 1
         return memo[key]
     stats.positions += 1
-    picks1 = tuple(p[0] for p in pairs)
-    picks2 = tuple(p[1] for p in pairs)
-
-    if restricted is not None:
-        # move choices confined to radius 3^(k-i) around earlier picks
-        g1, g2, k_total = restricted
-        i = k_total - rounds + 1  # this move's index, 1-based
-        radius = 3 ** (k_total - i)
-        opts1 = _restricted_options(g1, picks1, radius)
-        opts2 = _restricted_options(g2, picks2, radius)
+    if dists is None:
+        opts1, opts2 = np.arange(1, m1.n + 1), np.arange(1, m2.n + 1)
     else:
-        opts1 = list(range(1, m1.n + 1))
-        opts2 = list(range(1, m2.n + 1))
-
-    value = True
-    for spoiler_opts, dup_opts, order in ((opts1, opts2, 0), (opts2, opts1, 1)):
-        for a in spoiler_opts:
-            found = False
-            # answering with the same vertex id succeeds often when the two
-            # models share a block, so try it first
-            ordered = [a] if a in dup_opts else []
-            ordered += [b for b in dup_opts if b != a]
-            for b in ordered:
-                pair = (a, b) if order == 0 else (b, a)
-                if not _pair_consistent(m1, m2, pairs, pair):
-                    continue
-                if _solve(m1, m2, pairs | {pair}, rounds - 1, memo, stats, restricted):
-                    found = True
-                    break
-            if not found:
-                value = False
-                break
-        if not value:
-            break
+        # move choices confined to radius 3^(rounds-1) around earlier picks
+        radius = 3 ** (rounds - 1)
+        opts1 = np.flatnonzero(dists[0][[p[0] for p in pairs]].min(0) <= radius)
+        opts2 = np.flatnonzero(dists[1][[p[1] for p in pairs]].min(0) <= radius)
+    c = _consistency(m1, m2, pairs, opts1, opts2)
+    if rounds == 1:
+        # the answers end the game: every move needs one consistent answer
+        value = bool(c.any(1).all() and c.any(0).all())
+    else:
+        value = all(
+            any(
+                _solve(m1, m2, pairs | {(b, a) if flip else (a, b)}, rounds - 1, memo, stats, dists)
+                for b in _answer_order(a, dup[row].tolist())
+            )
+            for spoiler, dup, rows, flip in ((opts1, opts2, c, False), (opts2, opts1, c.T, True))
+            for a, row in zip(spoiler.tolist(), rows)
+        )
     if memo is not None:
         memo[key] = value
         stats.memo_size = len(memo)
     return value
 
 
-def _metric_adjacency(m: LabeledModel) -> Graph:
-    """Graph used for neighborhood distance: the model's graph, with the
-    successor path (wrapping on circles) added when the vocabulary has
-    successor."""
-    if not m.vocab.has_succ:
-        return m.graph
-    edges = set(m.graph.edges)
-    for v in range(1, m.n):
-        edges.add((v, v + 1))
-    if m.vocab.circular and m.n >= 2:
-        edges.add((1, m.n))
-    return Graph(m.n, frozenset(edges))
+def _answer_order(a: int, answers: list[int]) -> list[int]:
+    # answering with the same vertex id succeeds often when the two models
+    # share a block, so try it first; then ascending
+    if a in answers:
+        answers.remove(a)
+        answers.insert(0, a)
+    return answers
 
 
-def _restricted_options(g: Graph, picks: tuple[int, ...], radius: int) -> list[int]:
-    out: set[int] = set()
-    for v in set(picks):
-        out |= neighborhood(g, v, radius)
-    return sorted(out)
+_METRIC_ATOMS = 0b1110  # adj and successor either way, in LabeledModel.atoms
+
+
+def _hop_distances(m: LabeledModel) -> np.ndarray:
+    """All-pairs hop distances, shape (n+1, n+1), in the metric graph of
+    ``m``: its graph, with the successor path (wrapping on circles) added
+    when the vocabulary has successor.  inf where unreachable and in column
+    0."""
+    metric = (m.atoms & _METRIC_ATOMS) != 0
+    reached = np.eye(len(metric), dtype=bool)
+    dist = np.where(reached, 0.0, np.inf)
+    frontier, d = reached, 0
+    while frontier.any():
+        d += 1
+        frontier = (frontier @ metric) & ~reached
+        reached = reached | frontier
+        dist[frontier] = d
+    return dist
 
 
 def th_k_equal_detailed(
@@ -269,7 +269,7 @@ def pointed_equiv(
         k,
         {},
         stats,
-        restricted=(_metric_adjacency(m1), _metric_adjacency(m2), k),
+        dists=(_hop_distances(m1), _hop_distances(m2)),
     )
 
 

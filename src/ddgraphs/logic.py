@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 from .graph import Graph, cw_holds
 
 
@@ -460,6 +462,30 @@ class LabeledModel:
 
     def constant(self, name: str) -> int:
         return 1 if name == "first" else self.n
+
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        """The binary atoms as an (n+1, n+1) uint8 table.  Entry [x, a]
+        packs a = x (bit 0), adj(a, x) (bit 1), succ(a, x) and succ(x, a)
+        (bits 2, 3, with successor) and a <= x (bit 4, with order); row and
+        column 0 are zero.  Pairs (a, b) and (x, y) of picks agree on every
+        binary atom iff ``m1.atoms[x, a] == m2.atoms[y, b]``."""
+        n = self.n
+        x, a = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)[None, :]
+        adj = np.zeros((n, n), dtype=bool)
+        if self.graph.edges:
+            v, w = np.array(list(self.graph.edges)).T - 1
+            adj[v, w] = adj[w, v] = True
+        bits = (x == a) | (adj << 1)
+        if self.vocab.has_succ:
+            # succ(v, w) iff w = v % period + 1: v + 1 on the line, wrapping on the circle
+            period = n if self.vocab.circular else n + 1
+            bits |= ((x == a % period + 1) << 2) | ((a == x % period + 1) << 3)
+        if self.vocab.has_le:
+            bits |= (a <= x) << 4
+        table = np.zeros((n + 1, n + 1), dtype=np.uint8)
+        table[1:, 1:] = bits
+        return table
 
 
 def holds(m: LabeledModel, f: Formula) -> bool:

@@ -19,7 +19,7 @@ graph; ``markov_step`` is the same step on one graph's edge list.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -182,6 +182,16 @@ def _straddling(table: PairBatch, n: int) -> np.ndarray:
     return (table.v <= mid) & (table.w >= mid)
 
 
+@lru_cache(maxsize=32)
+def _straddling_table(seq: ProbSeq, n: int) -> PairBatch:
+    """The straddling columns of ``PairBatch(seq, n + 1, LINE)``, built once
+    per (sequence, n); sequences are immutable and hash by identity.  Read
+    only: ``markov_step`` shares it across calls."""
+    table = PairBatch(seq, n + 1, LINE)
+    table.restrict(_straddling(table, n))
+    return table
+
+
 def markov_step_rows(
     seq: ProbSeq, n: int, rows: np.ndarray, master_seed: int, stream_ids: np.ndarray
 ) -> np.ndarray:
@@ -222,8 +232,7 @@ def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
     mid = n // 2
-    table = PairBatch(seq, n + 1, LINE)
-    table.restrict(_straddling(table, n))
+    table = _straddling_table(seq, n)
     row = table.edge_matrix(rng.master_seed, stream_words([rng.stream_id]))[0]
     # straddling old pairs are dropped; their successors fall to (iii)
     edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]

@@ -2,14 +2,17 @@
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddgraphs import efgame
 from ddgraphs.efgame import (
     CONCAT_BOTH_ENDS,
     GameBudgetError,
+    GameStats,
     SUM,
     fact4_search,
     partial_iso,
@@ -17,7 +20,15 @@ from ddgraphs.efgame import (
     th_k_equal,
     th_k_equal_detailed,
 )
-from ddgraphs.graph import complete_graph, disjoint_sum, edgeless_graph, make_graph
+from ddgraphs.graph import (
+    Graph,
+    complete_graph,
+    cw_holds,
+    disjoint_sum,
+    edgeless_graph,
+    make_graph,
+    neighborhood,
+)
 from ddgraphs.logic import (
     Adj,
     And,
@@ -31,6 +42,9 @@ from ddgraphs.logic import (
     holds,
     library_sentences,
 )
+from ddgraphs.probseq import make_constant
+from ddgraphs.rng import RngStream
+from ddgraphs.sampler import sample_line
 
 
 def M(g, vocab=Vocab.L):
@@ -40,6 +54,144 @@ def M(g, vocab=Vocab.L):
 def random_graph(rng, n):
     pairs = list(combinations(range(1, n + 1), 2))
     return make_graph(n, [p for p in pairs if rng.random() < 0.5])
+
+
+# --- reference solver ---------------------------------------------------------
+#
+# The atom-by-atom game search: each candidate answer is checked against
+# every placed pair with ``has_edge`` and ``succ`` calls, and positions with
+# one round left recurse into their rounds = 0 children.  The table-driven
+# solver must reproduce its values and its statistics exactly.
+
+
+def reference_partial_iso(m1, m2, picks1, picks2):
+    vocab = m1.vocab
+    xs, ys = tuple(picks1), tuple(picks2)
+    if vocab.has_constants:
+        xs, ys = xs + (1, m1.n), ys + (1, m2.n)
+    t = len(xs)
+    for i in range(t):
+        for j in range(i + 1, t):
+            if (xs[i] == xs[j]) != (ys[i] == ys[j]):
+                return False
+            if m1.graph.has_edge(xs[i], xs[j]) != m2.graph.has_edge(ys[i], ys[j]):
+                return False
+            if vocab.has_succ:
+                if m1.succ(xs[i], xs[j]) != m2.succ(ys[i], ys[j]):
+                    return False
+                if m1.succ(xs[j], xs[i]) != m2.succ(ys[j], ys[i]):
+                    return False
+            if vocab.has_le:
+                if (xs[i] <= xs[j]) != (ys[i] <= ys[j]):
+                    return False
+    if vocab.has_cw:
+        for i, j, k in combinations(range(t), 3):
+            for tri in ((i, j, k), (i, k, j)):
+                a = cw_holds(xs[tri[0]], xs[tri[1]], xs[tri[2]])
+                b = cw_holds(ys[tri[0]], ys[tri[1]], ys[tri[2]])
+                if a != b:
+                    return False
+    return True
+
+
+def reference_pair_consistent(m1, m2, pairs, new):
+    vocab = m1.vocab
+    if vocab.has_cw:
+        all_pairs = pairs | {new}
+        return reference_partial_iso(
+            m1, m2, tuple(p[0] for p in all_pairs), tuple(p[1] for p in all_pairs)
+        )
+    a, b = new
+    against = list(pairs)
+    if vocab.has_constants:
+        against += [(1, 1), (m1.n, m2.n)]
+    for x, y in against:
+        if (a == x) != (b == y):
+            return False
+        if m1.graph.has_edge(a, x) != m2.graph.has_edge(b, y):
+            return False
+        if vocab.has_succ:
+            if m1.succ(a, x) != m2.succ(b, y) or m1.succ(x, a) != m2.succ(y, b):
+                return False
+        if vocab.has_le and (a <= x) != (b <= y):
+            return False
+    return True
+
+
+def reference_metric_graph(m):
+    if not m.vocab.has_succ:
+        return m.graph
+    edges = set(m.graph.edges)
+    for v in range(1, m.n):
+        edges.add((v, v + 1))
+    if m.vocab.circular and m.n >= 2:
+        edges.add((1, m.n))
+    return Graph(m.n, frozenset(edges))
+
+
+def reference_restricted_options(g, picks, radius):
+    out = set()
+    for v in set(picks):
+        out |= neighborhood(g, v, radius)
+    return sorted(out)
+
+
+def reference_solve(m1, m2, pairs, rounds, memo, stats, restricted=None):
+    if rounds == 0:
+        return True
+    key = (pairs, rounds)
+    if memo is not None and key in memo:
+        stats.memo_hits += 1
+        return memo[key]
+    stats.positions += 1
+    picks1 = tuple(p[0] for p in pairs)
+    picks2 = tuple(p[1] for p in pairs)
+    if restricted is not None:
+        g1, g2, k_total = restricted
+        i = k_total - rounds + 1
+        radius = 3 ** (k_total - i)
+        opts1 = reference_restricted_options(g1, picks1, radius)
+        opts2 = reference_restricted_options(g2, picks2, radius)
+    else:
+        opts1 = list(range(1, m1.n + 1))
+        opts2 = list(range(1, m2.n + 1))
+    value = True
+    for spoiler_opts, dup_opts, order in ((opts1, opts2, 0), (opts2, opts1, 1)):
+        for a in spoiler_opts:
+            found = False
+            ordered = [a] if a in dup_opts else []
+            ordered += [b for b in dup_opts if b != a]
+            for b in ordered:
+                pair = (a, b) if order == 0 else (b, a)
+                if not reference_pair_consistent(m1, m2, pairs, pair):
+                    continue
+                if reference_solve(m1, m2, pairs | {pair}, rounds - 1, memo, stats, restricted):
+                    found = True
+                    break
+            if not found:
+                value = False
+                break
+        if not value:
+            break
+    if memo is not None:
+        memo[key] = value
+        stats.memo_size = len(memo)
+    return value
+
+
+def reference_th_k_equal_detailed(m1, m2, k, use_memo=True):
+    stats = GameStats()
+    if not reference_partial_iso(m1, m2, (), ()):
+        return False, stats
+    return reference_solve(m1, m2, frozenset(), k, {} if use_memo else None, stats), stats
+
+
+def reference_pointed_equiv_detailed(m1, v1, m2, v2, k):
+    stats = GameStats()
+    if not reference_partial_iso(m1, m2, (v1,), (v2,)):
+        return False, stats
+    restricted = (reference_metric_graph(m1), reference_metric_graph(m2), k)
+    return reference_solve(m1, m2, frozenset({(v1, v2)}), k, {}, stats, restricted), stats
 
 
 class TestPartialIso:
@@ -61,6 +213,15 @@ class TestPartialIso:
     def test_vocabulary_mismatch(self):
         with pytest.raises(ValueError):
             partial_iso(M(edgeless_graph(2)), M(edgeless_graph(2), Vocab.L_LE), (), ())
+
+    def test_picks_out_of_range(self):
+        # the atom tables would read row 0 or wrap a negative index
+        m = M(edgeless_graph(3))
+        for bad in (0, -1, 4):
+            with pytest.raises(ValueError):
+                partial_iso(m, m, (1, bad), (1, 2))
+            with pytest.raises(ValueError):
+                partial_iso(m, m, (1, 2), (bad, 1))
 
     def test_order_atoms(self):
         m = M(make_graph(3, []), Vocab.L_LE)
@@ -253,3 +414,79 @@ class TestFact4Search:
     def test_requires_candidates(self):
         with pytest.raises(ValueError):
             fact4_search([], [], 1, SUM)
+
+
+# --- table-driven solver against the reference search ----------------------------
+
+
+def pointed_equiv_detailed(m1, v1, m2, v2, k):
+    """``pointed_equiv`` with the statistics of the game it solved."""
+    made = []
+
+    def recording_stats():
+        made.append(GameStats())
+        return made[-1]
+
+    with mock.patch.object(efgame, "GameStats", recording_stats):
+        value = pointed_equiv(m1, v1, m2, v2, k)
+    return value, made[0] if made else GameStats()
+
+
+def model_pair(seed, vocab, k):
+    """Two models of up to 10 vertices (6 at k = 3): the same graph, a
+    relabelled copy, or an independent draw, at densities 0.2-0.8."""
+    rng = random.Random(seed)
+    top = 6 if k == 3 else 10
+
+    def draw(n):
+        p = rng.choice((0.2, 0.5, 0.8))
+        return make_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p])
+
+    g1 = draw(rng.randint(1, top))
+    shape = rng.randrange(3)
+    if shape == 0:
+        g2 = g1
+    elif shape == 1:
+        perm = list(range(1, g1.n + 1))
+        rng.shuffle(perm)
+        g2 = make_graph(g1.n, [(perm[v - 1], perm[w - 1]) for v, w in g1.edges])
+    else:
+        g2 = draw(rng.randint(1, top))
+    return M(g1, vocab), M(g2, vocab), rng
+
+
+class TestAgainstReferenceSolver:
+    @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_game_values_and_statistics(self, seed, vocab, k):
+        m1, m2, _ = model_pair(seed, vocab, k)
+        for use_memo in (True, False):
+            got = th_k_equal_detailed(m1, m2, k, use_memo=use_memo)
+            assert got == reference_th_k_equal_detailed(m1, m2, k, use_memo)
+
+    @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_pointed_values_and_statistics(self, seed, vocab, k):
+        m1, m2, rng = model_pair(seed, vocab, k)
+        v1, v2 = rng.randint(1, m1.n), rng.randint(1, m2.n)
+        got = pointed_equiv_detailed(m1, v1, m2, v2, k)
+        assert got == reference_pointed_equiv_detailed(m1, v1, m2, v2, k)
+
+    @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)))
+    @settings(max_examples=60, deadline=None)
+    def test_partial_iso(self, seed, vocab):
+        m1, m2, rng = model_pair(seed, vocab, 0)
+        for t in range(5):
+            xs = tuple(rng.randint(1, m1.n) for _ in range(t))
+            ys = tuple(rng.randint(1, m2.n) for _ in range(t))
+            assert partial_iso(m1, m2, xs, ys) == reference_partial_iso(m1, m2, xs, ys)
+
+    def test_roadmap_baseline_pair(self):
+        # the sparse n = 40 permuted pair, relabelled as perfbench's
+        # ``permuted`` does; a full k = 3 search past the default budget
+        g = sample_line(make_constant(0.1), 40, RngStream(1, 40))
+        perm = list(range(1, 41))
+        random.Random(1).shuffle(perm)
+        h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
+        got = th_k_equal_detailed(M(g), M(h), 3, node_budget=10**10)
+        assert got == (True, GameStats(positions=43948, memo_hits=7991, memo_size=43948))

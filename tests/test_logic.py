@@ -321,6 +321,25 @@ class TestClockwise:
         assert cw_holds(2, 5, 9) and cw_holds(5, 9, 2) and cw_holds(9, 2, 5)
 
 
+class TestAtomTable:
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_bits_follow_the_atoms(self, vocab, n):
+        rng = random.Random(n)
+        g = make_graph(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.5])
+        m = LabeledModel(g, vocab)
+        table = m.atoms
+        assert table.shape == (n + 1, n + 1) and table.dtype == "uint8"
+        assert not table[0].any() and not table[:, 0].any()
+        for x, a in product(range(1, n + 1), repeat=2):
+            want = (a == x) | g.has_edge(a, x) << 1
+            if vocab.has_succ:
+                want |= m.succ(a, x) << 2 | m.succ(x, a) << 3
+            if vocab.has_le:
+                want |= (a <= x) << 4
+            assert table[x, a] == want, (x, a)
+
+
 class TestLibrary:
     def test_path2_depth(self):
         assert library("path2").depth == 1
