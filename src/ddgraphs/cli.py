@@ -141,15 +141,14 @@ def cmd_eval(args) -> int:
         sys.stdout.write(f"{args.stat}({args.n}) = {value!r}\n")
         return 0
     indices = [int(x) for x in args.i.split(",")] if args.i else []
-    if not indices:
-        support = probseq.support_upto(seq, args.n)
-        sys.stdout.write("i,p\n")
-        for i in support:
-            sys.stdout.write(f"{i},{seq.eval(i):.12g}\n")
-        return 0
+    if indices:
+        probs = [seq.eval(i) for i in indices]
+    else:
+        indices = probseq.support_upto(seq, args.n)  # rejects n < 1
+        probs = probseq.support_table(seq, args.n)[1].tolist()
     sys.stdout.write("i,p\n")
-    for i in indices:
-        sys.stdout.write(f"{i},{seq.eval(i):.12g}\n")
+    for i, p in zip(indices, probs):
+        sys.stdout.write(f"{i},{p:.12g}\n")
     return 0
 
 

@@ -9,16 +9,17 @@ set-canonical positions have equal game value.  Constants act as pre-placed
 picks present from round 0, which also fixes the k = 0 semantics: the second
 player wins an empty game exactly when the constant atoms agree.
 
-Atomic agreement is read from each model's atom table
-(``LabeledModel.atoms``), which ``partial_iso`` and the solver share.  At a
-position the solver builds the consistency matrix of all candidate answer
-pairs with one broadcast compare per placed pair (plus the betweenness
-triples on LC_LE).  A position with one round left is decided by one
-reduction of that matrix: every move of either player needs a consistent
-answer.  Higher positions walk each spoiler move's consistent answers, the
-same vertex id first, then ascending, so the positions, memo hits and memo
-size counted are those of the plain recursion that checks each answer atom
-by atom.
+Atomic agreement is decided in one place, ``_consistency``, from each
+model's atom table (``LabeledModel.atoms``): the boolean matrix of candidate
+answer pairs that keep a partial isomorphism.  It compares each answer's own
+loop atoms (succ(x, x) holds on the one-vertex circle), then one broadcast
+compare per placed pair and constant, plus the betweenness triples on LC_LE.
+``partial_iso`` applies it one pick at a time.  A position with one round
+left is decided by one reduction of that matrix: every move of either player
+needs a consistent answer.  Higher positions walk each spoiler move's
+consistent answers, the same vertex id first, then ascending, so the
+positions, memo hits and memo size counted are those of the plain recursion
+that checks each answer atom by atom.
 
 ``pointed_equiv`` solves the distance-restricted variant: the first picks
 are forced to the given points and the round-i choices are confined to
@@ -54,10 +55,42 @@ class GameStats:
     memo_size: int = 0
 
 
-def _atom_pairs(m: LabeledModel, picks: tuple[int, ...]) -> tuple[int, ...]:
-    if m.vocab.has_constants:
-        return tuple(picks) + (1, m.n)
-    return tuple(picks)
+def _estimate_positions(n1: int, n2: int, k: int) -> int:
+    est = 1
+    for _ in range(k):
+        est *= n1 * n2
+        if est > 10**18:
+            return est
+    return est
+
+
+def _consistency(
+    m1: LabeledModel,
+    m2: LabeledModel,
+    pairs: frozenset[tuple[int, int]],
+    opts1: np.ndarray,
+    opts2: np.ndarray,
+) -> np.ndarray:
+    """Boolean (|opts1|, |opts2|) matrix: does the answer pair
+    (opts1[i], opts2[j]) keep ``pairs`` a partial isomorphism?
+
+    Assumes ``pairs`` is one.  The answers' loop atoms, and each placed pair
+    and each constant, cost one broadcast compare of atom-table entries; with
+    betweenness, each two placed pairs add the two orientations of the
+    triples they form with the answer.
+    """
+    t1, t2 = m1.atoms, m2.atoms
+    against = list(pairs)
+    if m1.vocab.has_constants:
+        against += [(1, 1), (m1.n, m2.n)]
+    c = t1[opts1, opts1][:, None] == t2[opts2, opts2]
+    for x, y in against:
+        c &= t1[x, opts1][:, None] == t2[y, opts2]
+    if m1.vocab.has_cw:
+        for (x1, y1), (x2, y2) in combinations(pairs, 2):
+            c &= cw_holds(opts1, x1, x2)[:, None] == cw_holds(opts2, y1, y2)
+            c &= cw_holds(opts1, x2, x1)[:, None] == cw_holds(opts2, y2, y1)
+    return c
 
 
 def partial_iso(
@@ -71,63 +104,14 @@ def partial_iso(
         raise ValueError("pick lists must have equal length")
     if not all(1 <= v <= m.n for m, picks in ((m1, picks1), (m2, picks2)) for v in picks):
         raise ValueError("picks out of range")
-    xs = _atom_pairs(m1, tuple(picks1))
-    ys = _atom_pairs(m2, tuple(picks2))
-    # each two picks agree on their binary atoms
-    i, j = np.triu_indices(len(xs), 1)
-    x, y = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    if (m1.atoms[x[i], x[j]] != m2.atoms[y[i], y[j]]).any():
-        return False
-    if m1.vocab.has_cw:
-        for i, j, k in combinations(range(len(xs)), 3):
-            for tri in ((i, j, k), (i, k, j)):
-                a = cw_holds(xs[tri[0]], xs[tri[1]], xs[tri[2]])
-                b = cw_holds(ys[tri[0]], ys[tri[1]], ys[tri[2]])
-                if a != b:
-                    return False
+    # the constants go first, as picks
+    pairs = [(1, 1), (m1.n, m2.n)] if m1.vocab.has_constants else []
+    placed: frozenset[tuple[int, int]] = frozenset()
+    for x, y in pairs + list(zip(picks1, picks2)):
+        if not _consistency(m1, m2, placed, np.array([x]), np.array([y]))[0, 0]:
+            return False
+        placed |= {(x, y)}
     return True
-
-
-def _estimate_positions(n1: int, n2: int, k: int) -> int:
-    est = 1
-    for _ in range(k):
-        est *= n1 * n2
-        if est > 10**18:
-            return est
-    return est
-
-
-def _cw(a: np.ndarray, b: int, c: int) -> np.ndarray:
-    """``cw_holds(a, b, c)`` over an array of a."""
-    return ((a <= b) & (b <= c)) | ((b <= c) & (c <= a)) | ((c <= a) & (a <= b))
-
-
-def _consistency(
-    m1: LabeledModel,
-    m2: LabeledModel,
-    pairs: frozenset[tuple[int, int]],
-    opts1: np.ndarray,
-    opts2: np.ndarray,
-) -> np.ndarray:
-    """Boolean (|opts1|, |opts2|) matrix: does the answer pair
-    (opts1[i], opts2[j]) keep ``pairs`` a partial isomorphism?
-
-    Assumes ``pairs`` is one.  Each placed pair, and each constant, costs one
-    broadcast compare of atom-table rows; with betweenness, each two placed
-    pairs add the two orientations of the triples they form with the answer.
-    """
-    t1, t2 = m1.atoms, m2.atoms
-    against = list(pairs)
-    if m1.vocab.has_constants:
-        against += [(1, 1), (m1.n, m2.n)]
-    c = np.ones((len(opts1), len(opts2)), dtype=bool)
-    for x, y in against:
-        c &= t1[x, opts1][:, None] == t2[y, opts2]
-    if m1.vocab.has_cw:
-        for (x1, y1), (x2, y2) in combinations(pairs, 2):
-            c &= _cw(opts1, x1, x2)[:, None] == _cw(opts2, y1, y2)
-            c &= _cw(opts1, x2, x1)[:, None] == _cw(opts2, y2, y1)
-    return c
 
 
 def _solve(
@@ -135,7 +119,7 @@ def _solve(
     m2: LabeledModel,
     pairs: frozenset[tuple[int, int]],
     rounds: int,
-    memo: dict | None,
+    memo: dict,
     stats: GameStats,
     dists: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> bool:
@@ -148,7 +132,7 @@ def _solve(
     if rounds == 0:
         return True
     key = (pairs, rounds)
-    if memo is not None and key in memo:
+    if key in memo:
         stats.memo_hits += 1
         return memo[key]
     stats.positions += 1
@@ -172,9 +156,8 @@ def _solve(
             for spoiler, dup, rows, flip in ((opts1, opts2, c, False), (opts2, opts1, c.T, True))
             for a, row in zip(spoiler.tolist(), rows)
         )
-    if memo is not None:
-        memo[key] = value
-        stats.memo_size = len(memo)
+    memo[key] = value
+    stats.memo_size = len(memo)
     return value
 
 
@@ -207,13 +190,16 @@ def _hop_distances(m: LabeledModel) -> np.ndarray:
     return dist
 
 
-def th_k_equal_detailed(
+def _play(
     m1: LabeledModel,
     m2: LabeledModel,
+    picks1: tuple[int, ...],
+    picks2: tuple[int, ...],
     k: int,
-    node_budget: int = 10**9,
-    use_memo: bool = True,
+    node_budget: int,
 ) -> tuple[bool, GameStats]:
+    """The k-round game from the given first picks: unrestricted with none,
+    the distance-restricted game of ``pointed_equiv`` with some."""
     if m1.vocab is not m2.vocab:
         raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
     if k < 0:
@@ -222,22 +208,22 @@ def th_k_equal_detailed(
     if est > node_budget:
         raise GameBudgetError(est, node_budget)
     stats = GameStats()
-    if not partial_iso(m1, m2, (), ()):  # constant atoms may already disagree
+    if not partial_iso(m1, m2, picks1, picks2):  # the constants or first picks may disagree
         return False, stats
-    memo: dict | None = {} if use_memo else None
-    value = _solve(m1, m2, frozenset(), k, memo, stats)
-    return value, stats
+    dists = (_hop_distances(m1), _hop_distances(m2)) if picks1 else None
+    return _solve(m1, m2, frozenset(zip(picks1, picks2)), k, {}, stats, dists), stats
 
 
-def th_k_equal(
-    m1: LabeledModel,
-    m2: LabeledModel,
-    k: int,
-    node_budget: int = 10**9,
-    use_memo: bool = True,
-) -> bool:
+def th_k_equal_detailed(
+    m1: LabeledModel, m2: LabeledModel, k: int, node_budget: int = 10**9
+) -> tuple[bool, GameStats]:
+    """``th_k_equal`` with the statistics of the game it solved."""
+    return _play(m1, m2, (), (), k, node_budget)
+
+
+def th_k_equal(m1: LabeledModel, m2: LabeledModel, k: int, node_budget: int = 10**9) -> bool:
     """True iff the models satisfy the same sentences of depth <= k."""
-    return th_k_equal_detailed(m1, m2, k, node_budget, use_memo)[0]
+    return _play(m1, m2, (), (), k, node_budget)[0]
 
 
 def pointed_equiv(
@@ -250,27 +236,7 @@ def pointed_equiv(
 ) -> bool:
     """Second-player win status of the restricted game: first picks forced
     to (v1, v2), then k rounds with move i confined to radius 3^(k-i)."""
-    if m1.vocab is not m2.vocab:
-        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
-    if not (1 <= v1 <= m1.n and 1 <= v2 <= m2.n):
-        raise ValueError("pointed vertices out of range")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    est = _estimate_positions(m1.n, m2.n, k)
-    if est > node_budget:
-        raise GameBudgetError(est, node_budget)
-    if not partial_iso(m1, m2, (v1,), (v2,)):
-        return False
-    stats = GameStats()
-    return _solve(
-        m1,
-        m2,
-        frozenset({(v1, v2)}),
-        k,
-        {},
-        stats,
-        dists=(_hop_distances(m1), _hop_distances(m2)),
-    )
+    return _play(m1, m2, (v1,), (v2,), k, node_budget)[0]
 
 
 # --- absorbing-graph search -----------------------------------------------------

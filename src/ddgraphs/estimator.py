@@ -28,8 +28,8 @@ import numpy as np
 
 from .graph import Graph, _graph_unchecked
 from .logic import Formula, LabeledModel, holds, library
-from .probseq import ProbSeq, support_upto
-from .rng import derived_streams, stream_words
+from .probseq import ProbSeq, support_table
+from .rng import derived_streams
 from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
 
 Target = Formula | Callable[[Graph], bool]
@@ -158,13 +158,11 @@ def mc_probability(
     trials: int,
     master_seed: int,
     level: float = 0.95,
-    stream_for_trial: Callable[[int], int] | None = None,
 ) -> EstimateResult:
     """Monte Carlo estimate of P(n; target) over independent seeded samples.
 
-    Trial t draws its graph from stream ``stream_for_trial(t)`` (default
-    ``derived_stream(n, t)``), so results are independent of evaluation
-    order and parallel scheduling.
+    Trial t draws its graph from stream ``derived_stream(n, t)``, so results
+    are independent of evaluation order and parallel scheduling.
 
     Compiled targets (see ``_clauses``) hash only the pair columns they read
     and are decided by one numpy reduction per block; every other target
@@ -177,11 +175,6 @@ def mc_probability(
         raise EstimatorError("trials must be >= 1")
     if n < 1:
         raise EstimatorError("n must be >= 1")
-
-    def streams(lo: int, hi: int) -> np.ndarray:
-        if stream_for_trial is None:
-            return derived_streams(n, lo, hi)
-        return stream_words(stream_for_trial(t) for t in range(lo, hi))
 
     batch = PairBatch(seq, n, model_kind)
     clauses = _clauses(target, batch)
@@ -208,7 +201,7 @@ def mc_probability(
     block = max(1, CELL_BUDGET // max(1, width))
     successes = 0
     for start in range(0, trials, block):
-        ids = streams(start, min(start + block, trials))
+        ids = derived_streams(n, start, min(start + block, trials))
         successes += decide(batch.edge_matrix(master_seed, ids))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(
@@ -233,7 +226,8 @@ def exact_path2(seq: ProbSeq, n: int) -> float:
     """
     if n < 3:
         raise EstimatorError("needs n >= 3")
-    p = {d: seq.eval(d) for d in support_upto(seq, n - 2)}
+    idx, probs = support_table(seq, n - 2)
+    p = dict(zip(idx.tolist(), probs.tolist()))
     log_miss = 0.0
     for d, p_left in p.items():  # midpoint v = d + 1
         q = p_left * p.get(n - 1 - d, 0.0)

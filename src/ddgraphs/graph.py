@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
-from .probseq import ProbSeq, support_upto
+from .probseq import ProbSeq, support_table
 
 
 class GraphError(ValueError):
@@ -43,18 +43,10 @@ class Graph:
             adj[w].add(v)
         return {v: frozenset(s) for v, s in adj.items()}
 
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Per-vertex sorted neighbor lists."""
-        return {v: tuple(sorted(s)) for v, s in self.neighbor_sets.items()}
-
     def has_edge(self, v: int, w: int) -> bool:
         if v == w:
             return False
         return _norm_edge(v, w) in self.edges
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbor_sets[v])
 
     @property
     def m(self) -> int:
@@ -256,9 +248,10 @@ class Subgraph:
         return (min(a, b), max(a, b)) in self.edges
 
 
-def cw_holds(a: int, b: int, c: int) -> bool:
-    """Clockwise betweenness: some cyclic rotation is non-decreasing."""
-    return (a <= b <= c) or (b <= c <= a) or (c <= a <= b)
+def cw_holds(a, b, c):
+    """Clockwise betweenness: some cyclic rotation is non-decreasing.
+    Elementwise: each argument is an int or an int array."""
+    return ((a <= b) & (b <= c)) | ((b <= c) & (c <= a)) | ((c <= a) & (a <= b))
 
 
 def _h_components(h: Subgraph) -> list[list[int]]:
@@ -402,7 +395,7 @@ def is_flat(seq: ProbSeq, n: int, h: Subgraph, variant: str) -> bool:
         raise FlatnessGuardError(f"subgraph has {h.k} > 8 vertices")
     if variant == "LC_LE":
         return _flat_le(h, n)
-    supp = support_upto(seq, n - 1) if n >= 2 else []
+    supp = support_table(seq, n - 1)[0].tolist()
     if variant == "LC":
         for comp in _h_components(h):
             if len(comp) == 1:

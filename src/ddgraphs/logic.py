@@ -628,9 +628,6 @@ def _extension_ak(k: int) -> Formula:
     return Formula(body, Vocab.L, name=f"extension_Ak_{k}")
 
 
-LIBRARY_NAMES = ("path2", "ex2_path4", "triangle", "edge_in_c4", "adj_first_last", "extension_Ak")
-
-
 def library(name: str, **params) -> Formula:
     """Named sentences used across the experiments.
 

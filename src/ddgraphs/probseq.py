@@ -21,7 +21,10 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .rng import keyed_u64
 
@@ -536,22 +539,38 @@ def from_json(text: str) -> ProbSeq:
 # --- analysis ----------------------------------------------------------------
 
 
-def support_upto(seq: ProbSeq, n: int) -> list[int]:
-    """Sorted indices i <= n with p(i) > 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+@lru_cache(maxsize=32)
+def support_table(seq: ProbSeq, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support up to n: the sorted indices i <= n with p(i) > 0 (int64)
+    and p at each (float64); empty for n < 1.  Built once per (sequence, n),
+    evaluating p once per candidate index; sequences are immutable and hash
+    by identity.  Read only: callers share the arrays."""
     candidates: set[int] = set()
     for r in seq.rules:
         candidates.update(i for i in r.indices_upto(n) if 1 <= i <= n)
-    return sorted(i for i in candidates if seq.eval(i) > 0.0)
+    support = [(i, p) for i in sorted(candidates) if (p := seq.eval(i)) > 0.0]
+    idx = np.array([i for i, _ in support], dtype=np.int64)
+    probs = np.array([p for _, p in support], dtype=np.float64)
+    idx.flags.writeable = probs.flags.writeable = False
+    return idx, probs
+
+
+def support_upto(seq: ProbSeq, n: int) -> list[int]:
+    """Sorted indices i <= n with p(i) > 0: ``support_table``'s indices as a
+    list."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return support_table(seq, n)[0].tolist()
 
 
 def _log_miss_sum(seq: ProbSeq, n: int, weighted: bool) -> float:
     """sum_{i<=n} w(i) ln(1 - p(i)) with w(i) = i or 1, over support indices
     only; exactly -inf when some p(i) = 1 with i <= n."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     total = 0.0
-    for i in support_upto(seq, n):
-        p = seq.eval(i)
+    idx, probs = support_table(seq, n)
+    for i, p in zip(idx.tolist(), probs.tolist()):
         if p >= 1.0:
             return float("-inf")
         total += (i if weighted else 1) * math.log1p(-p)
@@ -584,7 +603,9 @@ def condition_statistic(seq: ProbSeq, n: int, kind: str) -> float:
             raise ValueError("C2 needs n >= 2")
         return log_partial_product(seq, n) / math.log(n)
     if kind == "C3_SUM":
-        return sum(seq.eval(i) for i in support_upto(seq, n))
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return sum(support_table(seq, n)[1].tolist())
     if kind == "C5":
         return _log_miss_sum(seq, n, weighted=True)
     raise ValueError(f"unknown statistic kind {kind!r}")
@@ -598,7 +619,8 @@ def is_admissible(seq: ProbSeq, h) -> bool:
     distance with p = 1 must be an edge.
     """
     n = h.n
-    p = {d: seq.eval(d) for d in support_upto(seq, n - 1)} if n >= 2 else {}
+    idx, probs = support_table(seq, n - 1)
+    p = dict(zip(idx.tolist(), probs.tolist()))
     if any(w - v not in p for v, w in h.edges):
         return False
     return all(

@@ -120,10 +120,6 @@ class RngStream:
         word through ``keyed_u64_grid``."""
         return keyed_u64(self.master_seed, self.stream_id, v, w)
 
-    def child(self, *tags: int) -> "RngStream":
-        """Derive an independent substream, deterministically."""
-        return RngStream(self.master_seed, keyed_u64(self.stream_id, *tags))
-
 
 def derived_stream(n: int, trial: int) -> int:
     """Stream id used by estimator scans: independent per (n, trial).

@@ -1,7 +1,7 @@
 """Game engine: examples, invariants, oracle cross-checks."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -37,11 +37,13 @@ from ddgraphs.logic import (
     Formula,
     LabeledModel,
     Not,
+    Succ,
     Var,
     Vocab,
     holds,
     library_sentences,
 )
+from ddgraphs.presets import all_labeled_graphs
 from ddgraphs.probseq import make_constant
 from ddgraphs.rng import RngStream
 from ddgraphs.sampler import sample_line
@@ -71,6 +73,8 @@ def reference_partial_iso(m1, m2, picks1, picks2):
         xs, ys = xs + (1, m1.n), ys + (1, m2.n)
     t = len(xs)
     for i in range(t):
+        if vocab.has_succ and m1.succ(xs[i], xs[i]) != m2.succ(ys[i], ys[i]):
+            return False
         for j in range(i + 1, t):
             if (xs[i] == xs[j]) != (ys[i] == ys[j]):
                 return False
@@ -102,6 +106,8 @@ def reference_pair_consistent(m1, m2, pairs, new):
             m1, m2, tuple(p[0] for p in all_pairs), tuple(p[1] for p in all_pairs)
         )
     a, b = new
+    if vocab.has_succ and m1.succ(a, a) != m2.succ(b, b):
+        return False
     against = list(pairs)
     if vocab.has_constants:
         against += [(1, 1), (m1.n, m2.n)]
@@ -289,8 +295,8 @@ class TestThkEqual:
         rng = random.Random(seed)
         g1, g2 = random_graph(rng, rng.randint(1, 4)), random_graph(rng, rng.randint(1, 4))
         k = rng.randint(0, 3)
-        with_memo, _ = th_k_equal_detailed(M(g1), M(g2), k, use_memo=True)
-        without, _ = th_k_equal_detailed(M(g1), M(g2), k, use_memo=False)
+        with_memo, _ = th_k_equal_detailed(M(g1), M(g2), k)
+        without, _ = reference_th_k_equal_detailed(M(g1), M(g2), k, use_memo=False)
         assert with_memo == without
 
 
@@ -304,6 +310,26 @@ class TestSoundnessAndCompleteness:
                 if th_k_equal(M(g1, vocab), M(g2, vocab), k):
                     for f in library_sentences(max_depth=k, vocab=vocab):
                         assert holds(M(g1, vocab), f) == holds(M(g2, vocab), f)
+
+    def test_loop_atom_separates_one_vertex_circle(self):
+        # succ(x, x) holds only on the one-vertex circle
+        m1 = M(edgeless_graph(1), Vocab.LC_PLUS)
+        m2 = M(edgeless_graph(2), Vocab.LC_PLUS)
+        assert not partial_iso(m1, m2, (1,), (1,))
+        assert not th_k_equal(m1, m2, 1)
+        assert th_k_equal(m1, m2, 0)
+
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_equal_verdicts_agree_with_checker(self, vocab):
+        graphs = all_labeled_graphs(3)
+        loop = [Formula(Exists("x", Succ(Var("x"), Var("x"))), vocab)] if vocab.has_succ else []
+        for k in range(3):
+            sentences = library_sentences(max_depth=k, vocab=vocab) + (loop if k else [])
+            for g1, g2 in product(graphs, repeat=2):
+                m1, m2 = M(g1, vocab), M(g2, vocab)
+                if th_k_equal(m1, m2, k):
+                    for f in sentences:
+                        assert holds(m1, f) == holds(m2, f), (g1, g2, k, f.name)
 
     def test_separation_witnessed_by_type_sentence(self):
         # depth-2 inequivalence over plain graphs is always explained by a
@@ -460,9 +486,7 @@ class TestAgainstReferenceSolver:
     @settings(max_examples=100, deadline=None)
     def test_game_values_and_statistics(self, seed, vocab, k):
         m1, m2, _ = model_pair(seed, vocab, k)
-        for use_memo in (True, False):
-            got = th_k_equal_detailed(m1, m2, k, use_memo=use_memo)
-            assert got == reference_th_k_equal_detailed(m1, m2, k, use_memo)
+        assert th_k_equal_detailed(m1, m2, k) == reference_th_k_equal_detailed(m1, m2, k)
 
     @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)

@@ -33,7 +33,7 @@ from ddgraphs.logic import Formula, LabeledModel, Vocab, holds, library, parse
 from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
-from ddgraphs.rng import derived_stream, keyed_u64
+from ddgraphs.rng import derived_stream
 from ddgraphs.sampler import CIRCLE, LINE, PairBatch
 
 
@@ -330,11 +330,11 @@ class TestMonteCarloEstimates:
             mc_probability(make_constant(1.0), n, library("path2"), LINE, 5, 0)
 
 
-def row_path_successes(seq, n, target, kind, trials, seed, stream_of):
+def row_path_successes(seq, n, target, kind, trials, seed):
     """Successes of ``target`` judged on the graph of every row of the full
-    pair table, one row at a time."""
+    pair table, one row at a time, trial t on stream ``derived_stream(n, t)``."""
     batch = PairBatch(seq, n, kind)
-    ids = np.array([stream_of(t) % 2**64 for t in range(trials)], dtype=np.uint64)
+    ids = np.array([derived_stream(n, t) for t in range(trials)], dtype=np.uint64)
 
     def check(g):
         if isinstance(target, Formula):
@@ -410,14 +410,11 @@ class TestColumnKernels:
             # holds on a triangle-free graph costs O(n^3); beyond n = 30 the
             # triangle sentence is judged by has_triangle, the same event
             reference = target if n <= 30 or target == library("path2") else has_triangle
-            overrides = [lambda t, n=n: keyed_u64(n, t) - 2**63] if n <= 54 else []
-            for streams in [None, *overrides]:
-                stream_of = streams or (lambda t, n=n: derived_stream(n, t))
-                built = len(row_graphs)
-                got = mc_probability(seq, n, target, kind, trials, seed, stream_for_trial=streams)
-                assert n > 54 or len(row_graphs) == built  # compiled: no row graph
-                want = row_path_successes(seq, n, reference, kind, trials, seed, stream_of)
-                assert round(got.estimate * trials) == want, (n, streams)
+            built = len(row_graphs)
+            got = mc_probability(seq, n, target, kind, trials, seed)
+            assert n > 54 or len(row_graphs) == built  # compiled: no row graph
+            want = row_path_successes(seq, n, reference, kind, trials, seed)
+            assert round(got.estimate * trials) == want, n
 
     @pytest.mark.parametrize(
         "target",
@@ -428,7 +425,7 @@ class TestColumnKernels:
         seq = make_constant(0.5)
         got = mc_probability(seq, 9, target, LINE, 40, 3)
         assert len(row_graphs) == 40
-        want = row_path_successes(seq, 9, target, LINE, 40, 3, lambda t: derived_stream(9, t))
+        want = row_path_successes(seq, 9, target, LINE, 40, 3)
         assert round(got.estimate * 40) == want
 
     def test_dense_triangles_take_the_row_path(self, row_graphs):
@@ -461,8 +458,7 @@ class TestColumnKernels:
             got = mc_probability(seq, n, target, LINE, trials, 0)
             assert sum(rows for rows, _ in grids) == trials
             assert all(rows * width <= budget for rows, _ in grids), grids
-            want = row_path_successes(seq, n, target, LINE, trials, 0,
-                                      lambda t: derived_stream(n, t))
+            want = row_path_successes(seq, n, target, LINE, trials, 0)
             assert round(got.estimate * trials) == want
 
     def test_dense_row_path_blocks(self, grids):
