@@ -144,8 +144,9 @@ def cmd_eval(args) -> int:
     if indices:
         probs = [seq.eval(i) for i in indices]
     else:
-        indices = probseq.support_upto(seq, args.n)  # rejects n < 1
-        probs = probseq.support_table(seq, args.n)[1].tolist()
+        if args.n < 1:
+            raise ValueError("n must be >= 1")
+        indices, probs = (a.tolist() for a in probseq.support_table(seq, args.n))
     sys.stdout.write("i,p\n")
     for i, p in zip(indices, probs):
         sys.stdout.write(f"{i},{p:.12g}\n")

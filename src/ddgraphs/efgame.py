@@ -98,12 +98,7 @@ def partial_iso(
 ) -> bool:
     """Do the picked points (plus constants, where the vocabulary has them)
     induce isomorphic substructures under the index correspondence?"""
-    if m1.vocab is not m2.vocab:
-        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
-    if len(picks1) != len(picks2):
-        raise ValueError("pick lists must have equal length")
-    if not all(1 <= v <= m.n for m, picks in ((m1, picks1), (m2, picks2)) for v in picks):
-        raise ValueError("picks out of range")
+    _check_picks(m1, m2, picks1, picks2)
     # the constants go first, as picks
     pairs = [(1, 1), (m1.n, m2.n)] if m1.vocab.has_constants else []
     placed: frozenset[tuple[int, int]] = frozenset()
@@ -112,6 +107,15 @@ def partial_iso(
             return False
         placed |= {(x, y)}
     return True
+
+
+def _check_picks(m1: LabeledModel, m2: LabeledModel, picks1: tuple, picks2: tuple) -> None:
+    if m1.vocab is not m2.vocab:
+        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
+    if len(picks1) != len(picks2):
+        raise ValueError("pick lists must have equal length")
+    if not all(1 <= v <= m.n for m, picks in ((m1, picks1), (m2, picks2)) for v in picks):
+        raise ValueError("picks out of range")
 
 
 def _solve(
@@ -200,8 +204,7 @@ def _play(
 ) -> tuple[bool, GameStats]:
     """The k-round game from the given first picks: unrestricted with none,
     the distance-restricted game of ``pointed_equiv`` with some."""
-    if m1.vocab is not m2.vocab:
-        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
+    _check_picks(m1, m2, picks1, picks2)
     if k < 0:
         raise ValueError("k must be >= 0")
     est = _estimate_positions(m1.n, m2.n, k)

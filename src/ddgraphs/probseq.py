@@ -21,7 +21,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -539,19 +538,16 @@ def from_json(text: str) -> ProbSeq:
 # --- analysis ----------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
 def support_table(seq: ProbSeq, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The support up to n: the sorted indices i <= n with p(i) > 0 (int64)
-    and p at each (float64); empty for n < 1.  Built once per (sequence, n),
-    evaluating p once per candidate index; sequences are immutable and hash
-    by identity.  Read only: callers share the arrays."""
+    and p at each (float64); empty for n < 1.  Evaluates p once per
+    candidate index."""
     candidates: set[int] = set()
     for r in seq.rules:
         candidates.update(i for i in r.indices_upto(n) if 1 <= i <= n)
     support = [(i, p) for i in sorted(candidates) if (p := seq.eval(i)) > 0.0]
     idx = np.array([i for i, _ in support], dtype=np.int64)
     probs = np.array([p for _, p in support], dtype=np.float64)
-    idx.flags.writeable = probs.flags.writeable = False
     return idx, probs
 
 

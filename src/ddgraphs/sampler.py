@@ -25,8 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import Graph, _graph_unchecked
-# support_upto is unused here, but perfbench's traced rounds wrap this name
-from .probseq import ProbSeq, support_table, support_upto  # noqa: F401
+from .probseq import ProbSeq, support_upto
 from .rng import RngStream, keyed_u64_grid, stream_words, threshold_u64
 
 LINE = "LINE"
@@ -47,20 +46,21 @@ class PairBatch:
     support-distance order on the line and in (v, w) order on the circle.
     ``p`` is each pair's edge probability, and ``thresholds`` and ``always``
     its acceptance rule.  The table walks support distances, not all pairs,
-    so sparse sequences cost O(n * |supp|); the distances and their
-    probabilities come from ``probseq.support_table``.
+    so sparse sequences cost O(n * |supp|), and ``seq.eval`` runs once per
+    support distance.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
         if model_kind == LINE:
-            dists, probs = support_table(seq, n - 1)
-            counts = n - dists
+            dists = support_upto(seq, n - 1) if n >= 2 else []
+            counts = [n - d for d in dists]
         elif model_kind == CIRCLE:
-            dists, probs = support_table(seq, n // 2)
-            counts = np.where(2 * dists == n, n // 2, n)  # antipodes once
+            dists = support_upto(seq, n // 2) if n >= 2 else []
+            counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
         else:
             raise ValueError(f"unknown model kind {model_kind!r}")
-        d = np.repeat(dists, counts)
+        probs = [seq.eval(d) for d in dists]
+        d = np.repeat(np.array(dists, dtype=np.int64), counts)
         starts = np.cumsum(counts, dtype=np.int64) - counts
         v = np.arange(len(d), dtype=np.int64) - np.repeat(starts, counts) + 1
         w = v + d
@@ -69,11 +69,11 @@ class PairBatch:
             w = (w - 1) % n + 1
             v, w = np.minimum(v, w), np.maximum(v, w)
             order = np.lexsort((w, v))
-        thresholds = [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs.tolist()]
+        thresholds = [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs]
         self.n = n
         self.v = v[order].astype(np.uint64)
         self.w = w[order].astype(np.uint64)
-        self.p = np.repeat(probs, counts)[order]
+        self.p = np.repeat(np.array(probs, dtype=np.float64), counts)[order]
         self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)[order]
         self.always = self.p >= 1.0
 

@@ -391,6 +391,10 @@ class TestPointedGame:
         with pytest.raises(ValueError):
             pointed_equiv(M(edgeless_graph(3)), 4, M(edgeless_graph(3)), 1, 1)
 
+    def test_range_checked_before_budget(self):
+        with pytest.raises(ValueError):
+            pointed_equiv(M(edgeless_graph(3)), 4, M(edgeless_graph(3)), 1, 5, node_budget=1)
+
 
 class TestFact4Search:
     def test_depth1_absorber(self):
