@@ -28,7 +28,7 @@ from .estimator import (
     results_to_csv,
 )
 from .graph import from_edgelist_text, to_edgelist_text
-from .logic import Vocab, library
+from .logic import LabeledModel, Vocab, library
 from .presets import (
     FAST_TRIALS,
     NAMED_SEQUENCES,
@@ -212,8 +212,6 @@ def cmd_efgame(args) -> int:
     g1 = from_edgelist_text(Path(args.file1).read_text())
     g2 = from_edgelist_text(Path(args.file2).read_text())
     vocab = Vocab(args.vocab)
-    from .logic import LabeledModel
-
     try:
         equal, stats = th_k_equal_detailed(
             LabeledModel(g1, vocab), LabeledModel(g2, vocab), args.k, node_budget=args.budget

@@ -282,17 +282,12 @@ def fact4_search(
         raise ValueError(f"vocabulary {vocab.value} not valid for mode {mode}")
     for g in candidates:
         mg = LabeledModel(g, vocab)
-        ok = True
         for h in h_set:
-            if mode == SUM:
-                combined = disjoint_sum(g, h)
-            elif mode == CONCAT_BOTH_ENDS:
-                combined = disjoint_sum(disjoint_sum(g, h), g)
-            else:
-                combined = disjoint_sum(g, h)
+            combined = disjoint_sum(g, h)
+            if mode == CONCAT_BOTH_ENDS:
+                combined = disjoint_sum(combined, g)
             if not th_k_equal(mg, LabeledModel(combined, vocab), k, node_budget):
-                ok = False
                 break
-        if ok:
+        else:
             return g
     return None

@@ -1,19 +1,22 @@
 """Probability estimation for sentence/predicate events on sampled graphs.
 
-Three routes, deliberately independent of each other:
+Three routes:
 
-* ``mc_probability`` - seeded Monte Carlo with Wilson score intervals.
-  The ``path2`` sentence and the triangle (the ``triangle`` sentence in any
-  vocabulary, or ``presets.has_triangle_predicate``) compile to column
-  kernels: only the pair columns they read are hashed, and one boolean
-  reduction per block decides every trial.  Other targets, and triangles on
-  tables with more than 16 triangles per pair, build each row's graph and
-  run ``holds`` or the predicate.  Blocks are bounded by ``CELL_BUDGET``
-  cells, not by a trial count, so memory does not grow with ``trials``.
+* ``mc_probability`` - seeded Monte Carlo with Wilson score intervals,
 * ``exact_path2`` / ``exact_triangle_circle`` - closed forms valid under
   verified structural conditions,
 * ``brute_force_probability`` - exhaustive enumeration over the free edge
   set for tiny instances (the oracle the other two are checked against).
+
+Monte Carlo and brute force share one ``row_decision`` on blocks of boolean
+pair-table rows: seeded draws, or the subsets of the free pairs.  The
+``path2`` sentence and the triangle (the ``triangle`` sentence in any
+vocabulary, or ``presets.has_triangle_predicate``) compile to column
+kernels that read only their clauses' pair columns, the only ones Monte
+Carlo hashes, and decide a block with one ``clause_hits`` reduction.  Other
+targets, and triangles on tables with more than 16 triangles per pair,
+build each row's graph and run ``holds`` or the predicate.  Blocks are
+bounded by ``CELL_BUDGET``, not by a trial or subset count.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import Graph, _graph_unchecked
+from .graph import Graph
 from .logic import Formula, LabeledModel, holds, library
 from .probseq import ProbSeq, support_table
 from .rng import derived_streams
@@ -94,13 +97,6 @@ def _target_name(target: Target) -> str:
     return getattr(target, "target_name", getattr(target, "__name__", "predicate"))
 
 
-def _evaluator(target: Target) -> Callable[[Graph], bool]:
-    if isinstance(target, Formula):
-        vocab = target.vocab
-        return lambda g: holds(LabeledModel(g, vocab), target)
-    return target
-
-
 # Past this many positive-probability triangles per pair the triangle kernel's
 # reduction costs more than building the row graphs (on the dense line the
 # two break even near n = 50-60, i.e. 16-19 triangles per pair).
@@ -150,6 +146,41 @@ def _clauses(target: Target, batch: PairBatch) -> np.ndarray | None:
     return None
 
 
+def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
+    """Boolean (k, T): clause i holds on row t iff every column of
+    ``clauses[i]`` is an edge of ``rows[t]``.  Reduced by column, on the
+    transpose of the (T, columns) rows."""
+    by_column = np.ascontiguousarray(rows.T)
+    hit = by_column[clauses[:, 0]]
+    for j in clauses.T[1:]:
+        hit &= by_column[j]
+    return hit
+
+
+def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Callable]:
+    """How ``target`` is decided on boolean rows of ``batch``.
+
+    Returns (columns, cells, decide): the table columns the target reads,
+    the cells per row a block must hold, and ``decide(rows)``, one bool per
+    row of ``rows[:, columns]``.  Compiled targets (see ``_clauses``) read
+    their clauses' columns and decide a block with one ``clause_hits``
+    reduction; every other target reads every column and builds each row's
+    graph to run ``holds`` or the predicate on it.
+    """
+    clauses = _clauses(target, batch)
+    if clauses is None:
+        check = target
+        if isinstance(target, Formula):
+            check = lambda g: holds(LabeledModel(g, target.vocab), target)
+        return np.arange(len(batch.v)), len(batch.v), lambda rows: np.fromiter(
+            (check(batch.graph_from_row(row)) for row in rows), bool, len(rows))
+    read = np.zeros(len(batch.v), dtype=bool)
+    read[clauses] = True
+    # the columns read, and each clause column's position among them
+    keep, local = np.flatnonzero(read), (np.cumsum(read) - 1)[clauses]
+    return keep, max(len(keep), len(local)), lambda rows: clause_hits(rows, local).any(axis=0)
+
+
 def mc_probability(
     seq: ProbSeq,
     n: int,
@@ -164,9 +195,10 @@ def mc_probability(
     Trial t draws its graph from stream ``derived_stream(n, t)``, so results
     are independent of evaluation order and parallel scheduling.
 
-    Compiled targets (see ``_clauses``) hash only the pair columns they read
-    and are decided by one numpy reduction per block; every other target
-    builds each row's graph and runs ``holds`` or the predicate on it.  Both
+    Only the columns ``row_decision`` says the target reads are hashed:
+    compiled targets (see ``_clauses``) are decided by one ``clause_hits``
+    reduction per block; every other target reads every column and builds
+    each row's graph to run ``holds`` or the predicate on it.  Both
     give the same successes, since each draw is a pure function of
     (master_seed, stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells
     (at least one trial), which bounds memory independently of ``trials``.
@@ -177,32 +209,13 @@ def mc_probability(
         raise EstimatorError("n must be >= 1")
 
     batch = PairBatch(seq, n, model_kind)
-    clauses = _clauses(target, batch)
-    if clauses is None:
-        check = _evaluator(target)
-        width = len(batch.v)
-
-        def decide(rows: np.ndarray) -> int:
-            return sum(1 for row in rows if check(batch.graph_from_row(row)))
-
-    else:
-        keep, local = np.unique(clauses, return_inverse=True)
-        local = local.reshape(clauses.shape)
-        batch.restrict(keep)
-        width = max(len(keep), len(local))
-
-        def decide(rows: np.ndarray) -> int:
-            by_column = np.ascontiguousarray(rows.T)
-            hit = by_column[local[:, 0]]
-            for j in local.T[1:]:
-                hit &= by_column[j]
-            return int(np.count_nonzero(hit.any(axis=0)))
-
-    block = max(1, CELL_BUDGET // max(1, width))
+    columns, cells, decide = row_decision(target, batch)
+    batch.restrict(columns)
+    block = max(1, CELL_BUDGET // max(1, cells))
     successes = 0
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
-        successes += decide(batch.edge_matrix(master_seed, ids))
+        successes += int(np.count_nonzero(decide(batch.edge_matrix(master_seed, ids))))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(
         estimate=successes / trials,
@@ -272,39 +285,41 @@ def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
 
 
 def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> float:
-    """Exact probability by enumerating the free edge subsets.
+    """Exact probability by enumerating the free edge subsets as pair-table rows.
 
-    The pair table's p = 1 pairs are fixed present (and pairs outside it
-    absent); enumeration is over its remaining pairs, in (v, w) order, and
-    guarded at 2^21 subsets.
+    The pair table's p = 1 pairs are set in every row (and pairs outside it
+    absent); enumeration is over its f remaining pairs, in (v, w) order, and
+    guarded at 2^21 subsets.  Leaf i holds free pair j iff bit f-1-j of i is
+    0, the leaf order of a recursion that takes each pair before leaving it
+    out; weights are multiplied in pair order from 1.0 and the weights that
+    hold are added in leaf order, so the value is that recursion's, bit for
+    bit.  Blocks of leaves go to the same ``row_decision`` as Monte Carlo:
+    compiled targets share its kernels and build no graph.
     """
+    if n < 1:
+        raise EstimatorError("n must be >= 1")
     batch = PairBatch(seq, n, model_kind)
-    fixed: list[tuple[int, int]] = []
-    free: list[tuple[int, int, float]] = []
-    for (v, w), p in sorted(zip(batch.pair_list, batch.p.tolist())):
-        if p >= 1.0:
-            fixed.append((v, w))
-        else:
-            free.append((v, w, p))
-    if 2 ** len(free) > 2**21:
-        raise BruteForceGuardError(f"{len(free)} free pairs is beyond the 2^21 subset guard")
-    check = _evaluator(target)
+    by_pair = np.lexsort((batch.w, batch.v))
+    free = by_pair[~batch.always[by_pair]]
+    f = len(free)
+    if f > 21:
+        raise BruteForceGuardError(f"{f} free pairs is beyond the 2^21 subset guard")
+    columns, cells, decide = row_decision(target, batch)
+    # A leaf holds ~8 words (index, weight, their temporaries) and a byte per
+    # cell of its row, its read columns and the decision.  Blocks of
+    # CELL_BUDGET // 64 words (256 KB) add no measurable peak RSS.
+    block = max(1, CELL_BUDGET // 64 // (8 + (len(batch.v) + len(columns) + cells + 7) // 8))
     total = 0.0
-    edges = list(fixed)
-
-    def recurse(idx: int, weight: float):
-        nonlocal total
-        if idx == len(free):
-            if check(_graph_unchecked(n, edges)):
-                total += weight
-            return
-        v, w, p = free[idx]
-        edges.append((v, w))
-        recurse(idx + 1, weight * p)
-        edges.pop()
-        recurse(idx + 1, weight * (1.0 - p))
-
-    recurse(0, 1.0)
+    for lo in range(0, 2**f, block):
+        leaf = np.arange(lo, min(lo + block, 2**f), dtype=np.int64)
+        rows = np.repeat(batch.always[None, :], len(leaf), axis=0)
+        weight = np.ones(len(leaf))
+        for j, (column, p) in enumerate(zip(free.tolist(), batch.p[free].tolist())):
+            present = (leaf >> (f - 1 - j)) & 1 == 0
+            rows[:, column] = present
+            weight *= np.where(present, p, 1.0 - p)
+        # cumsum adds in order, unlike np.sum's pairwise reduction
+        total = float(np.cumsum(np.append(total, weight[decide(rows[:, columns])]))[-1])
     return total
 
 

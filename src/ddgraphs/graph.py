@@ -131,12 +131,7 @@ def is_exact_copy_at(g: Graph, h: Graph, i: int) -> bool:
 
 def exact_copy_offsets(g: Graph, h: Graph, lo: int, hi: int) -> list[int]:
     """All offsets whose copy block lies inside [lo, hi]."""
-    l = h.n
-    out = []
-    for i in range(max(0, lo - 1), hi - l + 1):
-        if is_exact_copy_at(g, h, i):
-            out.append(i)
-    return out
+    return [i for i in range(max(0, lo - 1), hi - h.n + 1) if is_exact_copy_at(g, h, i)]
 
 
 def max_disjoint_exact_copies(g: Graph, h: Graph, lo: int, hi: int) -> int:

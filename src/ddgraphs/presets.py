@@ -14,6 +14,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from .graph import (
     has_triangle,
     make_graph,
     max_disjoint_exact_copies,
+    psi_r_holds,
 )
 from .logic import LabeledModel, Vocab, holds, library
 from .probseq import (
@@ -106,8 +108,6 @@ def has_triangle_predicate():
 
 
 def psi_r_predicate(f_r: int):
-    from .graph import psi_r_holds
-
     def pred(g: Graph) -> bool:
         return psi_r_holds(g, f_r)
 
@@ -268,8 +268,8 @@ def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[flo
     Trial t starts from stream ``keyed_u64(1, t)``, steps with
     ``keyed_u64(3, t)`` and draws the direct sample with ``keyed_u64(2, t)``.
     Every sample stays a row of its pair table: triangles are counted per row
-    over the [n+1] table's triples, in blocks of at most
-    ``estimator.CELL_BUDGET`` cells.
+    by ``estimator.clause_hits`` over the [n+1] table's triples, in blocks of
+    at most ``estimator.CELL_BUDGET`` cells.
     """
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
@@ -284,12 +284,12 @@ def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[flo
         stepped = markov_step_rows(seq, n, begun, seed, keyed_u64_array((3,), t))
         drawn = grown.edge_matrix(seed, keyed_u64_array((2,), t))
         for hist, rows in ((chain, stepped), (direct, drawn)):
-            hist += np.bincount(rows[:, triples].all(axis=2).sum(axis=1), minlength=len(hist))
+            hist += np.bincount(estimator.clause_hits(rows, triples).sum(0), minlength=len(hist))
     keys = np.flatnonzero(chain + direct).tolist()
-    chain_counts, direct_counts = chain.tolist(), direct.tolist()
-    tv = 0.5 * sum(abs(chain_counts[k] - direct_counts[k]) / trials for k in keys)
+    # cumsum adds left to right; builtin sum() of floats is compensated on 3.12+
+    tv = 0.5 * float(np.cumsum(np.append(0.0, np.abs(chain - direct)[keys] / trials))[-1])
     table = "triangles,freq_chain,freq_direct\n" + "".join(
-        f"{k},{chain_counts[k] / trials:.12g},{direct_counts[k] / trials:.12g}\n" for k in keys
+        f"{k},{chain[k] / trials:.12g},{direct[k] / trials:.12g}\n" for k in keys
     )
     return tv, table
 
@@ -380,14 +380,8 @@ def thk_class_representatives(max_n: int, k: int, vocab: Vocab = Vocab.L) -> lis
 
 def absorbing_sum_candidate(k: int, rep_max_n: int = 2) -> Graph:
     """k disjoint copies of the sum of one representative per class."""
-    reps = thk_class_representatives(rep_max_n, k)
-    block = reps[0]
-    for r in reps[1:]:
-        block = disjoint_sum(block, r)
-    out = block
-    for _ in range(k - 1):
-        out = disjoint_sum(out, block)
-    return out
+    block = reduce(disjoint_sum, thk_class_representatives(rep_max_n, k))
+    return reduce(disjoint_sum, [block] * k)
 
 
 def _run_fact4_search(seed: int, trials: int | None, k: int = 2) -> PresetOutcome:

@@ -601,7 +601,8 @@ def condition_statistic(seq: ProbSeq, n: int, kind: str) -> float:
     if kind == "C3_SUM":
         if n < 1:
             raise ValueError("n must be >= 1")
-        return sum(support_table(seq, n)[1].tolist())
+        # cumsum adds left to right; builtin sum() of floats is compensated on 3.12+
+        return float(np.cumsum(np.append(0.0, support_table(seq, n)[1]))[-1])
     if kind == "C5":
         return _log_miss_sum(seq, n, weighted=True)
     raise ValueError(f"unknown statistic kind {kind!r}")

@@ -156,6 +156,13 @@ class TestEstimateScanOracle:
         )
         assert code == 0 and "4,0.359375," in out
 
+    def test_oracle_brute_needs_a_vertex(self, capsys):
+        code, out, err = run(
+            capsys, "oracle", "--kind", "brute", "--seq", CONST_HALF, "--n", "0",
+            "--target", "edge_in_c4",
+        )
+        assert code == 1 and out == "" and "n must be >= 1" in err
+
     def test_psi_target(self, capsys):
         code, out, _ = run(
             capsys, "estimate", "--seq", CONST_HALF, "--n", "8", "--target", "psi_r:2",

@@ -28,7 +28,7 @@ from ddgraphs.estimator import (
     scan,
     wilson_ci,
 )
-from ddgraphs.graph import has_triangle
+from ddgraphs.graph import Graph, has_triangle
 from ddgraphs.logic import Formula, LabeledModel, Vocab, holds, library, parse
 from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
@@ -193,6 +193,28 @@ class TestBruteForce:
         with pytest.raises(BruteForceGuardError):
             brute_force_probability(make_constant(0.5), 8, library("triangle"), LINE)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_vertices_required(self, n):
+        with pytest.raises(EstimatorError):
+            brute_force_probability(make_constant(0.5), n, parse("forall x. x = x", Vocab.L), LINE)
+
+    def test_compiled_target_builds_no_graph(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("compiled target built a graph")
+
+        monkeypatch.setattr(PairBatch, "graph_from_row", refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert brute_force_probability(make_constant(0.5), 5, library("path2"), LINE) == 37 / 64
+        want = 1 - (7 / 8) ** 6
+        got = brute_force_probability(make_thm6([0.5]), 18, library("triangle", vocab=Vocab.LC), CIRCLE)
+        assert got == pytest.approx(want, abs=1e-12)
+
+    def test_plain_predicate_takes_the_row_path(self, row_graphs):
+        # constant 1/2 on the line at n = 5: ten free pairs, one graph per subset
+        got = brute_force_probability(make_constant(0.5), 5, lambda g: has_triangle(g), LINE)
+        assert len(row_graphs) == 2**10
+        assert got == brute_force_probability(make_constant(0.5), 5, has_triangle_predicate(), LINE)
+
 
 BRUTE_SEQS = [
     make_constant(0.3),
@@ -209,11 +231,17 @@ class TestAgainstReference:
     @pytest.mark.parametrize("seq_index", range(len(BRUTE_SEQS)))
     def test_brute_force(self, kind, seq_index):
         seq = BRUTE_SEQS[seq_index]
-        targets = [has_triangle_predicate(), lambda g: g.m % 2 == 1]
+        # the triangle predicate and sentences take the kernel, judged against
+        # the reference of the same event
+        triangle = [has_triangle_predicate(), library("triangle"),
+                    library("triangle", vocab=Vocab.LC)]
+        odd = lambda g: g.m % 2 == 1
         for n in range(1, 7):
-            for target in targets:
-                want = reference_brute_force(seq, n, target, kind)
-                assert brute_force_probability(seq, n, target, kind) == want, n
+            want = reference_brute_force(seq, n, has_triangle, kind)
+            for target in triangle:
+                assert brute_force_probability(seq, n, target, kind) == want, (n, target)
+            want = reference_brute_force(seq, n, odd, kind)
+            assert brute_force_probability(seq, n, odd, kind) == want, n
             if n <= 5:
                 f = library("path2")
                 want = reference_brute_force(seq, n, lambda g: holds(LabeledModel(g, f.vocab), f), kind)

@@ -338,7 +338,9 @@ class TestAgainstReference:
             lpp = reference_log_miss(seq, n, weighted=False)
             assert log_partial_product(seq, n) == lpp, n
             assert condition_statistic(seq, n, "C5") == reference_log_miss(seq, n, weighted=True), n
-            c3 = sum(seq.eval(i) for i in range(1, n + 1))
+            c3 = 0.0
+            for i in range(1, n + 1):
+                c3 += seq.eval(i)
             assert condition_statistic(seq, n, "C3_SUM") == c3, n
             if n >= 2:
                 assert condition_statistic(seq, n, "C2") == lpp / math.log(n), n

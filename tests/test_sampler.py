@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ddgraphs import estimator, sampler
+from ddgraphs import estimator, presets, probseq, sampler
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
 from ddgraphs.logic import library
 from ddgraphs.presets import midpoint_chain_tv
@@ -440,7 +440,10 @@ def reference_chain_tv(seq, n, trials, seed):
     direct = sample_batch(seq, n + 1, seed, direct_streams, LINE)
     direct_counts = Counter(count_triangles(g) for g in direct)
     keys = sorted(set(chain_counts) | set(direct_counts))
-    tv = 0.5 * sum(abs(chain_counts[k] - direct_counts[k]) / trials for k in keys)
+    gap = 0.0
+    for k in keys:
+        gap += abs(chain_counts[k] - direct_counts[k]) / trials
+    tv = 0.5 * gap
     table = "triangles,freq_chain,freq_direct\n" + "".join(
         f"{k},{chain_counts[k] / trials:.12g},{direct_counts[k] / trials:.12g}\n" for k in keys
     )
@@ -465,6 +468,24 @@ class TestRowChain:
     def test_pinned_tv(self):
         tv, _ = midpoint_chain_tv(make_constant(0.5), 5, 10_000, 305)
         assert tv == 0.011199999999999998
+
+    def test_sums_run_left_to_right(self, monkeypatch):
+        """The pinned TV and C3_SUM add left to right: a compensated builtin
+        ``sum`` (Python 3.12+) moves neither."""
+
+        def neumaier(values, start=0):
+            total, carry = start, 0.0
+            for x in values:
+                t = total + x
+                carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + carry
+
+        for module in (presets, probseq):
+            monkeypatch.setattr(module, "sum", neumaier, raising=False)
+        assert neumaier([0.1] * 10) == 1.0
+        assert midpoint_chain_tv(make_constant(0.5), 5, 10_000, 305)[0] == 0.011199999999999998
+        assert probseq.condition_statistic(make_constant(0.1), 10, "C3_SUM") == 0.9999999999999999
 
     def test_no_trials_and_too_few_vertices(self):
         header = "triangles,freq_chain,freq_direct\n"
