@@ -51,6 +51,6 @@ from .probseq import (
     support_upto,
 )
 from .rng import RngStream
-from .sampler import CIRCLE, LINE, markov_step, sample_circle, sample_line
+from .sampler import CIRCLE, LINE, markov_step, sample_line
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ class ExperimentConfig:
     target: str | None = None
     model_kind: str = LINE
     n_list: tuple[int, ...] = ()
-    trials: int = 1000
+    trials: int | None = None  # unset: the preset's default, or 1000 for an explicit setup
     master_seed: int = 0
     out: str | None = None
 
@@ -278,7 +278,7 @@ def parse_config(path: Path) -> ExperimentConfig:
             target=values.get("target"),
             model_kind=_model_kind(values.get("model_kind", "line")),
             n_list=tuple(int(x) for x in values.get("n_list", "").split(",") if x.strip()),
-            trials=int(values.get("trials", "1000")),
+            trials=int(values["trials"]) if "trials" in values else None,
             master_seed=int(values.get("master_seed", "0")),
             out=values.get("out"),
         )
@@ -296,14 +296,15 @@ def cmd_run(args) -> int:
         outcome.write(out or Path("out"))
         return 0 if outcome.passed else 2
     seq = probseq.from_json_dict(cfg.sequence)
-    if cfg.trials == 0:
+    trials = 1000 if cfg.trials is None else cfg.trials
+    if trials == 0:
         results = [
             _closed_form_result(seq, n, cfg.target, cfg.model_kind, cfg.master_seed)
             for n in cfg.n_list
         ]
     else:
         results = estimator.scan(
-            seq, resolve_target(cfg.target), cfg.model_kind, list(cfg.n_list), cfg.trials, cfg.master_seed
+            seq, resolve_target(cfg.target), cfg.model_kind, list(cfg.n_list), trials, cfg.master_seed
         )
     _write(out, "run.csv", _results_payload(results, args.format))
     return 0

@@ -1,5 +1,5 @@
 """First-order formulas over graph vocabularies, with a text parser and a
-naive model checker.
+model checker.
 
 Vocabularies (all include adjacency and equality):
 
@@ -11,9 +11,9 @@ Vocabularies (all include adjacency and equality):
   LC_LE    + ternary clockwise-betweenness C(a, b, c)
 
 Interpretations are derived from the vertex numbering, so a model is just a
-graph plus a vocabulary tag.  Evaluation is direct recursive enumeration
-with short-circuiting; at the sizes and depths used here O(n^depth) is fine
-and trivially auditable.
+graph plus a vocabulary tag.  ``holds`` compiles a sentence once into
+closures, one variable slot per quantifier, and enumerates assignments with
+short-circuiting; at the sizes and depths used here O(n^depth) is fine.
 
 Text grammar (whitespace insignificant)::
 
@@ -29,7 +29,9 @@ Text grammar (whitespace insignificant)::
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -489,67 +491,52 @@ class LabeledModel:
 
 
 def holds(m: LabeledModel, f: Formula) -> bool:
-    """Satisfaction of a sentence by direct recursive evaluation."""
+    """Satisfaction of a sentence.  The formula is compiled into nested
+    closures, then run once.  Each quantifier owns a slot, and its body is
+    compiled with its variable mapped to that slot, so shadowing is settled
+    before any vertex is tried.  Connectives run left to right, quantifiers
+    try vertices 1..n in order, and both stop at the first decisive value."""
     if f.vocab is not m.vocab:
         raise VocabularyError(f"model vocabulary {m.vocab.value} != formula {f.vocab.value}")
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
-    g = m.graph
-    n = g.n
-    env: dict[str, int] = {}
+    n = m.n
+    binary = {Adj: m.graph.has_edge, Eq: operator.eq, Succ: m.succ, Le: operator.le}
+    slots: list[int] = []
 
-    def val(t: Term) -> int:
-        return env[t.name] if isinstance(t, Var) else m.constant(t.name)
+    def slot(t: Term, scope: dict[str, int]) -> int:
+        if isinstance(t, Var):
+            return scope[t.name]
+        slots.append(m.constant(t.name))
+        return len(slots) - 1
 
-    def ev(node: Node) -> bool:
+    def compile_node(node: Node, scope: dict[str, int]) -> Callable[[], bool]:
         match node:
-            case Adj(a, b):
-                return g.has_edge(val(a), val(b))
-            case Eq(a, b):
-                return val(a) == val(b)
-            case Succ(a, b):
-                return m.succ(val(a), val(b))
-            case Le(a, b):
-                return val(a) <= val(b)
+            case Adj(a, b) | Eq(a, b) | Succ(a, b) | Le(a, b):
+                rel, i, j = binary[type(node)], slot(a, scope), slot(b, scope)
+                return lambda: rel(slots[i], slots[j])
             case Cw(a, b, c):
-                return cw_holds(val(a), val(b), val(c))
+                i, j, k = slot(a, scope), slot(b, scope), slot(c, scope)
+                return lambda: cw_holds(slots[i], slots[j], slots[k])
             case Not(body):
-                return not ev(body)
+                p = compile_node(body, scope)
+                return lambda: not p()
             case And(l, r):
-                return ev(l) and ev(r)
+                p, q = compile_node(l, scope), compile_node(r, scope)
+                return lambda: p() and q()
             case Or(l, r):
-                return ev(l) or ev(r)
+                p, q = compile_node(l, scope), compile_node(r, scope)
+                return lambda: p() or q()
             case Implies(l, r):
-                return (not ev(l)) or ev(r)
-            case Forall(v, body):
-                shadow = env.get(v)
-                try:
-                    for x in range(1, n + 1):
-                        env[v] = x
-                        if not ev(body):
-                            return False
-                    return True
-                finally:
-                    if shadow is None:
-                        env.pop(v, None)
-                    else:
-                        env[v] = shadow
-            case Exists(v, body):
-                shadow = env.get(v)
-                try:
-                    for x in range(1, n + 1):
-                        env[v] = x
-                        if ev(body):
-                            return True
-                    return False
-                finally:
-                    if shadow is None:
-                        env.pop(v, None)
-                    else:
-                        env[v] = shadow
-        raise LogicError(f"unknown node {node!r}")
+                p, q = compile_node(l, scope), compile_node(r, scope)
+                return lambda: not p() or q()
+            case Forall(v, body) | Exists(v, body):
+                i, quant = len(slots), all if isinstance(node, Forall) else any
+                slots.append(0)
+                p = compile_node(body, {**scope, v: i})
+                return lambda: quant(p() for slots[i] in range(1, n + 1))
 
-    return ev(f.root)
+    return compile_node(f.root, {})()
 
 
 # --- sentence library -----------------------------------------------------------

@@ -161,11 +161,6 @@ def sample_line(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
     return sample(seq, n, rng, LINE)
 
 
-def sample_circle(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
-    """One draw of the circle model on [n]."""
-    return sample(seq, n, rng, CIRCLE)
-
-
 # --- midpoint growth chain ----------------------------------------------------
 #
 # With mid = floor(n/2), a pair {v, w} (v < w) of the stepped graph on [n+1] is:

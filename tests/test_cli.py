@@ -258,6 +258,17 @@ class TestConfigRunner:
         assert code == 0
         assert (tmp_path / "lemma_copies.csv").exists()
 
+    def test_preset_config_without_trials_matches_preset_command(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"preset = thm6_triangle\nmaster_seed = 5\nout = {tmp_path / 'run'}\n")
+        assert run(capsys, "run", str(cfg))[0] == 0
+        code, _, _ = run(
+            capsys, "--out", str(tmp_path / "preset"), "--seed", "5", "preset", "thm6_triangle"
+        )
+        assert code == 0
+        csv = "thm6_triangle.csv"
+        assert (tmp_path / "run" / csv).read_bytes() == (tmp_path / "preset" / csv).read_bytes()
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("this is not a config\n")

@@ -16,6 +16,7 @@ from ddgraphs.logic import (
     Adj,
     And,
     Const,
+    Cw,
     Eq,
     Exists,
     Forall,
@@ -26,6 +27,8 @@ from ddgraphs.logic import (
     Not,
     Or,
     Implies,
+    Le,
+    Succ,
     Var,
     Vocab,
     VocabularyError,
@@ -36,9 +39,9 @@ from ddgraphs.logic import (
     parse,
     to_text,
 )
-from ddgraphs.probseq import make_ones_powers
+from ddgraphs.probseq import make_constant, make_ones_powers
 from ddgraphs.rng import RngStream
-from ddgraphs.sampler import sample_line
+from ddgraphs.sampler import CIRCLE, LINE, sample, sample_line
 
 
 def brute_holds(m: LabeledModel, f: Formula) -> bool:
@@ -189,12 +192,15 @@ class TestHolds:
             holds(LabeledModel(complete_graph(3), Vocab.L), f)
 
     def test_power_support_c4_trace(self):
+        # false exactly at n <= 8 or n - 1 a power of four (see the
+        # derivation in test_acceptance::test_power_support_c4_trace)
         seq = make_ones_powers(4)
         c4 = library("edge_in_c4")
-        g16 = sample_line(seq, 16, RngStream(0))
-        g17 = sample_line(seq, 17, RngStream(0))
-        assert holds(LabeledModel(g16, Vocab.L), c4)
-        assert not holds(LabeledModel(g17, Vocab.L), c4)
+        false_at = [
+            n for n in range(4, 71)
+            if not holds(LabeledModel(sample_line(seq, n, RngStream(0)), Vocab.L), c4)
+        ]
+        assert false_at == [4, 5, 6, 7, 8, 17, 65]
 
     def test_negation_flips(self):
         tri = library("triangle")
@@ -234,20 +240,24 @@ class TestAgainstBruteForce:
                 m = LabeledModel(g, f.vocab)
                 assert holds(m, f) == brute_holds(m, f), (g.edges, f.name)
 
-    @given(st.integers(min_value=0, max_value=2**12 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_random_sentences_match_oracle(self, seed):
+    @given(st.integers(min_value=0, max_value=2**16 - 1), st.sampled_from(list(Vocab)))
+    @settings(max_examples=240, deadline=None)
+    def test_random_sentences_match_oracle(self, seed, vocab):
+        # every atom the vocabulary allows, constants included; binders are
+        # drawn from three names, so siblings and shadowing both occur
         rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        pairs = list(combinations(range(1, n + 1), 2))
-        g = make_graph(n, [p for p in pairs if rng.random() < 0.5])
+        n = rng.randint(1, 6)
+        g = sample(make_constant(0.5), n, RngStream(seed), CIRCLE if vocab.circular else LINE)
+        consts = [Const("first"), Const("last")] if vocab.has_constants else []
+        atoms = [Adj, Eq] + [Succ] * vocab.has_succ + [Le] * vocab.has_le + [Cw] * vocab.has_cw
 
         def gen(depth, scope):
             choices = ["atom"] * 2 + (["not", "and", "or", "imp", "q"] if depth > 0 else [])
             kind = rng.choice(choices)
-            if kind == "atom" and scope:
-                a, b = rng.choice(scope), rng.choice(scope)
-                return rng.choice([Adj(Var(a), Var(b)), Eq(Var(a), Var(b))])
+            terms = [Var(v) for v in scope] + consts
+            if kind == "atom" and terms:
+                atom = rng.choice(atoms)
+                return atom(*(rng.choice(terms) for _ in range(3 if atom is Cw else 2)))
             if kind == "atom":
                 kind = "q"
             if kind == "not":
@@ -258,11 +268,11 @@ class TestAgainstBruteForce:
                 return Or(gen(depth - 1, scope), gen(depth - 1, scope))
             if kind == "imp":
                 return Implies(gen(depth - 1, scope), gen(depth - 1, scope))
-            v = f"v{len(scope)}"
+            v = rng.choice("xyz")
             return rng.choice([Forall, Exists])(v, gen(depth - 1, scope + [v]))
 
-        f = Formula(gen(3, []), Vocab.L)
-        m = LabeledModel(g, Vocab.L)
+        f = Formula(gen(4, []), vocab)
+        m = LabeledModel(g, vocab)
         assert holds(m, f) == brute_holds(m, f)
 
     def test_order_and_circular_atoms_match_oracle(self):
@@ -282,6 +292,13 @@ class TestAgainstBruteForce:
             f = parse(text, vocab)
             m = LabeledModel(g, vocab)
             assert holds(m, f) == brute_holds(m, f), text
+        # g is mirror-symmetric, so no sentence tells C from its reverse on
+        # it; here y follows x clockwise and x has a second neighbour, which
+        # holds at x = 1 and fails with the orientation reversed
+        f = parse("exists x. exists y. adj(x, y) & (exists w. adj(x, w) & !w = y)"
+                  " & (forall z. z = x | z = y | C(x, y, z))", Vocab.LC_LE)
+        m = LabeledModel(make_graph(5, [(1, 2), (1, 4)]), Vocab.LC_LE)
+        assert holds(m, f) == brute_holds(m, f) is True
 
     def test_shadowed_variable(self):
         # the inner binding wins, and the outer value is restored afterwards
@@ -290,6 +307,14 @@ class TestAgainstBruteForce:
         assert holds(m, f) == brute_holds(m, f) is True
         g = parse("forall x. exists x. adj(x, x)", Vocab.L)
         assert holds(m, g) == brute_holds(m, g) is False
+        # the outer x is read after an inner x ran to n, or stopped at last
+        m = LabeledModel(complete_graph(3), Vocab.L_PLUS)
+        for text in ("exists x. (forall x. x = x) & x = first",
+                     "exists x. (exists x. x = last) & x = first",
+                     "(exists x. x = last)"
+                     " & (forall x. exists y. adj(x, y) & (exists x. x = first))"):
+            h = parse(text, Vocab.L_PLUS)
+            assert holds(m, h) == brute_holds(m, h) is True, text
 
     def test_connective_tables(self):
         a = parse("exists x. adj(x, x)", Vocab.L)  # always false

@@ -36,7 +36,6 @@ from ddgraphs.sampler import (
     markov_step_rows,
     sample,
     sample_batch,
-    sample_circle,
     sample_line,
 )
 
@@ -248,10 +247,10 @@ class TestLineSampling:
 
 class TestCircleSampling:
     def test_unit_circle_complete(self):
-        assert sample_circle(make_constant(1.0), 4, RngStream(1)) == complete_graph(4)
+        assert sample(make_constant(1.0), 4, RngStream(1), CIRCLE) == complete_graph(4)
 
     def test_distance_wraps(self):
-        g = sample_circle(make_support({1: 1.0}), 6, RngStream(0))
+        g = sample(make_support({1: 1.0}), 6, RngStream(0), CIRCLE)
         want = {(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)}
         assert g.edges == frozenset(want)
 
@@ -260,12 +259,12 @@ class TestCircleSampling:
 
     def test_support_above_half_is_inert(self):
         seq = make_support({10: 1.0})
-        assert sample_circle(seq, 12, RngStream(3)).m == 0
+        assert sample(seq, 12, RngStream(3), CIRCLE).m == 0
 
     def test_geometric_support_triangle_free_below_alignment(self):
         seq = make_thm6([0.5] * 3)
         for t in range(200):
-            g = sample_circle(seq, 17, RngStream(2, t))
+            g = sample(seq, 17, RngStream(2, t), CIRCLE)
             assert all(min(w - v, 17 - (w - v)) == 6 for v, w in g.edges)
             assert count_triangles(g) == 0
 
