@@ -15,8 +15,8 @@ vocabulary, or ``presets.has_triangle_predicate``) compile to column
 kernels that read only their clauses' pair columns, the only ones Monte
 Carlo hashes, and decide a block with one ``clause_hits`` reduction.  Other
 targets, and triangles on tables with more than 16 triangles per pair,
-build each row's graph and run ``holds`` or the predicate.  Blocks are
-bounded by ``CELL_BUDGET``, not by a trial or subset count.
+build each row's graph and run the compiled sentence or the predicate.
+Blocks are bounded by ``CELL_BUDGET``, not by a trial or subset count.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph
-from .logic import Formula, LabeledModel, holds, library
-from .probseq import ProbSeq, support_table
+from .logic import Formula, LabeledModel, compile_sentence, library
+from .probseq import ProbSeq, ordered_sum, support_table
 from .rng import derived_streams
 from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
 
@@ -165,13 +165,14 @@ def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Cal
     row of ``rows[:, columns]``.  Compiled targets (see ``_clauses``) read
     their clauses' columns and decide a block with one ``clause_hits``
     reduction; every other target reads every column and builds each row's
-    graph to run ``holds`` or the predicate on it.
+    graph to run the predicate, or the sentence compiled once, on it.
     """
     clauses = _clauses(target, batch)
     if clauses is None:
         check = target
         if isinstance(target, Formula):
-            check = lambda g: holds(LabeledModel(g, target.vocab), target)
+            run = compile_sentence(target)
+            check = lambda g: run(LabeledModel(g, target.vocab))
         return np.arange(len(batch.v)), len(batch.v), lambda rows: np.fromiter(
             (check(batch.graph_from_row(row)) for row in rows), bool, len(rows))
     read = np.zeros(len(batch.v), dtype=bool)
@@ -318,8 +319,7 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
             present = (leaf >> (f - 1 - j)) & 1 == 0
             rows[:, column] = present
             weight *= np.where(present, p, 1.0 - p)
-        # cumsum adds in order, unlike np.sum's pairwise reduction
-        total = float(np.cumsum(np.append(total, weight[decide(rows[:, columns])]))[-1])
+        total = ordered_sum(weight[decide(rows[:, columns])], total)
     return total
 
 

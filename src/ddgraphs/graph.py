@@ -249,131 +249,61 @@ def cw_holds(a, b, c):
     return ((a <= b) & (b <= c)) | ((b <= c) & (c <= a)) | ((c <= a) & (a <= b))
 
 
-def _h_components(h: Subgraph) -> list[list[int]]:
-    k = h.k
+def _components(h: Subgraph) -> list[list[int]]:
+    """The connected components of h over 1..k, each in BFS order from its
+    least vertex."""
     seen: set[int] = set()
     comps = []
-    for start in range(1, k + 1):
-        if start in seen:
+    for root in range(1, h.k + 1):
+        if root in seen:
             continue
-        comp, stack = [], [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for x in range(1, k + 1):
+        comp = [root]
+        seen.add(root)
+        for u in comp:  # comp grows while it is walked: a BFS queue
+            for x in range(1, h.k + 1):
                 if x not in seen and h.has_edge(u, x):
                     seen.add(x)
-                    stack.append(x)
+                    comp.append(x)
         comps.append(comp)
     return comps
 
 
-def _bfs_order(h: Subgraph, comp: list[int]) -> list[int]:
-    order, seen = [comp[0]], {comp[0]}
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
-        for x in comp:
-            if x not in seen and h.has_edge(u, x):
-                seen.add(x)
-                order.append(x)
-    return order
+def _placeable(h: Subgraph, order: list[int], supp: list[int], n: int, succ: bool) -> bool:
+    """Do the vertices in ``order`` have witnesses in 1..n with every h-edge
+    among them at a support distance, and, with ``succ``, w_j = w_i + 1
+    exactly when position j follows position i on the host circle?  Placed
+    in ``order``: a vertex with an h-neighbour already placed tries only that
+    neighbour's witness +- each support distance, any other tries 1..n."""
+    supp_set, deltas = set(supp), supp + [-d for d in supp]
+    pos, host = h.positions, h.host_n
+    follows = lambda i, j: pos[j - 1] == pos[i - 1] % host + 1
+    # per vertex: its placed h-neighbours, and (placed vertex, w = w_s + 1, w_s = w + 1)
+    nbrs = [[s for s in range(t) if h.has_edge(order[s], order[t])] for t in range(len(order))]
+    ties = [[(s, follows(order[s], order[t]), follows(order[t], order[s])) for s in range(t)]
+            if succ else [] for t in range(len(order))]
+    w = [0] * len(order)
 
-
-def _place_lc_component(order: list[int], h: Subgraph, supp: list[int], n: int) -> bool:
-    # anchor the root at every start; children constrained only through h-edges
-    deltas = [d for d in supp] + [-d for d in supp]
-
-    def extend(assign: dict[int, int], pos: int) -> bool:
-        if pos == len(order):
+    def extend(t: int) -> bool:
+        if t == len(order):
             return True
-        u = order[pos]
-        placed_nbrs = [t for t in assign if h.has_edge(u, t)]
-        anchor = placed_nbrs[0]
-        for d in deltas:
-            w = assign[anchor] + d
-            if not 1 <= w <= n:
-                continue
-            if all(abs(w - assign[t]) in supp_set for t in placed_nbrs):
-                assign[u] = w
-                if extend(assign, pos + 1):
+        near, tie = nbrs[t], ties[t]
+        for x in [w[near[0]] + d for d in deltas] if near else range(1, n + 1):
+            if (1 <= x <= n and all(abs(x - w[s]) in supp_set for s in near)
+                    and all((x == w[s] + 1) == a and (w[s] == x + 1) == b for s, a, b in tie)):
+                w[t] = x
+                if extend(t + 1):
                     return True
-                del assign[u]
         return False
 
-    supp_set = set(supp)
-    for start in range(1, n + 1):
-        assign = {order[0]: start}
-        if extend(assign, 1):
-            return True
-    return False
-
-
-def _place_lc_plus(h: Subgraph, supp: list[int], n: int) -> bool:
-    # the successor biconditional couples every vertex pair, so the search
-    # places all k vertices jointly
-    k = h.k
-    supp_set = set(supp)
-    host = h.host_n
-    verts = list(range(1, k + 1))
-
-    def host_succ(i: int, j: int) -> bool:
-        # v_j = v_i + 1 (mod host)
-        vi, vj = h.positions[i - 1], h.positions[j - 1]
-        return vj == (vi % host) + 1
-
-    def consistent(assign: dict[int, int], u: int, w: int) -> bool:
-        for t, wt in assign.items():
-            if t == u:
-                continue
-            if h.has_edge(u, t) and abs(w - wt) not in supp_set:
-                return False
-            if (w == wt + 1) != host_succ(t, u):
-                return False
-            if (wt == w + 1) != host_succ(u, t):
-                return False
-        return True
-
-    def extend(assign: dict[int, int], pos: int) -> bool:
-        if pos == len(verts):
-            return True
-        u = verts[pos]
-        for w in range(1, n + 1):
-            if consistent(assign, u, w):
-                assign[u] = w
-                if extend(assign, pos + 1):
-                    return True
-                del assign[u]
-        return False
-
-    return extend({}, 0)
+    return extend(0)
 
 
 def _flat_le(h: Subgraph, n: int) -> bool:
-    k = h.k
-    pos = h.positions
-    for i in range(1, k + 1):
-        ok = True
-        for ip in range(1, k + 1):
-            if ip == i:
-                continue
-            for ipp in range(1, k + 1):
-                if ipp in (i, ip):
-                    continue
-                if not cw_holds(pos[i - 1], pos[ip - 1], pos[ipp - 1]):
-                    continue
-                if abs(pos[ip - 1] - pos[i - 1]) + abs(pos[i - 1] - pos[ipp - 1]) > n / 2:
-                    continue
-                if h.has_edge(ip, ipp):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    p = (0, *h.positions)
+    pairs = [*h.edges, *((b, a) for a, b in h.edges)]
+    return any(all(i in (a, b) or not cw_holds(p[i], p[a], p[b])
+                   or abs(p[a] - p[i]) + abs(p[i] - p[b]) > n / 2 for a, b in pairs)
+               for i in range(1, h.k + 1))
 
 
 def is_flat(seq: ProbSeq, n: int, h: Subgraph, variant: str) -> bool:
@@ -392,14 +322,10 @@ def is_flat(seq: ProbSeq, n: int, h: Subgraph, variant: str) -> bool:
         return _flat_le(h, n)
     supp = support_table(seq, n - 1)[0].tolist()
     if variant == "LC":
-        for comp in _h_components(h):
-            if len(comp) == 1:
-                continue  # unconstrained, place anywhere
-            if not _place_lc_component(_bfs_order(h, comp), h, supp, n):
-                return False
-        return True
+        # components share no constraint, so each is searched on its own
+        return all(_placeable(h, comp, supp, n, False) for comp in _components(h) if len(comp) > 1)
     if variant == "LC_PLUS":
-        return _place_lc_plus(h, supp, n)
+        return _placeable(h, list(range(1, h.k + 1)), supp, n, True)
     raise GraphError(f"unknown flatness variant {variant!r}")
 
 

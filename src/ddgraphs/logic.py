@@ -11,9 +11,9 @@ Vocabularies (all include adjacency and equality):
   LC_LE    + ternary clockwise-betweenness C(a, b, c)
 
 Interpretations are derived from the vertex numbering, so a model is just a
-graph plus a vocabulary tag.  ``holds`` compiles a sentence once into
-closures, one variable slot per quantifier, and enumerates assignments with
-short-circuiting; at the sizes and depths used here O(n^depth) is fine.
+graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence into
+closures once, one variable slot per quantifier, that enumerate assignments
+on any model with short-circuiting; at these sizes O(n^depth) is fine.
 
 Text grammar (whitespace insignificant)::
 
@@ -29,7 +29,6 @@ Text grammar (whitespace insignificant)::
 
 from __future__ import annotations
 
-import operator
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -491,30 +490,34 @@ class LabeledModel:
 
 
 def holds(m: LabeledModel, f: Formula) -> bool:
-    """Satisfaction of a sentence.  The formula is compiled into nested
-    closures, then run once.  Each quantifier owns a slot, and its body is
-    compiled with its variable mapped to that slot, so shadowing is settled
-    before any vertex is tried.  Connectives run left to right, quantifiers
-    try vertices 1..n in order, and both stop at the first decisive value."""
+    """Satisfaction of a sentence: ``compile_sentence(f)`` run on ``m``."""
     if f.vocab is not m.vocab:
         raise VocabularyError(f"model vocabulary {m.vocab.value} != formula {f.vocab.value}")
+    return compile_sentence(f)(m)
+
+
+def compile_sentence(f: Formula) -> Callable[[LabeledModel], bool]:
+    """``f`` compiled once into nested closures, as a check that binds a model
+    of its vocabulary (n, adj, succ, constants) and runs them.  Each quantifier
+    owns a slot and its body is compiled with its variable mapped to it, so
+    shadowing is settled before any vertex is tried.  Connectives run left to
+    right, quantifiers try 1..n in order; both stop at the first decisive value."""
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
-    n = m.n
-    binary = {Adj: m.graph.has_edge, Eq: operator.eq, Succ: m.succ, Le: operator.le}
-    slots: list[int] = []
+    n, adj, succ = 0, None, None
+    slots = [0, 0]  # first and last, then one per quantifier
+    binary = {Adj: lambda i, j: lambda: adj(slots[i], slots[j]),
+              Eq: lambda i, j: lambda: slots[i] == slots[j],
+              Succ: lambda i, j: lambda: succ(slots[i], slots[j]),
+              Le: lambda i, j: lambda: slots[i] <= slots[j]}
 
     def slot(t: Term, scope: dict[str, int]) -> int:
-        if isinstance(t, Var):
-            return scope[t.name]
-        slots.append(m.constant(t.name))
-        return len(slots) - 1
+        return scope[t.name] if isinstance(t, Var) else int(t.name == "last")
 
     def compile_node(node: Node, scope: dict[str, int]) -> Callable[[], bool]:
         match node:
             case Adj(a, b) | Eq(a, b) | Succ(a, b) | Le(a, b):
-                rel, i, j = binary[type(node)], slot(a, scope), slot(b, scope)
-                return lambda: rel(slots[i], slots[j])
+                return binary[type(node)](slot(a, scope), slot(b, scope))
             case Cw(a, b, c):
                 i, j, k = slot(a, scope), slot(b, scope), slot(c, scope)
                 return lambda: cw_holds(slots[i], slots[j], slots[k])
@@ -536,7 +539,15 @@ def holds(m: LabeledModel, f: Formula) -> bool:
                 p = compile_node(body, {**scope, v: i})
                 return lambda: quant(p() for slots[i] in range(1, n + 1))
 
-    return compile_node(f.root, {})()
+    root = compile_node(f.root, {})
+
+    def run(m: LabeledModel) -> bool:
+        nonlocal n, adj, succ
+        n, adj, succ = m.n, m.graph.has_edge, m.succ
+        slots[:2] = m.constant("first"), m.constant("last")
+        return root()
+
+    return run
 
 
 # --- sentence library -----------------------------------------------------------

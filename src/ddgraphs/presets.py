@@ -52,6 +52,7 @@ from .probseq import (
     make_thm2,
     make_thm3,
     make_thm6,
+    ordered_sum,
 )
 from .rng import RngStream, keyed_u64_array
 from .sampler import CIRCLE, LINE, PairBatch, markov_step_rows, sample_batch, sample_line
@@ -286,8 +287,7 @@ def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[flo
         for hist, rows in ((chain, stepped), (direct, drawn)):
             hist += np.bincount(estimator.clause_hits(rows, triples).sum(0), minlength=len(hist))
     keys = np.flatnonzero(chain + direct).tolist()
-    # cumsum adds left to right; builtin sum() of floats is compensated on 3.12+
-    tv = 0.5 * float(np.cumsum(np.append(0.0, np.abs(chain - direct)[keys] / trials))[-1])
+    tv = 0.5 * ordered_sum(np.abs(chain - direct)[keys] / trials)
     table = "triangles,freq_chain,freq_direct\n" + "".join(
         f"{k},{chain[k] / trials:.12g},{direct[k] / trials:.12g}\n" for k in keys
     )

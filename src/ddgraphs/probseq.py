@@ -16,6 +16,7 @@ choice still yields a well-defined sequence.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -141,32 +142,36 @@ Rule = IndexRule | BandRule | TailRule | GeneratedRule
 def _check_overlaps(rules: Sequence[Rule], probe_cap: int = 256) -> None:
     """Reject matcher sets that overlap with conflicting values.
 
-    Overlap detection probes a bounded set of indices per rule pair (finite
-    rules are probed exactly up to the cap); the constructors in this module
-    only build pairwise-disjoint matchers, so the probe is a safety net for
-    hand-assembled rule lists.
+    Interval rules (index, band, tail) are compared at every index of a
+    finite overlap; two overlapping open tails are rejected outright.  A pair
+    with a ``GeneratedRule`` is probed only at the generated indices up to
+    16 * ``probe_cap`` and the other rule's up to ``probe_cap`` past its start
+    (and a band's top): ``make_ones_powers(4)`` against ``TailRule(5000, ...)``
+    first conflicts at 16384 and is accepted.  The constructors here only
+    build disjoint matchers; this is a safety net for hand-assembled lists.
     """
-    probes: list[set[int]] = []
-    for r in rules:
-        if isinstance(r, IndexRule):
-            probes.append({r.index})
-        elif isinstance(r, BandRule):
-            pts = set(range(r.lo, min(r.hi, r.lo + probe_cap) + 1))
-            pts.add(r.hi)
-            probes.append(pts)
-        elif isinstance(r, TailRule):
-            probes.append(set(range(r.lo, r.lo + probe_cap)))
+
+    def span(r: Rule) -> tuple[int, float]:
+        return (r.index, r.index) if isinstance(r, IndexRule) else (r.lo, getattr(r, "hi", math.inf))
+
+    def probe(r: Rule) -> set[int]:
+        if isinstance(r, GeneratedRule):
+            return set(r.upto(probe_cap * 16))
+        lo, hi = span(r)
+        return set(r.indices_upto(lo + probe_cap)) | ({hi} if hi < math.inf else set())
+
+    for (a, ra), (b, rb) in itertools.combinations(enumerate(rules), 2):
+        if isinstance(ra, GeneratedRule) or isinstance(rb, GeneratedRule):
+            shared = [i for i in sorted(probe(ra) | probe(rb)) if ra.matches(i) and rb.matches(i)]
         else:
-            probes.append(set(r.upto(probe_cap * 16)))
-    for a in range(len(rules)):
-        for b in range(a + 1, len(rules)):
-            for i in sorted(probes[a] | probes[b]):
-                if rules[a].matches(i) and rules[b].matches(i):
-                    va, vb = rules[a].value_at(i), rules[b].value_at(i)
-                    if va != vb:
-                        raise RuleOverlapError(
-                            f"rules {a} and {b} both match i={i} with values {va} != {vb}"
-                        )
+            lo, hi = max(span(ra)[0], span(rb)[0]), min(span(ra)[1], span(rb)[1])
+            if hi == math.inf:
+                raise RuleOverlapError(f"rules {a} and {b} are open tails that both match i >= {lo}")
+            shared = range(lo, hi + 1)
+        for i in shared:
+            va, vb = ra.value_at(i), rb.value_at(i)
+            if va != vb:
+                raise RuleOverlapError(f"rules {a} and {b} both match i={i} with values {va} != {vb}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +203,6 @@ class ProbSeq:
                     raise SequenceError(f"rule produced {v} outside [0,1] at i={i}")
                 return v
         return 0.0
-
-    def __call__(self, i: int) -> float:
-        return self.eval(i)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "meta": self.meta}
@@ -538,6 +540,12 @@ def from_json(text: str) -> ProbSeq:
 # --- analysis ----------------------------------------------------------------
 
 
+def ordered_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """start + values[0] + values[1] + ..., left to right on every Python:
+    builtin ``sum`` of floats is compensated on 3.12+, ``np.sum`` pairwise."""
+    return float(np.cumsum(np.append(start, values))[-1])
+
+
 def support_table(seq: ProbSeq, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The support up to n: the sorted indices i <= n with p(i) > 0 (int64)
     and p at each (float64); empty for n < 1.  Evaluates p once per
@@ -601,8 +609,7 @@ def condition_statistic(seq: ProbSeq, n: int, kind: str) -> float:
     if kind == "C3_SUM":
         if n < 1:
             raise ValueError("n must be >= 1")
-        # cumsum adds left to right; builtin sum() of floats is compensated on 3.12+
-        return float(np.cumsum(np.append(0.0, support_table(seq, n)[1]))[-1])
+        return ordered_sum(support_table(seq, n)[1])
     if kind == "C5":
         return _log_miss_sum(seq, n, weighted=True)
     raise ValueError(f"unknown statistic kind {kind!r}")

@@ -1,6 +1,7 @@
 """Graph predicates against small brute-force oracles."""
 
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,26 @@ class TestFlatness:
         seq = make_support({1: 0.5})
         h = Subgraph(10, (1, 5, 9))  # no edges at all
         assert is_flat(seq, 10, h, "LC")
+
+    def test_lc_and_lc_plus_match_brute_force(self):
+        # every witness tuple in [1, n]^k, checked against the docstring's definitions
+        rng = random.Random(11)
+        for _ in range(2000):
+            host, n = rng.randint(2, 12), rng.randint(1, 9)
+            k = rng.randint(0, min(4, host))
+            pos = tuple(rng.sample(range(1, host + 1), k))
+            density = rng.random()
+            edges = frozenset(e for e in combinations(range(1, k + 1), 2) if rng.random() < density)
+            supp = {d for d in range(1, 10) if rng.random() < rng.choice((0.15, 0.3, 0.6))}
+            seq, h = make_support({d: 0.5 for d in supp}), Subgraph(host, pos, edges)
+            for variant in ("LC", "LC_PLUS"):
+                expected = any(
+                    all(abs(w[a - 1] - w[b - 1]) in supp for a, b in edges)
+                    and (variant == "LC" or all(
+                        (w[j] == w[i] + 1) == (pos[j] == pos[i] % host + 1)
+                        for i in range(k) for j in range(k) if i != j))
+                    for w in product(range(1, n + 1), repeat=k))
+                assert is_flat(seq, n, h, variant) == expected, (host, pos, edges, supp, n, variant)
 
 
 class TestEdgeListFormat:

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from ddgraphs.graph import complete_graph, edgeless_graph, make_graph
 from ddgraphs.presets import NAMED_SEQUENCES
 from ddgraphs.probseq import (
+    BandRule,
     IndexRule,
     IndexBudgetError,
     ProbSeq,
     RuleOverlapError,
     ScaleWarning,
     SequenceError,
+    TailRule,
     condition_statistic,
     from_json,
     is_admissible,
@@ -402,6 +404,24 @@ class TestRuleSemantics:
     def test_identical_overlap_allowed(self):
         s = ProbSeq(rules=(IndexRule(3, 0.5), IndexRule(3, 0.5)))
         assert s.eval(3) == 0.5
+
+    def test_rejects_band_conflict_at_every_index(self):
+        # the bands differ only at 500, far past the first few hundred indices
+        with pytest.raises(RuleOverlapError, match="i=500"):
+            ProbSeq(rules=(BandRule(1, 1000, lambda i: 0.5),
+                           BandRule(1, 1000, lambda i: 0.25 if i == 500 else 0.5)))
+        s = ProbSeq(rules=(BandRule(1, 1000, lambda i: 0.5), IndexRule(1000, 0.5),
+                           TailRule(1001, lambda i: 0.1)))
+        assert (s.eval(1000), s.eval(1001)) == (0.5, 0.1)
+
+    def test_rejects_overlapping_open_tails(self):
+        with pytest.raises(RuleOverlapError, match="open tails"):
+            ProbSeq(rules=(TailRule(1, lambda i: 0.5), TailRule(7, lambda i: 0.5)))
+
+    def test_generated_rule_conflict_is_probed(self):
+        powers = make_ones_powers(4).rules[0]
+        with pytest.raises(RuleOverlapError, match="i=16"):
+            ProbSeq(rules=(powers, BandRule(10, 20, lambda i: 0.5)))
 
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
