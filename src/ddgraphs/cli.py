@@ -172,8 +172,6 @@ def cmd_scan(args) -> int:
     seq = resolve_sequence(args.seq)
     kind = _model_kind(args.model)
     ns = [int(x) for x in args.n_list.split(",")]
-    if not ns:
-        raise CliError("empty n list")
     if args.jobs > 1:
         payloads = [(seq.to_json(), args.target, kind, n, args.trials, args.seed) for n in ns]
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -273,7 +273,11 @@ def _placeable(h: Subgraph, order: list[int], supp: list[int], n: int, succ: boo
     among them at a support distance, and, with ``succ``, w_j = w_i + 1
     exactly when position j follows position i on the host circle?  Placed
     in ``order``: a vertex with an h-neighbour already placed tries only that
-    neighbour's witness +- each support distance, any other tries 1..n."""
+    neighbour's witness +- each support distance.  With ``succ`` any other
+    vertex tries 1..n.  Without it ``order`` is a component in BFS order, so
+    only its first vertex has no placed neighbour; as only differences of
+    witnesses matter, it sits at 0 and the witnesses need only span at most
+    n - 1, which shifts them into 1..n."""
     supp_set, deltas = set(supp), supp + [-d for d in supp]
     pos, host = h.positions, h.host_n
     follows = lambda i, j: pos[j - 1] == pos[i - 1] % host + 1
@@ -287,8 +291,12 @@ def _placeable(h: Subgraph, order: list[int], supp: list[int], n: int, succ: boo
         if t == len(order):
             return True
         near, tie = nbrs[t], ties[t]
-        for x in [w[near[0]] + d for d in deltas] if near else range(1, n + 1):
-            if (1 <= x <= n and all(abs(x - w[s]) in supp_set for s in near)
+        if succ:
+            lo, hi, free = 1, n, range(1, n + 1)
+        else:  # within n - 1 of every placed witness; only the first is free, at 0
+            lo, hi, free = max(w[:t], default=0) - n + 1, min(w[:t], default=0) + n - 1, [0]
+        for x in [w[near[0]] + d for d in deltas] if near else free:
+            if (lo <= x <= hi and all(abs(x - w[s]) in supp_set for s in near)
                     and all((x == w[s] + 1) == a and (w[s] == x + 1) == b for s, a, b in tie)):
                 w[t] = x
                 if extend(t + 1):

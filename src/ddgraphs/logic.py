@@ -15,7 +15,8 @@ graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence into
 closures once, one variable slot per quantifier, that enumerate assignments
 on any model with short-circuiting; at these sizes O(n^depth) is fine.
 
-Text grammar (whitespace insignificant)::
+Text grammar (whitespace insignificant; the tables ``_ATOMS``, ``_BINARY``
+and ``_QUANTIFIERS`` hold its words, and ``_children`` its tree shapes)::
 
     formula := ("forall"|"exists") VAR "." formula | imp
     imp     := or ("->" imp)?
@@ -105,33 +106,41 @@ class Const:
 Term = Var | Const
 
 
+class Atom:
+    """An atomic formula; ``terms`` are its fields in order."""
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(getattr(self, k) for k in self.__match_args__)
+
+
 @dataclass(frozen=True)
-class Adj:
+class Adj(Atom):
     a: Term
     b: Term
 
 
 @dataclass(frozen=True)
-class Succ:
+class Succ(Atom):
     a: Term
     b: Term
 
 
 @dataclass(frozen=True)
-class Le:
+class Le(Atom):
     a: Term
     b: Term
 
 
 @dataclass(frozen=True)
-class Cw:
+class Cw(Atom):
     a: Term
     b: Term
     c: Term
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(Atom):
     a: Term
     b: Term
 
@@ -171,62 +180,62 @@ class Exists:
     body: "Node"
 
 
-Node = Adj | Succ | Le | Cw | Eq | Not | And | Or | Implies | Forall | Exists
+Node = Atom | Not | And | Or | Implies | Forall | Exists
+
+# --- grammar tables -------------------------------------------------------------
+
+# Each atom's text template ("name(...)" is prefix, "{} op {}" infix), the
+# Vocab flag it needs (None: every vocabulary) and its name in errors.
+_ATOMS: dict[type[Atom], tuple[str, str | None, str | None]] = {
+    Adj: ("adj({}, {})", None, None),
+    Succ: ("succ({}, {})", "has_succ", "succ"),
+    Le: ("{} <= {}", "has_le", "<="),
+    Cw: ("C({}, {}, {})", "has_cw", "C(...)"),
+    Eq: ("{} = {}", None, None),
+}
+# Binary connectives, loosest first: symbol, and whether it groups to the right.
+_BINARY: dict[type, tuple[str, bool]] = {Implies: ("->", True), Or: ("|", False), And: ("&", False)}
+_QUANTIFIERS: dict[type, str] = {Forall: "forall", Exists: "exists"}
+
+_PREFIX = {t.split("(")[0]: cls for cls, (t, _, _) in _ATOMS.items() if not t.startswith("{")}
+_INFIX = {t.split()[1]: cls for cls, (t, _, _) in _ATOMS.items() if t.startswith("{")}
+_CONSTANTS = ("first", "last")
+_KEYWORDS = {*_QUANTIFIERS.values(), *_PREFIX, *_CONSTANTS}
 
 
-def _node_depth(node: Node) -> int:
+def _children(node: Node) -> tuple[Node, ...]:
     match node:
-        case Forall(_, body) | Exists(_, body):
-            return 1 + _node_depth(body)
-        case Not(body):
-            return _node_depth(body)
+        case Atom():
+            return ()
+        case Not(body) | Forall(_, body) | Exists(_, body):
+            return (body,)
         case And(l, r) | Or(l, r) | Implies(l, r):
-            return max(_node_depth(l), _node_depth(r))
-        case _:
-            return 0
-
-
-def _free_vars(node: Node, bound: frozenset[str]) -> set[str]:
-    match node:
-        case Adj(a, b) | Succ(a, b) | Le(a, b) | Eq(a, b):
-            return {t.name for t in (a, b) if isinstance(t, Var) and t.name not in bound}
-        case Cw(a, b, c):
-            return {t.name for t in (a, b, c) if isinstance(t, Var) and t.name not in bound}
-        case Not(body):
-            return _free_vars(body, bound)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            return _free_vars(l, bound) | _free_vars(r, bound)
-        case Forall(v, body) | Exists(v, body):
-            return _free_vars(body, bound | {v})
+            return (l, r)
     raise LogicError(f"unknown node {node!r}")
 
 
-def _check_vocab(node: Node, vocab: Vocab) -> None:
-    def term_ok(t: Term):
-        if isinstance(t, Const) and not vocab.has_constants:
-            raise VocabularyError(f"constant {t.name!r} not available in {vocab.value}")
+def _node_depth(node: Node) -> int:
+    return (type(node) in _QUANTIFIERS) + max(map(_node_depth, _children(node)), default=0)
 
-    match node:
-        case Adj(a, b) | Eq(a, b):
-            term_ok(a), term_ok(b)
-        case Succ(a, b):
-            if not vocab.has_succ:
-                raise VocabularyError(f"succ not available in {vocab.value}")
-            term_ok(a), term_ok(b)
-        case Le(a, b):
-            if not vocab.has_le:
-                raise VocabularyError(f"<= not available in {vocab.value}")
-            term_ok(a), term_ok(b)
-        case Cw(a, b, c):
-            if not vocab.has_cw:
-                raise VocabularyError(f"C(...) not available in {vocab.value}")
-            term_ok(a), term_ok(b), term_ok(c)
-        case Not(body):
-            _check_vocab(body, vocab)
-        case And(l, r) | Or(l, r) | Implies(l, r):
-            _check_vocab(l, vocab), _check_vocab(r, vocab)
-        case Forall(_, body) | Exists(_, body):
-            _check_vocab(body, vocab)
+
+def _free_vars(node: Node, bound: frozenset[str]) -> set[str]:
+    if isinstance(node, Atom):
+        return {t.name for t in node.terms if isinstance(t, Var) and t.name not in bound}
+    if type(node) in _QUANTIFIERS:
+        bound = bound | {node.var}
+    return set().union(*(_free_vars(c, bound) for c in _children(node)))
+
+
+def _check_vocab(node: Node, vocab: Vocab) -> None:
+    if isinstance(node, Atom):
+        _, flag, name = _ATOMS[type(node)]
+        if flag and not getattr(vocab, flag):
+            raise VocabularyError(f"{name} not available in {vocab.value}")
+        for t in node.terms:
+            if isinstance(t, Const) and not vocab.has_constants:
+                raise VocabularyError(f"constant {t.name!r} not available in {vocab.value}")
+    for c in _children(node):
+        _check_vocab(c, vocab)
 
 
 @dataclass(frozen=True)
@@ -258,31 +267,18 @@ class Formula:
 
 # --- parser -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<le><=)|(?P<sym>[().,|&!=])|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
-_KEYWORDS = {"forall", "exists", "adj", "succ", "C", "first", "last"}
+_TOKEN_RE = re.compile(r"\s*(?:(->|<=|[().,|&!=]|[A-Za-z_][A-Za-z0-9_]*)|\Z)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """``(text, offset)`` pairs, ending with ``("", len(text))``."""
     tokens, pos = [], 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise FormulaSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        if m.group("arrow"):
-            tokens.append(("arrow", "->", m.start("arrow")))
-        elif m.group("le"):
-            tokens.append(("le", "<=", m.start("le")))
-        elif m.group("sym"):
-            tokens.append(("sym", m.group("sym"), m.start("sym")))
-        else:
-            tokens.append(("word", m.group("word"), m.start("word")))
+    while m := _TOKEN_RE.match(text, pos):
+        if not m.group(1):
+            return tokens + [("", len(text))]
+        tokens.append((m.group(1), m.start(1)))
         pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+    raise FormulaSyntaxError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
 
 
 class _Parser:
@@ -290,102 +286,80 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
 
-    def peek(self):
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        return self.tokens[self.i][0]
 
-    def take(self):
+    def take(self) -> tuple[str, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
-    def expect(self, kind: str, value: str | None = None):
-        k, v, pos = self.take()
-        if k != kind or (value is not None and v != value):
-            raise FormulaSyntaxError(f"expected {value or kind!r}, found {v!r}", pos)
-        return v
+    def expect(self, want: str) -> None:
+        v, pos = self.take()
+        if v != want:
+            raise FormulaSyntaxError(f"expected {want!r}, found {v!r}", pos)
 
     def formula(self) -> Node:
-        k, v, _ = self.peek()
-        if k == "word" and v in ("forall", "exists"):
-            self.take()
-            _, name, pos = self.take()
-            if name in _KEYWORDS or not name:
-                raise FormulaSyntaxError(f"bad variable name {name!r}", pos)
-            self.expect("sym", ".")
-            body = self.formula()
-            return Forall(name, body) if v == "forall" else Exists(name, body)
-        return self.imp()
+        quant = {word: cls for cls, word in _QUANTIFIERS.items()}.get(self.peek())
+        if quant is None:
+            return self.binary(0)
+        self.take()
+        name, pos = self.take()
+        if not name.isidentifier() or name in _KEYWORDS:
+            raise FormulaSyntaxError(f"bad variable name {name!r}", pos)
+        self.expect(".")
+        return quant(name, self.formula())
 
-    def imp(self) -> Node:
-        left = self.disj()
-        if self.peek()[0] == "arrow":
+    def binary(self, level: int) -> Node:
+        if level == len(_BINARY):
+            return self.neg()
+        cls, (op, right) = list(_BINARY.items())[level]
+        node = self.binary(level + 1)
+        while self.peek() == op:
             self.take()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self) -> Node:
-        node = self.conj()
-        while self.peek()[:2] == ("sym", "|"):
-            self.take()
-            node = Or(node, self.conj())
-        return node
-
-    def conj(self) -> Node:
-        node = self.neg()
-        while self.peek()[:2] == ("sym", "&"):
-            self.take()
-            node = And(node, self.neg())
+            if right:
+                return cls(node, self.binary(level))
+            node = cls(node, self.binary(level + 1))
         return node
 
     def neg(self) -> Node:
-        k, v, _ = self.peek()
-        if (k, v) == ("sym", "!"):
+        if self.peek() == "!":
             self.take()
             return Not(self.neg())
-        if (k, v) == ("sym", "("):
+        if self.peek() == "(":
             self.take()
             node = self.formula()
-            self.expect("sym", ")")
+            self.expect(")")
             return node
         return self.atom()
 
     def term(self) -> Term:
-        k, v, pos = self.take()
-        if k != "word":
+        v, pos = self.take()
+        if not v.isidentifier():
             raise FormulaSyntaxError(f"expected a term, found {v!r}", pos)
-        if v in ("first", "last"):
+        if v in _CONSTANTS:
             return Const(v)
         if v in _KEYWORDS:
             raise FormulaSyntaxError(f"keyword {v!r} is not a term", pos)
         return Var(v)
 
     def atom(self) -> Node:
-        k, v, pos = self.peek()
-        if k == "word" and v in ("adj", "succ"):
+        cls = _PREFIX.get(self.peek())
+        if cls is not None:
             self.take()
-            self.expect("sym", "(")
-            a = self.term()
-            self.expect("sym", ",")
-            b = self.term()
-            self.expect("sym", ")")
-            return Adj(a, b) if v == "adj" else Succ(a, b)
-        if k == "word" and v == "C":
-            self.take()
-            self.expect("sym", "(")
-            a = self.term()
-            self.expect("sym", ",")
-            b = self.term()
-            self.expect("sym", ",")
-            c = self.term()
-            self.expect("sym", ")")
-            return Cw(a, b, c)
+            self.expect("(")
+            terms = [self.term()]
+            while len(terms) < len(cls.__match_args__):
+                self.expect(",")
+                terms.append(self.term())
+            self.expect(")")
+            return cls(*terms)
         a = self.term()
-        k, v, pos = self.take()
-        if k == "le":
-            return Le(a, self.term())
-        if (k, v) == ("sym", "="):
-            return Eq(a, self.term())
-        raise FormulaSyntaxError(f"expected '<=' or '=' after term, found {v!r}", pos)
+        op, pos = self.take()
+        if op not in _INFIX:
+            ops = " or ".join(map(repr, _INFIX))
+            raise FormulaSyntaxError(f"expected {ops} after term, found {op!r}", pos)
+        return _INFIX[op](a, self.term())
 
 
 def parse(text: str, vocab: Vocab) -> Formula:
@@ -393,8 +367,8 @@ def parse(text: str, vocab: Vocab) -> Formula:
     for atoms the tag does not permit, and rejects unbound variables."""
     p = _Parser(text)
     root = p.formula()
-    k, v, pos = p.peek()
-    if k != "eof":
+    v, pos = p.take()
+    if v:
         raise FormulaSyntaxError(f"trailing input {v!r}", pos)
     f = Formula(root, vocab)
     if f.free_variables:
@@ -402,37 +376,19 @@ def parse(text: str, vocab: Vocab) -> Formula:
     return f
 
 
-def _term_text(t: Term) -> str:
-    return t.name
-
-
 def _node_text(node: Node, parent_prec: int) -> str:
-    # precedence: quantifier 0 < implies 1 < or 2 < and 3 < not 4 < atom 5
-    match node:
-        case Forall(v, body):
-            s, prec = f"forall {v}. {_node_text(body, 0)}", 0
-        case Exists(v, body):
-            s, prec = f"exists {v}. {_node_text(body, 0)}", 0
-        case Implies(l, r):
-            s, prec = f"{_node_text(l, 2)} -> {_node_text(r, 1)}", 1
-        case Or(l, r):
-            s, prec = f"{_node_text(l, 2)} | {_node_text(r, 3)}", 2
-        case And(l, r):
-            s, prec = f"{_node_text(l, 3)} & {_node_text(r, 4)}", 3
-        case Not(body):
-            s, prec = f"!{_node_text(body, 4)}", 4
-        case Adj(a, b):
-            s, prec = f"adj({_term_text(a)}, {_term_text(b)})", 5
-        case Succ(a, b):
-            s, prec = f"succ({_term_text(a)}, {_term_text(b)})", 5
-        case Le(a, b):
-            s, prec = f"{_term_text(a)} <= {_term_text(b)}", 5
-        case Cw(a, b, c):
-            s, prec = f"C({_term_text(a)}, {_term_text(b)}, {_term_text(c)})", 5
-        case Eq(a, b):
-            s, prec = f"{_term_text(a)} = {_term_text(b)}", 5
-        case _:
-            raise LogicError(f"unknown node {node!r}")
+    # precedence: quantifiers 0, the _BINARY rows 1, 2, ... loosest first,
+    # then negation, then atoms
+    kind, kids, neg_prec = type(node), _children(node), len(_BINARY) + 1
+    if isinstance(node, Atom):
+        s, prec = _ATOMS[kind][0].format(*(t.name for t in node.terms)), neg_prec + 1
+    elif kind in _BINARY:
+        (op, right), prec = _BINARY[kind], list(_BINARY).index(kind) + 1
+        s = f"{_node_text(kids[0], prec + right)} {op} {_node_text(kids[1], prec + (not right))}"
+    elif kind in _QUANTIFIERS:
+        s, prec = f"{_QUANTIFIERS[kind]} {node.var}. {_node_text(kids[0], 0)}", 0
+    else:
+        s, prec = f"!{_node_text(kids[0], neg_prec)}", neg_prec
     return f"({s})" if prec < parent_prec else s
 
 
@@ -506,21 +462,19 @@ def compile_sentence(f: Formula) -> Callable[[LabeledModel], bool]:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
     n, adj, succ = 0, None, None
     slots = [0, 0]  # first and last, then one per quantifier
-    binary = {Adj: lambda i, j: lambda: adj(slots[i], slots[j]),
-              Eq: lambda i, j: lambda: slots[i] == slots[j],
-              Succ: lambda i, j: lambda: succ(slots[i], slots[j]),
-              Le: lambda i, j: lambda: slots[i] <= slots[j]}
+    atoms = {Adj: lambda i, j: lambda: adj(slots[i], slots[j]),
+             Eq: lambda i, j: lambda: slots[i] == slots[j],
+             Succ: lambda i, j: lambda: succ(slots[i], slots[j]),
+             Le: lambda i, j: lambda: slots[i] <= slots[j],
+             Cw: lambda i, j, k: lambda: cw_holds(slots[i], slots[j], slots[k])}
 
     def slot(t: Term, scope: dict[str, int]) -> int:
         return scope[t.name] if isinstance(t, Var) else int(t.name == "last")
 
     def compile_node(node: Node, scope: dict[str, int]) -> Callable[[], bool]:
         match node:
-            case Adj(a, b) | Eq(a, b) | Succ(a, b) | Le(a, b):
-                return binary[type(node)](slot(a, scope), slot(b, scope))
-            case Cw(a, b, c):
-                i, j, k = slot(a, scope), slot(b, scope), slot(c, scope)
-                return lambda: cw_holds(slots[i], slots[j], slots[k])
+            case Atom():
+                return atoms[type(node)](*(slot(t, scope) for t in node.terms))
             case Not(body):
                 p = compile_node(body, scope)
                 return lambda: not p()
@@ -626,25 +580,20 @@ def _extension_ak(k: int) -> Formula:
     return Formula(body, Vocab.L, name=f"extension_Ak_{k}")
 
 
+_LIBRARY = {"path2": _path2, "ex2_path4": _ex2_path4, "triangle": _triangle,
+            "edge_in_c4": _edge_in_c4, "adj_first_last": _adj_first_last,
+            "extension_Ak": _extension_ak}
+
+
 def library(name: str, **params) -> Formula:
     """Named sentences used across the experiments.
 
     ``triangle`` accepts an optional ``vocab``; ``extension_Ak`` requires
     ``k``; other entries take no parameters.
     """
-    if name == "path2":
-        return _path2()
-    if name == "ex2_path4":
-        return _ex2_path4()
-    if name == "triangle":
-        return _triangle(params.get("vocab", Vocab.L))
-    if name == "edge_in_c4":
-        return _edge_in_c4()
-    if name == "adj_first_last":
-        return _adj_first_last()
-    if name == "extension_Ak":
-        return _extension_ak(int(params["k"]))
-    raise LogicError(f"unknown library sentence {name!r}")
+    if name not in _LIBRARY:
+        raise LogicError(f"unknown library sentence {name!r}")
+    return _LIBRARY[name](**params)
 
 
 def library_sentences(max_depth: int | None = None, vocab: Vocab | None = None) -> list[Formula]:

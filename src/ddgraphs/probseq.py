@@ -227,7 +227,9 @@ def make_constant(p: float) -> ProbSeq:
 
 
 def make_support(pairs: dict[int, float]) -> ProbSeq:
-    """Explicit finite support: p(i) = pairs[i], zero elsewhere."""
+    """Explicit finite support: p(i) = pairs[i], zero elsewhere.  Keys may
+    be the strings of the JSON form."""
+    pairs = {int(i): v for i, v in pairs.items()}
     rules = []
     for i in sorted(pairs):
         v = float(pairs[i])
@@ -396,20 +398,18 @@ def make_thm3(a: Sequence[float], f: Sequence[int] | str) -> ProbSeq:
         if f != "eq5":
             raise SequenceError(f"unknown f mode {f!r}")
         fs = _eq5_supports(a)
-        mode = "eq5"
     else:
-        fs = [int(x) for x in f]
+        f = fs = [int(x) for x in f]
         if any(fs[j] >= fs[j + 1] for j in range(len(fs) - 1)):
             raise SequenceError(f"f must be strictly increasing, got {fs}")
         if any(x > MAX_INDEX for x in fs):
             raise IndexBudgetError("f", fs.index(next(x for x in fs if x > MAX_INDEX)) + 1)
-        mode = "explicit"
     pairs = list(zip(fs, a))
     rules = tuple(IndexRule(fi, ai) for fi, ai in pairs)
     return ProbSeq(
         rules=rules,
         kind="thm3",
-        params={"a": a[: len(fs)], "f": fs, "mode": mode},
+        params={"a": a, "f": f},
         meta={"a_values": [ai for _, ai in pairs], "f": fs},
     )
 
@@ -513,16 +513,16 @@ def make_diluted(a: Sequence[float], gap: Sequence[int]) -> ProbSeq:
 
 
 _CONSTRUCTORS = {
-    "constant": lambda p: make_constant(p["p"]),
-    "support": lambda p: make_support({int(k): v for k, v in p["pairs"].items()}),
-    "thm1": lambda p: make_thm1(p["k"], p["b"]),
-    "thm2": lambda p: make_thm2(p["f"]),
-    "example2": lambda p: make_example2(p["b"], p["f"], p.get("b0", 0)),
-    "thm3": lambda p: make_thm3(p["a"], p["f"]),
-    "thm6": lambda p: make_thm6(p["a"]),
-    "random_binary": lambda p: make_random_binary(p["seed"]),
-    "ones_powers": lambda p: make_ones_powers(p["base"]),
-    "diluted": lambda p: make_diluted(p["a"], p["gap"]),
+    "constant": make_constant,
+    "support": make_support,
+    "thm1": make_thm1,
+    "thm2": make_thm2,
+    "example2": make_example2,
+    "thm3": make_thm3,
+    "thm6": make_thm6,
+    "random_binary": make_random_binary,
+    "ones_powers": make_ones_powers,
+    "diluted": make_diluted,
 }
 
 
@@ -530,7 +530,7 @@ def from_json_dict(doc: dict) -> ProbSeq:
     kind = doc.get("kind")
     if kind not in _CONSTRUCTORS:
         raise SequenceError(f"unknown sequence kind {kind!r}")
-    return _CONSTRUCTORS[kind](doc.get("params", {}))
+    return _CONSTRUCTORS[kind](**doc.get("params", {}))
 
 
 def from_json(text: str) -> ProbSeq:

@@ -170,6 +170,28 @@ class TestEstimateScanOracle:
         )
         assert code == 0 and "psi_r_2" in out
 
+    def test_copies_target_from_sequence_file(self, tmp_path, capsys):
+        seq_file = tmp_path / "seq.json"
+        seq_file.write_text(CONST_HALF)
+        code, out, _ = run(
+            capsys, "estimate", "--seq", f"@{seq_file}", "--n", "6", "--target", "copies:2:1",
+            "--trials", "50",
+        )
+        assert code == 0 and "copies_K2_ge1" in out
+
+    def test_extension_target(self, capsys):
+        code, out, _ = run(
+            capsys, "estimate", "--seq", CONST_HALF, "--n", "6", "--target", "extension_Ak:1",
+            "--trials", "50",
+        )
+        assert code == 0 and "extension_Ak_1" in out
+
+    def test_scan_empty_n_list_is_operational_error(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--seq", CONST_HALF, "--n-list", "", "--target", "triangle",
+        )
+        assert code == 1 and out == "" and err.startswith("error: ")
+
 
 class TestEfgameCommand:
     def test_equal_and_stats(self, tmp_path, capsys):

@@ -111,6 +111,30 @@ class TestParser:
             parse("exists x. adj(x,)", Vocab.L)
         assert err.value.pos == 16
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("exists x. adj(x,)", "expected a term, found ')'", 16),
+        ("exists x. adj(x, #)", "unexpected character '#'", 16),
+        ("exists 1. adj(x,x)", "unexpected character '1'", 6),
+        ("exists x adj(x,x)", "expected '.', found 'adj'", 9),
+        ("exists x. adj(x,x) )", "trailing input ')'", 19),
+        ("forall first. adj(first, first)", "bad variable name 'first'", 7),
+        ("exists x. adj(x, exists)", "keyword 'exists' is not a term", 17),
+        ("exists x. x x", "expected '<=' or '=' after term, found 'x'", 12),
+        ("exists x. adj x", "expected '(', found 'x'", 14),
+        ("exists x. C(x, x)", "expected ',', found ')'", 16),
+        ("adj(first, last) ->", "expected a term, found ''", 19),
+        ("", "expected a term, found ''", 0),
+        # binders must be identifiers
+        ("exists . adj(x, x)", "bad variable name '.'", 7),
+        ("forall ->. first = last", "bad variable name '->'", 7),
+        ("exists ). adj(first, last)", "bad variable name ')'", 7),
+        ("exists |. exists x. adj(x, x)", "bad variable name '|'", 7),
+    ])
+    def test_syntax_error_messages(self, text, message, pos):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse(text, Vocab.L_PLUS)
+        assert str(err.value) == f"{message} (at offset {pos})" and err.value.pos == pos
+
     def test_precedence(self):
         f = parse("forall x. adj(x, x) -> adj(x, x) & !adj(x, x) | adj(x, x)", Vocab.L)
         root = f.root
@@ -274,6 +298,7 @@ class TestAgainstBruteForce:
         f = Formula(gen(4, []), vocab)
         m = LabeledModel(g, vocab)
         assert holds(m, f) == brute_holds(m, f)
+        assert parse(to_text(f), vocab).root == f.root
 
     def test_order_and_circular_atoms_match_oracle(self):
         g = make_graph(4, [(1, 3), (2, 4)])

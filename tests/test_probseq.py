@@ -474,6 +474,27 @@ class TestJsonRoundTrip:
         for i in list(range(1, 60)) + [97, 150, 200, 1000]:
             assert clone.eval(i) == seq.eval(i)
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            make_constant(0.25),
+            make_support({3: 0.1, 9: 0.9}),
+            make_thm1(1, [7, 20, 40]),
+            make_thm2([1, 100, 1000]),
+            make_example2([2, 4], [1, 20, 300, 5000]),
+            make_thm3([0.5, 0.25, 0.5], [1, 16]),
+            make_thm3([0.5, 0.5, 0.5], "eq5"),
+            make_thm6([0.5, 0.4]),
+            make_random_binary(99),
+            make_ones_powers(3),
+            make_diluted([0.5], [4]),
+        ],
+        ids=lambda seq: seq.kind + ("_eq5" if seq.params.get("f") == "eq5" else ""),
+    )
+    def test_json_is_a_fixed_point(self, seq):
+        # params record the constructor call, so a reload writes the same document
+        assert from_json(seq.to_json()).to_json() == seq.to_json()
+
     def test_scale_warning_names_the_caller(self):
         with pytest.warns(ScaleWarning) as direct:
             seq = make_thm2([1, 40, 150, 460])
