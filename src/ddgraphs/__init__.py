@@ -32,7 +32,16 @@ from .graph import (
     neighborhood,
     psi_r_holds,
 )
-from .logic import Formula, LabeledModel, Vocab, holds, library, parse, to_text
+from .logic import (
+    CheckerBudgetError,
+    Formula,
+    LabeledModel,
+    Vocab,
+    holds,
+    library,
+    parse,
+    to_text,
+)
 from .probseq import (
     ProbSeq,
     condition_statistic,

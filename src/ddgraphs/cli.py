@@ -28,7 +28,7 @@ from .estimator import (
     results_to_csv,
 )
 from .graph import from_edgelist_text, to_edgelist_text
-from .logic import LabeledModel, Vocab, library
+from .logic import CheckerBudgetError, LabeledModel, Vocab, library
 from .presets import (
     FAST_TRIALS,
     NAMED_SEQUENCES,
@@ -389,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, PresetError) as e:
+    except (CliError, PresetError, CheckerBudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -13,10 +13,12 @@ pair-table rows: seeded draws, or the subsets of the free pairs.  The
 ``path2`` sentence and the triangle (the ``triangle`` sentence in any
 vocabulary, or ``presets.has_triangle_predicate``) compile to column
 kernels that read only their clauses' pair columns, the only ones Monte
-Carlo hashes, and decide a block with one ``clause_hits`` reduction.  Other
-targets, and triangles on tables with more than 16 triangles per pair,
-build each row's graph and run the compiled sentence or the predicate.
-Blocks are bounded by ``CELL_BUDGET``, not by a trial or subset count.
+Carlo hashes, and decide a block with one ``clause_hits`` reduction.  On
+tables with more than 16 triangles per pair the triangle is not compiled.
+Other sentences run, compiled once into an array plan, on each row
+scattered into an adjacency matrix; other predicates build each row's
+graph.  Blocks are bounded by ``CELL_BUDGET``, not by a trial or subset
+count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph
-from .logic import Formula, LabeledModel, compile_sentence, library
+from .logic import Formula, compile_sentence, library
 from .probseq import ProbSeq, ordered_sum, support_table
 from .rng import derived_streams
 from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
@@ -164,17 +166,26 @@ def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Cal
     the cells per row a block must hold, and ``decide(rows)``, one bool per
     row of ``rows[:, columns]``.  Compiled targets (see ``_clauses``) read
     their clauses' columns and decide a block with one ``clause_hits``
-    reduction; every other target reads every column and builds each row's
-    graph to run the predicate, or the sentence compiled once, on it.
+    reduction.  Every other target reads every column: a sentence, compiled
+    once, runs on each row scattered into an adjacency matrix, and a
+    predicate on each row's graph.
     """
     clauses = _clauses(target, batch)
+    if clauses is None and isinstance(target, Formula):
+        run, adj = compile_sentence(target), np.zeros((batch.n, batch.n), dtype=bool)
+        v, w = batch.v.astype(np.intp) - 1, batch.w.astype(np.intp) - 1
+
+        def decide(rows: np.ndarray) -> np.ndarray:
+            out = np.empty(len(rows), dtype=bool)
+            for t, row in enumerate(rows):
+                adj[v, w] = adj[w, v] = row  # every column, so no edge of the last row stays
+                out[t] = run(adj)
+            return out
+
+        return np.arange(len(batch.v)), len(batch.v), decide
     if clauses is None:
-        check = target
-        if isinstance(target, Formula):
-            run = compile_sentence(target)
-            check = lambda g: run(LabeledModel(g, target.vocab))
         return np.arange(len(batch.v)), len(batch.v), lambda rows: np.fromiter(
-            (check(batch.graph_from_row(row)) for row in rows), bool, len(rows))
+            (target(batch.graph_from_row(row)) for row in rows), bool, len(rows))
     read = np.zeros(len(batch.v), dtype=bool)
     read[clauses] = True
     # the columns read, and each clause column's position among them
@@ -198,8 +209,9 @@ def mc_probability(
 
     Only the columns ``row_decision`` says the target reads are hashed:
     compiled targets (see ``_clauses``) are decided by one ``clause_hits``
-    reduction per block; every other target reads every column and builds
-    each row's graph to run ``holds`` or the predicate on it.  Both
+    reduction per block; every other target reads every column, and runs
+    the compiled sentence on each row's adjacency or the predicate on each
+    row's graph.  Both
     give the same successes, since each draw is a pure function of
     (master_seed, stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells
     (at least one trial), which bounds memory independently of ``trials``.

@@ -286,6 +286,10 @@ def _placeable(h: Subgraph, order: list[int], supp: list[int], n: int, succ: boo
     ties = [[(s, follows(order[s], order[t]), follows(order[t], order[s])) for s in range(t)]
             if succ else [] for t in range(len(order))]
     w = [0] * len(order)
+    # an h-edge between host successors needs witnesses at distance 1
+    if 1 not in supp_set and any((a or b) and s in nbrs[t]
+                                 for t, tie in enumerate(ties) for s, a, b in tie):
+        return False
 
     def extend(t: int) -> bool:
         if t == len(order):

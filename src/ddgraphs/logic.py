@@ -11,9 +11,11 @@ Vocabularies (all include adjacency and equality):
   LC_LE    + ternary clockwise-betweenness C(a, b, c)
 
 Interpretations are derived from the vertex numbering, so a model is just a
-graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence into
-closures once, one variable slot per quantifier, that enumerate assignments
-on any model with short-circuiting; at these sizes O(n^depth) is fine.
+graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence once into
+an array plan over the model's adjacency matrix, bounded-variable evaluation
+as relational algebra: one axis per quantifier level, guards that narrow an
+axis's range, matrix products in place of innermost witnesses, and slices
+that keep every array within ``sampler.CELL_BUDGET`` cells.
 
 Text grammar (whitespace insignificant; the tables ``_ATOMS``, ``_BINARY``
 and ``_QUANTIFIERS`` hold its words, and ``_children`` its tree shapes)::
@@ -30,14 +32,17 @@ and ``_QUANTIFIERS`` hold its words, and ``_children`` its tree shapes)::
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
+from . import sampler
 from .graph import Graph, cw_holds
 
 
@@ -261,6 +266,14 @@ class Formula:
     def is_sentence(self) -> bool:
         return not self.free_variables
 
+    @cached_property
+    def _checker(self) -> Callable[[np.ndarray], bool]:
+        return compile_sentence(self)
+
+    def __getstate__(self):
+        # the compiled checker is rebuilt on first use, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_checker"}
+
     def __str__(self):
         return to_text(self)
 
@@ -401,6 +414,15 @@ def to_text(f: Formula) -> str:
 # --- models and satisfaction ---------------------------------------------------
 
 
+class CheckerBudgetError(RuntimeError):
+    """One slice of a model-checking array exceeds ``sampler.CELL_BUDGET``."""
+
+    def __init__(self, estimate: int, budget: int):
+        self.estimate = estimate
+        self.budget = budget
+        super().__init__(f"estimated {estimate} cells in one slice exceeds budget {budget}")
+
+
 @dataclass(frozen=True)
 class LabeledModel:
     """A graph with interpretations fixed by its vertex numbering."""
@@ -421,6 +443,15 @@ class LabeledModel:
         return 1 if name == "first" else self.n
 
     @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The (n, n) boolean adjacency matrix: entry [v - 1, w - 1] is adj(v, w)."""
+        edges = self.graph.edges
+        v, w = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2).T - 1
+        adj = np.zeros((self.n, self.n), dtype=bool)
+        adj[v, w] = adj[w, v] = True
+        return adj
+
+    @cached_property
     def atoms(self) -> np.ndarray:
         """The binary atoms as an (n+1, n+1) uint8 table.  Entry [x, a]
         packs a = x (bit 0), adj(a, x) (bit 1), succ(a, x) and succ(x, a)
@@ -429,11 +460,7 @@ class LabeledModel:
         binary atom iff ``m1.atoms[x, a] == m2.atoms[y, b]``."""
         n = self.n
         x, a = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)[None, :]
-        adj = np.zeros((n, n), dtype=bool)
-        if self.graph.edges:
-            v, w = np.array(list(self.graph.edges)).T - 1
-            adj[v, w] = adj[w, v] = True
-        bits = (x == a) | (adj << 1)
+        bits = (x == a) | (self.adjacency << 1)
         if self.vocab.has_succ:
             # succ(v, w) iff w = v % period + 1: v + 1 on the line, wrapping on the circle
             period = n if self.vocab.circular else n + 1
@@ -446,60 +473,309 @@ class LabeledModel:
 
 
 def holds(m: LabeledModel, f: Formula) -> bool:
-    """Satisfaction of a sentence: ``compile_sentence(f)`` run on ``m``."""
+    """Satisfaction of a sentence: ``compile_sentence(f)``, built once per
+    formula, run on ``m.adjacency``."""
     if f.vocab is not m.vocab:
         raise VocabularyError(f"model vocabulary {m.vocab.value} != formula {f.vocab.value}")
-    return compile_sentence(f)(m)
+    return f._checker(m.adjacency)
 
 
-def compile_sentence(f: Formula) -> Callable[[LabeledModel], bool]:
-    """``f`` compiled once into nested closures, as a check that binds a model
-    of its vocabulary (n, adj, succ, constants) and runs them.  Each quantifier
-    owns a slot and its body is compiled with its variable mapped to it, so
-    shadowing is settled before any vertex is tried.  Connectives run left to
-    right, quantifiers try 1..n in order; both stop at the first decisive value."""
+# A plan step maps a run to a boolean array with one axis per quantifier
+# level, of size 1 on every axis the subformula does not read.
+Step = Callable[["_Run"], np.ndarray]
+
+
+class _Run:
+    """One run of a plan: the model's adjacency, and the vertex indices each
+    axis ranges over, shaped to lie along that axis."""
+
+    def __init__(self, adj: np.ndarray, circular: bool, ndim: int):
+        n = len(adj)
+        self.adj, self.n, self.ndim = adj, n, ndim
+        self.period = n if circular else n + 1
+        self.first, self.last = np.intp(0), np.intp(n - 1)
+        self.dom: list[np.ndarray | None] = [None] * ndim
+
+    def along(self, a: int, values: np.ndarray) -> np.ndarray:
+        return values.reshape([-1 if i == a else 1 for i in range(self.ndim)])
+
+
+# Each atom on term arrays of 0-based vertex indices (constants are scalars).
+_ATOM_ARRAYS: dict[type[Atom], Callable[..., np.ndarray]] = {
+    Adj: lambda r, a, b: r.adj[a, b],
+    Succ: lambda r, a, b: b == (a + 1) % r.period,
+    Le: lambda r, a, b: a <= b,
+    Cw: lambda r, a, b, c: cw_holds(a, b, c),
+    Eq: lambda r, a, b: a == b,
+}
+
+
+def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
+    """``f`` compiled once into an array plan, as a check of an (n, n)
+    boolean adjacency matrix read in ``f.vocab``.
+
+    Each quantifier owns the axis of its nesting level, and every
+    subformula evaluates to a boolean array of size 1 on the axes it does
+    not read: atoms index the adjacency matrix or compare vertex indices
+    (``first`` and ``last`` are fixed indices), connectives are broadcast
+    elementwise ops, ``exists`` is ``any`` and ``forall`` is ``all`` along
+    the quantifier's axis.  Connectives skip their right side once the left
+    decides the whole array.
+
+    Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)``
+    the conjuncts of G that read only v and constants choose the vertices v's
+    axis ranges over (an empty range makes ``exists`` false and ``forall``
+    true), and the conjuncts that do not read v move outside the quantifier.
+
+    An ``exists w`` whose remaining conjuncts are two subformulas, over w and
+    u1 and over w and u2 (u1 != u2), and at most one ``!(w = t)`` with t
+    neither of them, is contracted before it is materialized: a matrix
+    product counts the witnesses of the two, and the witness w = t is
+    subtracted, so the array never spans w.
+
+    No array spans more than ``sampler.CELL_BUDGET`` cells: a quantifier whose
+    array would is evaluated in slices along its outermost axis, and
+    ``CheckerBudgetError`` is raised when one slice would still exceed it.
+    """
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
-    n, adj, succ = 0, None, None
-    slots = [0, 0]  # first and last, then one per quantifier
-    atoms = {Adj: lambda i, j: lambda: adj(slots[i], slots[j]),
-             Eq: lambda i, j: lambda: slots[i] == slots[j],
-             Succ: lambda i, j: lambda: succ(slots[i], slots[j]),
-             Le: lambda i, j: lambda: slots[i] <= slots[j],
-             Cw: lambda i, j, k: lambda: cw_holds(slots[i], slots[j], slots[k])}
+    root, _ = _plan(f.root, {}, 0)
+    circular, ndim = f.vocab.circular, f.depth
+    return lambda adj: bool(root(_Run(adj, circular, ndim)))
 
-    def slot(t: Term, scope: dict[str, int]) -> int:
-        return scope[t.name] if isinstance(t, Var) else int(t.name == "last")
 
-    def compile_node(node: Node, scope: dict[str, int]) -> Callable[[], bool]:
-        match node:
-            case Atom():
-                return atoms[type(node)](*(slot(t, scope) for t in node.terms))
-            case Not(body):
-                p = compile_node(body, scope)
-                return lambda: not p()
-            case And(l, r):
-                p, q = compile_node(l, scope), compile_node(r, scope)
-                return lambda: p() and q()
-            case Or(l, r):
-                p, q = compile_node(l, scope), compile_node(r, scope)
-                return lambda: p() or q()
-            case Implies(l, r):
-                p, q = compile_node(l, scope), compile_node(r, scope)
-                return lambda: not p() or q()
-            case Forall(v, body) | Exists(v, body):
-                i, quant = len(slots), all if isinstance(node, Forall) else any
-                slots.append(0)
-                p = compile_node(body, {**scope, v: i})
-                return lambda: quant(p() for slots[i] in range(1, n + 1))
+Planned = tuple[Step, frozenset[int]]  # a step and the axes it reads
 
-    root = compile_node(f.root, {})
 
-    def run(m: LabeledModel) -> bool:
-        nonlocal n, adj, succ
-        n, adj, succ = m.n, m.graph.has_edge, m.succ
-        slots[:2] = m.constant("first"), m.constant("last")
-        return root()
+def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
+    match node:
+        case Adj(Var(a), Var(b)) if scope[a] != scope[b]:
+            return _adjacent(*sorted((scope[a], scope[b]))), frozenset((scope[a], scope[b]))
+        case Atom():
+            op, terms = _ATOM_ARRAYS[type(node)], [_term(t, scope) for t in node.terms]
+            return (lambda r: op(r, *(t(r) for t in terms)),
+                    frozenset(scope[t.name] for t in node.terms if isinstance(t, Var)))
+        case Not(body):
+            p, axes = _plan(body, scope, level)
+            return (lambda r: ~p(r)), axes
+        case And():
+            return _all_of([_plan(c, scope, level) for c in _conjuncts(node)])
+        case Or(l, r):
+            (p, pa), (q, qa) = _plan(l, scope, level), _plan(r, scope, level)
+            return (lambda run: x if (x := p(run)).all() else x | q(run)), pa | qa
+        case Implies(l, r):
+            return _implies(_plan(l, scope, level), _plan(r, scope, level))
+        case Forall() | Exists():
+            return _quantifier(node, scope, level)
+    raise LogicError(f"unknown node {node!r}")
+
+
+def _adjacent(a: int, b: int) -> Step:
+    """adj between the variables of axes a < b (adj is symmetric): the
+    adjacency's rows and columns in their ranges (a range as long as n is
+    every vertex)."""
+    def step(r: _Run) -> np.ndarray:
+        rows, cols = r.dom[a].ravel(), r.dom[b].ravel()
+        m = r.adj if len(rows) == r.n else r.adj[rows]
+        return _spread(m if len(cols) == r.n else m[:, cols], a, b, r)
+
+    return step
+
+
+def _term(t: Term, scope: dict[str, int]) -> Step:
+    if isinstance(t, Var):
+        a = scope[t.name]
+        return lambda r: r.dom[a]
+    return (lambda r: r.first) if t.name == "first" else (lambda r: r.last)
+
+
+def _conjuncts(node: Node) -> list[Node]:
+    return _conjuncts(node.left) + _conjuncts(node.right) if isinstance(node, And) else [node]
+
+
+def _all_of(parts: list[Planned]) -> Planned:
+    """The conjunction of ``parts`` (true if none), stopping once it is false
+    everywhere."""
+    if not parts:
+        return (lambda r: np.True_), frozenset()
+    steps = [s for s, _ in parts]
+
+    def step(r: _Run) -> np.ndarray:
+        acc = steps[0](r)
+        for s in steps[1:]:
+            if not acc.any():
+                break
+            acc = acc & s(r)
+        return acc
+
+    axes = frozenset().union(*(a for _, a in parts))
+    return (steps[0] if len(steps) == 1 else step), axes
+
+
+def _implies(left: Planned, right: Planned) -> Planned:
+    (p, pa), (q, qa) = left, right
+    return (lambda r: ~x if not (x := p(r)).any() else ~x | q(r)), pa | qa
+
+
+def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Planned:
+    d, forall = level, isinstance(node, Forall)
+    inner = {**scope, node.var: d}
+    if not forall:
+        guards, tail = _conjuncts(node.body), None
+    elif isinstance(node.body, Implies):
+        guards, tail = _conjuncts(node.body.left), node.body.right
+    else:
+        guards, tail = [], node.body
+    planned = [(g, *_plan(g, inner, level + 1)) for g in guards]
+    ranged = [(s, a) for _, s, a in planned if a <= {d}]  # read only v and constants
+    outside = [(s, a) for _, s, a in planned if a and d not in a]
+    rest = [(g, s, a) for g, s, a in planned if d in a and a != {d}]
+    body = _all_of([(s, a) for _, s, a in rest])
+    if forall:
+        then = _plan(tail, inner, level + 1)
+        reduced = _reduced(_implies(body, then) if rest else then, d, forall)
+    else:
+        reduced = _contraction(rest, inner, d) or _reduced(body, d, forall)
+    sliced, span = _sliced(*reduced, d, forall), reduced[1]
+    range_of = _all_of(ranged)[0] if ranged else None
+
+    def step(r: _Run) -> np.ndarray:
+        dom = np.arange(r.n)
+        if range_of is not None:
+            r.dom[d] = r.along(d, dom)
+            dom = dom[np.broadcast_to(range_of(r), r.dom[d].shape).ravel()]
+        if not len(dom):
+            return np.bool_(forall)
+        r.dom[d] = r.along(d, dom)
+        return sliced(r)
+
+    if not outside:
+        return step, span - {d}
+    # forall v. (P & G -> B) is P -> forall v. (G -> B); exists v. (P & B) is P & exists v. B
+    wrap = _implies if forall else lambda o, q: _all_of([o, q])
+    return wrap(_all_of(outside), (step, span - {d}))
+
+
+def _reduced(body: Planned, d: int, forall: bool) -> Planned:
+    """``body`` reduced along d by ``all`` or ``any``, with the axes it spans."""
+    b = body[0]
+
+    def step(r: _Run) -> np.ndarray:
+        x = b(r)
+        if x.ndim == 0 or x.shape[d] == 1:  # x does not vary along d
+            return x
+        return x.all(axis=d, keepdims=True) if forall else x.any(axis=d, keepdims=True)
+
+    return step, body[1]
+
+
+def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str, int],
+                 d: int) -> Planned | None:
+    """``exists w. M1 & M2 & !(w = t)``, the last conjunct optional, with each
+    Mi over w and one other variable ui (u1 != u2, t neither), as a step that
+    never spans w: some witness remains once the witnesses counted by a
+    matrix product lose w = t.  None for any other body."""
+    pairs, excluded = [], []
+    for node, step, axes in rest:
+        if isinstance(node, Not) and isinstance(node.body, Eq):
+            others = [t for t in node.body.terms if not (isinstance(t, Var) and scope[t.name] == d)]
+            if len(others) == 1:
+                excluded.append(others[0])
+                continue
+        if len(axes) != 2:
+            return None
+        pairs.append((step, next(iter(axes - {d}))))
+    if len(pairs) != 2 or pairs[0][1] == pairs[1][1] or len(excluded) > 1:
+        return None
+    (s1, u1), (s2, u2) = pairs
+    t_axis = scope[excluded[0].name] if excluded and isinstance(excluded[0], Var) else None
+    if t_axis in (u1, u2):
+        return None
+    t = _term(excluded[0], scope) if excluded else None
+
+    def step(r: _Run) -> np.ndarray:
+        m1, m2 = _matrix(s1(r), u1, d, r), _matrix(s2(r), d, u2, r)
+        count = _count(m1, m2)
+        if t is None:
+            return _spread(count > 0, u1, u2, r)
+        # the witness w = t: m1's columns and m2's rows by vertex, false outside w's range
+        w = r.dom[d].ravel()
+        by1, by2 = np.zeros((len(m1), r.n), dtype=bool), np.zeros((r.n, m2.shape[1]), dtype=bool)
+        by1[:, w], by2[w] = m1, m2
+        at = t(r)
+        if t_axis is None:
+            witness = r.along(u1, by1[:, at]) & r.along(u2, by2[at])
+        else:
+            at = at.ravel()
+            witness = _spread(by1[:, at], u1, t_axis, r) & _spread(by2[at], t_axis, u2, r)
+        # compared as uint8: a mixed float/bool comparison is several times slower
+        few = _spread(np.minimum(count, 2).astype(np.uint8), u1, u2, r)
+        return few > witness.view(np.uint8)
+
+    return step, frozenset().union(*(a for _, _, a in rest)) - {d}
+
+
+# OpenBLAS spreads a product of more than 2^18 multiply-adds over all its
+# threads; on a shared two-core host that made a 400 x 400 x 13 product about
+# 60 times slower than on one thread, so products are taken in row blocks.
+_PRODUCT_BLOCK = 1 << 18
+
+
+def _count(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """The product of two boolean matrices: witness counts, in float32 (exact
+    below 2^24), by ``np.dot`` (``@`` ran these float32 shapes about 90 times
+    slower)."""
+    a, b = m1.astype(np.float32), m2.astype(np.float32)
+    out = np.empty((len(a), b.shape[1]), dtype=np.float32)
+    rows = max(1, _PRODUCT_BLOCK // max(1, a.shape[1] * b.shape[1]))
+    for i in range(0, len(a), rows):
+        np.dot(a[i:i + rows], b, out=out[i:i + rows])
+    return out
+
+
+def _matrix(x: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
+    """The array ``x`` over axes a and b as a 2-D matrix, rows along a."""
+    shape = [1] * r.ndim
+    lo, hi = sorted((a, b))
+    shape[lo], shape[hi] = r.dom[lo].size, r.dom[hi].size
+    m = np.broadcast_to(x, shape).reshape(shape[lo], shape[hi])
+    return m if a < b else m.T
+
+
+def _spread(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
+    """A 2-D matrix with rows along axis a and columns along b, as a C-ordered
+    plan array (broadcast ops on transposed operands run several times slower)."""
+    if a > b:
+        m, a, b = np.ascontiguousarray(m.T), b, a
+    shape = [1] * r.ndim
+    shape[a], shape[b] = m.shape
+    return m.reshape(shape)
+
+
+def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
+    """``step``, whose largest array spans the axes ``span``, run on slices of
+    the outermost of them when that array would exceed ``sampler.CELL_BUDGET``
+    cells.  Slices of d itself are combined by ``all`` or ``any``."""
+    order, out = sorted(span), span - {d}
+
+    def run(r: _Run) -> np.ndarray:
+        budget = sampler.CELL_BUDGET
+        cells = math.prod(r.dom[a].size for a in order)
+        if cells <= budget:
+            return step(r)
+        a, whole = order[0], r.dom[order[0]]
+        per = cells // whole.size
+        if per > budget:
+            raise CheckerBudgetError(per, budget)
+        values, rows, parts = whole.ravel(), budget // per, []
+        for lo in range(0, len(values), rows):
+            r.dom[a] = r.along(a, values[lo:lo + rows])
+            parts.append(np.broadcast_to(step(r), [r.dom[i].size if i in out else 1
+                                                   for i in range(r.ndim)]))
+        r.dom[a] = whole
+        if a == d:
+            return np.bool_(all(parts) if forall else any(parts))
+        return np.concatenate(parts, axis=a)
 
     return run
 

@@ -16,6 +16,7 @@ choice still yields a well-defined sequence.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import json
 import math
@@ -527,10 +528,17 @@ _CONSTRUCTORS = {
 
 
 def from_json_dict(doc: dict) -> ProbSeq:
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in _CONSTRUCTORS:
         raise SequenceError(f"unknown sequence kind {kind!r}")
-    return _CONSTRUCTORS[kind](**doc.get("params", {}))
+    make, params = _CONSTRUCTORS[kind], doc.get("params", {})
+    if not isinstance(params, dict):
+        raise SequenceError(f"params of sequence kind {kind!r} must be an object")
+    try:
+        inspect.signature(make).bind(**params)
+    except TypeError as e:  # a missing or unknown parameter
+        raise SequenceError(f"bad params for sequence kind {kind!r}: {e}") from None
+    return make(**params)
 
 
 def from_json(text: str) -> ProbSeq:

@@ -3,6 +3,8 @@
 import json
 import re
 
+import pytest
+
 from ddgraphs.cli import main
 from ddgraphs.presets import PRESETS, Check, PresetOutcome
 
@@ -107,6 +109,12 @@ class TestSampleAndEval:
     def test_bad_sequence_is_operational_error(self, capsys):
         code, _, err = run(capsys, "eval", "--seq", "nonsense")
         assert code == 1 and "unknown sequence" in err
+
+    @pytest.mark.parametrize("params", ['{}', '{"p": 0.5, "q": 1}', '[0.5]'])
+    def test_bad_sequence_params_are_operational_errors(self, capsys, params):
+        seq = f'{{"kind": "constant", "params": {params}}}'
+        code, _, err = run(capsys, "sample", "--seq", seq, "--n", "3")
+        assert code == 1 and err.startswith("error: ") and "constant" in err
 
 
 class TestEstimateScanOracle:

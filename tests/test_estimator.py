@@ -449,10 +449,13 @@ class TestColumnKernels:
         [library("edge_in_c4"), lambda g: has_triangle(g)],
         ids=["edge_in_c4", "lambda"],
     )
-    def test_other_targets_take_the_row_path(self, row_graphs, target):
+    def test_other_targets_take_the_row_path(self, row_graphs, grids, target):
         seq = make_constant(0.5)
         got = mc_probability(seq, 9, target, LINE, 40, 3)
-        assert len(row_graphs) == 40
+        # every column is hashed; a sentence runs on each row's adjacency
+        # matrix and builds no graph, a predicate runs on each row's graph
+        assert grids == [(40, 36)]
+        assert len(row_graphs) == (0 if isinstance(target, Formula) else 40)
         want = row_path_successes(seq, 9, target, LINE, 40, 3)
         assert round(got.estimate * 40) == want
 

@@ -1,6 +1,7 @@
 """Graph predicates against small brute-force oracles."""
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -250,6 +251,15 @@ class TestFlatness:
         h = Subgraph(10, (4, 6), frozenset({(1, 2)}))
         assert not is_flat(seq, 10, h, "LC_PLUS")
         assert is_flat(make_support({1: 0.5, 3: 0.5}), 10, h, "LC_PLUS")
+
+    def test_lc_plus_tied_edge_without_unit_distance_is_refused_at_once(self):
+        # vertices 5 and 6 sit at host successors 31, 32 and share an h-edge,
+        # so their witnesses must be line successors, but 1 is not in the support
+        seq = make_support({d: 0.5 for d in (6, 8, 12, 23, 27, 28, 30, 33, 36)})
+        h = Subgraph(37, (34, 8, 13, 6, 31, 32), frozenset({(2, 3), (3, 4), (5, 6)}))
+        start = time.perf_counter()
+        assert not is_flat(seq, 37, h, "LC_PLUS")
+        assert time.perf_counter() - start < 1.0
 
     def test_guard(self):
         h = Subgraph(20, tuple(range(1, 10)))

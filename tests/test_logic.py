@@ -4,17 +4,22 @@ The model checker is validated against an independent evaluator that
 materializes full variable assignments with no short-circuiting.
 """
 
+import pickle
 import random
+import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddgraphs import presets, sampler
 from ddgraphs.graph import complete_graph, edgeless_graph, make_graph
 from ddgraphs.logic import (
     Adj,
     And,
+    CheckerBudgetError,
     Const,
     Cw,
     Eq,
@@ -39,7 +44,7 @@ from ddgraphs.logic import (
     parse,
     to_text,
 )
-from ddgraphs.probseq import make_constant, make_ones_powers
+from ddgraphs.probseq import ScaleWarning, make_constant, make_ones_powers, make_random_binary
 from ddgraphs.rng import RngStream
 from ddgraphs.sampler import CIRCLE, LINE, sample, sample_line
 
@@ -81,6 +86,36 @@ def brute_holds(m: LabeledModel, f: Formula) -> bool:
         raise AssertionError(name)
 
     return ev(f.root, {})
+
+
+def random_sentence(rng: random.Random, vocab: Vocab, depth: int) -> Formula:
+    """A random sentence of depth at most ``depth``: every atom the vocabulary
+    allows, constants included; binders are drawn from three names, so
+    siblings and shadowing both occur."""
+    consts = [Const("first"), Const("last")] if vocab.has_constants else []
+    atoms = [Adj, Eq] + [Succ] * vocab.has_succ + [Le] * vocab.has_le + [Cw] * vocab.has_cw
+
+    def gen(depth, scope):
+        choices = ["atom"] * 2 + (["not", "and", "or", "imp", "q"] if depth > 0 else [])
+        kind = rng.choice(choices)
+        terms = [Var(v) for v in scope] + consts
+        if kind == "atom" and terms:
+            atom = rng.choice(atoms)
+            return atom(*(rng.choice(terms) for _ in range(3 if atom is Cw else 2)))
+        if kind == "atom":
+            kind = "q"
+        if kind == "not":
+            return Not(gen(depth - 1, scope))
+        if kind == "and":
+            return And(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "or":
+            return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "imp":
+            return Implies(gen(depth - 1, scope), gen(depth - 1, scope))
+        v = rng.choice("xyz")
+        return rng.choice([Forall, Exists])(v, gen(depth - 1, scope + [v]))
+
+    return Formula(gen(depth, []), vocab)
 
 
 def all_graphs(n):
@@ -267,35 +302,10 @@ class TestAgainstBruteForce:
     @given(st.integers(min_value=0, max_value=2**16 - 1), st.sampled_from(list(Vocab)))
     @settings(max_examples=240, deadline=None)
     def test_random_sentences_match_oracle(self, seed, vocab):
-        # every atom the vocabulary allows, constants included; binders are
-        # drawn from three names, so siblings and shadowing both occur
         rng = random.Random(seed)
         n = rng.randint(1, 6)
         g = sample(make_constant(0.5), n, RngStream(seed), CIRCLE if vocab.circular else LINE)
-        consts = [Const("first"), Const("last")] if vocab.has_constants else []
-        atoms = [Adj, Eq] + [Succ] * vocab.has_succ + [Le] * vocab.has_le + [Cw] * vocab.has_cw
-
-        def gen(depth, scope):
-            choices = ["atom"] * 2 + (["not", "and", "or", "imp", "q"] if depth > 0 else [])
-            kind = rng.choice(choices)
-            terms = [Var(v) for v in scope] + consts
-            if kind == "atom" and terms:
-                atom = rng.choice(atoms)
-                return atom(*(rng.choice(terms) for _ in range(3 if atom is Cw else 2)))
-            if kind == "atom":
-                kind = "q"
-            if kind == "not":
-                return Not(gen(depth - 1, scope))
-            if kind == "and":
-                return And(gen(depth - 1, scope), gen(depth - 1, scope))
-            if kind == "or":
-                return Or(gen(depth - 1, scope), gen(depth - 1, scope))
-            if kind == "imp":
-                return Implies(gen(depth - 1, scope), gen(depth - 1, scope))
-            v = rng.choice("xyz")
-            return rng.choice([Forall, Exists])(v, gen(depth - 1, scope + [v]))
-
-        f = Formula(gen(4, []), vocab)
+        f = random_sentence(rng, vocab, 4)
         m = LabeledModel(g, vocab)
         assert holds(m, f) == brute_holds(m, f)
         assert parse(to_text(f), vocab).root == f.root
@@ -350,6 +360,141 @@ class TestAgainstBruteForce:
             assert holds(m, Formula(And(left.root, right.root), Vocab.L)) == (la and ra)
             assert holds(m, Formula(Or(left.root, right.root), Vocab.L)) == (la or ra)
             assert holds(m, Formula(Implies(left.root, right.root), Vocab.L)) == ((not la) or ra)
+
+
+# Values of every library sentence on one line sample per n in RECORDED_N
+# (stream RngStream(n, 7)), one bit per n, as the closure checker that
+# preceded the array plan computed them.
+RECORDED_N = (8, 16, 33, 64)
+RECORDED_SEQS = {
+    "random_binary_0": lambda: make_random_binary(0),
+    "constant_0.1": lambda: make_constant(0.1),
+    "constant_0.5": lambda: make_constant(0.5),
+    **{name: getattr(presets, "seq_" + name) for name in (
+        "thm1_scaled", "thm2_scaled", "thm3_scaled", "thm6_half", "example2_scaled",
+        "ones4", "lemma_edge")},
+}
+RECORDED = {
+    "path2": {"random_binary_0": "1111", "constant_0.1": "0001", "constant_0.5": "0111", "thm1_scaled": "0000", "thm2_scaled": "0101", "thm3_scaled": "0000", "thm6_half": "0000", "example2_scaled": "0000", "ones4": "0010", "lemma_edge": "0000"},
+    "ex2_path4": {"random_binary_0": "0111", "constant_0.1": "1111", "constant_0.5": "0111", "thm1_scaled": "0111", "thm2_scaled": "1011", "thm3_scaled": "1111", "thm6_half": "1111", "example2_scaled": "1111", "ones4": "1111", "lemma_edge": "1111"},
+    "triangle": {"random_binary_0": "1111", "constant_0.1": "0011", "constant_0.5": "1111", "thm1_scaled": "0111", "thm2_scaled": "0011", "thm3_scaled": "0000", "thm6_half": "0000", "example2_scaled": "0000", "ones4": "0000", "lemma_edge": "0000"},
+    "edge_in_c4": {"random_binary_0": "0111", "constant_0.1": "0000", "constant_0.5": "0111", "thm1_scaled": "0000", "thm2_scaled": "0001", "thm3_scaled": "1100", "thm6_half": "1000", "example2_scaled": "1000", "ones4": "0111", "lemma_edge": "0000"},
+    "adj_first_last": {"random_binary_0": "1110", "constant_0.1": "0000", "constant_0.5": "0110", "thm1_scaled": "0000", "thm2_scaled": "0000", "thm3_scaled": "0000", "thm6_half": "0000", "example2_scaled": "0000", "ones4": "0000", "lemma_edge": "0000"},
+    "extension_Ak_1": {"random_binary_0": "1111", "constant_0.1": "0001", "constant_0.5": "1111", "thm1_scaled": "1111", "thm2_scaled": "0011", "thm3_scaled": "0000", "thm6_half": "0000", "example2_scaled": "0000", "ones4": "1111", "lemma_edge": "0000"},
+    "extension_Ak_2": {"random_binary_0": "0011", "constant_0.1": "0000", "constant_0.5": "0011", "thm1_scaled": "0000", "thm2_scaled": "0000", "thm3_scaled": "0000", "thm6_half": "0000", "example2_scaled": "0000", "ones4": "0000", "lemma_edge": "0000"},
+}
+
+
+class TestArrayPlan:
+    """The array plan against the oracle, against recorded values, and
+    under the cell budget."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_library_and_triangles_match_oracle(self, n):
+        sentences = library_sentences() + [library("triangle", vocab=v) for v in Vocab]
+        for p, f in product((0.2, 0.5, 0.8), sentences):
+            kind = CIRCLE if f.vocab.circular else LINE
+            m = LabeledModel(sample(make_constant(p), n, RngStream(n, int(10 * p)), kind), f.vocab)
+            assert holds(m, f) == brute_holds(m, f), (n, p, f.name, f.vocab)
+
+    @given(st.integers(min_value=0, max_value=2**16 - 1), st.sampled_from(list(Vocab)),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=150, deadline=None)
+    def test_random_sentences_match_oracle_up_to_12(self, seed, vocab, n):
+        rng = random.Random(seed)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = sample(make_constant(p), n, RngStream(seed), CIRCLE if vocab.circular else LINE)
+        f = random_sentence(rng, vocab, 4)
+        m = LabeledModel(g, vocab)
+        assert holds(m, f) == brute_holds(m, f), to_text(f)
+
+    @pytest.mark.parametrize("text, vocab", [
+        # two conjuncts over w, each with one other variable, then w != t
+        ("forall x. forall y. forall z. (exists w. w <= x & y <= w & !(w = z)) | x = y", Vocab.L_LE),
+        ("forall x. exists y. exists z. exists w. succ(x, w) & succ(w, y) & !(w = z)", Vocab.L_PLUS),
+        ("exists x. exists y. exists w. succ(w, x) & succ(y, w) & !(w = first)", Vocab.L_PLUS),
+        ("forall x. forall y. exists w. adj(x, w) & !adj(w, y) & !(w = last)", Vocab.L_PLUS),
+        ("forall x. forall y. exists w. C(x, w, w) & C(w, y, y) & !(w = y)", Vocab.LC_LE),
+        ("forall x. exists y. exists w. adj(x, w) & succ(w, y)", Vocab.LC_PLUS),
+        # a guard on w alone narrows its range first; t among the ui is not contracted
+        ("forall x. forall y. exists w. adj(x, w) & adj(w, y) & !(w = x)", Vocab.L),
+        ("forall x. forall y. exists w. adj(w, first) & adj(x, w) & adj(w, y)", Vocab.L_PLUS),
+        # a contracted body inside another contraction, as in ex2_path4
+        ("forall x. exists y. exists z. adj(x, z) & (exists w. adj(z, w) & adj(w, y))", Vocab.L),
+    ])
+    def test_contracted_shapes_match_oracle(self, text, vocab):
+        f = parse(text, vocab)
+        for n in range(1, 10):
+            for p in (0.3, 0.7):
+                g = sample(make_constant(p), n, RngStream(n, int(10 * p)), CIRCLE if vocab.circular else LINE)
+                m = LabeledModel(g, vocab)
+                assert holds(m, f) == brute_holds(m, f), (text, n, p)
+
+    def test_sliced_evaluation_matches_oracle(self, monkeypatch):
+        # n = 7 and a budget of 49 cells: every 3-axis array is cut into slices
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 49)
+        rng = random.Random(5)
+        for vocab in Vocab:
+            for _ in range(40):
+                g = sample(make_constant(0.5), 7, RngStream(rng.randrange(2**32)),
+                           CIRCLE if vocab.circular else LINE)
+                f, m = random_sentence(rng, vocab, 3), LabeledModel(g, vocab)
+                assert holds(m, f) == brute_holds(m, f), to_text(f)
+        for n in range(4, 13):  # no array of these spans 4 axes
+            monkeypatch.setattr(sampler, "CELL_BUDGET", n * n)
+            m = LabeledModel(sample_line(make_constant(0.5), n, RngStream(n)), Vocab.L)
+            for f in library_sentences(vocab=Vocab.L):
+                assert holds(m, f) == brute_holds(m, f), (n, f.name)
+
+    def test_slices_of_the_quantified_axis(self, monkeypatch):
+        # a budget of 3 cells below n = 8: one-axis bodies are reduced slice by slice
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 3)
+        m = LabeledModel(make_graph(8, [(2, 5), (5, 8)]), Vocab.L_PLUS)
+        for text in ("exists x. adj(x, last)", "forall x. !(x = first) -> !adj(x, first)",
+                     "exists x. adj(x, first)", "forall x. x = x", "forall x. !adj(x, last)"):
+            f = parse(text, Vocab.L_PLUS)
+            assert holds(m, f) == brute_holds(m, f), text
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_bundled_sequences_match_recorded_values(self, name):
+        f = next(f for f in library_sentences() if f.name == name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ScaleWarning)
+            seqs = {key: make() for key, make in RECORDED_SEQS.items()}
+        for key, seq in seqs.items():
+            bits = "".join(str(int(holds(LabeledModel(sample_line(seq, n, RngStream(n, 7)), f.vocab), f)))
+                           for n in RECORDED_N)
+            assert bits == RECORDED[name][key], (name, key)
+
+    def test_checked_formula_pickles(self):
+        f, m = library("edge_in_c4"), LabeledModel(complete_graph(5), Vocab.L)
+        assert holds(m, f)
+        clone = pickle.loads(pickle.dumps(f))
+        assert clone == f and holds(m, clone)
+
+    def test_edge_in_c4_at_400_stays_under_64_mb(self):
+        m = LabeledModel(sample_line(make_constant(0.5), 400, RngStream(1, 0)), Vocab.L)
+        c4 = library("edge_in_c4")
+        tracemalloc.start()
+        try:
+            value = holds(m, c4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value and peak < 64 * 2**20, peak
+
+    def test_budget_error_when_one_slice_does_not_fit(self, monkeypatch):
+        # three conjuncts over w are not contracted, so the body spans 4 axes
+        f = parse("forall a. forall b. forall c. exists w. adj(a, w) & adj(b, w) & adj(c, w)",
+                  Vocab.L)
+        with pytest.raises(CheckerBudgetError) as err:
+            holds(LabeledModel(edgeless_graph(400), Vocab.L), f)
+        assert (err.value.estimate, err.value.budget) == (400**3, sampler.CELL_BUDGET)
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 1000)
+        with pytest.raises(CheckerBudgetError) as err:
+            holds(LabeledModel(complete_graph(20), Vocab.L), f)
+        assert (err.value.estimate, err.value.budget) == (20**3, 1000)
+        assert isinstance(err.value, RuntimeError) and "8000" in str(err.value)
 
 
 class TestClockwise:

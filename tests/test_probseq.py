@@ -512,3 +512,13 @@ class TestJsonRoundTrip:
     def test_unknown_kind(self):
         with pytest.raises(SequenceError):
             from_json('{"kind": "nope", "params": {}}')
+
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "constant", "params": {}}',
+        '{"kind": "constant", "params": {"p": 0.5, "q": 1}}',
+        '{"kind": "thm3", "params": {"a": [0.5]}}',
+        '{"kind": "constant", "params": [0.5]}',
+    ])
+    def test_bad_params_raise_sequence_error(self, doc):
+        with pytest.raises(SequenceError):
+            from_json(doc)
