@@ -45,7 +45,6 @@ from .logic import (
 from .probseq import (
     ProbSeq,
     condition_statistic,
-    is_admissible,
     log_partial_product,
     make_constant,
     make_diluted,
@@ -60,6 +59,6 @@ from .probseq import (
     support_upto,
 )
 from .rng import RngStream
-from .sampler import CIRCLE, LINE, markov_step, sample_line
+from .sampler import CIRCLE, LINE, is_admissible, markov_step, sample_line
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .graph import Graph, cw_holds, disjoint_sum
-from .logic import LabeledModel, Vocab
+from .logic import ADJ_BIT, SUCC_BACK_BIT, SUCC_BIT, LabeledModel, Vocab
 
 
 class GameBudgetError(RuntimeError):
@@ -174,7 +174,7 @@ def _answer_order(a: int, answers: list[int]) -> list[int]:
     return answers
 
 
-_METRIC_ATOMS = 0b1110  # adj and successor either way, in LabeledModel.atoms
+_METRIC_ATOMS = (1 << ADJ_BIT) | (1 << SUCC_BIT) | (1 << SUCC_BACK_BIT)
 
 
 def _hop_distances(m: LabeledModel) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import Graph
-from .logic import Formula, compile_sentence, library
+from .logic import Formula, library
 from .probseq import ProbSeq, ordered_sum, support_table
 from .rng import derived_streams
 from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
@@ -111,14 +111,10 @@ _TRIANGLE = library("triangle").root
 def _midpoint_pairs(batch: PairBatch) -> np.ndarray:
     """Column pairs ((1, m), (m, n)) of every midpoint m both of whose pairs
     are in the table, shape (k, 2)."""
-    n = batch.n
-    left = np.full(n + 1, -1, dtype=np.int64)
-    right = np.full(n + 1, -1, dtype=np.int64)
-    at_first, at_last = np.flatnonzero(batch.v == 1), np.flatnonzero(batch.w == n)
-    left[batch.w[at_first]] = at_first
-    right[batch.v[at_last]] = at_last
-    mids = (left >= 0) & (right >= 0)
-    return np.stack([left[mids], right[mids]], axis=1)
+    mids = np.arange(2, batch.n)
+    left, right = batch.columns(1, mids), batch.columns(mids, batch.n)
+    both = (left >= 0) & (right >= 0)
+    return np.stack([left[both], right[both]], axis=1)
 
 
 def _clauses(target: Target, batch: PairBatch) -> np.ndarray | None:
@@ -172,7 +168,7 @@ def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Cal
     """
     clauses = _clauses(target, batch)
     if clauses is None and isinstance(target, Formula):
-        run, adj = compile_sentence(target), np.zeros((batch.n, batch.n), dtype=bool)
+        run, adj = target._checker, np.zeros((batch.n, batch.n), dtype=bool)
         v, w = batch.v.astype(np.intp) - 1, batch.w.astype(np.intp) - 1
 
         def decide(rows: np.ndarray) -> np.ndarray:
@@ -211,10 +207,10 @@ def mc_probability(
     compiled targets (see ``_clauses``) are decided by one ``clause_hits``
     reduction per block; every other target reads every column, and runs
     the compiled sentence on each row's adjacency or the predicate on each
-    row's graph.  Both
-    give the same successes, since each draw is a pure function of
-    (master_seed, stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells
-    (at least one trial), which bounds memory independently of ``trials``.
+    row's graph.  Both give the same successes, since each draw is a pure
+    function of (master_seed, stream, v, w).  Blocks hold at most
+    ``CELL_BUDGET`` cells (at least one trial), which bounds memory
+    independently of ``trials``.
     """
     if trials < 1:
         raise EstimatorError("trials must be >= 1")
@@ -223,12 +219,11 @@ def mc_probability(
 
     batch = PairBatch(seq, n, model_kind)
     columns, cells, decide = row_decision(target, batch)
-    batch.restrict(columns)
     block = max(1, CELL_BUDGET // max(1, cells))
     successes = 0
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
-        successes += int(np.count_nonzero(decide(batch.edge_matrix(master_seed, ids))))
+        successes += int(np.count_nonzero(decide(batch.edge_matrix(master_seed, ids, columns))))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(
         estimate=successes / trials,

@@ -423,6 +423,9 @@ class CheckerBudgetError(RuntimeError):
         super().__init__(f"estimated {estimate} cells in one slice exceeds budget {budget}")
 
 
+EQ_BIT, ADJ_BIT, SUCC_BIT, SUCC_BACK_BIT, LE_BIT = range(5)  # of LabeledModel.atoms
+
+
 @dataclass(frozen=True)
 class LabeledModel:
     """A graph with interpretations fixed by its vertex numbering."""
@@ -454,19 +457,19 @@ class LabeledModel:
     @cached_property
     def atoms(self) -> np.ndarray:
         """The binary atoms as an (n+1, n+1) uint8 table.  Entry [x, a]
-        packs a = x (bit 0), adj(a, x) (bit 1), succ(a, x) and succ(x, a)
-        (bits 2, 3, with successor) and a <= x (bit 4, with order); row and
+        packs a = x, adj(a, x), succ(a, x) and succ(x, a) (with successor)
+        and a <= x (with order) at the bit positions named above; row and
         column 0 are zero.  Pairs (a, b) and (x, y) of picks agree on every
         binary atom iff ``m1.atoms[x, a] == m2.atoms[y, b]``."""
         n = self.n
         x, a = np.arange(1, n + 1)[:, None], np.arange(1, n + 1)[None, :]
-        bits = (x == a) | (self.adjacency << 1)
+        bits = ((x == a) << EQ_BIT) | (self.adjacency << ADJ_BIT)
         if self.vocab.has_succ:
             # succ(v, w) iff w = v % period + 1: v + 1 on the line, wrapping on the circle
             period = n if self.vocab.circular else n + 1
-            bits |= ((x == a % period + 1) << 2) | ((a == x % period + 1) << 3)
+            bits |= ((x == a % period + 1) << SUCC_BIT) | ((a == x % period + 1) << SUCC_BACK_BIT)
         if self.vocab.has_le:
-            bits |= (a <= x) << 4
+            bits |= (a <= x) << LE_BIT
         table = np.zeros((n + 1, n + 1), dtype=np.uint8)
         table[1:, 1:] = bits
         return table

@@ -384,7 +384,8 @@ def absorbing_sum_candidate(k: int, rep_max_n: int = 2) -> Graph:
     return reduce(disjoint_sum, [block] * k)
 
 
-def _run_fact4_search(seed: int, trials: int | None, k: int = 2) -> PresetOutcome:
+def _run_fact4_search(seed: int, trials: int | None) -> PresetOutcome:
+    k = 2
     candidate = absorbing_sum_candidate(k)
     h_set = all_labeled_graphs(3)
     found = fact4_search([candidate], h_set, k, SUM)

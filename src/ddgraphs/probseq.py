@@ -140,16 +140,16 @@ class GeneratedRule:
 Rule = IndexRule | BandRule | TailRule | GeneratedRule
 
 
-def _check_overlaps(rules: Sequence[Rule], probe_cap: int = 256) -> None:
+def _check_overlaps(rules: Sequence[Rule]) -> None:
     """Reject matcher sets that overlap with conflicting values.
 
     Interval rules (index, band, tail) are compared at every index of a
     finite overlap; two overlapping open tails are rejected outright.  A pair
     with a ``GeneratedRule`` is probed only at the generated indices up to
-    16 * ``probe_cap`` and the other rule's up to ``probe_cap`` past its start
-    (and a band's top): ``make_ones_powers(4)`` against ``TailRule(5000, ...)``
-    first conflicts at 16384 and is accepted.  The constructors here only
-    build disjoint matchers; this is a safety net for hand-assembled lists.
+    4096 and the other rule's up to 256 past its start (and a band's top):
+    ``make_ones_powers(4)`` against ``TailRule(5000, ...)`` first conflicts
+    at 16384 and is accepted.  The constructors here only build disjoint
+    matchers; this is a safety net for hand-assembled lists.
     """
 
     def span(r: Rule) -> tuple[int, float]:
@@ -157,9 +157,9 @@ def _check_overlaps(rules: Sequence[Rule], probe_cap: int = 256) -> None:
 
     def probe(r: Rule) -> set[int]:
         if isinstance(r, GeneratedRule):
-            return set(r.upto(probe_cap * 16))
+            return set(r.upto(4096))
         lo, hi = span(r)
-        return set(r.indices_upto(lo + probe_cap)) | ({hi} if hi < math.inf else set())
+        return set(r.indices_upto(lo + 256)) | ({hi} if hi < math.inf else set())
 
     for (a, ra), (b, rb) in itertools.combinations(enumerate(rules), 2):
         if isinstance(ra, GeneratedRule) or isinstance(rb, GeneratedRule):
@@ -621,20 +621,3 @@ def condition_statistic(seq: ProbSeq, n: int, kind: str) -> float:
     if kind == "C5":
         return _log_miss_sum(seq, n, weighted=True)
     raise ValueError(f"unknown statistic kind {kind!r}")
-
-
-def is_admissible(seq: ProbSeq, h) -> bool:
-    """Can ``h`` occur as a sample on its own vertex range?
-
-    True iff every edge {j,k} of h has p(|j-k|) > 0 and every non-edge has
-    p(|j-k|) < 1: the edges must lie in the support, and every pair at a
-    distance with p = 1 must be an edge.
-    """
-    n = h.n
-    idx, probs = support_table(seq, n - 1)
-    p = dict(zip(idx.tolist(), probs.tolist()))
-    if any(w - v not in p for v, w in h.edges):
-        return False
-    return all(
-        (v, v + d) in h.edges for d, pd in p.items() if pd >= 1.0 for v in range(1, n - d + 1)
-    )

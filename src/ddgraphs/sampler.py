@@ -9,12 +9,13 @@ midpoint.
 Per-pair randomness comes from a counter-based hash keyed by
 (master_seed, stream_id, v, w) in canonical v < w order, so results are
 independent of evaluation order and identical across platforms.  There is one
-sampling path: ``PairBatch`` lists the candidate pairs and ``keyed_u64_grid``
-hashes them for many streams at once, as boolean (trials, pairs) rows.  One
-draw is the one-row case.  The midpoint step works on those rows:
-``markov_step_rows`` moves the kept columns of the [n] table into the [n+1]
-table and hashes only the straddling columns, so the chain never builds a
-graph; ``markov_step`` is the same step on one graph's edge list.
+sampling path: ``PairBatch``, a read-only table of the candidate pairs with
+``columns`` as its map from pairs back to columns, and ``keyed_u64_grid``,
+which hashes chosen columns for many streams at once as boolean (trials,
+pairs) rows.  One draw is the one-row case.  ``markov_step_rows`` moves the
+kept columns of the [n] table into the [n+1] table and hashes only the
+straddling columns, so the chain never builds a graph; ``markov_step`` is
+the same step on one graph's edge list.
 """
 
 from __future__ import annotations
@@ -42,12 +43,15 @@ class PairBatch:
 
     This is the one place that knows which pairs of [n] can be edges: the
     line measures |v - w|, the circle min(|v - w|, n - |v - w|).  Columns
-    ``v < w`` hold every pair with positive edge probability, in
-    support-distance order on the line and in (v, w) order on the circle.
-    ``p`` is each pair's edge probability, and ``thresholds`` and ``always``
-    its acceptance rule.  The table walks support distances, not all pairs,
-    so sparse sequences cost O(n * |supp|), and ``seq.eval`` runs once per
-    support distance.
+    ``v < w`` hold every pair with positive edge probability, one run per
+    support distance d in increasing d, and in a run the pairs {s, s + d}
+    for s = 1, 2, ... (wrapping past n on the circle, where an antipodal run
+    stops at s = n / 2): the diagonal storage of the Toeplitz (line) or
+    circulant (circle) edge-probability matrix, so ``columns`` finds a
+    pair's column from its distance and start s.  ``p`` is each pair's edge
+    probability, and ``thresholds`` and ``always`` its acceptance rule.
+    Building walks support distances, not all pairs (O(n * |supp|), one
+    ``seq.eval`` per distance).  The arrays are read-only.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
@@ -64,30 +68,40 @@ class PairBatch:
         starts = np.cumsum(counts, dtype=np.int64) - counts
         v = np.arange(len(d), dtype=np.int64) - np.repeat(starts, counts) + 1
         w = v + d
-        order = slice(None)
         if model_kind == CIRCLE:
             w = (w - 1) % n + 1
             v, w = np.minimum(v, w), np.maximum(v, w)
-            order = np.lexsort((w, v))
         thresholds = [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs]
-        self.n = n
-        self.v = v[order].astype(np.uint64)
-        self.w = w[order].astype(np.uint64)
-        self.p = np.repeat(np.array(probs, dtype=np.float64), counts)[order]
-        self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)[order]
+        self.n, self.model_kind = n, model_kind
+        # the first column of each distance's run, -1 off the support
+        self.run_start = np.full(max(n, 1), -1, dtype=np.int64)
+        self.run_start[dists] = starts
+        self.v, self.w = v.astype(np.uint64), w.astype(np.uint64)
+        self.p = np.repeat(np.array(probs, dtype=np.float64), counts)
+        self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)
         self.always = self.p >= 1.0
+        for a in (self.run_start, self.v, self.w, self.p, self.thresholds, self.always):
+            a.flags.writeable = False
 
     @cached_property
     def pair_list(self) -> list[tuple[int, int]]:
         """The columns as (v, w) tuples of Python ints, built on first read."""
         return list(zip(self.v.tolist(), self.w.tolist()))
 
-    def restrict(self, keep: np.ndarray) -> None:
-        """Keep only the columns ``keep`` selects (a boolean mask or an
-        index array)."""
-        self.v, self.w, self.p = self.v[keep], self.w[keep], self.p[keep]
-        self.thresholds, self.always = self.thresholds[keep], self.always[keep]
-        self.__dict__.pop("pair_list", None)
+    def columns(self, a, b) -> np.ndarray:
+        """The column of each pair {a[i], b[i]} (integers or integer arrays,
+        broadcast together), or -1 where the pair is not in the table:
+        a == b, a vertex outside [n], or a distance off the support."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        d, start = hi - lo, lo
+        if self.model_kind == CIRCLE:
+            # past n / 2 the run starting at hi reaches lo by wrapping
+            wraps = 2 * d > self.n
+            d, start = np.where(wraps, self.n - d, d), np.where(wraps, hi, lo)
+        inside = (lo >= 1) & (hi <= self.n)
+        run = self.run_start[np.where(inside, d, 0)]
+        return np.where(inside & (run >= 0), run + start - 1, -1)
 
     def triangle_blocks(self) -> Iterator[np.ndarray]:
         """``triangles()`` in consecutive row blocks.  Each block comes from
@@ -95,9 +109,6 @@ class PairBatch:
         eight int64 words at once), or from the paths of one pair {a, b}, so
         memory is bounded by the pairs and the budget, not by the paths."""
         v, w = self.v.astype(np.int64), self.w.astype(np.int64)
-        key = v * (self.n + 1) + w
-        by_key = np.argsort(key)
-        sorted_key = key[by_key]
         by_v = np.argsort(v, kind="stable")
         starts = np.searchsorted(v[by_v], np.arange(self.n + 2))
         # every path a < b < c along pair j1 = {a, b}, then pair j3 = {b, c}
@@ -111,10 +122,9 @@ class PairBatch:
             first = np.repeat(starts[w[lo:hi]] - (np.cumsum(c) - c), c)
             j3 = by_v[first + np.arange(len(j1))]
             # keep the paths whose closing pair {a, c} is in the table
-            want = v[j1] * (self.n + 1) + w[j3]
-            at = np.minimum(np.searchsorted(sorted_key, want), len(key) - 1)
-            closed = sorted_key[at] == want
-            yield np.stack([j1[closed], by_key[at[closed]], j3[closed]], axis=1)
+            j2 = self.columns(v[j1], w[j3])
+            closed = j2 >= 0
+            yield np.stack([j1[closed], j2[closed], j3[closed]], axis=1)
             lo = hi
 
     def triangles(self) -> np.ndarray:
@@ -124,20 +134,33 @@ class PairBatch:
         by the column order of the pairs {b, c}."""
         return np.concatenate([np.zeros((0, 3), dtype=np.int64), *self.triangle_blocks()])
 
-    def edge_matrix(self, master_seed: int, stream_ids: np.ndarray) -> np.ndarray:
+    def edge_matrix(self, master_seed: int, stream_ids: np.ndarray,
+                    columns=slice(None)) -> np.ndarray:
         """Boolean (trials, pairs) edge indicators; row t is the draw of
-        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``)."""
-        if len(self.v) == 0:
+        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``).
+        Given ``columns`` (an index array or a boolean mask), only those
+        pairs are hashed, one result column each."""
+        v, w, always = self.v[columns], self.w[columns], self.always[columns]
+        if len(v) == 0:
             return np.zeros((len(stream_ids), 0), dtype=bool)
-        grid = keyed_u64_grid((master_seed,), stream_ids, self.v, self.w)
-        hits = grid < self.thresholds[None, :]
-        if self.always.any():
-            hits = hits | self.always[None, :]
+        grid = keyed_u64_grid((master_seed,), stream_ids, v, w)
+        hits = grid < self.thresholds[columns][None, :]
+        if always.any():
+            hits = hits | always[None, :]
         return hits
 
     def graph_from_row(self, row: np.ndarray) -> Graph:
         edges = [self.pair_list[j] for j in np.flatnonzero(row)]
         return _graph_unchecked(self.n, edges)
+
+
+def is_admissible(seq: ProbSeq, h: Graph) -> bool:
+    """Can ``h`` occur as a line sample on its own vertex range?  Yes iff
+    every edge of h is a column of the line table (p > 0) and every
+    ``always`` column (p = 1) is an edge of h."""
+    table = PairBatch(seq, h.n, LINE)
+    at = table.columns(*np.array(list(h.edges), dtype=np.int64).reshape(-1, 2).T)
+    return bool((at >= 0).all() and np.isin(np.flatnonzero(table.always), at).all())
 
 
 def sample_batch(
@@ -178,13 +201,12 @@ def _straddling(table: PairBatch, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _straddling_table(seq: ProbSeq, n: int) -> PairBatch:
-    """The straddling columns of ``PairBatch(seq, n + 1, LINE)``, built once
-    per (sequence, n); sequences are immutable and hash by identity.  Read
-    only: ``markov_step`` shares it across calls."""
+def _straddling_table(seq: ProbSeq, n: int) -> tuple[PairBatch, np.ndarray]:
+    """``PairBatch(seq, n + 1, LINE)`` and its straddling columns, built once
+    per (sequence, n); sequences are immutable and hash by identity.
+    ``markov_step`` shares both across calls and changes neither."""
     table = PairBatch(seq, n + 1, LINE)
-    table.restrict(_straddling(table, n))
-    return table
+    return table, np.flatnonzero(_straddling(table, n))
 
 
 def markov_step_rows(
@@ -195,8 +217,8 @@ def markov_step_rows(
     ``PairBatch(seq, n + 1, LINE)``.  Row t resamples from stream
     ``stream_ids[t]`` (a uint64 array).
 
-    Kept pairs keep their distance, so the kept columns of the [n] table are
-    exactly the unresampled columns of the [n+1] table and move by one index
+    Kept pairs keep their distance, so the kept columns of the [n+1] table
+    are columns of the [n] table, found by ``columns``, and move by one index
     array; only the straddling columns are hashed.  Only rows of the [n]
     table are valid input: a graph with edges outside the support needs
     ``markov_step``.
@@ -207,15 +229,11 @@ def markov_step_rows(
     if rows.shape != (len(stream_ids), len(old.v)):
         raise ValueError(f"need rows of shape (streams, {len(old.v)}), got {rows.shape}")
     resampled = _straddling(new, n)
-    key = old.v.astype(np.int64) * (n + 1) + old.w.astype(np.int64)
-    by_key = np.argsort(key)
     v, w = new.v[~resampled].astype(np.int64), new.w[~resampled].astype(np.int64)
     back = (v > n // 2).astype(np.int64)  # (ii): the high side moved up by one
-    source = by_key[np.searchsorted(key[by_key], (v - back) * (n + 1) + (w - back))]
     stepped = np.empty((len(rows), len(new.v)), dtype=bool)
-    stepped[:, ~resampled] = rows[:, source]
-    new.restrict(resampled)
-    stepped[:, resampled] = new.edge_matrix(master_seed, stream_ids)
+    stepped[:, ~resampled] = rows[:, old.columns(v - back, w - back)]
+    stepped[:, resampled] = new.edge_matrix(master_seed, stream_ids, resampled)
     return stepped
 
 
@@ -227,9 +245,9 @@ def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
     mid = n // 2
-    table = _straddling_table(seq, n)
-    row = table.edge_matrix(rng.master_seed, stream_words([rng.stream_id]))[0]
+    table, straddling = _straddling_table(seq, n)
+    row = table.edge_matrix(rng.master_seed, stream_words([rng.stream_id]), straddling)[0]
     # straddling old pairs are dropped; their successors fall to (iii)
     edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]
-    edges.extend(table.pair_list[j] for j in np.flatnonzero(row))
+    edges.extend(table.pair_list[j] for j in straddling[row].tolist())
     return _graph_unchecked(n + 1, edges)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddgraphs import estimator, sampler
+from ddgraphs import estimator, logic, sampler
 from ddgraphs.estimator import (
     BruteForceGuardError,
     EstimateResult,
@@ -458,6 +458,23 @@ class TestColumnKernels:
         assert len(row_graphs) == (0 if isinstance(target, Formula) else 40)
         want = row_path_successes(seq, 9, target, LINE, 40, 3)
         assert round(got.estimate * 40) == want
+
+    def test_sentence_plan_is_compiled_once(self, monkeypatch):
+        f, seq = library("edge_in_c4"), make_constant(0.5)
+        compiled = []
+        real = logic._plan
+
+        def spy(node, scope, level):
+            if node is f.root:  # planning starts from the root once per compile
+                compiled.append(node)
+            return real(node, scope, level)
+
+        monkeypatch.setattr(logic, "_plan", spy)
+        holds(LabeledModel(make_graph(4, [(1, 2)]), f.vocab), f)
+        mc_probability(seq, 9, f, LINE, 20, 3)
+        mc_probability(seq, 9, f, LINE, 20, 4)
+        brute_force_probability(seq, 5, f, LINE)
+        assert len(compiled) == 1
 
     def test_dense_triangles_take_the_row_path(self, row_graphs):
         # constant p: n(n-1)/2 pairs, C(n, 3) triangles, (n - 2) / 3 per pair

@@ -20,7 +20,6 @@ from ddgraphs.probseq import (
     TailRule,
     condition_statistic,
     from_json,
-    is_admissible,
     log_partial_product,
     make_constant,
     make_diluted,
@@ -36,7 +35,7 @@ from ddgraphs.probseq import (
     support_upto,
 )
 from ddgraphs.rng import RngStream
-from ddgraphs.sampler import sample_line
+from ddgraphs.sampler import is_admissible, sample_line
 
 
 def reference_log_miss(seq, n, weighted):

@@ -6,8 +6,10 @@ are checked against, draw for draw, and ``reference_chain_tv`` the
 graph-per-trial midpoint chain that the row-native one is checked against.
 """
 
+import importlib
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 from ddgraphs import estimator, presets, probseq, sampler
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
 from ddgraphs.logic import library
-from ddgraphs.presets import midpoint_chain_tv
+from ddgraphs.presets import NAMED_SEQUENCES, midpoint_chain_tv
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
 from ddgraphs.rng import (
     MASK64,
@@ -73,6 +75,12 @@ REFERENCE_SEQS = [
     make_thm6([0.5] * 4),
 ]
 REFERENCE_NS = [1, 2, 3, 4, 5, 6, 9, 12, 17, 18]
+# the bundled sequences, plus supports with an antipodal run at every even n
+COLUMN_SEQS = [NAMED_SEQUENCES[name]() for name in sorted(NAMED_SEQUENCES)] + [
+    make_constant(0.1),
+    make_constant(0.5),
+    make_support({1: 0.3, 2: 1.0, 3: 0.7, 6: 0.2}),
+]
 REFERENCE_STREAMS = [0, 1, 7, derived_stream(12, 3), keyed_u64(5, 9), MASK64]
 
 
@@ -130,16 +138,38 @@ class TestAgainstReference:
                 got.append((a, b, c))
             assert sorted(got) == want, n
 
-    def test_restrict_keeps_columns_aligned(self):
-        batch = PairBatch(make_support({1: 0.3, 2: 1.0, 3: 0.7}), 9, LINE)
-        keep = batch.v % 2 == 1
-        want = [(pair, p, t, a) for pair, p, t, a, k in zip(
-            batch.pair_list, batch.p.tolist(), batch.thresholds.tolist(), batch.always.tolist(),
-            keep.tolist()) if k]
-        batch.restrict(keep)
-        got = list(zip(batch.pair_list, batch.p.tolist(), batch.thresholds.tolist(),
-                       batch.always.tolist()))
-        assert got == want and len(got) > 0
+    @pytest.mark.parametrize("kind", [LINE, CIRCLE])
+    @pytest.mark.parametrize("seq_index", range(len(COLUMN_SEQS)))
+    def test_columns_inverts_the_table(self, kind, seq_index):
+        seq = COLUMN_SEQS[seq_index]
+        for n in list(range(1, 21)) + [30, 54, 162]:
+            batch = PairBatch(seq, n, kind)
+            at = {pair: j for j, pair in enumerate(batch.pair_list)}
+            assert len(at) == len(batch.pair_list)
+            # every ordered pair, with a == b and vertices outside [n]
+            vertices = np.arange(-1, n + 3)
+            got = batch.columns(vertices[:, None], vertices[None, :])
+            want = [[at.get((min(a, b), max(a, b)), -1) for b in vertices.tolist()]
+                    for a in vertices.tolist()]
+            assert got.tolist() == want, n
+
+    def test_edge_matrix_of_columns_is_those_columns(self):
+        ids = np.arange(5, dtype=np.uint64)
+        for kind in (LINE, CIRCLE):
+            batch = PairBatch(make_support({1: 0.3, 2: 1.0, 3: 0.7}), 9, kind)
+            full = batch.edge_matrix(3, ids)
+            assert batch.always.any() and not batch.always.all()
+            for columns in (np.flatnonzero(batch.v % 2 == 1), np.array([4, 0, 4]),
+                            np.array([], dtype=np.intp)):
+                got = batch.edge_matrix(3, ids, columns)
+                assert got.shape == (5, len(columns))
+                assert np.array_equal(got, full[:, columns])
+
+    def test_table_is_read_only(self):
+        batch = PairBatch(make_constant(0.5), 6, CIRCLE)
+        for column in (batch.v, batch.w, batch.p, batch.thresholds, batch.always):
+            with pytest.raises(ValueError):
+                column[0] = column[1]
 
     def test_grid_equals_scalar_chain(self):
         rows = np.array([0, 5, MASK64], dtype=np.uint64)
@@ -196,11 +226,10 @@ class TestAgainstReference:
     def test_pair_list_is_built_on_first_read(self):
         batch = PairBatch(make_constant(0.5), 12, LINE)
         batch.edge_matrix(0, np.array([1], dtype=np.uint64))
+        batch.edge_matrix(0, np.array([1], dtype=np.uint64), np.flatnonzero(batch.v == 1))
         batch.triangles()
         assert "pair_list" not in vars(batch)
         assert batch.pair_list == list(zip(batch.v.tolist(), batch.w.tolist()))
-        batch.restrict(batch.v == 1)
-        assert batch.pair_list == [(1, w) for w in range(2, 13)]
 
     @pytest.mark.parametrize("stream", [-1, 2**64 - 1, 2**64 + 3])
     def test_stream_ids_read_mod_2_64(self, stream):
@@ -491,3 +520,27 @@ class TestRowChain:
         assert midpoint_chain_tv(make_constant(0.5), 5, 0, 0) == (0.0, header)
         with pytest.raises(ValueError):
             midpoint_chain_tv(make_constant(0.5), 1, 10, 0)
+
+
+class TestBenchmarkHooks:
+    def test_traced_benchmark_reaches_its_patch_points(self, monkeypatch):
+        # perfbench imports these names from the library, and its traced mode
+        # times the pair hash and the support scan by replacing the module
+        # globals that PairBatch calls
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        tracing = importlib.import_module("tracing")
+
+        class Hooks(workloads.Workload):
+            def build_slots(self):
+                return []
+
+        tracer = tracing.Tracer()
+        with Hooks(0).patches(tracer):
+            batch = PairBatch(make_constant(0.5), 6, LINE)
+            batch.edge_matrix(1, np.array([0], dtype=np.uint64))
+        calls = {name: s["calls"] for name, s in tracer.summary().items()}
+        assert calls == {"probseq.support_upto": 1, "rng.keyed_u64_grid": 1}
+        assert tracer.counts["rng.cells"] == 15
+        assert sampler.keyed_u64_grid is keyed_u64_grid
+        assert sampler.support_upto is probseq.support_upto
