@@ -10,8 +10,10 @@ from .efgame import (
 )
 from .estimator import (
     EstimateResult,
+    LineageBudgetError,
     brute_force_probability,
     exact_path2,
+    exact_probability,
     exact_triangle_circle,
     mc_probability,
     scan,

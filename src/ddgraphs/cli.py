@@ -20,8 +20,10 @@ from pathlib import Path
 from . import estimator, probseq
 from .efgame import GameBudgetError, th_k_equal_detailed
 from .estimator import (
+    LineageBudgetError,
     brute_force_probability,
     exact_path2,
+    exact_probability,
     exact_result,
     exact_triangle_circle,
     mc_probability,
@@ -182,22 +184,27 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _closed_form_result(seq, n: int, target: str, model_kind: str, master_seed: int):
-    """The closed-form row for ``target`` on ``model_kind``: the endpoint
-    2-path on the line, or the triangle on the circle."""
-    if target == "path2" and model_kind == LINE:
-        return exact_result(exact_path2(seq, n), n, "path2_exact", LINE, master_seed)
-    if target in ("triangle", "has_triangle") and model_kind == CIRCLE:
-        return exact_result(exact_triangle_circle(seq, n), n, "triangle_exact", CIRCLE, master_seed)
-    raise CliError(f"no exact oracle for target {target!r} on the {model_kind.lower()} model")
+def _exact_row(seq, n: int, target: str, model_kind: str, master_seed: int):
+    """The exact row ``{target}_exact`` for ``target`` on ``model_kind``: the
+    triangle on the circle by its closed form, the endpoint 2-path on the
+    line by ``exact_path2``, any other target by ``exact_probability`` (an
+    error for a target with no lineage)."""
+    name = "triangle" if target == "has_triangle" else target
+    if name == "triangle" and model_kind == CIRCLE:
+        value = exact_triangle_circle(seq, n)
+    elif name == "path2" and model_kind == LINE:
+        value = exact_path2(seq, n)
+    else:
+        value = exact_probability(seq, n, resolve_target(target), model_kind)
+    return exact_result(value, n, f"{name}_exact", model_kind, master_seed)
 
 
 def cmd_oracle(args) -> int:
     seq = resolve_sequence(args.seq)
     if args.kind == "path2":
-        result = _closed_form_result(seq, args.n, "path2", _model_kind(args.model), args.seed)
+        result = _exact_row(seq, args.n, "path2", _model_kind(args.model), args.seed)
     elif args.kind == "triangle_circle":
-        result = _closed_form_result(seq, args.n, "triangle", CIRCLE, args.seed)
+        result = _exact_row(seq, args.n, "triangle", CIRCLE, args.seed)
     else:
         kind = _model_kind(args.model)
         value = brute_force_probability(seq, args.n, resolve_target(args.target), kind)
@@ -297,7 +304,7 @@ def cmd_run(args) -> int:
     trials = 1000 if cfg.trials is None else cfg.trials
     if trials == 0:
         results = [
-            _closed_form_result(seq, n, cfg.target, cfg.model_kind, cfg.master_seed)
+            _exact_row(seq, n, cfg.target, cfg.model_kind, cfg.master_seed)
             for n in cfg.n_list
         ]
     else:
@@ -354,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--trials", type=int, default=1000)
     s.set_defaults(fn=cmd_scan)
 
-    s = sub.add_parser("oracle", help="closed-form or brute-force probability")
+    s = sub.add_parser("oracle", help="exact probability: closed form, lineage or brute force")
     s.add_argument("--kind", choices=("path2", "triangle_circle", "brute"), required=True)
     s.add_argument("--seq", required=True)
     s.add_argument("--n", type=int, required=True)
@@ -389,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, PresetError, CheckerBudgetError) as e:
+    except (CliError, PresetError, CheckerBudgetError, LineageBudgetError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     except (ValueError, OSError, json.JSONDecodeError) as e:

@@ -3,20 +3,20 @@
 Three routes:
 
 * ``mc_probability`` - seeded Monte Carlo with Wilson score intervals,
-* ``exact_path2`` / ``exact_triangle_circle`` - closed forms valid under
-  verified structural conditions,
+* ``exact_probability`` - the exact value from a sentence's lineage;
+  ``exact_path2`` is its endpoint 2-path, and ``exact_triangle_circle`` a
+  closed form for aligned circle triangles,
 * ``brute_force_probability`` - exhaustive enumeration over the free edge
   set for tiny instances (the oracle the other two are checked against).
 
+A sentence built from exists, & and | over adj atoms and (negated)
+equalities, or a predicate's ``sentence``, grounds once per pair table to
+its ``lineage``: clauses of pair columns, one of which holds iff it does.
 Monte Carlo and brute force share one ``row_decision`` on blocks of boolean
-pair-table rows: seeded draws, or the subsets of the free pairs.  The
-``path2`` sentence and the triangle (the ``triangle`` sentence in any
-vocabulary, or ``presets.has_triangle_predicate``) compile to column
-kernels that read only their clauses' pair columns, the only ones Monte
-Carlo hashes, and decide a block with one ``clause_hits`` reduction.  On
-tables with more than 16 triangles per pair the triangle is not compiled.
-Other sentences run, compiled once into an array plan, on each row
-scattered into an adjacency matrix; other predicates build each row's
+pair-table rows: a lineage of at most 16 clauses per pair reads only its
+columns, the only ones Monte Carlo hashes, and decides a block with one
+``clause_hits`` reduction.  Other sentences run their array plan on each
+row scattered into an adjacency matrix; other predicates build each row's
 graph.  Blocks are bounded by ``CELL_BUDGET``, not by a trial or subset
 count.
 """
@@ -25,15 +25,18 @@ from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain, count
 from statistics import NormalDist
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .graph import Graph
-from .logic import Formula, library
-from .probseq import ProbSeq, ordered_sum, support_table
+from .logic import Adj, And, Eq, Exists, Formula, Node, Not, Or, Var, library
+from .probseq import ProbSeq, ordered_sum
 from .rng import derived_streams
 from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
 
@@ -99,55 +102,136 @@ def _target_name(target: Target) -> str:
     return getattr(target, "target_name", getattr(target, "__name__", "predicate"))
 
 
-# Past this many positive-probability triangles per pair the triangle kernel's
-# reduction costs more than building the row graphs (on the dense line the
-# two break even near n = 50-60, i.e. 16-19 triangles per pair).
-_TRIANGLES_PER_PAIR = 16
-
-_PATH2 = library("path2").root
-_TRIANGLE = library("triangle").root
-
-
-def _midpoint_pairs(batch: PairBatch) -> np.ndarray:
-    """Column pairs ((1, m), (m, n)) of every midpoint m both of whose pairs
-    are in the table, shape (k, 2)."""
-    mids = np.arange(2, batch.n)
-    left, right = batch.columns(1, mids), batch.columns(mids, batch.n)
-    both = (left >= 0) & (right >= 0)
-    return np.stack([left[both], right[both]], axis=1)
+# Past this many clauses per pair a column kernel's reduction costs more than
+# deciding each row (on the dense line the triangle's two routes break even
+# near n = 50-60, i.e. 16-19 triangles per pair).
+_CLAUSES_PER_PAIR = 16
+# Cells a lineage, or one grounding step's assignments, may hold; a lineage is
+# held whole while Monte Carlo and brute force run in blocks.
+_LINEAGE_CELLS = 1 << 20
 
 
-def _clauses(target: Target, batch: PairBatch) -> np.ndarray | None:
-    """``target`` compiled to a disjunction of edge conjunctions: a (k, r)
-    array of pair-table columns, one clause per row, such that the target
-    holds on a draw iff some clause has all r of its columns as edges.
-    None for targets that are not compiled.
+class LineageBudgetError(RuntimeError):
+    """A lineage, or its exact expansion, grows past its budget."""
 
-    Compiled: the ``path2`` sentence (midpoint column pairs) and the
-    ``triangle`` sentence in any vocabulary, or a predicate whose
-    ``sentence`` attribute is one (column triples of ``batch.triangles``).
-    """
-    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
-    if sentence is None:
+    def __init__(self, estimate: int, budget: int):
+        self.estimate, self.budget = estimate, budget
+        super().__init__(f"estimated {estimate} exceeds lineage budget {budget}")
+
+
+@lru_cache(maxsize=256)
+def _queries(root: Node) -> tuple | None:
+    """``root`` as a union of conjunctive queries (adj pairs, (a, b, equal)
+    guards) over variable ids and constant names, each with whether it is a
+    triangle (three pairs closing a cycle on three variables); None unless
+    ``root`` is built from exists, & and | over adj atoms and (negated)
+    equalities.  Every binder takes its own id."""
+    ids = count()
+
+    def walk(node: Node, scope: dict[str, int]) -> tuple | None:
+        term = lambda t: scope[t.name] if isinstance(t, Var) else t.name
+        match node:
+            case Adj(a, b):
+                return ((((term(a), term(b)),), ()),)
+            case Eq(a, b) | Not(Eq(a, b)):
+                return (((), ((term(a), term(b), isinstance(node, Eq)),)),)
+            case Exists(v, body):
+                return walk(body, {**scope, v: next(ids)})
+            case And(l, r) | Or(l, r):
+                left, right = walk(l, scope), walk(r, scope)
+                if left is None or right is None:
+                    return None
+                if isinstance(node, Or):
+                    return left + right
+                if len(left) * len(right) > _LINEAGE_CELLS:
+                    raise LineageBudgetError(len(left) * len(right), _LINEAGE_CELLS)
+                return tuple((a1 + a2, g1 + g2) for a1, g1 in left for a2, g2 in right)
         return None
-    if sentence.root == _PATH2:
-        return _midpoint_pairs(batch)
-    if sentence.root == _TRIANGLE:
-        # stop enumerating once the dense rule is decided
-        limit, blocks = _TRIANGLES_PER_PAIR * len(batch.v), []
-        for block in batch.triangle_blocks():
-            limit -= len(block)
-            if limit < 0:
-                return None
-            blocks.append(block)
-        return np.concatenate([np.zeros((0, 3), dtype=np.int64), *blocks])
-    return None
+
+    def triangle(atoms, guards) -> bool:
+        pairs = {frozenset(a) for a in atoms}
+        names = set().union(*pairs)
+        return not guards and len(pairs) == len(names) == 3 and \
+            all(len(p) == 2 for p in pairs) and all(type(t) is int for t in names)
+
+    queries = walk(root, {})
+    return None if queries is None else tuple((q, triangle(*q)) for q in queries)
+
+
+def _ground(query: tuple, batch: PairBatch) -> np.ndarray:
+    """One conjunctive query's clauses, a column per adj atom.  Variables
+    are bound one at a time: one with an adj atom to a bound term to that
+    term plus or minus each support distance, any other to every vertex.
+    Each atom or guard filters the assignments once its terms are bound."""
+    atoms, guards = query
+    n, circle = batch.n, batch.model_kind == CIRCLE
+    dists = np.flatnonzero(batch.run_start >= 0)
+    steps = np.concatenate([dists, -dists[2 * dists != n] if circle else -dists])
+    # per assignment, each bound term's vertex and each decided atom's column
+    at, cols = {"first": np.array([1]), "last": np.array([n])}, {}
+    unbound = list(dict.fromkeys(t for a in atoms + guards for t in a[:2] if t not in at))
+    while True:
+        keep = np.ones(len(at["first"]), dtype=bool)
+        for i, (a, b) in enumerate(atoms):
+            if i not in cols and a in at and b in at:
+                cols[i] = batch.columns(at[a], at[b])
+                keep &= cols[i] >= 0
+        for a, b, equal in guards:
+            if a in at and b in at:
+                keep &= (at[a] == at[b]) == equal
+        at, cols = {t: v[keep] for t, v in at.items()}, {i: c[keep] for i, c in cols.items()}
+        rows = len(at["first"])
+        if not unbound:
+            return np.array([cols[i] for i in range(len(atoms))], np.int64).reshape(len(atoms), rows).T
+        # a variable with an adj atom to a bound term, else the first unbound
+        u, t = next(((u, t) for a in atoms for u, t in (a, a[::-1]) if u in unbound and t in at),
+                    (unbound[0], None))
+        width = n if t is None else len(steps)
+        if rows * width * (len(at) + len(cols)) > _LINEAGE_CELLS:
+            raise LineageBudgetError(rows * width * (len(at) + len(cols)), _LINEAGE_CELLS)
+        new = np.tile(np.arange(1, n + 1), rows) if t is None else (at[t][:, None] + steps).ravel()
+        at = {s: np.repeat(v, width) for s, v in at.items()} | {u: (new - 1) % n + 1 if circle else new}
+        cols = {i: np.repeat(c, width) for i, c in cols.items()}
+        unbound.remove(u)
+
+
+def lineage(target: Target, batch: PairBatch) -> np.ndarray | None:
+    """``target`` grounded on ``batch``: a (k, r) array of pair-table
+    columns, a clause per row, such that the target holds on a draw iff some
+    clause has all its columns as edges (a clause may repeat a column, and
+    one of no column holds).  None unless the target, or a predicate's
+    ``sentence``, is built from exists, & and | over adj atoms and (negated)
+    equalities; ``first`` and ``last`` are vertices 1 and n.  Each
+    conjunctive query is grounded by ``_ground``, except that a triangle's
+    clauses are ``batch.triangle_blocks``, each triangle once.  Raises
+    ``LineageBudgetError`` past ``_LINEAGE_CELLS`` cells."""
+    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
+    queries = None if sentence is None else _queries(sentence.root)
+    if queries is None:
+        return None
+    parts, cells = [], 0
+    for query, triangle in queries:
+        for block in batch.triangle_blocks() if triangle else [_ground(query, batch)]:
+            cells += block.size
+            if cells > _LINEAGE_CELLS:
+                raise LineageBudgetError(cells, _LINEAGE_CELLS)
+            parts.append(block)
+    if len(parts) == 1:
+        return parts[0]
+    if any(len(part) and not part.shape[1] for part in parts):
+        return np.zeros((1, 0), dtype=np.int64)  # a clause of no column holds
+    # clauses shorter than the longest repeat their last column
+    r = max((part.shape[1] for part in parts), default=0)
+    return np.concatenate([np.zeros((0, r), np.int64)] + [
+        part[:, np.minimum(np.arange(r), part.shape[1] - 1)] for part in parts if part.shape[1]])
 
 
 def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
     """Boolean (k, T): clause i holds on row t iff every column of
     ``clauses[i]`` is an edge of ``rows[t]``.  Reduced by column, on the
-    transpose of the (T, columns) rows."""
+    transpose of the (T, columns) rows.  A clause of no column holds."""
+    if clauses.shape[1] == 0:
+        return np.ones((len(clauses), len(rows)), dtype=bool)
     by_column = np.ascontiguousarray(rows.T)
     hit = by_column[clauses[:, 0]]
     for j in clauses.T[1:]:
@@ -155,18 +239,28 @@ def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _kernel(target: Target, batch: PairBatch) -> np.ndarray | None:
+    """``lineage(target, batch)``, or None where deciding each row costs
+    less: no lineage, or more than ``_CLAUSES_PER_PAIR`` clauses per pair."""
+    try:
+        clauses = lineage(target, batch)
+    except LineageBudgetError:
+        return None
+    return None if clauses is None or len(clauses) > _CLAUSES_PER_PAIR * len(batch.v) else clauses
+
+
 def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Callable]:
     """How ``target`` is decided on boolean rows of ``batch``.
 
     Returns (columns, cells, decide): the table columns the target reads,
     the cells per row a block must hold, and ``decide(rows)``, one bool per
-    row of ``rows[:, columns]``.  Compiled targets (see ``_clauses``) read
-    their clauses' columns and decide a block with one ``clause_hits``
-    reduction.  Every other target reads every column: a sentence, compiled
-    once, runs on each row scattered into an adjacency matrix, and a
-    predicate on each row's graph.
+    row of ``rows[:, columns]``.  A target with ``_kernel`` clauses reads
+    their columns and decides a block with one ``clause_hits`` reduction.
+    Every other target reads every column: a sentence, compiled once, runs
+    on each row scattered into an adjacency matrix, and a predicate on each
+    row's graph.
     """
-    clauses = _clauses(target, batch)
+    clauses = _kernel(target, batch)
     if clauses is None and isinstance(target, Formula):
         run, adj = target._checker, np.zeros((batch.n, batch.n), dtype=bool)
         v, w = batch.v.astype(np.intp) - 1, batch.w.astype(np.intp) - 1
@@ -204,13 +298,13 @@ def mc_probability(
     are independent of evaluation order and parallel scheduling.
 
     Only the columns ``row_decision`` says the target reads are hashed:
-    compiled targets (see ``_clauses``) are decided by one ``clause_hits``
-    reduction per block; every other target reads every column, and runs
-    the compiled sentence on each row's adjacency or the predicate on each
-    row's graph.  Both give the same successes, since each draw is a pure
-    function of (master_seed, stream, v, w).  Blocks hold at most
-    ``CELL_BUDGET`` cells (at least one trial), which bounds memory
-    independently of ``trials``.
+    targets with a lineage (see ``lineage``) are decided by one
+    ``clause_hits`` reduction per block; every other target reads every
+    column, and runs the compiled sentence on each row's adjacency or the
+    predicate on each row's graph.  Both give the same successes, since
+    each draw is a pure function of (master_seed, stream, v, w).  Blocks
+    hold at most ``CELL_BUDGET`` cells (at least one trial), which bounds
+    memory independently of ``trials``.
     """
     if trials < 1:
         raise EstimatorError("trials must be >= 1")
@@ -237,25 +331,93 @@ def mc_probability(
     )
 
 
-def exact_path2(seq: ProbSeq, n: int) -> float:
-    """P(endpoints 1 and n joined by a two-edge path), in closed form.
+# Shannon expansions ``exact_probability`` makes before it gives up.
+LINEAGE_BUDGET = 1 << 14
 
-    The n-2 candidate midpoints use pairwise distinct edge pairs, so the
-    non-existence probabilities multiply:
-    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), accumulated in log space
-    over the midpoints v - 1 in the support (the others add log1p(-0) = -0).
-    """
-    if n < 3:
-        raise EstimatorError("needs n >= 3")
-    idx, probs = support_table(seq, n - 2)
-    p = dict(zip(idx.tolist(), probs.tolist()))
+
+def _components(clauses: list[tuple]) -> list[list[tuple]]:
+    """The clauses in groups that share no column, each in clause order,
+    ordered by their first clause (union-find on clause indices)."""
+    if len(set(chain.from_iterable(clauses))) == sum(map(len, clauses)):
+        return [[clause] for clause in clauses]  # no column is shared
+    root = list(range(len(clauses)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    owner: dict[int, int] = {}
+    for i, clause in enumerate(clauses):
+        for c in clause:
+            a, b = sorted((find(i), find(owner.setdefault(c, i))))
+            root[b] = a
+    groups: dict[int, list[tuple]] = {}
+    for i, clause in enumerate(clauses):
+        groups.setdefault(find(i), []).append(clause)
+    return list(groups.values())
+
+
+def _or_probability(clauses: list[tuple], p: dict, memo: dict, left: list[int]) -> float:
+    """P(some clause has all its columns), columns independent with
+    probabilities ``p``.  Components combine as ``-expm1(sum log1p(-q))``,
+    added left to right; a one-clause component's q is its probabilities
+    multiplied left to right, another's a Shannon expansion on its most
+    frequent column (ties: the middle one in first-seen order, which halves
+    a chain), memoized on its clause set.  ``left[0]`` expansions remain."""
     log_miss = 0.0
-    for d, p_left in p.items():  # midpoint v = d + 1
-        q = p_left * p.get(n - 1 - d, 0.0)
+    for component in _components(clauses):
+        if len(component) == 1:
+            q = math.prod(map(p.__getitem__, component[0]))
+        elif (key := frozenset(map(frozenset, component))) in memo:
+            q = memo[key]
+        else:
+            left[0] -= 1
+            if left[0] < 0:
+                raise LineageBudgetError(LINEAGE_BUDGET + 1, LINEAGE_BUDGET)
+            counts = Counter(chain.from_iterable(component))
+            tied = [c for c, k in counts.items() if k == max(counts.values())]
+            c = tied[len(tied) // 2]
+            present = [tuple(x for x in clause if x != c) for clause in component]
+            absent = [clause for clause in component if c not in clause]
+            q = memo[key] = (p[c] * _or_probability(present, p, memo, left)
+                             + (1.0 - p[c]) * _or_probability(absent, p, memo, left))
         if q >= 1.0:
             return 1.0
         log_miss += math.log1p(-q)
     return -math.expm1(log_miss) + 0.0  # normalize -0.0
+
+
+def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> float:
+    """P(n; target) from the target's ``lineage``: pair-table columns are
+    independent, so ``_or_probability`` decomposes it (Suciu, Olteanu, Re
+    and Koch, *Probabilistic Databases*, 2011, ch. 5).  Raises
+    ``OracleValidityError`` for a target with no lineage and
+    ``LineageBudgetError`` past ``LINEAGE_BUDGET`` expansions."""
+    if n < 1:
+        raise EstimatorError("n must be >= 1")
+    batch = PairBatch(seq, n, model_kind)
+    clauses = lineage(target, batch)
+    if clauses is None:
+        raise OracleValidityError(f"no exact oracle for target {_target_name(target)!r}: it is not "
+                                  "built from exists, & and | over adj atoms and (negated) equalities")
+    rows = clauses.tolist()
+    if (np.diff(np.sort(clauses, axis=1), axis=1) == 0).any():
+        rows = map(dict.fromkeys, rows)  # a clause's columns once each, in order
+    p = dict(zip(clauses.ravel().tolist(), batch.p[clauses].ravel().tolist()))
+    return _or_probability(list(dict.fromkeys(map(tuple, rows))), p, {}, [LINEAGE_BUDGET])
+
+
+def exact_path2(seq: ProbSeq, n: int) -> float:
+    """P(endpoints 1 and n joined by a two-edge path) on the line, by
+    ``exact_probability``.  The n-2 candidate midpoints use pairwise
+    distinct edge pairs, so each clause is a component and
+    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), accumulated in log space
+    over the midpoints v in the table, in increasing v.
+    """
+    if n < 3:
+        raise EstimatorError("needs n >= 3")
+    return exact_probability(seq, n, library("path2"), LINE)
 
 
 def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
@@ -292,6 +454,11 @@ def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
     return -math.expm1(step * math.log1p(-(p**3)))
 
 
+# Leaves brute force decides one at a time (a sentence's array plan, or a
+# predicate on a graph, at about 0.1 ms each) for a target with no lineage.
+_ROW_PATH_LEAVES = 1 << 15
+
+
 def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> float:
     """Exact probability by enumerating the free edge subsets as pair-table rows.
 
@@ -302,7 +469,9 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     out; weights are multiplied in pair order from 1.0 and the weights that
     hold are added in leaf order, so the value is that recursion's, bit for
     bit.  Blocks of leaves go to the same ``row_decision`` as Monte Carlo:
-    compiled targets share its kernels and build no graph.
+    targets with a lineage share its kernels and build no graph; any other
+    target is decided leaf by leaf, so it is refused past
+    ``_ROW_PATH_LEAVES`` leaves.
     """
     if n < 1:
         raise EstimatorError("n must be >= 1")
@@ -312,6 +481,9 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     f = len(free)
     if f > 21:
         raise BruteForceGuardError(f"{f} free pairs is beyond the 2^21 subset guard")
+    if 2**f > _ROW_PATH_LEAVES and _kernel(target, batch) is None:
+        raise BruteForceGuardError(f"{2**f} leaves is beyond the bound of {_ROW_PATH_LEAVES} "
+                                   "leaves for a target decided leaf by leaf (no lineage)")
     columns, cells, decide = row_decision(target, batch)
     # A leaf holds ~8 words (index, weight, their temporaries) and a byte per
     # cell of its row, its read columns and the decision.  Blocks of

@@ -27,7 +27,7 @@ import numpy as np
 
 from .graph import Graph, _graph_unchecked
 from .probseq import ProbSeq, support_upto
-from .rng import RngStream, keyed_u64_grid, stream_words, threshold_u64
+from .rng import TWO64, RngStream, keyed_u64_grid, stream_words
 
 LINE = "LINE"
 CIRCLE = "CIRCLE"
@@ -63,7 +63,8 @@ class PairBatch:
             counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
         else:
             raise ValueError(f"unknown model kind {model_kind!r}")
-        probs = [seq.eval(d) for d in dists]
+        probs = np.array([seq.eval(d) for d in dists], dtype=np.float64)
+        counts = np.array(counts, dtype=np.int64)
         d = np.repeat(np.array(dists, dtype=np.int64), counts)
         starts = np.cumsum(counts, dtype=np.int64) - counts
         v = np.arange(len(d), dtype=np.int64) - np.repeat(starts, counts) + 1
@@ -71,14 +72,15 @@ class PairBatch:
         if model_kind == CIRCLE:
             w = (w - 1) % n + 1
             v, w = np.minimum(v, w), np.maximum(v, w)
-        thresholds = [threshold_u64(p) if 0.0 < p < 1.0 else 0 for p in probs]
+        # rng.threshold_u64 where 0 < p < 1, in one cast: p * 2^64 < 2^64 is exact
+        thresholds = (np.where((probs > 0.0) & (probs < 1.0), probs, 0.0) * TWO64).astype(np.uint64)
         self.n, self.model_kind = n, model_kind
         # the first column of each distance's run, -1 off the support
         self.run_start = np.full(max(n, 1), -1, dtype=np.int64)
         self.run_start[dists] = starts
         self.v, self.w = v.astype(np.uint64), w.astype(np.uint64)
-        self.p = np.repeat(np.array(probs, dtype=np.float64), counts)
-        self.thresholds = np.repeat(np.array(thresholds, dtype=np.uint64), counts)
+        self.p = np.repeat(probs, counts)
+        self.thresholds = np.repeat(thresholds, counts)
         self.always = self.p >= 1.0
         for a in (self.run_start, self.v, self.w, self.p, self.thresholds, self.always):
             a.flags.writeable = False

@@ -253,17 +253,34 @@ class TestConfigRunner:
         code, out, _ = run(capsys, "run", str(cfg))
         assert code == 0 and "5,0.578125," in out
 
-    def test_no_exact_path2_on_the_circle(self, tmp_path, capsys):
+    def test_path2_on_the_circle_answers_through_lineage(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             f"sequence = {CONST_HALF}\ntarget = path2\nmodel_kind = circle\nn_list = 5\ntrials = 0\n"
         )
-        code, out, err = run(capsys, "run", str(cfg))
-        assert code == 1 and out == "" and "no exact oracle" in err
-        code, out, err = run(
+        code, from_run, _ = run(capsys, "run", str(cfg))
+        assert code == 0
+        code, from_oracle, _ = run(
             capsys, "oracle", "--kind", "path2", "--seq", CONST_HALF, "--n", "5", "--model", "circle"
         )
+        assert code == 0 and from_run == from_oracle
+        assert from_run.splitlines()[1] == "5,0.578125,0.578125,0.578125,0,0,path2_exact,CIRCLE"
+        code, brute, _ = run(capsys, "oracle", "--kind", "brute", "--target", "path2",
+                             "--seq", CONST_HALF, "--n", "5", "--model", "circle")
+        assert code == 0 and brute.splitlines()[1].startswith("5,0.578125,")
+
+    def test_no_exact_oracle_without_lineage(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"sequence = {CONST_HALF}\ntarget = edge_in_c4\nn_list = 5\ntrials = 0\n")
+        code, out, err = run(capsys, "run", str(cfg))
         assert code == 1 and out == "" and "no exact oracle" in err
+
+    def test_lineage_budget_is_an_operational_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        seq = '{"kind":"constant","params":{"p":0.1}}'
+        cfg.write_text(f"sequence = {seq}\ntarget = triangle\nn_list = 8\ntrials = 0\n")
+        code, out, err = run(capsys, "run", str(cfg))
+        assert code == 1 and out == "" and err.startswith("error: ") and "lineage budget" in err
 
     def test_circle_triangle_row_equals_oracle(self, tmp_path, capsys):
         thm6 = '{"kind":"thm6","params":{"a":[0.5,0.5,0.5]}}'

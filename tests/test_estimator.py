@@ -1,4 +1,4 @@
-"""Monte Carlo estimation, closed-form oracles, and brute-force enumeration.
+"""Monte Carlo estimation, lineage, exact oracles, and brute-force enumeration.
 
 The oracles read their pairs from the sampler's pair table.  The
 ``reference_*`` functions below re-derive every pair and distance on their
@@ -6,7 +6,12 @@ own, one pair or one index at a time, and the oracles must equal them
 exactly.
 """
 
+import json
 import math
+import random
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +23,11 @@ from ddgraphs.estimator import (
     BruteForceGuardError,
     EstimateResult,
     EstimatorError,
+    LineageBudgetError,
     OracleValidityError,
     brute_force_probability,
     exact_path2,
+    exact_probability,
     exact_result,
     exact_triangle_circle,
     mc_probability,
@@ -29,7 +36,8 @@ from ddgraphs.estimator import (
     wilson_ci,
 )
 from ddgraphs.graph import Graph, has_triangle
-from ddgraphs.logic import Formula, LabeledModel, Vocab, holds, library, parse
+from ddgraphs.logic import (Adj, And, Const, Eq, Exists, Formula, LabeledModel, Not, Or, Var,
+                            Vocab, holds, library, parse)
 from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
@@ -383,16 +391,24 @@ KERNEL_SEQS = [
 ]
 KERNEL_SEQ_IDS = ["const0", "const0.1", "const0.5", "const1", "thm6_half", "ones_powers_2",
                   "support_p1"]
+# path2 with its conjuncts swapped and its variable and name changed
+PATH2_REORDERED = replace(parse("exists v. adj(v, last) & adj(first, v)", Vocab.L_PLUS),
+                          name="path2_reordered")
 KERNEL_TARGETS = [
     (library("path2"), LINE),
     (library("path2"), CIRCLE),
+    (library("adj_first_last"), LINE),
+    (library("adj_first_last"), CIRCLE),
+    (PATH2_REORDERED, LINE),
+    (PATH2_REORDERED, CIRCLE),
     (library("triangle"), LINE),
     (library("triangle", vocab=Vocab.LC), CIRCLE),
     (has_triangle_predicate(), LINE),
     (has_triangle_predicate(), CIRCLE),
 ]
-KERNEL_TARGET_IDS = ["path2-line", "path2-circle", "triangle_L-line", "triangle_LC-circle",
-                     "has_triangle-line", "has_triangle-circle"]
+KERNEL_TARGET_IDS = ["path2-line", "path2-circle", "adj_first_last-line", "adj_first_last-circle",
+                     "path2_reordered-line", "path2_reordered-circle", "triangle_L-line",
+                     "triangle_LC-circle", "has_triangle-line", "has_triangle-circle"]
 
 
 @pytest.fixture
@@ -430,14 +446,15 @@ class TestColumnKernels:
     @pytest.mark.parametrize("seq", KERNEL_SEQS, ids=KERNEL_SEQ_IDS)
     @pytest.mark.parametrize("target,kind", KERNEL_TARGETS, ids=KERNEL_TARGET_IDS)
     def test_kernel_equals_row_path(self, monkeypatch, row_graphs, seq, target, kind):
-        rule, trials, seed = estimator._TRIANGLES_PER_PAIR, 12, 5
+        rule, trials, seed = estimator._CLAUSES_PER_PAIR, 12, 5
         for n in list(range(1, 31)) + [53, 54, 161, 162]:
             # up to n = 54 the kernel runs even where the dense-triangle rule
             # would pick the row path; at n = 161, 162 the rule decides
-            monkeypatch.setattr(estimator, "_TRIANGLES_PER_PAIR", 10**9 if n <= 54 else rule)
+            monkeypatch.setattr(estimator, "_CLAUSES_PER_PAIR", 10**9 if n <= 54 else rule)
             # holds on a triangle-free graph costs O(n^3); beyond n = 30 the
             # triangle sentence is judged by has_triangle, the same event
-            reference = target if n <= 30 or target == library("path2") else has_triangle
+            triangle = "triangle" in estimator._target_name(target)
+            reference = has_triangle if n > 30 and triangle else target
             built = len(row_graphs)
             got = mc_probability(seq, n, target, kind, trials, seed)
             assert n > 54 or len(row_graphs) == built  # compiled: no row graph
@@ -493,6 +510,12 @@ class TestColumnKernels:
         r = mc_probability(seq_thm6_half(), 53, has_triangle_predicate(), CIRCLE, 100, 0)
         assert r.estimate == 0.0 and grids == []
 
+    def test_adj_first_last_hashes_one_column(self, grids):
+        r = mc_probability(make_constant(0.1), 200, library("adj_first_last"), LINE, 1000, 1)
+        assert grids == [(1000, 1)]
+        assert round(r.estimate * 1000) == row_path_successes(
+            make_constant(0.1), 200, library("adj_first_last"), LINE, 1000, 1)
+
     @pytest.mark.parametrize("budget", [estimator.CELL_BUDGET, 5000])
     def test_blocks_stay_within_cell_budget(self, monkeypatch, grids, budget):
         monkeypatch.setattr(estimator, "CELL_BUDGET", budget)
@@ -514,6 +537,218 @@ class TestColumnKernels:
         assert r.estimate == 1.0
         assert len(grids) > 1 and sum(rows for rows, _ in grids) == 250
         assert all(rows * cols <= estimator.CELL_BUDGET for rows, cols in grids)
+
+
+def random_positive_sentence(rng: random.Random, vocab: Vocab, depth: int) -> Formula:
+    """A random sentence built from exists, & and | over adj atoms and
+    (negated) equalities, with ``first``/``last`` where the vocabulary has
+    them.  Binders are drawn from three names, mostly ones not in scope, so
+    siblings and shadowing both occur; atoms mostly join two terms, and
+    each guard is conjoined to an edge."""
+    consts = [Const("first"), Const("last")] if vocab.has_constants else []
+
+    def gen(depth, scope):
+        kind = rng.choice(["atom"] + (["and", "or", "exists", "exists"] if depth > 0 else []))
+        terms = [Var(v) for v in dict.fromkeys(scope)] + consts
+        if kind == "atom" and terms and (len(terms) > 1 or rng.random() < 0.2):
+            a, b = rng.sample(terms, 2) if len(terms) > 1 and rng.random() < 0.9 else [terms[0]] * 2
+            if rng.random() < 0.7:
+                return Adj(a, b)
+            # a guard, joined to an edge so that it is seldom true alone
+            c, d = rng.choice(terms), rng.choice(terms)
+            return And(Adj(a, b), rng.choice([Eq(c, d), Not(Eq(c, d))]))
+        if kind == "and":
+            return And(gen(depth - 1, scope), gen(depth - 1, scope))
+        if kind == "or":
+            return Or(gen(depth - 1, scope), gen(depth - 1, scope))
+        fresh = [v for v in "xyz" if v not in scope]
+        v = rng.choice(fresh if fresh and rng.random() < 0.8 else "xyz")
+        return Exists(v, gen(max(depth - 1, 0), scope + [v]))
+
+    return Formula(gen(depth, []), vocab)
+
+
+def all_rows(batch):
+    """Every row brute force enumerates: each subset of the free (p < 1)
+    columns, with the p = 1 columns set."""
+    free = np.flatnonzero(~batch.always)
+    bits = (np.arange(2 ** len(free))[:, None] >> np.arange(len(free))) & 1
+    rows = np.repeat(batch.always[None, :], len(bits), axis=0)
+    rows[:, free] = bits.astype(bool)
+    return rows
+
+
+# few free pairs at n <= 6, so every row can be checked with holds
+LINEAGE_SEQS = [
+    (make_constant(0.5), LINE, 4),
+    (make_constant(0.3), CIRCLE, 4),
+    (make_support({1: 0.3, 2: 1.0, 3: 0.6}), LINE, 6),
+    (make_support({1: 0.45, 3: 0.7}), CIRCLE, 6),
+    (make_support({2: 0.35, 4: 1.0}), LINE, 6),
+    (make_support({1: 1.0, 2: 0.2}), CIRCLE, 5),
+]
+
+
+class TestLineage:
+    @pytest.mark.parametrize("vocab", [Vocab.L, Vocab.L_PLUS])
+    @pytest.mark.parametrize("index", range(len(LINEAGE_SEQS)))
+    def test_generated_sentences(self, vocab, index):
+        seq, kind, top = LINEAGE_SEQS[index]
+        rng, refused = random.Random(f"{vocab.value}-{index}"), 0
+        for _ in range(40):
+            f = random_positive_sentence(rng, vocab, rng.randint(2, 3))
+            n = rng.randint(1, top) if rng.random() < 0.2 else top
+            batch = PairBatch(seq, n, kind)
+            try:
+                clauses = estimator.lineage(f, batch)
+            except LineageBudgetError:
+                # independent conjuncts multiply their clause counts; such a
+                # sentence has no exact answer and its rows take the row path
+                with pytest.raises(LineageBudgetError):
+                    exact_probability(seq, n, f, kind)
+                assert estimator._kernel(f, batch) is None
+                refused += 1
+                continue
+            rows = all_rows(batch)
+            hits = estimator.clause_hits(rows, clauses).any(axis=0)
+            want = [holds(LabeledModel(batch.graph_from_row(row), vocab), f) for row in rows]
+            assert hits.tolist() == want, (str(f), n)
+            exact = exact_probability(seq, n, f, kind)
+            brute = brute_force_probability(seq, n, f, kind)
+            assert math.isclose(exact, brute, rel_tol=1e-12, abs_tol=0.0), (str(f), n, exact, brute)
+        assert refused <= 2
+
+    def test_sibling_binders_stay_apart(self):
+        seq = make_constant(0.5)
+        f = parse("(exists x. adj(first, x)) & (exists x. adj(x, last))", Vocab.L_PLUS)
+        assert estimator.lineage(f, PairBatch(seq, 4, LINE)).shape == (9, 2)
+        assert exact_probability(seq, 4, f, LINE) == brute_force_probability(seq, 4, f, LINE)
+        assert exact_probability(seq, 4, f, LINE) != exact_path2(seq, 4)
+
+    def test_triangle_is_recognised_by_shape(self, monkeypatch):
+        f = parse("exists c. exists a. exists b. adj(c, a) & (adj(b, c) & adj(a, b))", Vocab.L)
+        guarded = parse("exists a. exists b. exists c. adj(a, b) & adj(b, c) & adj(c, a) & !(a = c)",
+                        Vocab.L)
+        batch = PairBatch(make_constant(0.5), 6, LINE)
+        called = []
+        real = PairBatch.triangle_blocks
+
+        def spy(self):
+            called.append(1)
+            return real(self)
+
+        monkeypatch.setattr(PairBatch, "triangle_blocks", spy)
+        assert np.array_equal(estimator.lineage(f, batch), batch.triangles())
+        assert len(called) == 2  # the lineage, then the reference
+        ground = estimator.lineage(guarded, batch)  # a guard: grounded, each triangle 6 times
+        assert len(called) == 2 and len(ground) == 6 * len(batch.triangles())
+
+    def test_no_lineage(self):
+        batch = PairBatch(make_constant(0.5), 5, LINE)
+        for f in [library("edge_in_c4"), library("ex2_path4"), parse("exists x. !adj(x, x)", Vocab.L),
+                  parse("forall x. exists y. adj(x, y)", Vocab.L)]:
+            assert estimator.lineage(f, batch) is None
+            with pytest.raises(OracleValidityError, match="no exact oracle"):
+                exact_probability(make_constant(0.5), 5, f, LINE)
+        assert estimator.lineage(lambda g: True, batch) is None
+
+    def test_constant_clauses(self):
+        seq = make_constant(0.5)
+        true = parse("exists x. x = x", Vocab.L)
+        assert estimator.lineage(true, PairBatch(seq, 3, LINE)).shape == (3, 0)
+        assert exact_probability(seq, 3, true, LINE) == 1.0
+        assert mc_probability(seq, 3, true, LINE, 10, 0).estimate == 1.0
+        either = parse("first = last | adj(first, last)", Vocab.L_PLUS)
+        assert exact_probability(seq, 1, either, LINE) == 1.0
+        assert exact_probability(seq, 3, either, LINE) == 0.5
+        assert exact_probability(seq, 3, parse("first = last", Vocab.L_PLUS), LINE) == 0.0
+
+    def test_dense_triangle_passes_the_budget(self):
+        start = time.perf_counter()
+        with pytest.raises(LineageBudgetError) as err:
+            exact_probability(make_constant(0.1), 9, library("triangle"), LINE)
+        assert time.perf_counter() - start <= 5.0
+        assert err.value.budget == estimator.LINEAGE_BUDGET < err.value.estimate
+
+    def test_sparse_line_triangle(self):
+        # the triangles {v, v+1, v+2} overlap in a chain of shared pairs
+        seq = make_support({1: 0.5, 2: 0.5})
+        start = time.perf_counter()
+        value = exact_probability(seq, 100, library("triangle"), LINE)
+        assert time.perf_counter() - start <= 1.0
+        # triangle v needs {v, v+1}, {v+1, v+2} and its own {v, v+2}: a
+        # two-state transfer over the distance-1 pairs
+        free = {True: 0.5, False: 0.5}  # P(no triangle so far, {v, v+1} present or not)
+        for _ in range(98):
+            free = {s: sum(free[t] * 0.5 * (0.5 if s and t else 1.0) for t in (True, False))
+                    for s in (True, False)}
+        assert math.isclose(value, 1 - free[True] - free[False], rel_tol=1e-12)
+        for n in range(3, 11):
+            assert math.isclose(exact_probability(seq, n, library("triangle"), LINE),
+                                brute_force_probability(seq, n, library("triangle"), LINE),
+                                rel_tol=1e-12)
+
+    def test_circle_path2_equals_brute_force(self):
+        for seq in (make_constant(0.5), make_support({1: 0.3, 2: 1.0, 3: 0.7})):
+            for n in range(1, 7):
+                assert math.isclose(exact_probability(seq, n, library("path2"), CIRCLE),
+                                    brute_force_probability(seq, n, library("path2"), CIRCLE),
+                                    rel_tol=1e-12, abs_tol=0.0), n
+        assert exact_probability(make_constant(0.5), 5, library("path2"), CIRCLE) == 0.578125
+
+
+class TestBruteForceBound:
+    def test_target_without_lineage_is_refused_past_the_bound(self):
+        assert estimator._ROW_PATH_LEAVES == 2**15
+        start = time.perf_counter()
+        with pytest.raises(BruteForceGuardError, match=r"2097152 leaves .* 32768 leaves"):
+            brute_force_probability(make_constant(0.5), 7, library("edge_in_c4"), LINE)
+        with pytest.raises(BruteForceGuardError, match=r"2097152 leaves .* 32768 leaves"):
+            brute_force_probability(make_constant(0.5), 7, lambda g: True, LINE)
+        assert time.perf_counter() - start < 1.0
+        # with a lineage the same table is enumerated
+        assert brute_force_probability(make_constant(1.0), 7, library("path2"), LINE) == 1.0
+
+    def test_the_bound_itself_is_admitted(self, monkeypatch):
+        # constant 1/2 on the line at n = 5: ten free pairs, 1024 leaves
+        monkeypatch.setattr(estimator, "_ROW_PATH_LEAVES", 2**10)
+        want = brute_force_probability(make_constant(0.5), 5, library("edge_in_c4"), LINE)
+        monkeypatch.setattr(estimator, "_ROW_PATH_LEAVES", 2**10 - 1)
+        with pytest.raises(BruteForceGuardError):
+            brute_force_probability(make_constant(0.5), 5, library("edge_in_c4"), LINE)
+        monkeypatch.undo()
+        assert want == brute_force_probability(make_constant(0.5), 5, library("edge_in_c4"), LINE)
+
+    def test_edge_in_c4_at_six_vertices(self):
+        # 15 free pairs, 2^15 leaves: the largest line table admitted
+        assert brute_force_probability(make_constant(0.5), 6, library("edge_in_c4"), LINE) == \
+            0.253753662109375
+
+
+class TestBenchmarkPins:
+    """The exact oracles reproduce the ``oracle:*`` values the benchmark
+    pins, read from its reference files (nothing is run from perfbench)."""
+
+    REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+
+    def pins(self, workload):
+        refs = json.loads((self.REFS / f"{workload}.json").read_text())["refs"]
+        return {int(key.split(":")[1]): value for key, value in refs.items()
+                if key.startswith("oracle:")}
+
+    def test_line_dense_path2(self):
+        pins, seq = self.pins("mc_line_dense"), make_constant(0.1)  # its sequence
+        assert sorted(pins) == [100, 150, 200]
+        for n, value in pins.items():
+            assert exact_path2(seq, n) == value, n
+            assert exact_probability(seq, n, library("path2"), LINE) == value, n
+
+    def test_circle_sparse_triangle(self):
+        pins, seq = self.pins("mc_circle_sparse"), seq_thm6_half()  # its sequence
+        assert sorted(pins) == [17, 18, 53, 54, 161, 162]
+        for n, value in pins.items():
+            assert exact_triangle_circle(seq, n) == value, n
+            assert exact_probability(seq, n, has_triangle_predicate(), CIRCLE) == value, n
 
 
 class TestScan:

@@ -217,7 +217,7 @@ class TestAgainstReference:
         batch = PairBatch(make_constant(0.1), 200, LINE)
         tracemalloc.start()
         try:
-            assert estimator._clauses(library("triangle"), batch) is None
+            assert estimator._kernel(library("triangle"), batch) is None
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
