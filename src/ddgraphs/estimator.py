@@ -404,7 +404,7 @@ def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> 
     rows = clauses.tolist()
     if (np.diff(np.sort(clauses, axis=1), axis=1) == 0).any():
         rows = map(dict.fromkeys, rows)  # a clause's columns once each, in order
-    p = dict(zip(clauses.ravel().tolist(), batch.p[clauses].ravel().tolist()))
+    p = dict(zip(clauses.ravel().tolist(), batch.column_p(clauses).ravel().tolist()))
     return _or_probability(list(dict.fromkeys(map(tuple, rows))), p, {}, [LINEAGE_BUDGET])
 
 

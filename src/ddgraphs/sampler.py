@@ -51,7 +51,8 @@ class PairBatch:
     pair's column from its distance and start s.  ``p`` is each pair's edge
     probability, and ``thresholds`` and ``always`` its acceptance rule.
     Building walks support distances, not all pairs (O(n * |supp|), one
-    ``seq.eval`` per distance).  The arrays are read-only.
+    ``seq.eval`` per distance); the per-pair arrays are built together on
+    first read.  The arrays are read-only.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
@@ -63,27 +64,38 @@ class PairBatch:
             counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
         else:
             raise ValueError(f"unknown model kind {model_kind!r}")
+        self.n, self.model_kind = n, model_kind
         probs = np.array([seq.eval(d) for d in dists], dtype=np.float64)
-        counts = np.array(counts, dtype=np.int64)
-        d = np.repeat(np.array(dists, dtype=np.int64), counts)
-        starts = np.cumsum(counts, dtype=np.int64) - counts
-        v = np.arange(len(d), dtype=np.int64) - np.repeat(starts, counts) + 1
+        dists, counts = np.array(dists, dtype=np.int64), np.array(counts, dtype=np.int64)
+        self._runs, self._starts = (dists, counts, probs), np.cumsum(counts) - counts
+        # the first column of each distance's run, -1 off the support
+        self.run_start = np.full(max(n, 1), -1, dtype=np.int64)
+        self.run_start[dists] = self._starts
+        self.run_start.flags.writeable = False
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """(v, w, p, thresholds, always), one entry per column."""
+        dists, counts, probs = self._runs
+        d = np.repeat(dists, counts)
+        v = np.arange(len(d), dtype=np.int64) - np.repeat(self._starts, counts) + 1
         w = v + d
-        if model_kind == CIRCLE:
-            w = (w - 1) % n + 1
+        if self.model_kind == CIRCLE:
+            w = (w - 1) % self.n + 1
             v, w = np.minimum(v, w), np.maximum(v, w)
         # rng.threshold_u64 where 0 < p < 1, in one cast: p * 2^64 < 2^64 is exact
         thresholds = (np.where((probs > 0.0) & (probs < 1.0), probs, 0.0) * TWO64).astype(np.uint64)
-        self.n, self.model_kind = n, model_kind
-        # the first column of each distance's run, -1 off the support
-        self.run_start = np.full(max(n, 1), -1, dtype=np.int64)
-        self.run_start[dists] = starts
-        self.v, self.w = v.astype(np.uint64), w.astype(np.uint64)
-        self.p = np.repeat(probs, counts)
-        self.thresholds = np.repeat(thresholds, counts)
-        self.always = self.p >= 1.0
-        for a in (self.run_start, self.v, self.w, self.p, self.thresholds, self.always):
+        arrays = (v.astype(np.uint64), w.astype(np.uint64), np.repeat(probs, counts),
+                  np.repeat(thresholds, counts), np.repeat(probs >= 1.0, counts))
+        for a in arrays:
             a.flags.writeable = False
+        return arrays
+
+    v, w, p, thresholds, always = (property(lambda self, i=i: self._arrays[i]) for i in range(5))
+
+    def column_p(self, columns) -> np.ndarray:
+        """``p[columns]``, read from the columns' runs without building ``p``."""
+        return self._runs[2][np.searchsorted(self._starts, columns, side="right") - 1]
 
     @cached_property
     def pair_list(self) -> list[tuple[int, int]]:

@@ -46,7 +46,7 @@ from ddgraphs.logic import (
 from ddgraphs.presets import all_labeled_graphs
 from ddgraphs.probseq import make_constant
 from ddgraphs.rng import RngStream
-from ddgraphs.sampler import sample_line
+from ddgraphs.sampler import CELL_BUDGET, CIRCLE, LINE, sample, sample_line
 
 
 def M(g, vocab=Vocab.L):
@@ -518,3 +518,71 @@ class TestAgainstReferenceSolver:
         h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
         got = th_k_equal_detailed(M(g), M(h), 3, node_budget=10**10)
         assert got == (True, GameStats(positions=43948, memo_hits=7991, memo_size=43948))
+
+
+def relabelled(g, vocab, rng):
+    """An isomorphic copy of ``g`` in ``vocab``: any relabelling without
+    order or successor, a rotation on LC_PLUS and LC_LE, and ``g`` itself on
+    L_PLUS and L_LE, whose labels are fixed by the atoms."""
+    n = g.n
+    if vocab in (Vocab.L, Vocab.LC):
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+    elif vocab.circular:
+        shift = rng.randrange(1, n)
+        perm = [(v - 1 + shift) % n + 1 for v in range(1, n + 1)]
+    else:
+        perm = list(range(1, n + 1))
+    return make_graph(n, [(perm[v - 1], perm[w - 1]) for v, w in g.edges]), perm
+
+
+class TestTypeTables:
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_isomorphic_pairs_match_the_reference(self, vocab):
+        # full k = 3 searches: every pair is EQUAL, so no short-circuit hides
+        # a wrong type id
+        rng = random.Random(f"iso:{vocab.value}")
+        model = CIRCLE if vocab.circular else LINE
+        for n in (7, 8, 9):
+            g = sample(make_constant(0.5), n, RngStream(900 + n, 1), model)
+            h, _ = relabelled(g, vocab, rng)
+            got = th_k_equal_detailed(M(g, vocab), M(h, vocab), 3)
+            assert got == reference_th_k_equal_detailed(M(g, vocab), M(h, vocab), 3)
+            assert got[0], n
+        g = sample(make_constant(0.3), 9, RngStream(950, 1), model)
+        h, perm = relabelled(g, vocab, rng)
+        v = rng.randint(1, 9)
+        got = pointed_equiv_detailed(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
+        assert got == reference_pointed_equiv_detailed(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
+        assert got[0]
+
+    @pytest.mark.parametrize("n, want", [
+        (8, (True, GameStats(positions=315, memo_hits=154, memo_size=315))),
+        (12, (True, GameStats(positions=894, memo_hits=404, memo_size=894))),
+    ])
+    def test_statistics_pinned_from_the_search(self, n, want):
+        # values recorded from the game search that searched every answer
+        # with a consistency matrix, before the type tables
+        g = sample_line(make_constant(0.5), n, RngStream(31, n))
+        perm = list(range(1, n + 1))
+        random.Random(f"pin:{n}").shuffle(perm)
+        h = make_graph(n, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
+        assert th_k_equal_detailed(M(g), M(h), 3) == want
+
+    @pytest.mark.parametrize("vocab, k", [(Vocab.LC_LE, 7), (Vocab.L_PLUS, 11)])
+    def test_deep_games_renumber_wide_codes(self, vocab, k):
+        # past 62 bits of atoms per new entry the codes are renumbered
+        graphs = [edgeless_graph(1), edgeless_graph(2), complete_graph(2)]
+        for g1, g2 in product(graphs, repeat=2):
+            m1, m2 = M(g1, vocab), M(g2, vocab)
+            assert th_k_equal_detailed(m1, m2, k) == reference_th_k_equal_detailed(m1, m2, k)
+            got = pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)
+            assert got == reference_pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)
+
+    def test_lopsided_game_is_refused_by_the_table_budget(self):
+        # (1 * 1000)^3 positions pass the node budget, but the tables would
+        # read 1000^3 extensions
+        with pytest.raises(GameBudgetError) as err:
+            th_k_equal(M(edgeless_graph(1)), M(edgeless_graph(1000)), 3)
+        assert err.value.estimate > err.value.budget == CELL_BUDGET
+        assert th_k_equal(M(edgeless_graph(1)), M(edgeless_graph(1000)), 2) is False

@@ -231,6 +231,23 @@ class TestAgainstReference:
         assert "pair_list" not in vars(batch)
         assert batch.pair_list == list(zip(batch.v.tolist(), batch.w.tolist()))
 
+    def test_per_pair_arrays_are_built_on_first_read(self):
+        for kind in (LINE, CIRCLE):
+            seqs = (make_constant(0.5), make_support({1: 0.3, 2: 1.0, 5: 0.7}), make_thm6([0.5] * 3))
+            for seq in seqs:
+                for n in (1, 2, 9, 30):
+                    batch = PairBatch(seq, n, kind)
+                    cols = np.arange(len(PairBatch(seq, n, kind).v))
+                    assert batch.columns(1, 2).shape == ()
+                    got = batch.column_p(cols)
+                    assert "_arrays" not in vars(batch)
+                    assert got.tolist() == batch.p[cols].tolist(), (kind, n)
+
+    def test_exact_path2_builds_no_per_pair_arrays(self, monkeypatch):
+        # it reads 2(n - 2) columns of a table of up to n(n - 1)/2 pairs
+        monkeypatch.setattr(PairBatch, "_arrays", property(lambda self: pytest.fail("built")))
+        assert estimator.exact_path2(make_constant(0.5), 5) == 37 / 64
+
     @pytest.mark.parametrize("stream", [-1, 2**64 - 1, 2**64 + 3])
     def test_stream_ids_read_mod_2_64(self, stream):
         seq = make_constant(0.5)
