@@ -7,6 +7,7 @@ from .efgame import (
     partial_iso,
     pointed_equiv,
     th_k_equal,
+    type_id,
 )
 from .estimator import (
     EstimateResult,

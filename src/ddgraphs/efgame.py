@@ -1,23 +1,18 @@
 """Ehrenfeucht games on labeled models.
 
-``th_k_equal`` decides whether two models satisfy the same sentences of
-quantifier depth <= k.  The duplicator wins the r-round game from two tuples
-exactly when their rank-r (Hintikka) types agree, so type tables decide
-every game.  Each m-tuple with m + r = k gets an atomic id and a rank-r type
-id, interned in one dict for both models.  An (m+1)-tuple's atomic id is its
-prefix's id plus the new entry's atoms from ``LabeledModel.atoms``: its loop
-atom, against each earlier entry, and on LC_LE both betweenness orientations
-with each two earlier entries.  Constants are entries placed before round 1,
-so at k = 0 the second player wins exactly when the constant atoms agree.  A
-rank-r type is the atomic id plus the set of the one-point extensions'
-rank-(r-1) types (at rank 1, of the new entries' atom codes).  The search
-only counts what the plain min-max recursion visits: positions memoized on
-the *set* of matched pairs plus the remaining rounds, each spoiler move
-trying its consistent answers (equal atomic ids), the same vertex id first,
-then ascending, until one has an equal type id.  ``pointed_equiv`` forces
-the first picks and keeps round-i choices within radius 3^(k-i) of earlier
-picks, the metric gaining the successor path exactly when the vocabulary has
-successor; its types take only the extensions inside those balls.
+The duplicator wins the r-round game from two tuples exactly when their
+rank-r (Hintikka) types agree, so games are decided by comparing type ids.
+``type_id`` interns the rank-k type of a model's first tuple (its constants,
+then its picks) in an ``ids`` dict shared by all models compared.  A tuple's
+atomic id is its prefix's id plus the new entry's atoms from
+``LabeledModel.atoms``: its loop atom, against each earlier entry, and on
+LC_LE both betweenness orientations with each two earlier entries.  Its
+rank-0 type is its atomic id, and its rank-r type is the atomic id plus the
+set of its one-point extensions' rank-(r-1) types.  ``pointed_equiv`` forces
+the first picks and confines round i to radius 3^(k-i) of earlier picks, in
+the graph plus, with successor, the successor path; its types take only the
+extensions inside those balls.  Only ``th_k_equal_detailed`` walks the
+tables, to count the positions the plain game search visits.
 """
 
 from __future__ import annotations
@@ -33,8 +28,9 @@ from .sampler import CELL_BUDGET
 
 
 class GameBudgetError(RuntimeError):
-    """Estimated game size exceeds its budget: positions against the node
-    budget, or type-table cells against ``sampler.CELL_BUDGET``."""
+    """Estimated game size exceeds its budget: the counting walk's positions
+    against its node budget, or a model's type-table cells against
+    ``sampler.CELL_BUDGET``."""
 
     def __init__(self, estimate: int, budget: int, unit: str = "game positions"):
         self.estimate, self.budget = estimate, budget
@@ -48,21 +44,7 @@ class GameStats:
     memo_size: int = 0
 
 
-def _estimate_positions(n1: int, n2: int, k: int) -> int:
-    est = 1
-    for _ in range(k):
-        est *= n1 * n2
-        if est > 10**18:
-            return est
-    return est
-
-
 _PAD = np.iinfo(np.int64).max  # sorts after every code and id
-
-
-def _entries(m: LabeledModel, picks: tuple[int, ...]) -> tuple[int, ...]:
-    """The 0-based entries of a game's first tuple: the constants, then the picks."""
-    return tuple(v - 1 for v in ((1, m.n) if m.vocab.has_constants else ()) + tuple(picks))
 
 
 def _extension_codes(m: LabeledModel, tuples: np.ndarray, ids: dict) -> np.ndarray:
@@ -97,12 +79,25 @@ def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([ids.setdefault((h, tuple(r[:s])), len(ids)) for h, r, s in keys])
 
 
-def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, dist, ids: dict) -> list:
-    """Per level j < k: atomic ids, rank-(k - j) type ids and move balls (in
-    the pointed game, from hop distances ``dist``) of the first tuple plus j
-    vertices, row-major; the models share ``ids`` and agree on first atoms."""
+def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> list:
+    """Per level j < max(k, 1): the atomic ids and rank-(k - j) type ids of
+    the first tuple plus j vertices, row-major.  With picks, the game is the
+    pointed one and each level sees only the vertices in its move balls."""
+    if not all(1 <= v <= m.n for v in picks):
+        raise ValueError("picks out of range")
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    cells = m.n**k  # the deepest level reads every k-vertex extension
+    if cells > CELL_BUDGET:
+        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
     n, levels = m.n, []
-    tuples, heads = np.array([_entries(m, picks)], np.intp).reshape(1, -1), np.zeros(1, np.int64)
+    tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
+    for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
+        heads = _set_ids(ids, heads, _extension_codes(m, tuples, ids)[:, [e]])
+        tuples = np.append(tuples, [[e]], axis=1)
+    if k == 0:
+        return [(heads.tolist(), heads.tolist())]
+    dist = _hop_distances(m)[1:, 1:] if picks else None
     near = None if dist is None else dist[[v - 1 for v in picks]].min(0)[None]
     for j in range(k):
         levels.append((heads, None if near is None else near <= 3 ** (k - j - 1)))
@@ -117,39 +112,59 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, dist, ids: dic
         if ball is not None:
             code[~ball] = _PAD
         code = _set_ids(ids, heads, code)
-        table.insert(0, (heads.tolist(), code.tolist(), ball))
+        table.insert(0, (heads.tolist(), code.tolist()))
     return table
+
+
+def type_id(m: LabeledModel, k: int, ids: dict, picks: tuple[int, ...] = ()) -> int:
+    """The rank-k type id of ``m``'s first tuple: its constants, then
+    ``picks`` (with picks, of the pointed game).  Ids are equal exactly when
+    the types are, among models of one vocabulary, one pick count and one k
+    that share ``ids``.  Raises ``GameBudgetError`` when the table would read
+    more than ``CELL_BUDGET`` k-vertex extensions."""
+    return _type_tables(m, picks, k, ids)[0][1][0]
+
+
+def _same_type(m1: LabeledModel, m2: LabeledModel, k: int, picks1=(), picks2=()) -> bool:
+    if m1.vocab is not m2.vocab:
+        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
+    if len(picks1) != len(picks2):
+        raise ValueError("pick lists must have equal length")
+    ids: dict = {}
+    return type_id(m1, k, ids, picks1) == type_id(m2, k, ids, picks2)
 
 
 def partial_iso(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...],
                 picks2: tuple[int, ...]) -> bool:
     """Do the picked points (plus constants, where the vocabulary has them)
     induce isomorphic substructures under the index correspondence?"""
-    return _play(m1, m2, picks1, picks2, 0, 1)[0]
+    return _same_type(m1, m2, 0, picks1, picks2)
 
 
 def _walk(tables, pairs: frozenset, rows: tuple[int, int], rounds: int, seen: set,
           stats: GameStats) -> None:
     """Count the position (pairs, rounds >= 1), at rows ``rows`` of level
-    k - rounds, and what the plain recursion visits below it."""
+    k - rounds, and what the plain min-max recursion visits below it: each
+    position memoized on the *set* of matched pairs plus the remaining rounds,
+    each spoiler move trying its consistent answers (equal atomic ids), the
+    same vertex id first, then ascending, until one has an equal type id."""
     seen.add((pairs, rounds))
     stats.positions += 1
     if rounds < 2:
         return
     level, moves = len(tables[0]) - rounds, []
     for levels, row in zip(tables, rows):
-        (here, _, ball), (at, ty, _) = levels[level], levels[level + 1]
-        n = len(at) // len(here)
-        opts = range(n) if ball is None else np.flatnonzero(ball[row]).tolist()
-        moves.append((opts, at[row * n:row * n + n], ty[row * n:row * n + n], row * n))
-    for (opts, at, ty, _), (d_opts, d_at, d_ty, _), flip in ((*moves, 0), (*moves[::-1], 1)):
+        at, ty = levels[level + 1]
+        n = len(at) // len(levels[level][0])
+        moves.append((at[row * n:row * n + n], ty[row * n:row * n + n], row * n))
+    for (at, ty, _), (d_at, d_ty, _), flip in ((*moves, 0), (*moves[::-1], 1)):
         answers: dict[int, list[int]] = {}
-        for b in d_opts:
-            answers.setdefault(d_at[b], []).append(b)
-        for a in opts:
-            group = answers.get(at[a], ())
+        for b, c in enumerate(d_at):
+            answers.setdefault(c, []).append(b)
+        for a, c in enumerate(at):
+            group = answers.get(c, ())
             # the same vertex id first: it often wins when the models share a block
-            if a in d_opts and d_at[a] == at[a]:
+            if a < len(d_at) and d_at[a] == c:
                 group = chain((a,), (b for b in group if b != a))
             for b in group:
                 pair = (b, a) if flip else (a, b)
@@ -157,7 +172,7 @@ def _walk(tables, pairs: frozenset, rows: tuple[int, int], rounds: int, seen: se
                 if key in seen:
                     stats.memo_hits += 1
                 elif rounds > 2:
-                    _walk(tables, key[0], (moves[0][3] + pair[0], moves[1][3] + pair[1]),
+                    _walk(tables, key[0], (moves[0][2] + pair[0], moves[1][2] + pair[1]),
                           rounds - 1, seen, stats)
                 else:  # a last-round child is only counted: the tables hold its value
                     seen.add(key)
@@ -187,56 +202,33 @@ def _hop_distances(m: LabeledModel) -> np.ndarray:
     return dist
 
 
-def _play(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...], picks2: tuple[int, ...],
-          k: int, node_budget: int) -> tuple[bool, GameStats]:
-    """The k-round game from the given first picks: unrestricted with none,
-    the distance-restricted game of ``pointed_equiv`` with some."""
-    if m1.vocab is not m2.vocab:
-        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
-    if len(picks1) != len(picks2):
-        raise ValueError("pick lists must have equal length")
-    if not all(1 <= v <= m.n for m, picks in ((m1, picks1), (m2, picks2)) for v in picks):
-        raise ValueError("picks out of range")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    est = _estimate_positions(m1.n, m2.n, k)
-    if est > node_budget:
-        raise GameBudgetError(est, node_budget)
-    cells = m1.n**k + m2.n**k  # the deepest table reads every k-vertex extension
-    if cells > CELL_BUDGET:
-        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
-    stats, ids = GameStats(), {}
-    firsts = [(m, _entries(m, p)) for m, p in ((m1, picks1), (m2, picks2))]
-    for i in range(len(firsts[0][1])):  # the constants or first picks may disagree
-        codes = {_extension_codes(m, np.array([e[:i]], np.intp), ids)[0, e[i]] for m, e in firsts}
-        if len(codes) > 1:
-            return False, stats
-    if k == 0:
-        return True, stats
-    tables = [_type_tables(m, p, k, _hop_distances(m)[1:, 1:] if p else None, ids)
-              for m, p in ((m1, picks1), (m2, picks2))]
-    pairs = frozenset((v1 - 1, v2 - 1) for v1, v2 in zip(picks1, picks2))
-    _walk(tables, pairs, (0, 0), k, set(), stats)
-    stats.memo_size = stats.positions  # every position visited is memoized
-    return tables[0][0][1] == tables[1][0][1], stats  # the first tuples' rank-k type ids
-
-
 def th_k_equal_detailed(m1: LabeledModel, m2: LabeledModel, k: int,
                         node_budget: int = 10**9) -> tuple[bool, GameStats]:
-    """``th_k_equal`` with the statistics of the game it solved."""
-    return _play(m1, m2, (), (), k, node_budget)
+    """``th_k_equal`` with the statistics of the plain game search, counted
+    by a walk over both models' type tables.  ``node_budget`` bounds that
+    walk's (n1 n2)^k position estimate."""
+    first = partial_iso(m1, m2, (), ())  # the constants' atoms; checks the vocabularies
+    est = (m1.n * m2.n) ** min(k, 64)  # past any budget below 2^64 from k = 64 on, if n1 n2 > 1
+    if est > node_budget:
+        raise GameBudgetError(est, node_budget)
+    ids: dict = {}
+    tables = [_type_tables(m, (), k, ids) for m in (m1, m2)]
+    stats = GameStats()
+    if k and first:
+        _walk(tables, frozenset(), (0, 0), k, set(), stats)
+        stats.memo_size = stats.positions  # every position visited is memoized
+    return tables[0][0][1] == tables[1][0][1], stats
 
 
-def th_k_equal(m1: LabeledModel, m2: LabeledModel, k: int, node_budget: int = 10**9) -> bool:
+def th_k_equal(m1: LabeledModel, m2: LabeledModel, k: int) -> bool:
     """True iff the models satisfy the same sentences of depth <= k."""
-    return _play(m1, m2, (), (), k, node_budget)[0]
+    return _same_type(m1, m2, k)
 
 
-def pointed_equiv(m1: LabeledModel, v1: int, m2: LabeledModel, v2: int, k: int,
-                  node_budget: int = 10**9) -> bool:
+def pointed_equiv(m1: LabeledModel, v1: int, m2: LabeledModel, v2: int, k: int) -> bool:
     """Second-player win status of the restricted game: first picks forced
     to (v1, v2), then k rounds with move i confined to radius 3^(k-i)."""
-    return _play(m1, m2, (v1,), (v2,), k, node_budget)[0]
+    return _same_type(m1, m2, k, (v1,), (v2,))
 
 
 # --- absorbing-graph search -----------------------------------------------------
@@ -250,15 +242,16 @@ _MODE_VOCABS = {SUM: (Vocab.L,), CONCAT_BOTH_ENDS: (Vocab.L_PLUS, Vocab.L_LE),
 
 
 def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str = SUM,
-                 vocab: Vocab | None = None, node_budget: int = 10**9) -> Graph | None:
+                 vocab: Vocab | None = None) -> Graph | None:
     """First candidate G absorbing every H in ``h_set`` at depth k.
 
     SUM:              Th_k(G) = Th_k(G + H)        as plain-graph models
     CONCAT_BOTH_ENDS: Th_k(G) = Th_k(G ++ H ++ G)  as L_PLUS or L_LE models
     CONCAT_RIGHT:     Th_k(G) = Th_k(G ++ H)       as LC_LE models
 
-    Each identity is decided by ``th_k_equal``; the search certifies the
-    returned graph instance-wise.  Returns None when no candidate qualifies.
+    Each identity is a compare of rank-k type ids, G's built once; the search
+    certifies the returned graph instance-wise.  Returns None when no
+    candidate qualifies.
     """
     if mode not in _MODE_VOCABS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,13 +261,14 @@ def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str 
         vocab = _MODE_VOCABS[mode][0]
     elif vocab not in _MODE_VOCABS[mode]:
         raise ValueError(f"vocabulary {vocab.value} not valid for mode {mode}")
+    ids: dict = {}
     for g in candidates:
-        mg = LabeledModel(g, vocab)
+        want = type_id(LabeledModel(g, vocab), k, ids)
         for h in h_set:
             combined = disjoint_sum(g, h)
             if mode == CONCAT_BOTH_ENDS:
                 combined = disjoint_sum(combined, g)
-            if not th_k_equal(mg, LabeledModel(combined, vocab), k, node_budget):
+            if type_id(LabeledModel(combined, vocab), k, ids) != want:
                 break
         else:
             return g

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, probseq
-from .efgame import SUM, fact4_search, th_k_equal
+from .efgame import SUM, fact4_search, type_id
 from .estimator import (
     EstimateResult,
     exact_path2,
@@ -367,15 +367,14 @@ def all_labeled_graphs(max_n: int) -> list[Graph]:
     return out
 
 
-def thk_class_representatives(max_n: int, k: int, vocab: Vocab = Vocab.L) -> list[Graph]:
-    """One representative per depth-k equivalence class among all labeled
-    graphs on at most max_n vertices."""
-    reps: list[Graph] = []
+def thk_class_representatives(max_n: int, k: int) -> list[Graph]:
+    """The first of each depth-k equivalence class, bucketed by rank-k type
+    id, among all labeled graphs on at most max_n vertices."""
+    ids: dict = {}
+    reps: dict[int, Graph] = {}
     for g in all_labeled_graphs(max_n):
-        mg = LabeledModel(g, vocab)
-        if not any(th_k_equal(mg, LabeledModel(r, vocab), k) for r in reps):
-            reps.append(g)
-    return reps
+        reps.setdefault(type_id(LabeledModel(g, Vocab.L), k, ids), g)
+    return list(reps.values())
 
 
 def absorbing_sum_candidate(k: int, rep_max_n: int = 2) -> Graph:
@@ -391,9 +390,10 @@ def _run_fact4_search(seed: int, trials: int | None) -> PresetOutcome:
     found = fact4_search([candidate], h_set, k, SUM)
     rows = "h_index,h_n,h_edges,absorbed\n"
     if found is not None:
-        mg = LabeledModel(found, Vocab.L)
+        ids: dict = {}
+        want = type_id(LabeledModel(found, Vocab.L), k, ids)
         for i, h in enumerate(h_set):
-            eq = th_k_equal(mg, LabeledModel(disjoint_sum(found, h), Vocab.L), k)
+            eq = type_id(LabeledModel(disjoint_sum(found, h), Vocab.L), k, ids) == want
             rows += f"{i},{h.n},{len(h.edges)},{int(eq)}\n"
     checks = [
         Check(

@@ -2,13 +2,11 @@
 
 import random
 from itertools import combinations, product
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddgraphs import efgame
 from ddgraphs.efgame import (
     CONCAT_BOTH_ENDS,
     GameBudgetError,
@@ -19,6 +17,7 @@ from ddgraphs.efgame import (
     pointed_equiv,
     th_k_equal,
     th_k_equal_detailed,
+    type_id,
 )
 from ddgraphs.graph import (
     Graph,
@@ -43,7 +42,7 @@ from ddgraphs.logic import (
     holds,
     library_sentences,
 )
-from ddgraphs.presets import all_labeled_graphs
+from ddgraphs.presets import all_labeled_graphs, thk_class_representatives
 from ddgraphs.probseq import make_constant
 from ddgraphs.rng import RngStream
 from ddgraphs.sampler import CELL_BUDGET, CIRCLE, LINE, sample, sample_line
@@ -260,7 +259,12 @@ class TestThkEqual:
         assert err.value.estimate > err.value.budget
 
     def test_budget_configurable(self):
-        assert th_k_equal(M(edgeless_graph(3)), M(edgeless_graph(3)), 2, node_budget=10**5)
+        # the position budget bounds only the counting walk
+        m = M(edgeless_graph(3))
+        assert th_k_equal_detailed(m, m, 2, node_budget=10**5)[0]
+        with pytest.raises(GameBudgetError) as err:
+            th_k_equal_detailed(m, m, 2, node_budget=80)
+        assert (err.value.estimate, err.value.budget) == (81, 80)
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=40, deadline=None)
@@ -391,10 +395,6 @@ class TestPointedGame:
         with pytest.raises(ValueError):
             pointed_equiv(M(edgeless_graph(3)), 4, M(edgeless_graph(3)), 1, 1)
 
-    def test_range_checked_before_budget(self):
-        with pytest.raises(ValueError):
-            pointed_equiv(M(edgeless_graph(3)), 4, M(edgeless_graph(3)), 1, 5, node_budget=1)
-
 
 class TestFact4Search:
     def test_depth1_absorber(self):
@@ -449,19 +449,6 @@ class TestFact4Search:
 # --- table-driven solver against the reference search ----------------------------
 
 
-def pointed_equiv_detailed(m1, v1, m2, v2, k):
-    """``pointed_equiv`` with the statistics of the game it solved."""
-    made = []
-
-    def recording_stats():
-        made.append(GameStats())
-        return made[-1]
-
-    with mock.patch.object(efgame, "GameStats", recording_stats):
-        value = pointed_equiv(m1, v1, m2, v2, k)
-    return value, made[0] if made else GameStats()
-
-
 def model_pair(seed, vocab, k):
     """Two models of up to 10 vertices (6 at k = 3): the same graph, a
     relabelled copy, or an independent draw, at densities 0.2-0.8."""
@@ -494,11 +481,11 @@ class TestAgainstReferenceSolver:
 
     @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
-    def test_pointed_values_and_statistics(self, seed, vocab, k):
+    def test_pointed_values(self, seed, vocab, k):
         m1, m2, rng = model_pair(seed, vocab, k)
         v1, v2 = rng.randint(1, m1.n), rng.randint(1, m2.n)
-        got = pointed_equiv_detailed(m1, v1, m2, v2, k)
-        assert got == reference_pointed_equiv_detailed(m1, v1, m2, v2, k)
+        got = pointed_equiv(m1, v1, m2, v2, k)
+        assert got == reference_pointed_equiv_detailed(m1, v1, m2, v2, k)[0]
 
     @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)))
     @settings(max_examples=60, deadline=None)
@@ -518,6 +505,16 @@ class TestAgainstReferenceSolver:
         h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
         got = th_k_equal_detailed(M(g), M(h), 3, node_budget=10**10)
         assert got == (True, GameStats(positions=43948, memo_hits=7991, memo_size=43948))
+
+    def test_default_arguments_answer_the_n40_pair(self):
+        # (40 * 40)^3 positions pass the walk's default budget, but
+        # th_k_equal only compares type ids, reading 40^3 cells per model
+        g = sample_line(make_constant(0.5), 40, RngStream(2, 40))
+        perm = list(range(1, 41))
+        random.Random(2).shuffle(perm)
+        h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
+        assert th_k_equal(M(g), M(h), 3)
+        assert not th_k_equal(M(g), M(disjoint_sum(h, edgeless_graph(1))), 3)
 
 
 def relabelled(g, vocab, rng):
@@ -552,9 +549,8 @@ class TestTypeTables:
         g = sample(make_constant(0.3), 9, RngStream(950, 1), model)
         h, perm = relabelled(g, vocab, rng)
         v = rng.randint(1, 9)
-        got = pointed_equiv_detailed(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
-        assert got == reference_pointed_equiv_detailed(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
-        assert got[0]
+        assert reference_pointed_equiv_detailed(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)[0]
+        assert pointed_equiv(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
 
     @pytest.mark.parametrize("n, want", [
         (8, (True, GameStats(positions=315, memo_hits=154, memo_size=315))),
@@ -576,8 +572,8 @@ class TestTypeTables:
         for g1, g2 in product(graphs, repeat=2):
             m1, m2 = M(g1, vocab), M(g2, vocab)
             assert th_k_equal_detailed(m1, m2, k) == reference_th_k_equal_detailed(m1, m2, k)
-            got = pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)
-            assert got == reference_pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)
+            got = pointed_equiv(m1, 1, m2, g2.n, k - 1)
+            assert got == reference_pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)[0]
 
     def test_lopsided_game_is_refused_by_the_table_budget(self):
         # (1 * 1000)^3 positions pass the node budget, but the tables would
@@ -586,3 +582,32 @@ class TestTypeTables:
             th_k_equal(M(edgeless_graph(1)), M(edgeless_graph(1000)), 3)
         assert err.value.estimate > err.value.budget == CELL_BUDGET
         assert th_k_equal(M(edgeless_graph(1)), M(edgeless_graph(1000)), 2) is False
+
+
+class TestClassRepresentatives:
+    @pytest.mark.parametrize("max_n, k", list(product(range(1, 4), range(3))))
+    def test_bucketing_matches_a_pairwise_search(self, max_n, k):
+        # the first graph of each class, in enumeration order, as a search
+        # that plays the reference game against every representative so far
+        reps = []
+        for g in all_labeled_graphs(max_n):
+            if not any(reference_th_k_equal_detailed(M(g), M(r), k)[0] for r in reps):
+                reps.append(g)
+        assert thk_class_representatives(max_n, k) == reps
+
+    @pytest.mark.parametrize("k, count", [(2, 6), (3, 16)])
+    def test_class_counts_on_four_vertices(self, k, count):
+        # counts recorded from the pairwise game search
+        assert len(thk_class_representatives(4, k)) == count
+
+    @pytest.mark.parametrize("vocab", [Vocab.L, Vocab.L_PLUS])
+    def test_type_ids_shared_across_models(self, vocab):
+        # one ids dict for every model: equal ids exactly when the reference
+        # game is a win, at each depth
+        graphs = all_labeled_graphs(3)
+        for k in range(3):
+            ids = {}
+            got = [type_id(M(g, vocab), k, ids) for g in graphs]
+            for (g1, t1), (g2, t2) in combinations(zip(graphs, got), 2):
+                want = reference_th_k_equal_detailed(M(g1, vocab), M(g2, vocab), k)[0]
+                assert (t1 == t2) == want, (g1, g2, k)
