@@ -79,17 +79,23 @@ def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([ids.setdefault((h, tuple(r[:s])), len(ids)) for h, r, s in keys])
 
 
+def _check_table(m: LabeledModel, k: int) -> None:
+    """Refuse k < 0, and a type table that would read more than
+    ``CELL_BUDGET`` k-vertex extensions of ``m``."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    cells = m.n**k  # the deepest level reads every k-vertex extension
+    if cells > CELL_BUDGET:
+        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
+
+
 def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> list:
     """Per level j < max(k, 1): the atomic ids and rank-(k - j) type ids of
     the first tuple plus j vertices, row-major.  With picks, the game is the
     pointed one and each level sees only the vertices in its move balls."""
     if not all(1 <= v <= m.n for v in picks):
         raise ValueError("picks out of range")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    cells = m.n**k  # the deepest level reads every k-vertex extension
-    if cells > CELL_BUDGET:
-        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
+    _check_table(m, k)
     n, levels = m.n, []
     tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
     for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
@@ -205,16 +211,21 @@ def _hop_distances(m: LabeledModel) -> np.ndarray:
 def th_k_equal_detailed(m1: LabeledModel, m2: LabeledModel, k: int,
                         node_budget: int = 10**9) -> tuple[bool, GameStats]:
     """``th_k_equal`` with the statistics of the plain game search, counted
-    by a walk over both models' type tables.  ``node_budget`` bounds that
-    walk's (n1 n2)^k position estimate."""
+    by a walk over both models' type tables; built only when the constants'
+    atoms agree.  ``node_budget`` bounds that walk's (n1 n2)^k position
+    estimate."""
     first = partial_iso(m1, m2, (), ())  # the constants' atoms; checks the vocabularies
     est = (m1.n * m2.n) ** min(k, 64)  # past any budget below 2^64 from k = 64 on, if n1 n2 > 1
     if est > node_budget:
         raise GameBudgetError(est, node_budget)
+    for m in (m1, m2):
+        _check_table(m, k)
+    if not first:  # the types differ at rank 0 already, and the walk visits nothing
+        return False, GameStats()
     ids: dict = {}
     tables = [_type_tables(m, (), k, ids) for m in (m1, m2)]
     stats = GameStats()
-    if k and first:
+    if k:
         _walk(tables, frozenset(), (0, 0), k, set(), stats)
         stats.memo_size = stats.positions  # every position visited is memoized
     return tables[0][0][1] == tables[1][0][1], stats

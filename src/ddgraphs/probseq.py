@@ -23,6 +23,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -554,16 +555,19 @@ def ordered_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.cumsum(np.append(start, values))[-1])
 
 
+@lru_cache(maxsize=32)
 def support_table(seq: ProbSeq, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The support up to n: the sorted indices i <= n with p(i) > 0 (int64)
     and p at each (float64); empty for n < 1.  Evaluates p once per
-    candidate index."""
+    candidate index, once per (sequence, n): sequences are immutable and
+    hash by identity, and the arrays are read-only."""
     candidates: set[int] = set()
     for r in seq.rules:
         candidates.update(i for i in r.indices_upto(n) if 1 <= i <= n)
     support = [(i, p) for i in sorted(candidates) if (p := seq.eval(i)) > 0.0]
     idx = np.array([i for i, _ in support], dtype=np.int64)
     probs = np.array([p for _, p in support], dtype=np.float64)
+    idx.flags.writeable = probs.flags.writeable = False
     return idx, probs
 
 

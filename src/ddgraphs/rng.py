@@ -9,7 +9,7 @@ platform.
 ``keyed_u64`` is the scalar chain.  ``keyed_u64_array`` computes it over an
 array of last words (stream ids of many trials), and ``keyed_u64_grid`` for a
 whole (streams x pairs) grid in numpy; every edge draw of the samplers goes
-through the grid.
+through the grid, which mixes in place in cache-sized row blocks.
 """
 
 from __future__ import annotations
@@ -58,41 +58,54 @@ def threshold_u64(p: float) -> int:
 
 # --- vectorized chain -------------------------------------------------------
 #
-# Every edge draw goes through ``keyed_u64_grid``.  It and ``keyed_u64_array``
-# must equal the scalar chain above bit for bit; tests/test_sampler.py checks
-# this against ``keyed_u64`` and a per-pair reference sampler.
+# ``_mix_inplace`` is ``mix64`` over an array.  It, ``keyed_u64_array`` and
+# ``keyed_u64_grid`` must equal the scalar chain above bit for bit;
+# tests/test_sampler.py checks this against ``keyed_u64`` and a reference.
 
 _NP33 = np.uint64(33)
 _NP_MUL1 = np.uint64(_MUL1)
 _NP_MUL2 = np.uint64(_MUL2)
+_BLOCK = 1 << 15  # grid cells per block: 256 KB of uint64, cache-sized
 
 
-def mix64_np(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64, copy=True)
-    x ^= x >> _NP33
+def _mix_inplace(x: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """``mix64`` of every word of the uint64 array ``x``, in place, with
+    ``tmp`` (of x's shape) as scratch."""
+    tmp = np.empty_like(x) if tmp is None else tmp
+    x ^= np.right_shift(x, _NP33, out=tmp)
     x *= _NP_MUL1
-    x ^= x >> _NP33
+    x ^= np.right_shift(x, _NP33, out=tmp)
     x *= _NP_MUL2
-    x ^= x >> _NP33
+    x ^= np.right_shift(x, _NP33, out=tmp)
     return x
 
 
 def keyed_u64_array(prefix_words: tuple[int, ...], last: np.ndarray) -> np.ndarray:
     """``keyed_u64(*prefix_words, last[i])`` for every word of the uint64
     array ``last``."""
-    return mix64_np(np.uint64(keyed_u64(*prefix_words)) ^ last.astype(np.uint64))
+    return _mix_inplace(np.uint64(keyed_u64(*prefix_words)) ^ last.astype(np.uint64, copy=False))
 
 
 def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Hash grid: rows absorb per-row words, columns absorb (v, w) pairs.
 
     Returns a (len(rows), len(v)) uint64 array equal elementwise to
-    ``keyed_u64(*prefix_words, rows[i], v[j], w[j])``.
+    ``keyed_u64(*prefix_words, rows[i], v[j], w[j])``, filled in place in
+    row blocks of about ``_BLOCK`` cells.
     """
-    base = keyed_u64_array(prefix_words, rows)  # shape (T,)
-    g = mix64_np(base[:, None] ^ v.astype(np.uint64)[None, :])
-    g = mix64_np(g ^ w.astype(np.uint64)[None, :])
-    return g
+    base = keyed_u64_array(prefix_words, rows)
+    v, w = v.astype(np.uint64), w.astype(np.uint64)
+    out = np.empty((len(base), len(v)), dtype=np.uint64)
+    if out.size == 0:  # no cells: no block size to take from len(v)
+        return out
+    step = max(1, _BLOCK // len(v))
+    tmp = np.empty((min(len(base), step), len(v)), dtype=np.uint64)
+    for r in range(0, len(base), step):
+        block = out[r:r + step]
+        _mix_inplace(np.bitwise_xor(base[r:r + step, None], v, out=block), tmp[:len(block)])
+        block ^= w
+        _mix_inplace(block, tmp[:len(block)])
+    return out
 
 
 def stream_words(stream_ids) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graph import Graph, _graph_unchecked
-from .probseq import ProbSeq, support_upto
+from .probseq import ProbSeq, support_table, support_upto
 from .rng import TWO64, RngStream, keyed_u64_grid, stream_words
 
 LINE = "LINE"
@@ -50,22 +50,24 @@ class PairBatch:
     circulant (circle) edge-probability matrix, so ``columns`` finds a
     pair's column from its distance and start s.  ``p`` is each pair's edge
     probability, and ``thresholds`` and ``always`` its acceptance rule.
-    Building walks support distances, not all pairs (O(n * |supp|), one
-    ``seq.eval`` per distance); the per-pair arrays are built together on
-    first read.  The arrays are read-only.
+    Building walks support distances, not all pairs (O(n * |supp|), p read
+    from the support scan); the per-pair arrays are built together on first
+    read.  The arrays are read-only.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
         if model_kind == LINE:
-            dists = support_upto(seq, n - 1) if n >= 2 else []
+            top = n - 1
+            dists = support_upto(seq, top) if n >= 2 else []
             counts = [n - d for d in dists]
         elif model_kind == CIRCLE:
-            dists = support_upto(seq, n // 2) if n >= 2 else []
+            top = n // 2
+            dists = support_upto(seq, top) if n >= 2 else []
             counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
         else:
             raise ValueError(f"unknown model kind {model_kind!r}")
         self.n, self.model_kind = n, model_kind
-        probs = np.array([seq.eval(d) for d in dists], dtype=np.float64)
+        probs = support_table(seq, top)[1]  # the memoized scan behind support_upto
         dists, counts = np.array(dists, dtype=np.int64), np.array(counts, dtype=np.int64)
         self._runs, self._starts = (dists, counts, probs), np.cumsum(counts) - counts
         # the first column of each distance's run, -1 off the support

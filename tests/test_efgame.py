@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddgraphs import efgame
 from ddgraphs.efgame import (
     CONCAT_BOTH_ENDS,
     GameBudgetError,
@@ -265,6 +266,21 @@ class TestThkEqual:
         with pytest.raises(GameBudgetError) as err:
             th_k_equal_detailed(m, m, 2, node_budget=80)
         assert (err.value.estimate, err.value.budget) == (81, 80)
+
+    def test_constants_that_differ_answer_after_the_guards(self, monkeypatch):
+        # one vertex is first and last; of 1000 they differ, so no round is needed
+        one, many = M(edgeless_graph(1), Vocab.L_PLUS), M(edgeless_graph(1000), Vocab.L_PLUS)
+        with pytest.raises(GameBudgetError) as err:
+            th_k_equal_detailed(one, many, 3)
+        assert err.value.estimate > err.value.budget == CELL_BUDGET
+        with pytest.raises(ValueError):
+            th_k_equal_detailed(one, many, -1)
+        built = []
+        real = efgame._type_tables
+        monkeypatch.setattr(efgame, "_type_tables",
+                            lambda m, picks, k, ids: built.append(k) or real(m, picks, k, ids))
+        assert th_k_equal_detailed(one, many, 2) == (False, GameStats())
+        assert built == [0, 0]  # the rank-0 ids of the constants only
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=40, deadline=None)

@@ -32,6 +32,7 @@ from ddgraphs.probseq import (
     make_thm3,
     make_thm6,
     partial_product,
+    support_table,
     support_upto,
 )
 from ddgraphs.rng import RngStream
@@ -393,6 +394,15 @@ class TestSupportUpto:
         for n in (5, 6, 100, 1000, 3000):
             want = [idx for idx in s.meta["support"] if idx <= n]
             assert support_upto(s, n) == want
+
+    def test_table_is_memoized_and_read_only(self):
+        s = make_support({2: 0.25, 5: 1.0})
+        idx, probs = support_table(s, 9)
+        assert (idx.tolist(), probs.tolist()) == ([2, 5], [0.25, 1.0])
+        assert support_table(s, 9)[1] is probs
+        for a in (idx, probs):
+            with pytest.raises(ValueError):
+                a[0] = 3
 
 
 class TestRuleSemantics:

@@ -10,11 +10,14 @@ import importlib
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddgraphs import estimator, presets, probseq, sampler
+from ddgraphs import estimator, presets, probseq, rng, sampler
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
 from ddgraphs.logic import library
 from ddgraphs.presets import NAMED_SEQUENCES, midpoint_chain_tv
@@ -180,6 +183,57 @@ class TestAgainstReference:
             for j in range(3):
                 assert int(grid[i, j]) == keyed_u64(42, r, int(v[j]), int(w[j]))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_equals_scalar_chain_on_any_shape(self, data):
+        # small blocks cross block edges on small grids; words repeat (small,
+        # or near 2^64 - 1) or are anywhere in [0, 2^64)
+        word = st.one_of(st.integers(0, 9), st.integers(MASK64 - 9, MASK64), st.integers(0, MASK64))
+        rows = data.draw(st.lists(word, max_size=9))
+        v = data.draw(st.lists(word, max_size=24))
+        w = data.draw(st.lists(word, min_size=len(v), max_size=len(v)))
+        prefix = tuple(data.draw(st.lists(word, max_size=2)))
+
+        def array(words):
+            signed = data.draw(st.booleans())  # int64 words are read mod 2^64
+            a = np.array([x - (x >> 63 << 64) if signed else x for x in words],
+                         dtype=np.int64 if signed else np.uint64)
+            return np.repeat(a, 2)[::2] if data.draw(st.booleans()) else a  # strided view
+
+        with mock.patch.object(rng, "_BLOCK", data.draw(st.sampled_from([1, 5, 64, 1 << 15]))):
+            grid = keyed_u64_grid(prefix, array(rows), array(v), array(w))
+        assert grid.dtype == np.uint64 and grid.shape == (len(rows), len(v))
+        assert grid.tolist() == [[keyed_u64(*prefix, r, a, b) for a, b in zip(v, w)] for r in rows]
+
+    @pytest.mark.parametrize("columns", [7, 396])
+    def test_grid_rows_cross_blocks(self, columns):
+        # repeated, unsorted v; rows run past two blocks
+        v = np.resize(np.array([9, 7, 8], dtype=np.uint64), columns)
+        w = np.arange(columns, dtype=np.uint64) + 10
+        step = rng._BLOCK // columns
+        rows = np.arange(2 * step + 3, dtype=np.uint64) * 977
+        grid = keyed_u64_grid((3,), rows, v, w)
+        for i in (0, step - 1, step, 2 * step - 1, 2 * step, 2 * step + 2):
+            r = int(rows[i])
+            assert grid[i].tolist() == [keyed_u64(3, r, a, b) for a, b in zip(v.tolist(), w.tolist())]
+
+    def test_grid_holds_the_output_and_about_a_block(self):
+        # the path2 columns of the line at n = 200, {1, m} and {m, 200}, over
+        # 1000 streams; mixing in place keeps no full-size temporaries, only
+        # one block of scratch (82 rows x 396 columns).  The slack holds
+        # numpy's ufunc buffers for the broadcast xors, 8192 words an operand
+        m = np.arange(2, 200, dtype=np.uint64)
+        v, w = np.concatenate([np.ones_like(m), m]), np.concatenate([m, np.full_like(m, 200)])
+        rows = np.arange(1000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            out = keyed_u64_grid((1,), rows, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 396)
+        assert peak < out.nbytes + 8 * rng._BLOCK + 2**18, peak
+
     @pytest.mark.parametrize("prefix", [(), (1,), (3,), (42, 7)])
     def test_array_equals_scalar_chain(self, prefix):
         last = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
@@ -222,6 +276,18 @@ class TestAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20, peak
+
+    def test_build_evaluates_each_distance_once(self, monkeypatch):
+        # PairBatch reads p from support_upto's scan, which is memoized
+        calls = []
+        real = probseq.ProbSeq.eval
+        monkeypatch.setattr(probseq.ProbSeq, "eval", lambda self, i: calls.append(i) or real(self, i))
+        seq = make_constant(0.1)
+        batch = PairBatch(seq, 200, LINE)
+        assert sorted(calls) == list(range(1, 200))
+        PairBatch(seq, 200, LINE)
+        assert len(calls) == 199
+        assert batch.column_p(np.array([0, len(batch.v) - 1])).tolist() == [0.1, 0.1]
 
     def test_pair_list_is_built_on_first_read(self):
         batch = PairBatch(make_constant(0.5), 12, LINE)
