@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--vocab", default="L", choices=[v.value for v in Vocab])
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--budget", type=int, default=10**9,
-                   help="bound on the (n1 n2)^k positions of the walk that counts the statistics")
+                   help="bound on the (n1 n2)^k position estimate of the count of the statistics")
     s.set_defaults(fn=cmd_efgame)
 
     s = sub.add_parser("preset", help="run a named experiment preset")

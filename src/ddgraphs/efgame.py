@@ -11,26 +11,27 @@ rank-0 type is its atomic id, and its rank-r type is the atomic id plus the
 set of its one-point extensions' rank-(r-1) types.  ``pointed_equiv`` forces
 the first picks and confines round i to radius 3^(k-i) of earlier picks, in
 the graph plus, with successor, the successor path; its types take only the
-extensions inside those balls.  Only ``th_k_equal_detailed`` walks the
-tables, to count the positions the plain game search visits.
+extensions inside those balls.  ``th_k_equal_detailed`` also counts, one
+level at a time, the positions the plain game search visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .graph import Graph, cw_holds, disjoint_sum
 from .logic import ADJ_BIT, SUCC_BACK_BIT, SUCC_BIT, LabeledModel, Vocab
+from .rng import keyed_u64_array
 from .sampler import CELL_BUDGET
 
 
 class GameBudgetError(RuntimeError):
-    """Estimated game size exceeds its budget: the counting walk's positions
-    against its node budget, or a model's type-table cells against
-    ``sampler.CELL_BUDGET``."""
+    """Estimated game size exceeds its budget: the counted game search's
+    positions, or a model's type-table cells (``sampler.CELL_BUDGET``)."""
 
     def __init__(self, estimate: int, budget: int, unit: str = "game positions"):
         self.estimate, self.budget = estimate, budget
@@ -45,6 +46,7 @@ class GameStats:
 
 
 _PAD = np.iinfo(np.int64).max  # sorts after every code and id
+_HASHED_ROWS = 512  # fewer rows are interned one by one: most are distinct, and a hash costs more
 
 
 def _extension_codes(m: LabeledModel, tuples: np.ndarray, ids: dict) -> np.ndarray:
@@ -52,41 +54,47 @@ def _extension_codes(m: LabeledModel, tuples: np.ndarray, ids: dict) -> np.ndarr
     0-based): the new entry's loop atom, its atoms against each entry, and on
     LC_LE both orientations of its betweenness triple with each two entries.
     Codes of models sharing ``ids`` are equal exactly when the atoms are."""
-    t, new, entries = m.atoms[1:, 1:], np.arange(m.n), tuples.T[:, :, None]
-    cols = [(t[new, new], 5)] + [(t[x, new], 5) for x in entries]  # atoms are below 2^5
+    t, v = m.atoms[1:, 1:], np.arange(m.n)
+    cols = [(t[x], 5) for x in tuples.T]  # atoms are below 2^5
     if m.vocab.has_cw:
-        cols += [(cw_holds(new, x, y) << 1 | cw_holds(new, y, x), 2)
-                 for x, y in combinations(entries, 2)]
-    code, bits = np.zeros((len(tuples), m.n), dtype=np.int64), 0
+        cols += [(cw_holds(v, x, y) << 1 | cw_holds(v, y, x), 2)
+                 for x, y in combinations(tuples.T[..., None], 2)]
+    code, bits = t.diagonal() + np.zeros((len(tuples), 1), np.int64), 5  # the loop atom
     for col, width in cols:
         if bits + width > 62:  # renumber through ids, which stay below 2^31
-            code = np.array([[ids.setdefault(c, len(ids)) for c in row] for row in code.tolist()])
-            bits = 31
-        code <<= width
-        code |= col
-        bits += width
+            u, i = np.unique(code, return_inverse=True)  # each distinct code interned once
+            code, bits = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)], 31
+        code, bits = code << width | col, bits + width
     return code
 
 
 def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The ids in ``ids`` of (heads[i], the set of row i's entries other than
-    ``_PAD``).  Sorts ``rows`` in place."""
-    rows.sort(axis=1)
-    rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = _PAD
-    rows.sort(axis=1)
-    sizes = (rows != _PAD).sum(1)
-    keys = zip(heads.tolist(), rows[:, :sizes.max()].tolist(), sizes.tolist())
-    return np.array([ids.setdefault((h, tuple(r[:s])), len(ids)) for h, r, s in keys])
+    ``_PAD``), keyed by the set's bytes; sorts ``rows`` in place.  From ``_HASHED_ROWS``
+    rows on, each distinct (head, set) is interned once, found by a row hash checked in full."""
+    if rows.shape[1] > 1:
+        rows.sort(axis=1)
+        rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = _PAD
+        rows.sort(axis=1)
+    size, inv = (rows != _PAD).sum(1) * 8, slice(None)
+    if len(rows) >= _HASHED_ROWS:  # if two distinct rows share a hash, every row is interned
+        mix = keyed_u64_array((), np.arange(rows.shape[1] + 1, dtype=np.uint64)) | np.uint64(1)
+        _, first, inv = np.unique(rows.view(np.uint64) @ mix[1:] + heads.view(np.uint64) * mix[0],
+                                  return_index=True, return_inverse=True)
+        same = (rows[first][inv] == rows).all()  # then so are the heads: mix[0] is odd
+        pick, inv = (first, inv) if same else (slice(None), slice(None))
+        heads, rows, size = heads[pick], rows[pick], size[pick]
+    keys = zip(heads.tolist(), range(0, len(b := rows.tobytes()), rows.shape[1] * 8), size.tolist())
+    return np.array([ids.setdefault((h, b[i:i + s]), len(ids)) for h, i, s in keys])[inv]
 
 
-def _check_table(m: LabeledModel, k: int) -> None:
-    """Refuse k < 0, and a type table that would read more than
-    ``CELL_BUDGET`` k-vertex extensions of ``m``."""
+def _check_table(k: int, *models: LabeledModel) -> None:
+    """Refuse k < 0, and a table reading over ``CELL_BUDGET`` extensions."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    cells = m.n**k  # the deepest level reads every k-vertex extension
-    if cells > CELL_BUDGET:
-        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
+    for cells in (m.n**k for m in models):  # the deepest level reads every k-vertex extension
+        if cells > CELL_BUDGET:
+            raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
 
 
 def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> list:
@@ -95,14 +103,13 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
     pointed one and each level sees only the vertices in its move balls."""
     if not all(1 <= v <= m.n for v in picks):
         raise ValueError("picks out of range")
-    _check_table(m, k)
-    n, levels = m.n, []
-    tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
+    _check_table(k, m)
+    n, levels, tuples, heads = m.n, [], np.empty((1, 0), np.intp), np.zeros(1, np.int64)
     for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
         heads = _set_ids(ids, heads, _extension_codes(m, tuples, ids)[:, [e]])
         tuples = np.append(tuples, [[e]], axis=1)
     if k == 0:
-        return [(heads.tolist(), heads.tolist())]
+        return [(heads, heads)]
     dist = _hop_distances(m)[1:, 1:] if picks else None
     near = None if dist is None else dist[[v - 1 for v in picks]].min(0)[None]
     for j in range(k):
@@ -110,7 +117,7 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
         code = _extension_codes(m, tuples, ids)
         if j < k - 1:
             heads = _set_ids(ids, np.repeat(heads, n), code.reshape(-1, 1))
-            tuples = np.column_stack([np.repeat(tuples, n, 0), np.tile(np.arange(n), len(tuples))])
+            tuples = np.concatenate([np.repeat(tuples, n, 0), (np.arange(len(tuples) * n) % n)[:, None]], 1)
             near = None if near is None else np.minimum(near[:, None], dist[None]).reshape(-1, n)
     table: list = []
     for heads, ball in reversed(levels):  # rank 1 reads the codes of the last entries
@@ -118,7 +125,7 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
         if ball is not None:
             code[~ball] = _PAD
         code = _set_ids(ids, heads, code)
-        table.insert(0, (heads.tolist(), code.tolist()))
+        table.insert(0, (heads, code.copy()))  # the next level masks and sorts code in place
     return table
 
 
@@ -126,9 +133,8 @@ def type_id(m: LabeledModel, k: int, ids: dict, picks: tuple[int, ...] = ()) -> 
     """The rank-k type id of ``m``'s first tuple: its constants, then
     ``picks`` (with picks, of the pointed game).  Ids are equal exactly when
     the types are, among models of one vocabulary, one pick count and one k
-    that share ``ids``.  Raises ``GameBudgetError`` when the table would read
-    more than ``CELL_BUDGET`` k-vertex extensions."""
-    return _type_tables(m, picks, k, ids)[0][1][0]
+    that share ``ids``.  ``GameBudgetError`` past ``CELL_BUDGET`` cells."""
+    return int(_type_tables(m, picks, k, ids)[0][1][0])
 
 
 def _same_type(m1: LabeledModel, m2: LabeledModel, k: int, picks1=(), picks2=()) -> bool:
@@ -147,46 +153,57 @@ def partial_iso(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...],
     return _same_type(m1, m2, 0, picks1, picks2)
 
 
-def _walk(tables, pairs: frozenset, rows: tuple[int, int], rounds: int, seen: set,
-          stats: GameStats) -> None:
-    """Count the position (pairs, rounds >= 1), at rows ``rows`` of level
-    k - rounds, and what the plain min-max recursion visits below it: each
-    position memoized on the *set* of matched pairs plus the remaining rounds,
-    each spoiler move trying its consistent answers (equal atomic ids), the
-    same vertex id first, then ascending, until one has an equal type id."""
-    seen.add((pairs, rounds))
-    stats.positions += 1
-    if rounds < 2:
-        return
-    level, moves = len(tables[0]) - rounds, []
-    for levels, row in zip(tables, rows):
-        at, ty = levels[level + 1]
-        n = len(at) // len(levels[level][0])
-        moves.append((at[row * n:row * n + n], ty[row * n:row * n + n], row * n))
-    for (at, ty, _), (d_at, d_ty, _), flip in ((*moves, 0), (*moves[::-1], 1)):
-        answers: dict[int, list[int]] = {}
-        for b, c in enumerate(d_at):
-            answers.setdefault(c, []).append(b)
-        for a, c in enumerate(at):
-            group = answers.get(c, ())
-            # the same vertex id first: it often wins when the models share a block
-            if a < len(d_at) and d_at[a] == c:
-                group = chain((a,), (b for b in group if b != a))
-            for b in group:
-                pair = (b, a) if flip else (a, b)
-                key = (pairs | {pair}, rounds - 1)
-                if key in seen:
-                    stats.memo_hits += 1
-                elif rounds > 2:
-                    _walk(tables, key[0], (moves[0][2] + pair[0], moves[1][2] + pair[1]),
-                          rounds - 1, seen, stats)
-                else:  # a last-round child is only counted: the tables hold its value
-                    seen.add(key)
-                    stats.positions += 1
-                if ty[a] == d_ty[b]:
-                    break
-            else:
-                return  # no answer wins against this move
+@lru_cache(maxsize=16)
+def _move_order(n1: int, n2: int) -> tuple:
+    """A position's grid: rows are the spoiler's moves (model 1's vertices, model 2's, one
+    that loses), columns max(n1, n2) answers and one that wins.  Each row's index and vertex,
+    each answer's place in its row's order (the same vertex first, -1), each cell's (a, b)."""
+    order, moves = np.arange(n1 + n2 + 1), np.concatenate([np.arange(n1), np.arange(n2), [0]])
+    cols, flip, mv = np.arange(max(n1, n2) + 1), order[:, None] >= n1, moves[:, None]
+    a, b = np.where(flip, cols, mv).ravel(), np.where(flip, mv, cols).ravel()
+    place = np.where(mv == cols, -1, cols)
+    for x in (order, moves, place, a, b):  # every caller shares them
+        x.flags.writeable = False
+    return (order, moves), place, (a, b), max(1, CELL_BUDGET // place.size)  # positions a block
+
+
+def _count(tables, n1: int, n2: int, k: int) -> GameStats:
+    """Positions and memo hits of the plain game search, one level at a time:
+    a level's distinct child keys are its positions, the repeats memo hits.
+    What a position tries (consistent answers, equal atomic ids, up to the
+    first that wins, equal type ids; no move after one that has none) depends
+    only on its memo key, its set of matched pairs: an int64 of pair ids
+    a n2 + b + 1, largest first, in base n1 n2 + 1 (below 2^63 by CELL_BUDGET)."""
+    base, keys, rows, positions, hits = n1 * n2 + 1, np.zeros(1, int), [np.zeros(1, int)] * 2, min(k, 1), 0
+    for j in range(k - 1):  # positions with two or more rounds left have children
+        (order, vertex), place, pairs, step = _move_order(n1, n2)
+        ids1, ids2 = [np.array(tb[j + 1]).reshape(2, -1, n) for tb, n in zip(tables, (n1, n2))]
+        found = []
+        for s in range(0, max(len(keys), 1), step):  # the ids of each position's children (or of none)
+            x, y = ids1[:, rows[0][s:s + step]], ids2[:, rows[1][s:s + step]]
+            cons, win = grids = np.zeros((2, x.shape[1]) + place.shape, bool)
+            np.equal(x[..., None], y[:, :, None], out=grids[:, :, :n1, :n2])  # model 1's moves
+            np.equal(y[..., None], x[:, :, None], out=grids[:, :, n1:-1, :n1])  # then model 2's
+            win[:, :, -1] = True
+            last = win.argmax(2)  # the place of the last answer tried
+            last[win[:, order, vertex]] = -1  # the same vertex wins
+            last[order > (last == place.shape[1] - 1).argmax(1)[:, None]] = -2  # a move after a losing one
+            cons &= np.less_equal(place, last[:, :, None], out=win)  # the answers tried
+            p, cell = cons.reshape(len(cons), -1).nonzero()
+            found.append((p + s, cell))
+        p, cell = found[0] if len(found) == 1 else (np.concatenate(x) for x in zip(*found))
+        a, b = pairs[0][cell], pairs[1][cell]
+        child = a * n2 + b + 1  # the new pair's id: a one-pair set's key
+        if j:  # insert it among the parent's digits, unless it is one of them
+            key, d = keys[p], (keys[:, None] // base ** np.arange(j) % base)[p]
+            at = base ** (d > child[:, None]).sum(1)
+            child = np.where((d == child[:, None]).any(1), key, key // at * (at * base) + child * at + key % at)
+        if j < k - 2:  # the next level's positions, and their rows in its tables
+            keys, first = np.unique(child, return_index=True)
+            rows = [rows[0][p[first]] * n1 + a[first], rows[1][p[first]] * n2 + b[first]]
+        new = len(keys) if j < k - 2 else int(len(child) and 1 + np.count_nonzero(np.diff(np.sort(child))))
+        positions, hits = positions + new, hits + len(child) - new
+    return GameStats(positions, hits, positions)  # every position counted is memoized
 
 
 _METRIC_ATOMS = (1 << ADJ_BIT) | (1 << SUCC_BIT) | (1 << SUCC_BACK_BIT)
@@ -210,25 +227,19 @@ def _hop_distances(m: LabeledModel) -> np.ndarray:
 
 def th_k_equal_detailed(m1: LabeledModel, m2: LabeledModel, k: int,
                         node_budget: int = 10**9) -> tuple[bool, GameStats]:
-    """``th_k_equal`` with the statistics of the plain game search, counted
-    by a walk over both models' type tables; built only when the constants'
-    atoms agree.  ``node_budget`` bounds that walk's (n1 n2)^k position
-    estimate."""
+    """``th_k_equal`` with the plain game search's statistics, counted one level
+    at a time from both models' type tables (built only when the constants'
+    atoms agree); ``node_budget`` bounds its (n1 n2)^k position estimate."""
     first = partial_iso(m1, m2, (), ())  # the constants' atoms; checks the vocabularies
     est = (m1.n * m2.n) ** min(k, 64)  # past any budget below 2^64 from k = 64 on, if n1 n2 > 1
     if est > node_budget:
         raise GameBudgetError(est, node_budget)
-    for m in (m1, m2):
-        _check_table(m, k)
-    if not first:  # the types differ at rank 0 already, and the walk visits nothing
+    _check_table(k, m1, m2)
+    if not first:  # the types differ at rank 0 already, and the search visits nothing
         return False, GameStats()
     ids: dict = {}
     tables = [_type_tables(m, (), k, ids) for m in (m1, m2)]
-    stats = GameStats()
-    if k:
-        _walk(tables, frozenset(), (0, 0), k, set(), stats)
-        stats.memo_size = stats.positions  # every position visited is memoized
-    return tables[0][0][1] == tables[1][0][1], stats
+    return bool(tables[0][0][1][0] == tables[1][0][1][0]), _count(tables, m1.n, m2.n, k)
 
 
 def th_k_equal(m1: LabeledModel, m2: LabeledModel, k: int) -> bool:
@@ -275,12 +286,8 @@ def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str 
     ids: dict = {}
     for g in candidates:
         want = type_id(LabeledModel(g, vocab), k, ids)
-        for h in h_set:
-            combined = disjoint_sum(g, h)
-            if mode == CONCAT_BOTH_ENDS:
-                combined = disjoint_sum(combined, g)
-            if type_id(LabeledModel(combined, vocab), k, ids) != want:
-                break
-        else:
+        sums = (disjoint_sum(disjoint_sum(g, h), g) if mode == CONCAT_BOTH_ENDS else disjoint_sum(g, h)
+                for h in h_set)
+        if all(type_id(LabeledModel(s, vocab), k, ids) == want for s in sums):
             return g
     return None

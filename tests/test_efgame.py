@@ -1,8 +1,10 @@
 """Game engine: examples, invariants, oracle cross-checks."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -260,7 +262,7 @@ class TestThkEqual:
         assert err.value.estimate > err.value.budget
 
     def test_budget_configurable(self):
-        # the position budget bounds only the counting walk
+        # the position budget bounds only the count of the statistics
         m = M(edgeless_graph(3))
         assert th_k_equal_detailed(m, m, 2, node_budget=10**5)[0]
         with pytest.raises(GameBudgetError) as err:
@@ -466,10 +468,10 @@ class TestFact4Search:
 
 
 def model_pair(seed, vocab, k):
-    """Two models of up to 10 vertices (6 at k = 3): the same graph, a
-    relabelled copy, or an independent draw, at densities 0.2-0.8."""
+    """Two models of up to 10 vertices (6 at k = 3, 4 at k = 4): the same
+    graph, a relabelled copy, or an independent draw, at densities 0.2-0.8."""
     rng = random.Random(seed)
-    top = 6 if k == 3 else 10
+    top = {3: 6, 4: 4}.get(k, 10)
 
     def draw(n):
         p = rng.choice((0.2, 0.5, 0.8))
@@ -489,7 +491,8 @@ def model_pair(seed, vocab, k):
 
 
 class TestAgainstReferenceSolver:
-    @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 3))
+    # from k = 4 on, the count expands positions of two or more pairs
+    @given(st.integers(0, 2**32), st.sampled_from(list(Vocab)), st.integers(0, 4))
     @settings(max_examples=100, deadline=None)
     def test_game_values_and_statistics(self, seed, vocab, k):
         m1, m2, _ = model_pair(seed, vocab, k)
@@ -522,8 +525,26 @@ class TestAgainstReferenceSolver:
         got = th_k_equal_detailed(M(g), M(h), 3, node_budget=10**10)
         assert got == (True, GameStats(positions=43948, memo_hits=7991, memo_size=43948))
 
+    def test_baseline_pair_memory_is_one_grid_block_plus_the_keys(self):
+        # the count holds one block of agreement grids (two bool arrays of at
+        # most CELL_BUDGET cells) and a few int64 arrays over the tried children
+        g = sample_line(make_constant(0.1), 40, RngStream(1, 40))
+        perm = list(range(1, 41))
+        random.Random(1).shuffle(perm)
+        h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
+        m1, m2 = M(g), M(h)
+        th_k_equal_detailed(m1, m2, 3, node_budget=10**10)  # caches the models' atoms
+        tracemalloc.start()
+        try:
+            _, stats = th_k_equal_detailed(m1, m2, 3, node_budget=10**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tried = stats.positions + stats.memo_hits
+        assert peak < 2 * CELL_BUDGET + 128 * tried, (peak, tried)
+
     def test_default_arguments_answer_the_n40_pair(self):
-        # (40 * 40)^3 positions pass the walk's default budget, but
+        # (40 * 40)^3 positions pass the count's default budget, but
         # th_k_equal only compares type ids, reading 40^3 cells per model
         g = sample_line(make_constant(0.5), 40, RngStream(2, 40))
         perm = list(range(1, 41))
@@ -590,6 +611,19 @@ class TestTypeTables:
             assert th_k_equal_detailed(m1, m2, k) == reference_th_k_equal_detailed(m1, m2, k)
             got = pointed_equiv(m1, 1, m2, g2.n, k - 1)
             assert got == reference_pointed_equiv_detailed(m1, 1, m2, g2.n, k - 1)[0]
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_hashed_interning_matches_the_reference(self, monkeypatch, collide):
+        # every level's rows interned through the row hash; with a hash under
+        # which distinct rows collide, through the per-row fallback
+        monkeypatch.setattr(efgame, "_HASHED_ROWS", 1)
+        if collide:  # each row's hash is its head plus its entries' sum
+            monkeypatch.setattr(efgame, "keyed_u64_array", lambda prefix, words: np.ones(len(words), np.uint64))
+        for seed in range(24):
+            m1, m2, _ = model_pair(seed, list(Vocab)[seed % 6], 3)
+            assert th_k_equal_detailed(m1, m2, 3) == reference_th_k_equal_detailed(m1, m2, 3)
+            v1, v2 = 1 + seed % m1.n, 1 + seed % m2.n
+            assert pointed_equiv(m1, v1, m2, v2, 2) == reference_pointed_equiv_detailed(m1, v1, m2, v2, 2)[0]
 
     def test_lopsided_game_is_refused_by_the_table_budget(self):
         # (1 * 1000)^3 positions pass the node budget, but the tables would
