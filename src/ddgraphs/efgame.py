@@ -18,7 +18,6 @@ level at a time, the positions the plain game search visits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -54,17 +53,19 @@ def _extension_codes(m: LabeledModel, tuples: np.ndarray, ids: dict) -> np.ndarr
     0-based): the new entry's loop atom, its atoms against each entry, and on
     LC_LE both orientations of its betweenness triple with each two entries.
     Codes of models sharing ``ids`` are equal exactly when the atoms are."""
-    t, v = m.atoms[1:, 1:], np.arange(m.n)
-    cols = [(t[x], 5) for x in tuples.T]  # atoms are below 2^5
+    t, new, entries = m.atoms[1:, 1:], np.arange(m.n), tuples.T
+    cols = [(t[x], 5) for x in entries]  # atoms are below 2^5
     if m.vocab.has_cw:
-        cols += [(cw_holds(v, x, y) << 1 | cw_holds(v, y, x), 2)
-                 for x, y in combinations(tuples.T[..., None], 2)]
+        cols += [(cw_holds(new, x, y) << 1 | cw_holds(new, y, x), 2)
+                 for x, y in combinations(entries[:, :, None], 2)]
     code, bits = t.diagonal() + np.zeros((len(tuples), 1), np.int64), 5  # the loop atom
     for col, width in cols:
         if bits + width > 62:  # renumber through ids, which stay below 2^31
             u, i = np.unique(code, return_inverse=True)  # each distinct code interned once
-            code, bits = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)], 31
-        code, bits = code << width | col, bits + width
+            code = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)]
+            bits = 31
+        code = code << width | col
+        bits += width
     return code
 
 
@@ -76,25 +77,27 @@ def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
         rows.sort(axis=1)
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = _PAD
         rows.sort(axis=1)
-    size, inv = (rows != _PAD).sum(1) * 8, slice(None)
-    if len(rows) >= _HASHED_ROWS:  # if two distinct rows share a hash, every row is interned
+    inv = slice(None)
+    if len(rows) >= _HASHED_ROWS:
         mix = keyed_u64_array((), np.arange(rows.shape[1] + 1, dtype=np.uint64)) | np.uint64(1)
-        _, first, inv = np.unique(rows.view(np.uint64) @ mix[1:] + heads.view(np.uint64) * mix[0],
-                                  return_index=True, return_inverse=True)
+        hashes = rows.view(np.uint64) @ mix[1:] + heads.view(np.uint64) * mix[0]
+        _, first, inv = np.unique(hashes, return_index=True, return_inverse=True)
         same = (rows[first][inv] == rows).all()  # then so are the heads: mix[0] is odd
-        pick, inv = (first, inv) if same else (slice(None), slice(None))
-        heads, rows, size = heads[pick], rows[pick], size[pick]
-    keys = zip(heads.tolist(), range(0, len(b := rows.tobytes()), rows.shape[1] * 8), size.tolist())
+        pick, inv = (first, inv) if same else (slice(None), slice(None))  # else intern every row
+        heads, rows = heads[pick], rows[pick]
+    b, width, sizes = rows.tobytes(), rows.shape[1] * 8, (rows != _PAD).sum(1) * 8
+    keys = zip(heads.tolist(), range(0, len(b), width), sizes.tolist())
     return np.array([ids.setdefault((h, b[i:i + s]), len(ids)) for h, i, s in keys])[inv]
 
 
-def _check_table(k: int, *models: LabeledModel) -> None:
-    """Refuse k < 0, and a table reading over ``CELL_BUDGET`` extensions."""
+def _check_table(m: LabeledModel, k: int) -> None:
+    """Refuse k < 0, and a type table that would read more than
+    ``CELL_BUDGET`` k-vertex extensions of ``m``."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    for cells in (m.n**k for m in models):  # the deepest level reads every k-vertex extension
-        if cells > CELL_BUDGET:
-            raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
+    cells = m.n**k  # the deepest level reads every k-vertex extension
+    if cells > CELL_BUDGET:
+        raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
 
 
 def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> list:
@@ -103,8 +106,9 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
     pointed one and each level sees only the vertices in its move balls."""
     if not all(1 <= v <= m.n for v in picks):
         raise ValueError("picks out of range")
-    _check_table(k, m)
-    n, levels, tuples, heads = m.n, [], np.empty((1, 0), np.intp), np.zeros(1, np.int64)
+    _check_table(m, k)
+    n, levels = m.n, []
+    tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
     for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
         heads = _set_ids(ids, heads, _extension_codes(m, tuples, ids)[:, [e]])
         tuples = np.append(tuples, [[e]], axis=1)
@@ -117,7 +121,8 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
         code = _extension_codes(m, tuples, ids)
         if j < k - 1:
             heads = _set_ids(ids, np.repeat(heads, n), code.reshape(-1, 1))
-            tuples = np.concatenate([np.repeat(tuples, n, 0), (np.arange(len(tuples) * n) % n)[:, None]], 1)
+            entry = np.arange(len(tuples) * n)[:, None] % n  # each row's new last entry
+            tuples = np.concatenate([np.repeat(tuples, n, 0), entry], 1)
             near = None if near is None else np.minimum(near[:, None], dist[None]).reshape(-1, n)
     table: list = []
     for heads, ball in reversed(levels):  # rank 1 reads the codes of the last entries
@@ -125,7 +130,7 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
         if ball is not None:
             code[~ball] = _PAD
         code = _set_ids(ids, heads, code)
-        table.insert(0, (heads, code.copy()))  # the next level masks and sorts code in place
+        table.insert(0, np.array([heads, code]))  # a copy: the next level masks and sorts code
     return table
 
 
@@ -153,33 +158,24 @@ def partial_iso(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...],
     return _same_type(m1, m2, 0, picks1, picks2)
 
 
-@lru_cache(maxsize=16)
-def _move_order(n1: int, n2: int) -> tuple:
-    """A position's grid: rows are the spoiler's moves (model 1's vertices, model 2's, one
-    that loses), columns max(n1, n2) answers and one that wins.  Each row's index and vertex,
-    each answer's place in its row's order (the same vertex first, -1), each cell's (a, b)."""
-    order, moves = np.arange(n1 + n2 + 1), np.concatenate([np.arange(n1), np.arange(n2), [0]])
-    cols, flip, mv = np.arange(max(n1, n2) + 1), order[:, None] >= n1, moves[:, None]
-    a, b = np.where(flip, cols, mv).ravel(), np.where(flip, mv, cols).ravel()
-    place = np.where(mv == cols, -1, cols)
-    for x in (order, moves, place, a, b):  # every caller shares them
-        x.flags.writeable = False
-    return (order, moves), place, (a, b), max(1, CELL_BUDGET // place.size)  # positions a block
-
-
 def _count(tables, n1: int, n2: int, k: int) -> GameStats:
-    """Positions and memo hits of the plain game search, one level at a time:
-    a level's distinct child keys are its positions, the repeats memo hits.
-    What a position tries (consistent answers, equal atomic ids, up to the
-    first that wins, equal type ids; no move after one that has none) depends
-    only on its memo key, its set of matched pairs: an int64 of pair ids
-    a n2 + b + 1, largest first, in base n1 n2 + 1 (below 2^63 by CELL_BUDGET)."""
-    base, keys, rows, positions, hits = n1 * n2 + 1, np.zeros(1, int), [np.zeros(1, int)] * 2, min(k, 1), 0
+    """Positions and memo hits of the plain game search, one level at a time: a level's distinct
+    child keys are its positions, the repeats memo hits.  What a position tries (consistent
+    answers, equal atomic ids, up to the first that wins, equal type ids; no move after one that
+    has none) depends only on its memo key, its set of matched pairs: an int64 of pair ids
+    a n2 + b + 1, largest first, in base n1 n2 + 1 (below 2^63 by CELL_BUDGET).  A position's
+    grid: its moves (model 1's, model 2's, one that loses) by their answers (and one that wins)."""
+    order, vertex = np.arange(n1 + n2 + 1), np.concatenate([np.arange(n1), np.arange(n2), [0]])
+    cols, flip, mv = np.arange(max(n1, n2) + 1), order[:, None] >= n1, vertex[:, None]
+    pairs = np.where(flip, cols, mv).ravel(), np.where(flip, mv, cols).ravel()
+    place = np.where(mv == cols, -1, cols)  # each answer's place in its order: same vertex first
+    step = max(1, CELL_BUDGET // place.size)  # positions a block
+    base, positions, hits = n1 * n2 + 1, min(k, 1), 0
+    keys, rows = np.zeros(1, int), [np.zeros(1, int)] * 2  # the root: no pairs, each table's row 0
     for j in range(k - 1):  # positions with two or more rounds left have children
-        (order, vertex), place, pairs, step = _move_order(n1, n2)
-        ids1, ids2 = [np.array(tb[j + 1]).reshape(2, -1, n) for tb, n in zip(tables, (n1, n2))]
+        ids1, ids2 = [tb[j + 1].reshape(2, -1, n) for tb, n in zip(tables, (n1, n2))]
         found = []
-        for s in range(0, max(len(keys), 1), step):  # the ids of each position's children (or of none)
+        for s in range(0, max(len(keys), 1), step):  # blocks of positions (one, if there are none)
             x, y = ids1[:, rows[0][s:s + step]], ids2[:, rows[1][s:s + step]]
             cons, win = grids = np.zeros((2, x.shape[1]) + place.shape, bool)
             np.equal(x[..., None], y[:, :, None], out=grids[:, :, :n1, :n2])  # model 1's moves
@@ -187,33 +183,32 @@ def _count(tables, n1: int, n2: int, k: int) -> GameStats:
             win[:, :, -1] = True
             last = win.argmax(2)  # the place of the last answer tried
             last[win[:, order, vertex]] = -1  # the same vertex wins
-            last[order > (last == place.shape[1] - 1).argmax(1)[:, None]] = -2  # a move after a losing one
+            last[order > (last == place.shape[1] - 1).argmax(1)[:, None]] = -2  # after a lost move
             cons &= np.less_equal(place, last[:, :, None], out=win)  # the answers tried
-            p, cell = cons.reshape(len(cons), -1).nonzero()
+            p, cell = cons.reshape(-1, place.size).nonzero()
             found.append((p + s, cell))
         p, cell = found[0] if len(found) == 1 else (np.concatenate(x) for x in zip(*found))
         a, b = pairs[0][cell], pairs[1][cell]
         child = a * n2 + b + 1  # the new pair's id: a one-pair set's key
-        if j:  # insert it among the parent's digits, unless it is one of them
-            key, d = keys[p], (keys[:, None] // base ** np.arange(j) % base)[p]
+        if j:  # insert it among the parent's digits (at most n1 n2), unless it is one of them
+            key, d = keys[p], (keys[:, None] // base ** np.arange(min(j, n1 * n2)) % base)[p]
             at = base ** (d > child[:, None]).sum(1)
-            child = np.where((d == child[:, None]).any(1), key, key // at * (at * base) + child * at + key % at)
+            inserted = key // at * (at * base) + child * at + key % at
+            child = np.where((d == child[:, None]).any(1), key, inserted)
         if j < k - 2:  # the next level's positions, and their rows in its tables
             keys, first = np.unique(child, return_index=True)
             rows = [rows[0][p[first]] * n1 + a[first], rows[1][p[first]] * n2 + b[first]]
-        new = len(keys) if j < k - 2 else int(len(child) and 1 + np.count_nonzero(np.diff(np.sort(child))))
+        new = len(keys) if j < k - 2 else int(  # np.unique costs more than a sort here
+            len(child) and 1 + np.count_nonzero(np.diff(np.sort(child))))
         positions, hits = positions + new, hits + len(child) - new
     return GameStats(positions, hits, positions)  # every position counted is memoized
-
-
-_METRIC_ATOMS = (1 << ADJ_BIT) | (1 << SUCC_BIT) | (1 << SUCC_BACK_BIT)
 
 
 def _hop_distances(m: LabeledModel) -> np.ndarray:
     """All-pairs hop distances, shape (n+1, n+1), in ``m``'s graph plus, with
     successor, the successor path (wrapping on circles); inf where unreachable
     and in column 0."""
-    metric = (m.atoms & _METRIC_ATOMS) != 0
+    metric = (m.atoms & (1 << ADJ_BIT | 1 << SUCC_BIT | 1 << SUCC_BACK_BIT)) != 0
     reached = np.eye(len(metric), dtype=bool)
     dist = np.where(reached, 0.0, np.inf)
     frontier, d = reached, 0
@@ -234,7 +229,8 @@ def th_k_equal_detailed(m1: LabeledModel, m2: LabeledModel, k: int,
     est = (m1.n * m2.n) ** min(k, 64)  # past any budget below 2^64 from k = 64 on, if n1 n2 > 1
     if est > node_budget:
         raise GameBudgetError(est, node_budget)
-    _check_table(k, m1, m2)
+    for m in (m1, m2):
+        _check_table(m, k)
     if not first:  # the types differ at rank 0 already, and the search visits nothing
         return False, GameStats()
     ids: dict = {}
@@ -286,8 +282,12 @@ def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str 
     ids: dict = {}
     for g in candidates:
         want = type_id(LabeledModel(g, vocab), k, ids)
-        sums = (disjoint_sum(disjoint_sum(g, h), g) if mode == CONCAT_BOTH_ENDS else disjoint_sum(g, h)
-                for h in h_set)
-        if all(type_id(LabeledModel(s, vocab), k, ids) == want for s in sums):
+        for h in h_set:
+            combined = disjoint_sum(g, h)
+            if mode == CONCAT_BOTH_ENDS:
+                combined = disjoint_sum(combined, g)
+            if type_id(LabeledModel(combined, vocab), k, ids) != want:
+                break
+        else:
             return g
     return None

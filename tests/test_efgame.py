@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+import warnings
 from itertools import combinations, product
 
 import numpy as np
@@ -624,6 +625,21 @@ class TestTypeTables:
             assert th_k_equal_detailed(m1, m2, 3) == reference_th_k_equal_detailed(m1, m2, 3)
             v1, v2 = 1 + seed % m1.n, 1 + seed % m2.n
             assert pointed_equiv(m1, v1, m2, v2, 2) == reference_pointed_equiv_detailed(m1, v1, m2, v2, 2)[0]
+
+    def test_frontier_that_empties_above_the_last_level(self):
+        # the root has no children, so the count's later levels start from
+        # no positions at all
+        m1, m2 = M(edgeless_graph(1), Vocab.LC_PLUS), M(edgeless_graph(3), Vocab.LC_PLUS)
+        assert th_k_equal_detailed(m1, m2, 4) == reference_th_k_equal_detailed(m1, m2, 4)
+
+    def test_one_vertex_game_past_64_rounds(self):
+        # a key holds at most n1 n2 pair ids, so its digit places stop there
+        # instead of wrapping base ** j past 2^63
+        m = M(edgeless_graph(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = th_k_equal_detailed(m, m, 70)
+        assert got == reference_th_k_equal_detailed(m, m, 70)
 
     def test_lopsided_game_is_refused_by_the_table_budget(self):
         # (1 * 1000)^3 positions pass the node budget, but the tables would
