@@ -22,7 +22,6 @@ from .efgame import GameBudgetError, th_k_equal_detailed
 from .estimator import (
     LineageBudgetError,
     brute_force_probability,
-    exact_path2,
     exact_probability,
     exact_result,
     exact_triangle_circle,
@@ -186,14 +185,11 @@ def cmd_scan(args) -> int:
 
 def _exact_row(seq, n: int, target: str, model_kind: str, master_seed: int):
     """The exact row ``{target}_exact`` for ``target`` on ``model_kind``: the
-    triangle on the circle by its closed form, the endpoint 2-path on the
-    line by ``exact_path2``, any other target by ``exact_probability`` (an
-    error for a target with no lineage)."""
+    triangle on the circle by its closed form, any other target by
+    ``exact_probability`` (an error for a target with no lineage)."""
     name = "triangle" if target == "has_triangle" else target
     if name == "triangle" and model_kind == CIRCLE:
         value = exact_triangle_circle(seq, n)
-    elif name == "path2" and model_kind == LINE:
-        value = exact_path2(seq, n)
     else:
         value = exact_probability(seq, n, resolve_target(target), model_kind)
     return exact_result(value, n, f"{name}_exact", model_kind, master_seed)

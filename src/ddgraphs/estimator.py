@@ -3,9 +3,10 @@
 Three routes:
 
 * ``mc_probability`` - seeded Monte Carlo with Wilson score intervals,
-* ``exact_probability`` - the exact value from a sentence's lineage;
-  ``exact_path2`` is its endpoint 2-path, and ``exact_triangle_circle`` a
-  closed form for aligned circle triangles,
+* ``exact_probability`` - the exact value from a sentence's lineage (one
+  forward pass in line order per component, refused past ``LINEAGE_BUDGET``
+  live states); ``exact_path2`` is its endpoint 2-path, and
+  ``exact_triangle_circle`` a closed form for aligned circle triangles,
 * ``brute_force_probability`` - exhaustive enumeration over the free edge
   set for tiny instances (the oracle the other two are checked against).
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
@@ -112,7 +112,7 @@ _LINEAGE_CELLS = 1 << 20
 
 
 class LineageBudgetError(RuntimeError):
-    """A lineage, or its exact expansion, grows past its budget."""
+    """A lineage, or its exact forward pass, grows past its budget."""
 
     def __init__(self, estimate: int, budget: int):
         self.estimate, self.budget = estimate, budget
@@ -331,7 +331,7 @@ def mc_probability(
     )
 
 
-# Shannon expansions ``exact_probability`` makes before it gives up.
+# Live states that a component's forward pass in ``exact_probability`` may hold.
 LINEAGE_BUDGET = 1 << 14
 
 
@@ -358,42 +358,18 @@ def _components(clauses: list[tuple]) -> list[list[tuple]]:
     return list(groups.values())
 
 
-def _or_probability(clauses: list[tuple], p: dict, memo: dict, left: list[int]) -> float:
-    """P(some clause has all its columns), columns independent with
-    probabilities ``p``.  Components combine as ``-expm1(sum log1p(-q))``,
-    added left to right; a one-clause component's q is its probabilities
-    multiplied left to right, another's a Shannon expansion on its most
-    frequent column (ties: the middle one in first-seen order, which halves
-    a chain), memoized on its clause set.  ``left[0]`` expansions remain."""
-    log_miss = 0.0
-    for component in _components(clauses):
-        if len(component) == 1:
-            q = math.prod(map(p.__getitem__, component[0]))
-        elif (key := frozenset(map(frozenset, component))) in memo:
-            q = memo[key]
-        else:
-            left[0] -= 1
-            if left[0] < 0:
-                raise LineageBudgetError(LINEAGE_BUDGET + 1, LINEAGE_BUDGET)
-            counts = Counter(chain.from_iterable(component))
-            tied = [c for c, k in counts.items() if k == max(counts.values())]
-            c = tied[len(tied) // 2]
-            present = [tuple(x for x in clause if x != c) for clause in component]
-            absent = [clause for clause in component if c not in clause]
-            q = memo[key] = (p[c] * _or_probability(present, p, memo, left)
-                             + (1.0 - p[c]) * _or_probability(absent, p, memo, left))
-        if q >= 1.0:
-            return 1.0
-        log_miss += math.log1p(-q)
-    return -math.expm1(log_miss) + 0.0  # normalize -0.0
-
-
 def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> float:
-    """P(n; target) from the target's ``lineage``: pair-table columns are
-    independent, so ``_or_probability`` decomposes it (Suciu, Olteanu, Re
-    and Koch, *Probabilistic Databases*, 2011, ch. 5).  Raises
+    """P(n; target) from the target's ``lineage``, whose columns are
+    independent (Suciu, Olteanu, Re and Koch, *Probabilistic Databases*,
+    2011, ch. 5).  Clauses that share no column form components, combined
+    as ``-expm1(sum log1p(-q))`` left to right.  A one-clause component's q
+    is its probabilities multiplied left to right; another's, one forward
+    pass over its columns in line order (w, v), whose states are the sets of
+    residuals (unseen columns) of begun clauses with every seen column an
+    edge: each column branches the states present and absent, equal states
+    merge, and q sums (``math.fsum``) the states with an empty residual.  Raises
     ``OracleValidityError`` for a target with no lineage and
-    ``LineageBudgetError`` past ``LINEAGE_BUDGET`` expansions."""
+    ``LineageBudgetError`` past ``LINEAGE_BUDGET`` live states."""
     if n < 1:
         raise EstimatorError("n must be >= 1")
     batch = PairBatch(seq, n, model_kind)
@@ -405,16 +381,39 @@ def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> 
     if (np.diff(np.sort(clauses, axis=1), axis=1) == 0).any():
         rows = map(dict.fromkeys, rows)  # a clause's columns once each, in order
     p = dict(zip(clauses.ravel().tolist(), batch.column_p(clauses).ravel().tolist()))
-    return _or_probability(list(dict.fromkeys(map(tuple, rows))), p, {}, [LINEAGE_BUDGET])
+    clauses = list(dict.fromkeys(map(tuple, rows)))
+    log_miss = 0.0
+    for component in _components(clauses):
+        if len(component) == 1:
+            q = math.prod(map(p.__getitem__, component[0]))
+        else:
+            line = lambda c: (batch.w[c], batch.v[c])
+            starting = {c: [] for c in sorted(set(chain.from_iterable(component)), key=line)}
+            for clause in component:  # each clause's other columns in line order, by its first
+                starting[min(clause, key=line)].append(tuple(sorted(clause, key=line))[1:])
+            done, states = [], {frozenset(): 1.0}
+            for c, new in starting.items():
+                before, states = states, {}
+                for state, mass in before.items():
+                    moved = [r for r in state if r[0] == c]
+                    absent = state.difference(moved)
+                    present = absent.union([r[1:] for r in moved], new)
+                    states[present] = states.get(present, 0.0) + mass * p[c]
+                    states[absent] = states.get(absent, 0.0) + mass * (1.0 - p[c])
+                done += [states.pop(s) for s in list(states) if () in s]  # some clause holds
+                if len(states) > LINEAGE_BUDGET:
+                    raise LineageBudgetError(len(states), LINEAGE_BUDGET)
+            q = math.fsum(done)
+        if q >= 1.0:
+            return 1.0
+        log_miss += math.log1p(-q)
+    return -math.expm1(log_miss) + 0.0  # normalize -0.0
 
 
 def exact_path2(seq: ProbSeq, n: int) -> float:
     """P(endpoints 1 and n joined by a two-edge path) on the line, by
-    ``exact_probability``.  The n-2 candidate midpoints use pairwise
-    distinct edge pairs, so each clause is a component and
-    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), accumulated in log space
-    over the midpoints v in the table, in increasing v.
-    """
+    ``exact_probability``: each midpoint v's clause is its own component, so
+    P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), added in increasing v."""
     if n < 3:
         raise EstimatorError("needs n >= 3")
     return exact_probability(seq, n, library("path2"), LINE)

@@ -157,6 +157,13 @@ class TestEstimateScanOracle:
         code, out, _ = run(capsys, "oracle", "--kind", "path2", "--seq", CONST_HALF, "--n", "5")
         assert code == 0 and "5,0.578125," in out
 
+    @pytest.mark.parametrize("model", ["line", "circle"])
+    def test_oracle_path2_on_two_vertices(self, capsys, model):
+        code, out, err = run(capsys, "oracle", "--kind", "path2", "--seq", CONST_HALF, "--n", "2",
+                             "--model", model)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1] == f"2,0,0,0,0,0,path2_exact,{model.upper()}"
+
     def test_oracle_brute(self, capsys):
         code, out, _ = run(
             capsys, "oracle", "--kind", "brute", "--seq", CONST_HALF, "--n", "4",

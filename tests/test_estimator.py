@@ -11,6 +11,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -667,7 +668,7 @@ class TestLineage:
         start = time.perf_counter()
         with pytest.raises(LineageBudgetError) as err:
             exact_probability(make_constant(0.1), 9, library("triangle"), LINE)
-        assert time.perf_counter() - start <= 5.0
+        assert time.perf_counter() - start <= 1.0
         assert err.value.budget == estimator.LINEAGE_BUDGET < err.value.estimate
 
     def test_sparse_line_triangle(self):
@@ -687,6 +688,31 @@ class TestLineage:
             assert math.isclose(exact_probability(seq, n, library("triangle"), LINE),
                                 brute_force_probability(seq, n, library("triangle"), LINE),
                                 rel_tol=1e-12)
+
+    def test_line_triangle_on_three_distances(self):
+        p = {1: 0.3, 2: 0.2, 3: 0.1}
+        seq = make_support(p)
+        value = exact_probability(seq, 60, library("triangle"), LINE)
+        # a new vertex d closes a triangle only with two of the last three
+        # vertices a < b < c, so the state is which of {a, b}, {a, c} and
+        # {b, c} are edges (no triangle so far); d adds {c, d}, {b, d}, {a, d}
+        weight = lambda edge, d: p[d] if edge else 1.0 - p[d]
+        free = {(ab, ac, bc): weight(ab, 1) * weight(ac, 2) * weight(bc, 1)
+                for ab, ac, bc in product((True, False), repeat=3) if not (ab and ac and bc)}
+        for _ in range(4, 61):
+            after = {}
+            for (ab, ac, bc), mass in free.items():
+                for cd, bd, ad in product((True, False), repeat=3):
+                    if not (bc and cd and bd or ab and bd and ad or ac and cd and ad):
+                        w = mass * weight(cd, 1) * weight(bd, 2) * weight(ad, 3)
+                        after[bc, bd, cd] = after.get((bc, bd, cd), 0.0) + w
+            free = after
+        assert math.isclose(value, 1.0 - sum(free.values()), rel_tol=1e-12)
+        for kind, top in ((LINE, 8), (CIRCLE, 6)):
+            for n in range(3, top + 1):
+                assert math.isclose(exact_probability(seq, n, library("triangle"), kind),
+                                    brute_force_probability(seq, n, library("triangle"), kind),
+                                    rel_tol=1e-12), (kind, n)
 
     def test_circle_path2_equals_brute_force(self):
         for seq in (make_constant(0.5), make_support({1: 0.3, 2: 1.0, 3: 0.7})):
