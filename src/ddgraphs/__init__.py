@@ -27,12 +27,10 @@ from .graph import (
     count_triangles,
     disjoint_sum,
     edgeless_graph,
-    is_cutpoint,
     is_exact_copy_at,
     is_flat,
     make_graph,
     max_disjoint_exact_copies,
-    neighborhood,
     psi_r_holds,
 )
 from .logic import (

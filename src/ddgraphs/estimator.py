@@ -11,10 +11,12 @@ Three routes:
   set for tiny instances (the oracle the other two are checked against).
 
 A sentence built from exists, & and | over adj atoms and (negated)
-equalities, or a predicate's ``sentence``, grounds once per pair table to
-its ``lineage``: clauses of pair columns, one of which holds iff it does.
-Monte Carlo and brute force share one ``row_decision`` on blocks of boolean
-pair-table rows: a lineage of at most 16 clauses per pair reads only its
+equalities, or a predicate's ``sentence``, grounds to its ``lineage``:
+clauses of pair columns, one of which holds iff it does.  ``grounding``
+keeps it, with the columns the target reads, in the sampler's memo, once
+per (sequence, n, model, sentence), for every route to read.  Monte Carlo
+and brute force share one ``row_decision`` on blocks of boolean rows of
+those columns: a lineage of at most 16 clauses per pair reads only its
 columns, the only ones Monte Carlo hashes, and decides a block with one
 ``clause_hits`` reduction.  Other sentences run their array plan on each
 row scattered into an adjacency matrix; other predicates build each row's
@@ -38,7 +40,7 @@ from .graph import Graph
 from .logic import Adj, And, Eq, Exists, Formula, Node, Not, Or, Var, library
 from .probseq import ProbSeq, ordered_sum
 from .rng import derived_streams
-from .sampler import CELL_BUDGET, CIRCLE, LINE, PairBatch
+from .sampler import CELL_BUDGET, CIRCLE, LINE, Grounding, PairBatch, ground
 
 Target = Formula | Callable[[Graph], bool]
 
@@ -239,31 +241,44 @@ def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _kernel(target: Target, batch: PairBatch) -> np.ndarray | None:
-    """``lineage(target, batch)``, or None where deciding each row costs
-    less: no lineage, or more than ``_CLAUSES_PER_PAIR`` clauses per pair."""
-    try:
-        clauses = lineage(target, batch)
-    except LineageBudgetError:
-        return None
-    return None if clauses is None or len(clauses) > _CLAUSES_PER_PAIR * len(batch.v) else clauses
+def grounding(seq: ProbSeq, n: int, target: Target, model_kind: str) -> Grounding:
+    """``target`` grounded on ``PairBatch(seq, n, model_kind)`` by the
+    sampler's memo (``ground``), keyed by the target's sentence: itself, a
+    predicate's ``sentence``, or None.  A lineage of at most
+    ``_CLAUSES_PER_PAIR`` clauses per pair is a kernel that reads its own
+    columns; any other target reads every column."""
+    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
+
+    def build(table: PairBatch) -> Grounding:
+        try:
+            clauses = lineage(sentence, table)
+        except LineageBudgetError as refused:
+            clauses = refused.with_traceback(None)  # kept without the frames that raised it
+        if not isinstance(clauses, np.ndarray) or len(clauses) > _CLAUSES_PER_PAIR * table.size:
+            return Grounding(table, np.arange(table.size), clauses)
+        read = np.zeros(table.size, dtype=bool)
+        read[clauses] = True
+        # the columns read, and each clause column's position among them
+        return Grounding(table, np.flatnonzero(read), (np.cumsum(read) - 1)[clauses], kernel=True)
+
+    return ground(seq, n, model_kind, sentence, None if sentence is None else build)
 
 
-def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Callable]:
-    """How ``target`` is decided on boolean rows of ``batch``.
+def row_decision(target: Target, g: Grounding) -> tuple[int, Callable]:
+    """How ``target`` is decided on boolean rows of ``g``'s columns.
 
-    Returns (columns, cells, decide): the table columns the target reads,
-    the cells per row a block must hold, and ``decide(rows)``, one bool per
-    row of ``rows[:, columns]``.  A target with ``_kernel`` clauses reads
-    their columns and decides a block with one ``clause_hits`` reduction.
-    Every other target reads every column: a sentence, compiled once, runs
-    on each row scattered into an adjacency matrix, and a predicate on each
-    row's graph.
+    Returns (cells, decide): the cells per row a block must hold, and
+    ``decide(rows)``, one bool per row.  A kernel grounding decides a block
+    with one ``clause_hits`` reduction.  Otherwise every column is read: a
+    sentence, compiled once, runs on each row scattered into an adjacency
+    matrix, and a predicate on each row's graph.
     """
-    clauses = _kernel(target, batch)
-    if clauses is None and isinstance(target, Formula):
-        run, adj = target._checker, np.zeros((batch.n, batch.n), dtype=bool)
-        v, w = batch.v.astype(np.intp) - 1, batch.w.astype(np.intp) - 1
+    if g.kernel:
+        clauses = g.lineage
+        return max(len(g.read), len(clauses)), lambda rows: clause_hits(rows, clauses).any(axis=0)
+    if isinstance(target, Formula):
+        run, adj = target._checker, np.zeros((g.n, g.n), dtype=bool)
+        v, w = g.v.astype(np.intp) - 1, g.w.astype(np.intp) - 1
 
         def decide(rows: np.ndarray) -> np.ndarray:
             out = np.empty(len(rows), dtype=bool)
@@ -272,15 +287,9 @@ def row_decision(target: Target, batch: PairBatch) -> tuple[np.ndarray, int, Cal
                 out[t] = run(adj)
             return out
 
-        return np.arange(len(batch.v)), len(batch.v), decide
-    if clauses is None:
-        return np.arange(len(batch.v)), len(batch.v), lambda rows: np.fromiter(
-            (target(batch.graph_from_row(row)) for row in rows), bool, len(rows))
-    read = np.zeros(len(batch.v), dtype=bool)
-    read[clauses] = True
-    # the columns read, and each clause column's position among them
-    keep, local = np.flatnonzero(read), (np.cumsum(read) - 1)[clauses]
-    return keep, max(len(keep), len(local)), lambda rows: clause_hits(rows, local).any(axis=0)
+        return len(g.read), decide
+    return len(g.read), lambda rows: np.fromiter(
+        (target(g.graph_from_row(row)) for row in rows), bool, len(rows))
 
 
 def mc_probability(
@@ -297,7 +306,7 @@ def mc_probability(
     Trial t draws its graph from stream ``derived_stream(n, t)``, so results
     are independent of evaluation order and parallel scheduling.
 
-    Only the columns ``row_decision`` says the target reads are hashed:
+    Only the columns the target's ``grounding`` reads are hashed:
     targets with a lineage (see ``lineage``) are decided by one
     ``clause_hits`` reduction per block; every other target reads every
     column, and runs the compiled sentence on each row's adjacency or the
@@ -311,13 +320,13 @@ def mc_probability(
     if n < 1:
         raise EstimatorError("n must be >= 1")
 
-    batch = PairBatch(seq, n, model_kind)
-    columns, cells, decide = row_decision(target, batch)
+    g = grounding(seq, n, target, model_kind)
+    cells, decide = row_decision(target, g)
     block = max(1, CELL_BUDGET // max(1, cells))
     successes = 0
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
-        successes += int(np.count_nonzero(decide(batch.edge_matrix(master_seed, ids, columns))))
+        successes += int(np.count_nonzero(decide(g.edge_matrix(master_seed, ids))))
     low, high = wilson_ci(successes, trials, level)
     return EstimateResult(
         estimate=successes / trials,
@@ -330,6 +339,9 @@ def mc_probability(
         model_kind=model_kind,
     )
 
+
+# The library sentences the oracles ground, built once
+_PATH2, _TRIANGLE = library("path2"), library("triangle")
 
 # Live states that a component's forward pass in ``exact_probability`` may hold.
 LINEAGE_BUDGET = 1 << 14
@@ -366,28 +378,32 @@ def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> 
     is its probabilities multiplied left to right; another's, one forward
     pass over its columns in line order (w, v), whose states are the sets of
     residuals (unseen columns) of begun clauses with every seen column an
-    edge: each column branches the states present and absent, equal states
-    merge, and q sums (``math.fsum``) the states with an empty residual.  Raises
-    ``OracleValidityError`` for a target with no lineage and
-    ``LineageBudgetError`` past ``LINEAGE_BUDGET`` live states."""
+    edge: each column branches the states present and absent (no branch of
+    weight 0), equal states merge, and q sums (``math.fsum``) the states
+    with an empty residual.  The lineage comes from the target's
+    ``grounding``.  Raises ``OracleValidityError`` for a target with no
+    lineage and ``LineageBudgetError`` past ``LINEAGE_BUDGET`` live states
+    or when the lineage itself was refused."""
     if n < 1:
         raise EstimatorError("n must be >= 1")
-    batch = PairBatch(seq, n, model_kind)
-    clauses = lineage(target, batch)
+    g = grounding(seq, n, target, model_kind)
+    clauses = g.lineage
+    if isinstance(clauses, LineageBudgetError):
+        raise LineageBudgetError(clauses.estimate, clauses.budget)
     if clauses is None:
         raise OracleValidityError(f"no exact oracle for target {_target_name(target)!r}: it is not "
                                   "built from exists, & and | over adj atoms and (negated) equalities")
     rows = clauses.tolist()
     if (np.diff(np.sort(clauses, axis=1), axis=1) == 0).any():
         rows = map(dict.fromkeys, rows)  # a clause's columns once each, in order
-    p = dict(zip(clauses.ravel().tolist(), batch.column_p(clauses).ravel().tolist()))
+    p = dict(zip(clauses.ravel().tolist(), g.p[clauses].ravel().tolist()))
     clauses = list(dict.fromkeys(map(tuple, rows)))
     log_miss = 0.0
     for component in _components(clauses):
         if len(component) == 1:
             q = math.prod(map(p.__getitem__, component[0]))
         else:
-            line = lambda c: (batch.w[c], batch.v[c])
+            line = lambda c: (g.w[c], g.v[c])
             starting = {c: [] for c in sorted(set(chain.from_iterable(component)), key=line)}
             for clause in component:  # each clause's other columns in line order, by its first
                 starting[min(clause, key=line)].append(tuple(sorted(clause, key=line))[1:])
@@ -398,8 +414,9 @@ def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> 
                     moved = [r for r in state if r[0] == c]
                     absent = state.difference(moved)
                     present = absent.union([r[1:] for r in moved], new)
-                    states[present] = states.get(present, 0.0) + mass * p[c]
-                    states[absent] = states.get(absent, 0.0) + mass * (1.0 - p[c])
+                    for branch, weight in ((present, mass * p[c]), (absent, mass * (1.0 - p[c]))):
+                        if weight:  # a p = 1 column has no absent branch
+                            states[branch] = states.get(branch, 0.0) + weight
                 done += [states.pop(s) for s in list(states) if () in s]  # some clause holds
                 if len(states) > LINEAGE_BUDGET:
                     raise LineageBudgetError(len(states), LINEAGE_BUDGET)
@@ -416,7 +433,18 @@ def exact_path2(seq: ProbSeq, n: int) -> float:
     P = 1 - prod_{v=2}^{n-1} (1 - p(v-1) p(n-v)), added in increasing v."""
     if n < 3:
         raise EstimatorError("needs n >= 3")
-    return exact_probability(seq, n, library("path2"), LINE)
+    return exact_probability(seq, n, _PATH2, LINE)
+
+
+def triangles(seq: ProbSeq, n: int, model_kind: str) -> Grounding:
+    """The grounding of the triangle sentence, whose ``lineage`` is
+    ``PairBatch.triangles`` over ``read``; past the lineage budget, every
+    column with those triangles, not kept in the memo."""
+    g = grounding(seq, n, _TRIANGLE, model_kind)
+    if isinstance(g.lineage, np.ndarray):
+        return g
+    table = PairBatch(seq, n, model_kind)
+    return Grounding(table, np.arange(table.size), table.triangles())
 
 
 def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
@@ -424,20 +452,20 @@ def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
 
     Valid only when the positive-probability triangles are exactly the
     edge-disjoint family {v, v+n/3, v+2n/3}; a verifier compares the pair
-    table's triangles with that family and raises OracleValidityError
+    table's ``triangles`` with that family and raises OracleValidityError
     otherwise.  With no candidate triangle the probability is exactly 0.
     """
     if n < 3:
         raise EstimatorError("needs n >= 3")
-    batch = PairBatch(seq, n, CIRCLE)
-    triples = batch.triangles()
+    g = triangles(seq, n, CIRCLE)
+    triples = g.lineage
     if len(triples) == 0:
         return 0.0
     if n % 3 != 0:
         raise OracleValidityError(
             f"{len(triples)} candidate triangles at n={n} with 3 not dividing n"
         )
-    pairs = batch.pair_list
+    pairs = list(zip(g.v.tolist(), g.w.tolist()))
     candidates = {(*pairs[j1], pairs[j2][1]) for j1, j2, _ in triples.tolist()}
     step = n // 3
     aligned = {(v, v + step, v + 2 * step) for v in range(1, step + 1)}
@@ -446,7 +474,7 @@ def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
             f"candidate triangles at n={n} are not the {step} aligned triples "
             f"({len(triples)} candidates)"
         )
-    p = float(batch.p[triples[0, 0]])
+    p = float(g.p[triples[0, 0]])
     if p >= 1.0:
         return 1.0
     # the aligned triples partition their edges, so counts are binomial
@@ -480,14 +508,15 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     f = len(free)
     if f > 21:
         raise BruteForceGuardError(f"{f} free pairs is beyond the 2^21 subset guard")
-    if 2**f > _ROW_PATH_LEAVES and _kernel(target, batch) is None:
+    g = grounding(seq, n, target, model_kind)
+    if 2**f > _ROW_PATH_LEAVES and not g.kernel:
         raise BruteForceGuardError(f"{2**f} leaves is beyond the bound of {_ROW_PATH_LEAVES} "
                                    "leaves for a target decided leaf by leaf (no lineage)")
-    columns, cells, decide = row_decision(target, batch)
+    cells, decide = row_decision(target, g)
     # A leaf holds ~8 words (index, weight, their temporaries) and a byte per
     # cell of its row, its read columns and the decision.  Blocks of
     # CELL_BUDGET // 64 words (256 KB) add no measurable peak RSS.
-    block = max(1, CELL_BUDGET // 64 // (8 + (len(batch.v) + len(columns) + cells + 7) // 8))
+    block = max(1, CELL_BUDGET // 64 // (8 + (len(batch.v) + len(g.read) + cells + 7) // 8))
     total = 0.0
     for lo in range(0, 2**f, block):
         leaf = np.arange(lo, min(lo + block, 2**f), dtype=np.int64)
@@ -497,7 +526,7 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
             present = (leaf >> (f - 1 - j)) & 1 == 0
             rows[:, column] = present
             weight *= np.where(present, p, 1.0 - p)
-        total = ordered_sum(weight[decide(rows[:, columns])], total)
+        total = ordered_sum(weight[decide(rows[:, g.read])], total)
     return total
 
 

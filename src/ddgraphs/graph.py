@@ -1,7 +1,7 @@
 """Finite simple graphs on {1..n} and the structural predicates the
-experiments need: shift-anchored exact copies, cutpoints, neighborhoods,
-block sums, triangle counting, and realizability ("flatness") checks for
-circle subgraphs.
+experiments need: shift-anchored exact copies, cutpoints, block sums,
+triangle counting, and realizability ("flatness") checks for circle
+subgraphs.
 """
 
 from __future__ import annotations
@@ -83,30 +83,6 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(n, frozenset())
 
 
-# --- neighborhoods -----------------------------------------------------------
-
-
-def neighborhood(g: Graph, v: int, r: int) -> frozenset[int]:
-    """Ball of radius r around v in g; N_0(v) = {v}."""
-    if not 1 <= v <= g.n:
-        raise GraphError(f"vertex {v} out of range")
-    if r < 0:
-        raise GraphError("radius must be >= 0")
-    seen = {v}
-    frontier = [v]
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for x in g.neighbor_sets[u]:
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-        if not nxt:
-            break
-        frontier = nxt
-    return frozenset(seen)
-
-
 # --- exact copies ------------------------------------------------------------
 
 
@@ -155,14 +131,9 @@ def max_disjoint_exact_copies(g: Graph, h: Graph, lo: int, hi: int) -> int:
 # --- cutpoints ---------------------------------------------------------------
 
 
-def is_cutpoint(g: Graph, v: int) -> bool:
-    """No edge {w', w''} with w' <= v < w''; v = n holds vacuously."""
-    if not 1 <= v <= g.n:
-        raise GraphError(f"vertex {v} out of range")
-    return not any(a <= v < b for a, b in g.edges)
-
-
 def cutpoints(g: Graph) -> list[int]:
+    """The vertices v, increasing, that no edge {a, b} with a <= v < b
+    crosses; v = n qualifies vacuously."""
     crossing = [0] * (g.n + 2)
     for a, b in g.edges:
         crossing[a] += 1

@@ -55,7 +55,7 @@ from .probseq import (
     ordered_sum,
 )
 from .rng import RngStream, keyed_u64_array
-from .sampler import CIRCLE, LINE, PairBatch, markov_step_rows, sample_batch, sample_line
+from .sampler import CIRCLE, LINE, ground, markov_step_rows, sample_batch, sample_line
 
 
 @dataclass(frozen=True)
@@ -269,20 +269,21 @@ def midpoint_chain_tv(seq: ProbSeq, n: int, trials: int, seed: int) -> tuple[flo
     Trial t starts from stream ``keyed_u64(1, t)``, steps with
     ``keyed_u64(3, t)`` and draws the direct sample with ``keyed_u64(2, t)``.
     Every sample stays a row of its pair table: triangles are counted per row
-    by ``estimator.clause_hits`` over the [n+1] table's triples, in blocks of
-    at most ``estimator.CELL_BUDGET`` cells.
+    by ``estimator.clause_hits`` over the [n+1] table's ``triangles``, which
+    read only their own columns of a draw, in blocks of at most
+    ``estimator.CELL_BUDGET`` cells.
     """
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
-    start, grown = PairBatch(seq, n, LINE), PairBatch(seq, n + 1, LINE)
-    triples = grown.triangles()
+    start, grown = ground(seq, n, LINE), estimator.triangles(seq, n + 1, LINE)
+    triples = grown.lineage
     chain = np.zeros(len(triples) + 1, dtype=np.int64)
     direct = np.zeros_like(chain)
-    block = max(1, estimator.CELL_BUDGET // max(1, len(grown.v), triples.size))
+    block = max(1, estimator.CELL_BUDGET // max(1, len(ground(seq, n + 1, LINE).v), triples.size))
     for lo in range(0, trials, block):
         t = np.arange(lo, min(lo + block, trials), dtype=np.uint64)
         begun = start.edge_matrix(seed, keyed_u64_array((1,), t))
-        stepped = markov_step_rows(seq, n, begun, seed, keyed_u64_array((3,), t))
+        stepped = markov_step_rows(seq, n, begun, seed, keyed_u64_array((3,), t))[:, grown.read]
         drawn = grown.edge_matrix(seed, keyed_u64_array((2,), t))
         for hist, rows in ((chain, stepped), (direct, drawn)):
             hist += np.bincount(estimator.clause_hits(rows, triples).sum(0), minlength=len(hist))

@@ -12,16 +12,18 @@ independent of evaluation order and identical across platforms.  There is one
 sampling path: ``PairBatch``, a read-only table of the candidate pairs with
 ``columns`` as its map from pairs back to columns, and ``keyed_u64_grid``,
 which hashes chosen columns for many streams at once as boolean (trials,
-pairs) rows.  One draw is the one-row case.  ``markov_step_rows`` moves the
-kept columns of the [n] table into the [n+1] table and hashes only the
-straddling columns, so the chain never builds a graph; ``markov_step`` is
-the same step on one graph's edge list.
+pairs) rows.  One draw is the one-row case.  ``ground`` keeps what a target
+reads of a table in one memo bounded by ``CELL_BUDGET`` cells.
+``markov_step_rows`` moves the kept columns of the [n] table into the [n+1]
+table and hashes only the straddling columns, so the chain never builds a
+graph; ``markov_step`` is the same step on one graph's edge list.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from collections import OrderedDict
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +36,35 @@ CIRCLE = "CIRCLE"
 
 # Cells one numpy block may hold: a Monte Carlo block's trials x hashed columns
 # (and for a compiled target trials x clauses), or the int64 words of a block
-# of enumerated triangle paths.  A uint64 array this size is 16 MB.
+# of enumerated triangle paths.  A uint64 array this size is 16 MB.  The
+# grounding memo holds at most this many cells too.
 CELL_BUDGET = 1 << 21
 
 
-class PairBatch:
+class _Columns:
+    """Draws over pair-table columns with ``v``, ``w``, ``thresholds``, ``always``."""
+
+    def edge_matrix(self, master_seed: int, stream_ids: np.ndarray,
+                    columns=slice(None)) -> np.ndarray:
+        """Boolean (trials, pairs) edge indicators; row t is the draw of
+        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``).
+        Given ``columns`` (an index array or a boolean mask), only those
+        pairs are hashed, one result column each."""
+        v, w, always = self.v[columns], self.w[columns], self.always[columns]
+        if len(v) == 0:
+            return np.zeros((len(stream_ids), 0), dtype=bool)
+        grid = keyed_u64_grid((master_seed,), stream_ids, v, w)
+        hits = grid < self.thresholds[columns][None, :]
+        if always.any():
+            hits = hits | always[None, :]
+        return hits
+
+    def graph_from_row(self, row: np.ndarray) -> Graph:
+        at = np.flatnonzero(row)
+        return _graph_unchecked(self.n, zip(self.v[at].tolist(), self.w[at].tolist()))
+
+
+class PairBatch(_Columns):
     """Candidate-pair table for one (sequence, n, model) triple.
 
     This is the one place that knows which pairs of [n] can be edges: the
@@ -52,7 +78,7 @@ class PairBatch:
     probability, and ``thresholds`` and ``always`` its acceptance rule.
     Building walks support distances, not all pairs (O(n * |supp|), p read
     from the support scan); the per-pair arrays are built together on first
-    read.  The arrays are read-only.
+    read, or for chosen columns by ``column_arrays``.  They are read-only.
     """
 
     def __init__(self, seq: ProbSeq, n: int, model_kind: str):
@@ -66,7 +92,7 @@ class PairBatch:
             counts = [n // 2 if 2 * d == n else n for d in dists]  # antipodes once
         else:
             raise ValueError(f"unknown model kind {model_kind!r}")
-        self.n, self.model_kind = n, model_kind
+        self.n, self.model_kind, self.size = n, model_kind, sum(counts)
         probs = support_table(seq, top)[1]  # the memoized scan behind support_upto
         dists, counts = np.array(dists, dtype=np.int64), np.array(counts, dtype=np.int64)
         self._runs, self._starts = (dists, counts, probs), np.cumsum(counts) - counts
@@ -78,26 +104,27 @@ class PairBatch:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
         """(v, w, p, thresholds, always), one entry per column."""
+        return self.column_arrays(np.arange(self.size))
+
+    v, w, p, thresholds, always = (property(lambda self, i=i: self._arrays[i]) for i in range(5))
+
+    def column_arrays(self, columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(v, w, p, thresholds, always) of each of ``columns``, read from
+        the columns' runs; read-only."""
         dists, counts, probs = self._runs
-        d = np.repeat(dists, counts)
-        v = np.arange(len(d), dtype=np.int64) - np.repeat(self._starts, counts) + 1
-        w = v + d
+        run = np.repeat(np.arange(len(dists)), counts)[columns]
+        v = columns - self._starts[run] + 1
+        w = v + dists[run]
         if self.model_kind == CIRCLE:
             w = (w - 1) % self.n + 1
             v, w = np.minimum(v, w), np.maximum(v, w)
         # rng.threshold_u64 where 0 < p < 1, in one cast: p * 2^64 < 2^64 is exact
         thresholds = (np.where((probs > 0.0) & (probs < 1.0), probs, 0.0) * TWO64).astype(np.uint64)
-        arrays = (v.astype(np.uint64), w.astype(np.uint64), np.repeat(probs, counts),
-                  np.repeat(thresholds, counts), np.repeat(probs >= 1.0, counts))
+        arrays = (v.astype(np.uint64), w.astype(np.uint64), probs[run], thresholds[run],
+                  (probs >= 1.0)[run])
         for a in arrays:
             a.flags.writeable = False
         return arrays
-
-    v, w, p, thresholds, always = (property(lambda self, i=i: self._arrays[i]) for i in range(5))
-
-    def column_p(self, columns) -> np.ndarray:
-        """``p[columns]``, read from the columns' runs without building ``p``."""
-        return self._runs[2][np.searchsorted(self._starts, columns, side="right") - 1]
 
     @cached_property
     def pair_list(self) -> list[tuple[int, int]]:
@@ -150,24 +177,61 @@ class PairBatch:
         by the column order of the pairs {b, c}."""
         return np.concatenate([np.zeros((0, 3), dtype=np.int64), *self.triangle_blocks()])
 
-    def edge_matrix(self, master_seed: int, stream_ids: np.ndarray,
-                    columns=slice(None)) -> np.ndarray:
-        """Boolean (trials, pairs) edge indicators; row t is the draw of
-        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``).
-        Given ``columns`` (an index array or a boolean mask), only those
-        pairs are hashed, one result column each."""
-        v, w, always = self.v[columns], self.w[columns], self.always[columns]
-        if len(v) == 0:
-            return np.zeros((len(stream_ids), 0), dtype=bool)
-        grid = keyed_u64_grid((master_seed,), stream_ids, v, w)
-        hits = grid < self.thresholds[columns][None, :]
-        if always.any():
-            hits = hits | always[None, :]
-        return hits
 
-    def graph_from_row(self, row: np.ndarray) -> Graph:
-        edges = [self.pair_list[j] for j in np.flatnonzero(row)]
-        return _graph_unchecked(self.n, edges)
+class Grounding(_Columns):
+    """The table columns ``read`` (increasing) that a target reads, their
+    ``v``, ``w``, ``p``, ``thresholds`` and ``always`` taken from the
+    table's runs, and ``lineage``: the target's clauses over positions in
+    ``read``, None, or the ``LineageBudgetError`` that refused them.
+    ``kernel`` says the clauses alone decide a row.  The arrays are
+    read-only, since ``ground`` hands one grounding to all its callers."""
+
+    def __init__(self, table: PairBatch, read: np.ndarray, lineage=None, kernel: bool = False):
+        self.n, self.read = table.n, read
+        self.v, self.w, self.p, self.thresholds, self.always = table.column_arrays(read)
+        self.lineage, self.kernel = lineage, kernel
+        clauses = lineage if isinstance(lineage, np.ndarray) else np.zeros(0)
+        read.flags.writeable = clauses.flags.writeable = False
+        # what the memo counts: the columns and the clause cells, at least one
+        self.cells = max(1, len(read) + clauses.size)
+
+
+class _Memo(OrderedDict):
+    """Groundings by (sequence, n, model, sentence), least recently used
+    first, and their total ``cells``, kept as entries come and go (reading
+    an OrderedDict's values hashes every key)."""
+
+    cells = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.cells = 0
+
+
+_GROUNDINGS = _Memo()
+
+
+def ground(seq: ProbSeq, n: int, model_kind: str, sentence=None,
+           build: Callable[[PairBatch], Grounding] | None = None) -> Grounding:
+    """What ``sentence`` reads of ``PairBatch(seq, n, model_kind)``:
+    ``build(table)``, or every column and no lineage when ``build`` is None,
+    built once per (seq, n, model_kind, sentence) and then read from one
+    memo.  Sequences hash by identity (they are immutable) and sentences by
+    value.  The memo holds at most ``CELL_BUDGET`` cells: it evicts the least
+    recently used groundings, and keeps none larger than the budget."""
+    key = (seq, n, model_kind, sentence)
+    g = _GROUNDINGS.get(key)
+    if g is not None:
+        _GROUNDINGS.move_to_end(key)
+        return g
+    table = PairBatch(seq, n, model_kind)
+    g = Grounding(table, np.arange(table.size)) if build is None else build(table)
+    if g.cells <= CELL_BUDGET:
+        _GROUNDINGS[key] = g
+        _GROUNDINGS.cells += g.cells
+        while _GROUNDINGS.cells > CELL_BUDGET:
+            _GROUNDINGS.cells -= _GROUNDINGS.popitem(last=False)[1].cells
+    return g
 
 
 def is_admissible(seq: ProbSeq, h: Graph) -> bool:
@@ -185,7 +249,7 @@ def sample_batch(
     """One draw per stream id; ids are read mod 2^64."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    batch = PairBatch(seq, n, model_kind)
+    batch = ground(seq, n, model_kind)
     rows = batch.edge_matrix(master_seed, stream_words(stream_ids))
     return [batch.graph_from_row(row) for row in rows]
 
@@ -210,19 +274,10 @@ def sample_line(seq: ProbSeq, n: int, rng: RngStream) -> Graph:
 # re-read, so each step needs its own stream.
 
 
-def _straddling(table: PairBatch, n: int) -> np.ndarray:
+def _straddling(table: _Columns, n: int) -> np.ndarray:
     """Mask of the columns of the [n+1] table that a step from [n] resamples."""
     mid = n // 2
     return (table.v <= mid) & (table.w >= mid)
-
-
-@lru_cache(maxsize=32)
-def _straddling_table(seq: ProbSeq, n: int) -> tuple[PairBatch, np.ndarray]:
-    """``PairBatch(seq, n + 1, LINE)`` and its straddling columns, built once
-    per (sequence, n); sequences are immutable and hash by identity.
-    ``markov_step`` shares both across calls and changes neither."""
-    table = PairBatch(seq, n + 1, LINE)
-    return table, np.flatnonzero(_straddling(table, n))
 
 
 def markov_step_rows(
@@ -241,9 +296,9 @@ def markov_step_rows(
     """
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
-    old, new = PairBatch(seq, n, LINE), PairBatch(seq, n + 1, LINE)
-    if rows.shape != (len(stream_ids), len(old.v)):
-        raise ValueError(f"need rows of shape (streams, {len(old.v)}), got {rows.shape}")
+    old, new = PairBatch(seq, n, LINE), ground(seq, n + 1, LINE)
+    if rows.shape != (len(stream_ids), old.size):
+        raise ValueError(f"need rows of shape (streams, {old.size}), got {rows.shape}")
     resampled = _straddling(new, n)
     v, w = new.v[~resampled].astype(np.int64), new.w[~resampled].astype(np.int64)
     back = (v > n // 2).astype(np.int64)  # (ii): the high side moved up by one
@@ -261,9 +316,11 @@ def markov_step(g: Graph, seq: ProbSeq, rng: RngStream) -> Graph:
     if n < 2:
         raise ValueError("midpoint step needs n >= 2")
     mid = n // 2
-    table, straddling = _straddling_table(seq, n)
+    table = ground(seq, n + 1, LINE)
+    straddling = np.flatnonzero(_straddling(table, n))
     row = table.edge_matrix(rng.master_seed, stream_words([rng.stream_id]), straddling)[0]
+    drawn = straddling[row]
     # straddling old pairs are dropped; their successors fall to (iii)
     edges = [(a, b) if b < mid else (a + 1, b + 1) for a, b in g.edges if b < mid or a >= mid]
-    edges.extend(table.pair_list[j] for j in straddling[row].tolist())
+    edges.extend(zip(table.v[drawn].tolist(), table.w[drawn].tolist()))
     return _graph_unchecked(n + 1, edges)

@@ -30,7 +30,6 @@ from ddgraphs.graph import (
     disjoint_sum,
     edgeless_graph,
     make_graph,
-    neighborhood,
 )
 from ddgraphs.logic import (
     Adj,
@@ -139,9 +138,11 @@ def reference_metric_graph(m):
 
 
 def reference_restricted_options(g, picks, radius):
-    out = set()
-    for v in set(picks):
-        out |= neighborhood(g, v, radius)
+    """The vertices within ``radius`` of some pick, by breadth-first search."""
+    out, frontier = set(picks), set(picks)
+    for _ in range(radius):
+        frontier = {x for u in frontier for x in g.neighbor_sets[u]} - out
+        out |= frontier
     return sorted(out)
 
 

@@ -43,7 +43,7 @@ from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
 from ddgraphs.rng import derived_stream
-from ddgraphs.sampler import CIRCLE, LINE, PairBatch
+from ddgraphs.sampler import CIRCLE, LINE, Grounding, PairBatch
 
 
 def distance(v, w, n, kind):
@@ -211,7 +211,7 @@ class TestBruteForce:
         def refuse(self, *args):
             raise AssertionError("compiled target built a graph")
 
-        monkeypatch.setattr(PairBatch, "graph_from_row", refuse)
+        monkeypatch.setattr(Grounding, "graph_from_row", refuse)
         monkeypatch.setattr(Graph, "__init__", refuse)
         assert brute_force_probability(make_constant(0.5), 5, library("path2"), LINE) == 37 / 64
         want = 1 - (7 / 8) ** 6
@@ -416,13 +416,13 @@ KERNEL_TARGET_IDS = ["path2-line", "path2-circle", "adj_first_last-line", "adj_f
 def row_graphs(monkeypatch):
     """Counts the row graphs ``mc_probability`` builds."""
     built = []
-    real = PairBatch.graph_from_row
+    real = Grounding.graph_from_row
 
     def spy(self, row):
         built.append(1)
         return real(self, row)
 
-    monkeypatch.setattr(PairBatch, "graph_from_row", spy)
+    monkeypatch.setattr(Grounding, "graph_from_row", spy)
     return built
 
 
@@ -607,7 +607,7 @@ class TestLineage:
                 # sentence has no exact answer and its rows take the row path
                 with pytest.raises(LineageBudgetError):
                     exact_probability(seq, n, f, kind)
-                assert estimator._kernel(f, batch) is None
+                assert not estimator.grounding(seq, n, f, kind).kernel
                 refused += 1
                 continue
             rows = all_rows(batch)
@@ -714,6 +714,20 @@ class TestLineage:
                                     brute_force_probability(seq, n, library("triangle"), kind),
                                     rel_tol=1e-12), (kind, n)
 
+    def test_p_one_columns_branch_once(self, monkeypatch):
+        # p(1) = 1 makes every {v, v+1} an edge, so the line has a triangle
+        # iff some {v, v+2} is an edge: P = 1 - 2^-(n-2).  A p = 1 column
+        # has no absent branch, so two live states suffice
+        seq = make_support({1: 1.0, 2: 0.5, 3: 0.5})
+        monkeypatch.setattr(estimator, "LINEAGE_BUDGET", 2)
+        for n, want in ((10, 0.99609375), (20, 0.9999961853027344), (60, 1.0)):
+            assert exact_probability(seq, n, library("triangle"), LINE) == want == 1 - 0.5 ** (n - 2)
+        # after column {1, 3}: one state waits for {2, 3} and {1, 4}, one for nothing
+        monkeypatch.setattr(estimator, "LINEAGE_BUDGET", 1)
+        with pytest.raises(LineageBudgetError) as err:
+            exact_probability(seq, 10, library("triangle"), LINE)
+        assert err.value.estimate == 2
+
     def test_circle_path2_equals_brute_force(self):
         for seq in (make_constant(0.5), make_support({1: 0.3, 2: 1.0, 3: 0.7})):
             for n in range(1, 7):
@@ -721,6 +735,61 @@ class TestLineage:
                                     brute_force_probability(seq, n, library("path2"), CIRCLE),
                                     rel_tol=1e-12, abs_tol=0.0), n
         assert exact_probability(make_constant(0.5), 5, library("path2"), CIRCLE) == 0.578125
+
+
+class TestGroundingMemo:
+    """Each (sequence, n, model, sentence) is grounded once, for every route,
+    in a memo of at most ``sampler.CELL_BUDGET`` cells."""
+
+    @pytest.mark.parametrize("target,n", [(library("triangle"), 6), (library("edge_in_c4"), 5),
+                                          (lambda g: has_triangle(g), 5)],
+                             ids=["lineage", "no_lineage", "no_sentence"])
+    def test_memo_hit_equals_cold(self, target, n):
+        seq = make_constant(0.5)
+
+        def routes():
+            try:
+                exact = exact_probability(seq, n, target, LINE)
+            except OracleValidityError:
+                exact = None
+            return (mc_probability(seq, n, target, LINE, 300, 7), exact,
+                    brute_force_probability(seq, n, target, LINE))
+
+        cold = routes()
+        assert len(sampler._GROUNDINGS) == 1
+        assert routes() == cold
+        sampler._GROUNDINGS.clear()
+        assert routes() == cold
+        assert (cold[1] is None) == (n == 5)
+
+    def test_fresh_predicates_and_the_oracle_ground_once(self, monkeypatch):
+        seq, n = seq_thm6_half(), 18
+        called = []
+        real = PairBatch.triangle_blocks
+        monkeypatch.setattr(PairBatch, "triangle_blocks", lambda self: called.append(1) or real(self))
+        first = mc_probability(seq, n, has_triangle_predicate(), CIRCLE, 500, 1)
+        assert mc_probability(seq, n, has_triangle_predicate(), CIRCLE, 500, 1) == first
+        assert exact_triangle_circle(seq, n) == pytest.approx(-math.expm1(6 * math.log1p(-0.125)))
+        assert len(called) == 1 and len(sampler._GROUNDINGS) == 1
+
+    def test_cells_stay_within_the_budget(self, monkeypatch):
+        # path2 on the line reads 2(n - 2) columns in n - 2 two-column
+        # clauses: 4(n - 2) cells, so n = 260 alone is past a budget of 1000
+        seq, path2 = make_constant(0.5), library("path2")
+        want = {n: mc_probability(seq, n, path2, LINE, 50, 0) for n in (60, 110, 160, 210, 260)}
+        sampler._GROUNDINGS.clear()
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 1000)
+        for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [60, 160]),
+                        (260, [60, 160]), (210, [210])]:
+            assert mc_probability(seq, n, path2, LINE, 50, 0) == want[n]
+            assert [key[1] for key in sampler._GROUNDINGS] == kept, n
+            assert sampler._GROUNDINGS.cells == sum(g.cells for g in sampler._GROUNDINGS.values())
+            assert sampler._GROUNDINGS.cells <= 1000
+
+    def test_sequences_are_keyed_by_identity(self):
+        twins = make_constant(0.5), make_constant(0.5)
+        assert len({mc_probability(seq, 9, library("path2"), LINE, 100, 0) for seq in twins}) == 1
+        assert len(sampler._GROUNDINGS) == 2
 
 
 class TestBruteForceBound:

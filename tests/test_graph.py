@@ -19,16 +19,28 @@ from ddgraphs.graph import (
     edgeless_graph,
     exact_copy_offsets,
     from_edgelist_text,
-    is_cutpoint,
     is_exact_copy_at,
     is_flat,
     make_graph,
     max_disjoint_exact_copies,
-    neighborhood,
     psi_r_holds,
     to_edgelist_text,
 )
 from ddgraphs.probseq import make_constant, make_support
+
+
+def neighborhood(g, v, r):
+    """Ball of radius r around v in g, by breadth-first search; N_0(v) = {v}."""
+    seen, frontier = {v}, [v]
+    for _ in range(r):
+        frontier = [x for u in frontier for x in g.neighbor_sets[u] if x not in seen]
+        seen.update(frontier)
+    return frozenset(seen)
+
+
+def is_cutpoint(g, v):
+    """No edge {a, b} with a <= v < b; v = n holds vacuously."""
+    return not any(a <= v < b for a, b in g.edges)
 
 
 @st.composite
