@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import estimator, probseq
-from .efgame import GameBudgetError, th_k_equal_detailed
+from .efgame import GameBudgetError, th_k_equal
 from .estimator import (
     LineageBudgetError,
     brute_force_probability,
@@ -214,15 +214,10 @@ def cmd_efgame(args) -> int:
     g2 = from_edgelist_text(Path(args.file2).read_text())
     vocab = Vocab(args.vocab)
     try:
-        equal, stats = th_k_equal_detailed(
-            LabeledModel(g1, vocab), LabeledModel(g2, vocab), args.k, node_budget=args.budget
-        )
+        equal = th_k_equal(LabeledModel(g1, vocab), LabeledModel(g2, vocab), args.k)
     except GameBudgetError as e:
         raise CliError(str(e)) from None
     sys.stdout.write("EQUAL\n" if equal else "NOT_EQUAL\n")
-    sys.stdout.write(
-        f"positions {stats.positions} memo_hits {stats.memo_hits} memo_size {stats.memo_size}\n"
-    )
     return 0
 
 
@@ -370,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file2")
     s.add_argument("--vocab", default="L", choices=[v.value for v in Vocab])
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--budget", type=int, default=10**9,
-                   help="bound on the (n1 n2)^k position estimate of the count of the statistics")
     s.set_defaults(fn=cmd_efgame)
 
     s = sub.add_parser("preset", help="run a named experiment preset")

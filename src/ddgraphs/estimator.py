@@ -299,7 +299,6 @@ def mc_probability(
     model_kind: str,
     trials: int,
     master_seed: int,
-    level: float = 0.95,
 ) -> EstimateResult:
     """Monte Carlo estimate of P(n; target) over independent seeded samples.
 
@@ -327,7 +326,7 @@ def mc_probability(
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
         successes += int(np.count_nonzero(decide(g.edge_matrix(master_seed, ids))))
-    low, high = wilson_ci(successes, trials, level)
+    low, high = wilson_ci(successes, trials)
     return EstimateResult(
         estimate=successes / trials,
         ci_low=low,

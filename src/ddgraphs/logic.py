@@ -38,7 +38,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -245,7 +245,7 @@ def _check_vocab(node: Node, vocab: Vocab) -> None:
 
 @dataclass(frozen=True)
 class Formula:
-    """A vocabulary-tagged formula; use :func:`parse` or the builders below."""
+    """A vocabulary-tagged formula; use :func:`parse` or :func:`library`."""
 
     root: Node
     vocab: Vocab
@@ -270,9 +270,16 @@ class Formula:
     def _checker(self) -> Callable[[np.ndarray], bool]:
         return compile_sentence(self)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.root, self.vocab, self.name))
+
+    def __hash__(self):  # walks the tree once, not on every memo probe
+        return self._hash
+
     def __getstate__(self):
-        # the compiled checker is rebuilt on first use, not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_checker"}
+        # the checker and the hash (string hashes vary by process) are rebuilt, not pickled
+        return {k: v for k, v in self.__dict__.items() if k not in ("_checker", "_hash")}
 
     def __str__(self):
         return to_text(self)
@@ -786,107 +793,56 @@ def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
 # --- sentence library -----------------------------------------------------------
 
 
-def _and_all(nodes: list[Node]) -> Node:
-    out = nodes[0]
-    for x in nodes[1:]:
-        out = And(out, x)
-    return out
-
-
-def _path2() -> Formula:
-    # the two endpoint constants joined through one midpoint
-    root = Exists("m", And(Adj(Const("first"), Var("m")), Adj(Var("m"), Const("last"))))
-    return Formula(root, Vocab.L_PLUS, name="path2")
-
-
-def _ex2_path4() -> Formula:
-    # any two distinct neighbours of `first` joined by a length-4 walk that
-    # avoids `first`; interior points may repeat (documented reading).
-    # Guards sit at their own quantifier level so the checker prunes early.
-    first = Const("first")
-    x, y, z1, z2, z3 = (Var(s) for s in ("x", "y", "z1", "z2", "z3"))
-    step3 = Exists("z3", _and_all([Adj(z2, z3), Not(Eq(z3, first)), Adj(z3, y)]))
-    step2 = Exists("z2", _and_all([Adj(z1, z2), Not(Eq(z2, first)), step3]))
-    step1 = Exists("z1", _and_all([Adj(x, z1), Not(Eq(z1, first)), step2]))
-    guard_y = And(Adj(first, y), Not(Eq(y, x)))
-    root = Forall("x", Implies(Adj(first, x), Forall("y", Implies(guard_y, step1))))
-    return Formula(root, Vocab.L_PLUS, name="ex2_path4")
-
-
-def _triangle(vocab: Vocab = Vocab.L) -> Formula:
-    x, y, z = Var("x"), Var("y"), Var("z")
-    inner = Exists("z", And(Adj(y, z), Adj(z, x)))
-    root = Exists("x", Exists("y", And(Adj(x, y), inner)))
-    return Formula(root, vocab, name="triangle")
-
-
-def _edge_in_c4() -> Formula:
-    x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
-    inner = Exists("w", _and_all([Adj(z, w), Adj(w, x), Not(Eq(w, y))]))
-    mid = Exists("z", _and_all([Adj(y, z), Not(Eq(z, x)), inner]))
-    root = Forall("x", Forall("y", Implies(Adj(x, y), mid)))
-    return Formula(root, Vocab.L, name="edge_in_c4")
-
-
-def _adj_first_last() -> Formula:
-    return Formula(Adj(Const("first"), Const("last")), Vocab.L_PLUS, name="adj_first_last")
-
-
-def _extension_ak(k: int) -> Formula:
-    # every k-set of distinct vertices is extended in all 2^k adjacency
+def _extension_text(k: int) -> str:
+    # A_k: every k-set of distinct vertices is extended in all 2^k adjacency
     # patterns by some witness outside the set
     if k < 1:
         raise LogicError("extension_Ak needs k >= 1")
-    xs = [Var(f"x{i}") for i in range(1, k + 1)]
-    v = Var("v")
-    pattern_parts = []
-    for mask in range(2**k):
-        lits: list[Node] = []
-        for i in range(k):
-            if mask >> i & 1:
-                lits.append(Adj(v, xs[i]))
-            else:
-                lits.append(And(Not(Adj(v, xs[i])), Not(Eq(v, xs[i]))))
-        pattern_parts.append(Exists("v", _and_all(lits)))
-    body: Node = _and_all(pattern_parts)
-    if k > 1:
-        distinct = _and_all(
-            [Not(Eq(xs[i], xs[j])) for i in range(k) for j in range(i + 1, k)]
-        )
-        body = Implies(distinct, body)
-    for i in reversed(range(k)):
-        body = Forall(xs[i].name, body)
-    return Formula(body, Vocab.L, name=f"extension_Ak_{k}")
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    patterns = " & ".join(
+        "(exists v. " + " & ".join(f"adj(v, {x})" if mask >> i & 1 else f"(!adj(v, {x}) & !(v = {x}))"
+                                   for i, x in enumerate(xs)) + ")"
+        for mask in range(2**k))
+    distinct = " & ".join(f"!({a} = {b})" for a, b in combinations(xs, 2))
+    return "".join(f"forall {x}. " for x in xs) + (f"{distinct} -> {patterns}" if distinct else patterns)
 
 
-_LIBRARY = {"path2": _path2, "ex2_path4": _ex2_path4, "triangle": _triangle,
-            "edge_in_c4": _edge_in_c4, "adj_first_last": _adj_first_last,
-            "extension_Ak": _extension_ak}
+_LIBRARY: dict[str, Callable[..., tuple[str, Vocab]]] = {
+    # the two endpoint constants joined through one midpoint
+    "path2": lambda: ("exists m. adj(first, m) & adj(m, last)", Vocab.L_PLUS),
+    # any two distinct neighbours of `first` joined by a length-4 walk that
+    # avoids `first`; interior points may repeat (documented reading).
+    # Guards sit at their own quantifier level so the checker prunes early.
+    "ex2_path4": lambda: ("forall x. adj(first, x) -> (forall y. adj(first, y) & !(y = x) ->"
+                          " (exists z1. adj(x, z1) & !(z1 = first) &"
+                          " (exists z2. adj(z1, z2) & !(z2 = first) &"
+                          " (exists z3. adj(z2, z3) & !(z3 = first) & adj(z3, y)))))", Vocab.L_PLUS),
+    "triangle": lambda vocab=Vocab.L: (
+        "exists x. exists y. adj(x, y) & (exists z. adj(y, z) & adj(z, x))", vocab),
+    "edge_in_c4": lambda: ("forall x. forall y. adj(x, y) -> (exists z. adj(y, z) & !(z = x) &"
+                           " (exists w. adj(z, w) & adj(w, x) & !(w = y)))", Vocab.L),
+    "adj_first_last": lambda: ("adj(first, last)", Vocab.L_PLUS),
+    "extension_Ak": lambda k: (_extension_text(k), Vocab.L),
+}
 
 
 def library(name: str, **params) -> Formula:
-    """Named sentences used across the experiments.
+    """Named sentences used across the experiments, parsed from their text.
 
     ``triangle`` accepts an optional ``vocab``; ``extension_Ak`` requires
     ``k``; other entries take no parameters.
     """
     if name not in _LIBRARY:
         raise LogicError(f"unknown library sentence {name!r}")
-    return _LIBRARY[name](**params)
+    text, vocab = _LIBRARY[name](**params)
+    return Formula(parse(text, vocab).root, vocab, f"{name}_{params['k']}" if "k" in params else name)
 
 
 def library_sentences(max_depth: int | None = None, vocab: Vocab | None = None) -> list[Formula]:
     """All library sentences (extension family at k = 1, 2), optionally
     filtered by depth and vocabulary."""
-    out = [
-        _path2(),
-        _ex2_path4(),
-        _triangle(),
-        _edge_in_c4(),
-        _adj_first_last(),
-        _extension_ak(1),
-        _extension_ak(2),
-    ]
+    out = [library(name) for name in _LIBRARY if name != "extension_Ak"]
+    out += [library("extension_Ak", k=k) for k in (1, 2)]
     if vocab is not None:
         out = [f for f in out if f.vocab is vocab]
     if max_depth is not None:

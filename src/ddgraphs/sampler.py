@@ -39,6 +39,10 @@ CIRCLE = "CIRCLE"
 # of enumerated triangle paths.  A uint64 array this size is 16 MB.  The
 # grounding memo holds at most this many cells too.
 CELL_BUDGET = 1 << 21
+# The least the memo counts a grounding as: its fixed cost (the object, its
+# arrays' headers and its memo key; 3.8 KB for one that reads no column,
+# measured with tracemalloc) in 8-byte cells.
+_ENTRY_CELLS = 480
 
 
 class _Columns:
@@ -192,8 +196,8 @@ class Grounding(_Columns):
         self.lineage, self.kernel = lineage, kernel
         clauses = lineage if isinstance(lineage, np.ndarray) else np.zeros(0)
         read.flags.writeable = clauses.flags.writeable = False
-        # what the memo counts: the columns and the clause cells, at least one
-        self.cells = max(1, len(read) + clauses.size)
+        # what the memo counts: the columns and the clause cells, at least its fixed cost
+        self.cells = max(_ENTRY_CELLS, len(read) + clauses.size)
 
 
 class _Memo(OrderedDict):

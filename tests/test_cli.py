@@ -2,11 +2,14 @@
 
 import json
 import re
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from ddgraphs.cli import main
-from ddgraphs.presets import PRESETS, Check, PresetOutcome
+from ddgraphs.presets import NAMED_SEQUENCES, PRESETS, Check, PresetOutcome
 
 
 def run(capsys, *argv):
@@ -215,9 +218,7 @@ class TestEfgameCommand:
         code, out, _ = run(
             capsys, "efgame", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--k", "2"
         )
-        assert code == 0
-        assert out.startswith("EQUAL\n")
-        assert "positions" in out
+        assert code == 0 and out == "EQUAL\n"
 
     def test_not_equal(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("n 2\ne 1 2\n")
@@ -338,3 +339,15 @@ class TestConfigRunner:
     def test_usage_error_exits_one(self, capsys):
         code, _, err = run(capsys, "estimate", "--seq", CONST_HALF)
         assert code == 1
+
+
+class TestScripts:
+    def test_convergence_traces(self, monkeypatch, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "convergence_traces.py"
+        monkeypatch.setattr(sys, "argv", [str(path), "--max-n", "16"])
+        runpy.run_path(str(path))["main"]()
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "sequence,n,c2,c3_sum,c5"
+        assert len(NAMED_SEQUENCES) == 7 and len(rows) == 28
+        assert [row.split(",")[:2] for row in rows] == [
+            [name, str(n)] for name in sorted(NAMED_SEQUENCES) for n in (2, 4, 8, 16)]

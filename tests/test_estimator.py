@@ -774,17 +774,31 @@ class TestGroundingMemo:
 
     def test_cells_stay_within_the_budget(self, monkeypatch):
         # path2 on the line reads 2(n - 2) columns in n - 2 two-column
-        # clauses: 4(n - 2) cells, so n = 260 alone is past a budget of 1000
+        # clauses: 4(n - 2) cells, at least the 480 of an entry's fixed cost,
+        # so n = 260 alone is past a budget of 1000
+        assert sampler._ENTRY_CELLS == 480
         seq, path2 = make_constant(0.5), library("path2")
         want = {n: mc_probability(seq, n, path2, LINE, 50, 0) for n in (60, 110, 160, 210, 260)}
         sampler._GROUNDINGS.clear()
         monkeypatch.setattr(sampler, "CELL_BUDGET", 1000)
-        for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [60, 160]),
-                        (260, [60, 160]), (210, [210])]:
+        for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [160]),
+                        (260, [160]), (210, [210])]:
             assert mc_probability(seq, n, path2, LINE, 50, 0) == want[n]
             assert [key[1] for key in sampler._GROUNDINGS] == kept, n
             assert sampler._GROUNDINGS.cells == sum(g.cells for g in sampler._GROUNDINGS.values())
             assert sampler._GROUNDINGS.cells <= 1000
+
+    def test_entries_count_their_fixed_cost(self, monkeypatch):
+        # has_triangle on the thm6_half circle has no candidate triangle where
+        # 3 does not divide n, so each grounding reads no column
+        seq, budget = seq_thm6_half(), 10 * sampler._ENTRY_CELLS
+        sampler._GROUNDINGS.clear()
+        monkeypatch.setattr(sampler, "CELL_BUDGET", budget)
+        for n in range(1000, 1100):
+            if n % 3:
+                assert not len(estimator.grounding(seq, n, has_triangle_predicate(), CIRCLE).read)
+        assert len(sampler._GROUNDINGS) == budget // sampler._ENTRY_CELLS
+        assert sampler._GROUNDINGS.cells == sum(g.cells for g in sampler._GROUNDINGS.values()) <= budget
 
     def test_sequences_are_keyed_by_identity(self):
         twins = make_constant(0.5), make_constant(0.5)

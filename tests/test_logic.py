@@ -181,13 +181,14 @@ class TestParser:
         assert parse("forall x. C(x, x, x)", Vocab.LC_LE).depth == 1
         assert parse("forall x. forall y. x <= y | y <= x", Vocab.L_LE).depth == 2
 
-    @pytest.mark.parametrize("name", ["path2", "ex2_path4", "triangle", "edge_in_c4", "adj_first_last"])
-    def test_roundtrip_library(self, name):
-        f = library(name)
-        assert parse(to_text(f), f.vocab).root == f.root
-
-    def test_roundtrip_extension(self):
-        f = library("extension_Ak", k=2)
+    @pytest.mark.parametrize("name, params", [
+        *(pytest.param(name, {}, id=name)
+          for name in ("path2", "ex2_path4", "triangle", "edge_in_c4", "adj_first_last")),
+        *(pytest.param("extension_Ak", {"k": k}, id=f"extension_Ak-{k}") for k in (1, 2, 3)),
+        *(pytest.param("triangle", {"vocab": v}, id=f"triangle-{v.value}") for v in Vocab),
+    ])
+    def test_roundtrip_library(self, name, params):
+        f = library(name, **params)
         assert parse(to_text(f), f.vocab).root == f.root
 
     @given(st.integers(min_value=0, max_value=2**12 - 1))
@@ -469,8 +470,11 @@ class TestArrayPlan:
     def test_checked_formula_pickles(self):
         f, m = library("edge_in_c4"), LabeledModel(complete_graph(5), Vocab.L)
         assert holds(m, f)
+        h = hash(f)
+        # the compiled checker and the hash (string hashes differ between processes) stay out
+        assert not {"_checker", "_hash"} & set(f.__getstate__())
         clone = pickle.loads(pickle.dumps(f))
-        assert clone == f and holds(m, clone)
+        assert clone == f and hash(clone) == h and holds(m, clone)
 
     def test_edge_in_c4_at_400_stays_under_64_mb(self):
         m = LabeledModel(sample_line(make_constant(0.5), 400, RngStream(1, 0)), Vocab.L)
