@@ -231,7 +231,9 @@ def lineage(target: Target, batch: PairBatch) -> np.ndarray | None:
 def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
     """Boolean (k, T): clause i holds on row t iff every column of
     ``clauses[i]`` is an edge of ``rows[t]``.  Reduced by column, on the
-    transpose of the (T, columns) rows.  A clause of no column holds."""
+    C-ordered transpose of the (T, columns) rows: a view of hashed rows
+    (``edge_matrix`` returns them F-ordered), a copy of C-ordered ones
+    (brute force enumerates those).  A clause of no column holds."""
     if clauses.shape[1] == 0:
         return np.ones((len(clauses), len(rows)), dtype=bool)
     by_column = np.ascontiguousarray(rows.T)

@@ -9,7 +9,10 @@ platform.
 ``keyed_u64`` is the scalar chain.  ``keyed_u64_array`` computes it over an
 array of last words (stream ids of many trials), and ``keyed_u64_grid`` for a
 whole (streams x pairs) grid in numpy; every edge draw of the samplers goes
-through the grid, which mixes in place in cache-sized row blocks.
+through the grid.  The grid is laid out by column (F-ordered), and is mixed
+in place in cache-sized blocks of whole columns.  Its (stream, v) half is
+mixed once per distinct v where the grid is large enough for that to pay
+(see ``keyed_u64_grid`` for the rule), and in every column otherwise.
 """
 
 from __future__ import annotations
@@ -90,22 +93,60 @@ def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarra
     """Hash grid: rows absorb per-row words, columns absorb (v, w) pairs.
 
     Returns a (len(rows), len(v)) uint64 array equal elementwise to
-    ``keyed_u64(*prefix_words, rows[i], v[j], w[j])``, filled in place in
-    row blocks of about ``_BLOCK`` cells.
+    ``keyed_u64(*prefix_words, rows[i], v[j], w[j])``, F-ordered: the
+    transpose of a C-ordered (len(v), len(rows)) array, so each column's
+    words are contiguous.  A cell is ``mix64(mix64(base[i] ^ v[j]) ^ w[j])``
+    with ``base = keyed_u64_array(prefix_words, rows)``, and its inner mix,
+    the (stream, v) half, does not depend on w.  When every column holds at
+    least ``_BLOCK // 512`` rows (64) and the grid more than ``2 * _BLOCK``
+    cells, the half is mixed once per distinct v and copied to each column
+    with that v (see ``_shared_halves``).  Other grids mix it in every
+    column: there finding the distinct v (a sort of the columns, and a
+    fixed cost per call) costs more than sharing saves, as on one row, or
+    on the 18 columns x 1,000 rows of a circle table at n = 18.  Either way
+    the w half is mixed in place, one block of whole columns (about
+    ``_BLOCK`` cells, at least one column) at a time, with one block of
+    scratch.
     """
     base = keyed_u64_array(prefix_words, rows)
-    v, w = v.astype(np.uint64), w.astype(np.uint64)
-    out = np.empty((len(base), len(v)), dtype=np.uint64)
-    if out.size == 0:  # no cells: no block size to take from len(v)
-        return out
-    step = max(1, _BLOCK // len(v))
-    tmp = np.empty((min(len(base), step), len(v)), dtype=np.uint64)
-    for r in range(0, len(base), step):
-        block = out[r:r + step]
-        _mix_inplace(np.bitwise_xor(base[r:r + step, None], v, out=block), tmp[:len(block)])
-        block ^= w
-        _mix_inplace(block, tmp[:len(block)])
-    return out
+    v, w = v.astype(np.uint64, copy=False), w.astype(np.uint64, copy=False)
+    out = np.empty((len(v), len(base)), dtype=np.uint64)  # column j is out[j]
+    if out.size == 0:  # no cells: no block size to take from len(base)
+        return out.T
+    step = max(1, _BLOCK // len(base))
+    tmp = np.empty((min(len(v), step), len(base)), dtype=np.uint64)
+    share = len(base) * 512 >= _BLOCK and out.size > 2 * _BLOCK
+    src = _shared_halves(out, base, v, step, tmp) if share else None
+    for c in reversed(range(0, len(v), step)):
+        block = out[c:c + step]
+        scratch = tmp[:len(block)]
+        if src is None:
+            _mix_inplace(np.bitwise_xor(base, v[c:c + step, None], out=block), scratch)
+            block ^= w[c:c + step, None]
+        else:  # the block's own rows may hold halves it reads: gather them first
+            np.take(out, src[c:c + step], axis=0, out=scratch, mode="clip")
+            np.bitwise_xor(scratch, w[c:c + step, None], out=block)
+        _mix_inplace(block, scratch)
+    return out.T
+
+
+def _shared_halves(out: np.ndarray, base: np.ndarray, v: np.ndarray, step: int,
+                   tmp: np.ndarray) -> np.ndarray | None:
+    """Mix the half ``base ^ u`` of each distinct word u of ``v`` into row
+    r of ``out`` (``step`` rows at a time, with ``tmp`` as scratch), where
+    u is the r-th distinct word in order of first appearance in ``v``.
+    Returns the row that holds each column's half, or None, writing
+    nothing, if no word repeats.  A column j holds a word that first
+    appears at some column >= r, so its half lies in a row r <= j: filling
+    ``out`` block by block from the last block reads no overwritten row."""
+    words, first, inverse = np.unique(v, return_index=True, return_inverse=True)
+    if len(words) == len(v):
+        return None
+    order = np.argsort(first)
+    for c in range(0, len(words), step):
+        block = out[c:min(c + step, len(words))]
+        _mix_inplace(np.bitwise_xor(base, words[order[c:c + step], None], out=block), tmp[:len(block)])
+    return np.argsort(order)[inverse]
 
 
 def stream_words(stream_ids) -> np.ndarray:

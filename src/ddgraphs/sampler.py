@@ -11,9 +11,12 @@ Per-pair randomness comes from a counter-based hash keyed by
 independent of evaluation order and identical across platforms.  There is one
 sampling path: ``PairBatch``, a read-only table of the candidate pairs with
 ``columns`` as its map from pairs back to columns, and ``keyed_u64_grid``,
-which hashes chosen columns for many streams at once as boolean (trials,
-pairs) rows.  One draw is the one-row case.  ``ground`` keeps what a target
-reads of a table in one memo bounded by ``CELL_BUDGET`` cells.
+which hashes chosen columns for many streams at once.  ``edge_matrix``
+returns the draws as boolean (trials, pairs) rows laid out by column
+(F-ordered), as the grid is, so each pair's column is contiguous for the
+reductions and gathers that read it.  One draw is the one-row case.
+``ground`` keeps what a target reads of a table in one memo bounded by
+``CELL_BUDGET`` cells.
 ``markov_step_rows`` moves the kept columns of the [n] table into the [n+1]
 table and hashes only the straddling columns, so the chain never builds a
 graph; ``markov_step`` is the same step on one graph's edge list.
@@ -43,6 +46,10 @@ CELL_BUDGET = 1 << 21
 # arrays' headers and its memo key; 3.8 KB for one that reads no column,
 # measured with tracemalloc) in 8-byte cells.
 _ENTRY_CELLS = 480
+# What the memo counts a read column as: its ``read`` index and its ``v``,
+# ``w``, ``p`` and ``thresholds`` words plus its ``always`` byte, 41 bytes
+# (tracemalloc read 821,513 bytes for 19,900 columns), in 8-byte cells.
+_COLUMN_CELLS = 5
 
 
 class _Columns:
@@ -50,8 +57,9 @@ class _Columns:
 
     def edge_matrix(self, master_seed: int, stream_ids: np.ndarray,
                     columns=slice(None)) -> np.ndarray:
-        """Boolean (trials, pairs) edge indicators; row t is the draw of
-        stream ``stream_ids[t]`` (a uint64 array, see ``rng.stream_words``).
+        """Boolean (trials, pairs) edge indicators, F-ordered as the hash
+        grid is; row t is the draw of stream ``stream_ids[t]`` (a uint64
+        array, see ``rng.stream_words``).
         Given ``columns`` (an index array or a boolean mask), only those
         pairs are hashed, one result column each."""
         v, w, always = self.v[columns], self.w[columns], self.always[columns]
@@ -197,7 +205,7 @@ class Grounding(_Columns):
         clauses = lineage if isinstance(lineage, np.ndarray) else np.zeros(0)
         read.flags.writeable = clauses.flags.writeable = False
         # what the memo counts: the columns and the clause cells, at least its fixed cost
-        self.cells = max(_ENTRY_CELLS, len(read) + clauses.size)
+        self.cells = max(_ENTRY_CELLS, _COLUMN_CELLS * len(read) + clauses.size)
 
 
 class _Memo(OrderedDict):
@@ -289,7 +297,7 @@ def markov_step_rows(
 ) -> np.ndarray:
     """One midpoint step of each draw in ``rows``, boolean rows of
     ``PairBatch(seq, n, LINE)``; returns the stepped draws as rows of
-    ``PairBatch(seq, n + 1, LINE)``.  Row t resamples from stream
+    ``PairBatch(seq, n + 1, LINE)``, F-ordered as ``edge_matrix`` draws are.  Row t resamples from stream
     ``stream_ids[t]`` (a uint64 array).
 
     Kept pairs keep their distance, so the kept columns of the [n+1] table
@@ -306,7 +314,7 @@ def markov_step_rows(
     resampled = _straddling(new, n)
     v, w = new.v[~resampled].astype(np.int64), new.w[~resampled].astype(np.int64)
     back = (v > n // 2).astype(np.int64)  # (ii): the high side moved up by one
-    stepped = np.empty((len(rows), len(new.v)), dtype=bool)
+    stepped = np.empty((len(rows), len(new.v)), dtype=bool, order="F")
     stepped[:, ~resampled] = rows[:, old.columns(v - back, w - back)]
     stepped[:, resampled] = new.edge_matrix(master_seed, stream_ids, resampled)
     return stepped

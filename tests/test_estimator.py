@@ -10,6 +10,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -773,20 +774,41 @@ class TestGroundingMemo:
         assert len(called) == 1 and len(sampler._GROUNDINGS) == 1
 
     def test_cells_stay_within_the_budget(self, monkeypatch):
-        # path2 on the line reads 2(n - 2) columns in n - 2 two-column
-        # clauses: 4(n - 2) cells, at least the 480 of an entry's fixed cost,
-        # so n = 260 alone is past a budget of 1000
-        assert sampler._ENTRY_CELLS == 480
+        # path2 on the line reads 2(n - 2) columns, 5 cells each, in n - 2
+        # two-column clauses: 12(n - 2) cells, so 696, 1296, 1896, 2496 and
+        # 3096 at n = 60, 110, 160, 210 and 260, and n = 260 alone is past a
+        # budget of 2600
+        assert sampler._ENTRY_CELLS == 480 and sampler._COLUMN_CELLS == 5
         seq, path2 = make_constant(0.5), library("path2")
         want = {n: mc_probability(seq, n, path2, LINE, 50, 0) for n in (60, 110, 160, 210, 260)}
+        assert [sampler._GROUNDINGS[seq, n, LINE, path2].cells for n in want] == [696, 1296, 1896, 2496, 3096]
         sampler._GROUNDINGS.clear()
-        monkeypatch.setattr(sampler, "CELL_BUDGET", 1000)
-        for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [160]),
-                        (260, [160]), (210, [210])]:
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 2600)
+        for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [60, 160]),
+                        (260, [60, 160]), (210, [210])]:
             assert mc_probability(seq, n, path2, LINE, 50, 0) == want[n]
             assert [key[1] for key in sampler._GROUNDINGS] == kept, n
             assert sampler._GROUNDINGS.cells == sum(g.cells for g in sampler._GROUNDINGS.values())
-            assert sampler._GROUNDINGS.cells <= 1000
+            assert sampler._GROUNDINGS.cells <= 2600
+
+    def test_cells_price_the_bytes_held(self, monkeypatch):
+        # groundings that read every column of the line table of constant
+        # 1/2 at n = 40..79 (780 to 3,081 columns); the entries the memo
+        # keeps hold about 8 bytes per counted cell, not 5 times that
+        seq, budget = make_constant(0.5), 1 << 17
+        for n in range(40, 80):
+            PairBatch(seq, n, LINE)  # the support scans, outside the measurement
+        sampler._GROUNDINGS.clear()
+        monkeypatch.setattr(sampler, "CELL_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            for n in range(40, 80):
+                sampler.ground(seq, n, LINE)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.8 * budget <= sampler._GROUNDINGS.cells <= budget
+        assert 0.75 * 8 * budget < held < 1.1 * 8 * budget, held
 
     def test_entries_count_their_fixed_cost(self, monkeypatch):
         # has_triangle on the thm6_half circle has no candidate triangle where

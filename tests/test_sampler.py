@@ -324,6 +324,109 @@ class TestAgainstReference:
         assert got == sample(seq, 6, RngStream(7, stream & MASK64))
 
 
+
+def table_columns(n, p=0.5):
+    """The (v, w) columns of the line table of constant p on [n]."""
+    table = PairBatch(make_constant(p), n, LINE)
+    return table.v, table.w
+
+
+def path2_columns(n):
+    """The columns path2 reads on the line at n: {1, m} and {m, n}."""
+    m = np.arange(2, n, dtype=np.uint64)
+    return np.concatenate([np.ones_like(m), m]), np.concatenate([m, np.full_like(m, n)])
+
+
+# rows x (v, w) column sets, and whether the grid mixes each distinct v's
+# half once (``_shared_halves`` runs): columns of at least _BLOCK // 512
+# rows and more than two blocks of cells
+SHORT, BLOCKS = rng._BLOCK // 512, 2 * rng._BLOCK
+GRIDS = {
+    "path2": (200, path2_columns(200), True),
+    "chain_5": (10_000, table_columns(5), True),
+    "chain_6": (10_000, table_columns(6), True),
+    "dense_all_pairs": (100, table_columns(40), True),
+    "all_distinct": (3000, (np.arange(30, dtype=np.uint64), np.arange(30, dtype=np.uint64) + 1), True),
+    "one_column": (BLOCKS + 1, (np.array([3], dtype=np.uint64), np.array([9], dtype=np.uint64)), True),
+    "columns_past_a_block": (rng._BLOCK + 5, (np.array([4, 2, 4], dtype=np.uint64),
+                                              np.array([5, 6, 7], dtype=np.uint64)), True),
+    "one_row": (1, path2_columns(200), False),
+    "circle_18": (1000, (np.resize(np.arange(1, 13, dtype=np.uint64), 18),
+                         np.arange(18, dtype=np.uint64) + 13), False),
+    "no_rows": (0, path2_columns(200), False),
+    "no_columns": (100, (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.uint64)), False),
+    # both sides of the size rule, repeated v
+    "rows_below_the_rule": (SHORT - 1, path2_columns(BLOCKS // (SHORT - 1) // 2 + 4), False),
+    "rows_at_the_rule": (SHORT, path2_columns(BLOCKS // SHORT // 2 + 4), True),
+    "cells_at_the_rule": (2 * SHORT, path2_columns(BLOCKS // (2 * SHORT) // 2 + 2), False),
+    "cells_past_the_rule": (2 * SHORT, (np.resize(np.arange(1, 9, dtype=np.uint64), BLOCKS // (2 * SHORT) + 1),
+                                        np.arange(BLOCKS // (2 * SHORT) + 1, dtype=np.uint64) + 9), True),
+}
+
+
+class TestKeyedGrid:
+    """``keyed_u64_grid`` against the scalar ``keyed_u64`` chain, its
+    column-major layout, and the layout its consumers keep."""
+
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_equals_scalar_chain(self, name):
+        r, (v, w), shared = GRIDS[name]
+        assert (r * len(v) > BLOCKS and r >= SHORT) == shared, "the case sits on its side of the rule"
+        rows = np.arange(r, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # words across [0, 2^64)
+        with mock.patch.object(rng, "_shared_halves", wraps=rng._shared_halves) as halves:
+            grid = keyed_u64_grid((11,), rows, v, w)
+        assert halves.called == shared
+        assert grid.dtype == np.uint64 and grid.shape == (r, len(v)) and grid.flags.f_contiguous
+        # every column at the block edges and a few rows between
+        some = {0, 1, r // 2, r - 1, *np.random.default_rng(0).integers(0, max(r, 1), 5).tolist()}
+        for i in sorted(i for i in some if 0 <= i < r):
+            want = [keyed_u64(11, int(rows[i]), a, b) for a, b in zip(v.tolist(), w.tolist())]
+            assert grid[i].tolist() == want, (name, i)
+
+    def test_narrow_grid_holds_the_output_and_about_a_block(self):
+        # the chain's [5] table over 20,000 streams: a block is one column
+        # of 20,000 rows, so scratch is one column and the (row, v) halves
+        # live in the output
+        v, w = table_columns(5)
+        rows = np.arange(20_000, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            out = keyed_u64_grid((1,), rows, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000, 10)
+        assert peak < out.nbytes + 8 * rng._BLOCK + 2**18, peak
+
+    def test_edge_matrix_rows_are_column_major(self):
+        # F-ordered rows: clause_hits's transpose is a view, and the rows
+        # the chain steps stay so
+        seq = make_constant(0.5)
+        ids = keyed_u64_array((1,), np.arange(3000, dtype=np.uint64))
+        g = sampler.ground(seq, 12, LINE)
+        for columns in (slice(None), np.arange(0, len(g.v), 3)):
+            rows = g.edge_matrix(5, ids, columns)
+            assert rows.flags.f_contiguous
+            assert np.shares_memory(np.ascontiguousarray(rows.T), rows)
+        stepped = markov_step_rows(seq, 12, g.edge_matrix(5, ids), 9, ids)
+        assert stepped.flags.f_contiguous
+        # p = 1 columns are or-ed in, keeping the layout
+        assert sampler.ground(make_support({1: 1.0, 2: 0.5}), 12, LINE).edge_matrix(5, ids).flags.f_contiguous
+
+    def test_clause_hits_copies_no_row(self):
+        rows = sampler.ground(make_constant(0.5), 30, LINE).edge_matrix(
+            5, keyed_u64_array((1,), np.arange(20_000, dtype=np.uint64)))
+        clauses = np.arange(20).reshape(10, 2)
+        tracemalloc.start()
+        try:
+            hits = estimator.clause_hits(rows, clauses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes // 10, peak  # the (10, 20,000) result, not a 435-column copy
+        assert np.array_equal(hits, estimator.clause_hits(np.ascontiguousarray(rows), clauses))
+
+
 class TestLineSampling:
     def test_zero_sequence_gives_edgeless(self):
         g = sample_line(make_constant(0.0), 12, RngStream(5))
