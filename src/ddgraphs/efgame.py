@@ -25,23 +25,20 @@ import numpy as np
 from .graph import Graph, cw_holds, disjoint_sum
 from .logic import ADJ_BIT, SUCC_BACK_BIT, SUCC_BIT, LabeledModel, Vocab
 from .rng import keyed_u64_array
-from .sampler import CELL_BUDGET
+from .sampler import CELL_BUDGET, BudgetError
 
 
-class GameBudgetError(RuntimeError):
+class GameBudgetError(BudgetError):
     """Estimated game size exceeds its budget: the counted game search's
     positions, or a model's type-table cells (``sampler.CELL_BUDGET``)."""
 
-    def __init__(self, estimate: int, budget: int, unit: str = "game positions"):
-        self.estimate, self.budget = estimate, budget
-        super().__init__(f"estimated {estimate} {unit} exceeds budget {budget}")
+    unit = "game positions"
 
 
 @dataclass
 class GameStats:
     positions: int = 0
     memo_hits: int = 0
-    memo_size: int = 0
 
 
 _PAD = np.iinfo(np.int64).max  # sorts after every code and id
@@ -201,7 +198,7 @@ def _count(tables, n1: int, n2: int, k: int) -> GameStats:
         new = len(keys) if j < k - 2 else int(  # np.unique costs more than a sort here
             len(child) and 1 + np.count_nonzero(np.diff(np.sort(child))))
         positions, hits = positions + new, hits + len(child) - new
-    return GameStats(positions, hits, positions)  # every position counted is memoized
+    return GameStats(positions, hits)
 
 
 def _hop_distances(m: LabeledModel) -> np.ndarray:

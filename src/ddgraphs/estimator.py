@@ -40,7 +40,7 @@ from .graph import Graph
 from .logic import Adj, And, Eq, Exists, Formula, Node, Not, Or, Var, library
 from .probseq import ProbSeq, ordered_sum
 from .rng import derived_streams
-from .sampler import CELL_BUDGET, CIRCLE, LINE, Grounding, PairBatch, ground
+from .sampler import CELL_BUDGET, CIRCLE, LINE, BudgetError, Grounding, PairBatch, ground
 
 Target = Formula | Callable[[Graph], bool]
 
@@ -80,19 +80,19 @@ class EstimateResult:
             )
 
 
-def wilson_ci(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval; exact at the 0/1 boundaries, unlike Wald."""
+_Z = NormalDist().inv_cdf(1.0 - (1.0 - 0.95) / 2.0)  # two-sided 95%
+
+
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; exact at the 0/1 boundaries, unlike Wald."""
     if trials <= 0:
         raise EstimatorError("trials must be >= 1")
     if not 0 <= successes <= trials:
         raise EstimatorError("successes must lie in [0, trials]")
-    if not 0.0 < level < 1.0:
-        raise EstimatorError(f"level must lie in (0, 1), got {level}")
-    z = NormalDist().inv_cdf(1.0 - (1.0 - level) / 2.0)
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = phat + z * z / (2.0 * trials)
-    margin = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials))
+    denom = 1.0 + _Z * _Z / trials
+    center = phat + _Z * _Z / (2.0 * trials)
+    margin = _Z * math.sqrt(phat * (1.0 - phat) / trials + _Z * _Z / (4.0 * trials * trials))
     low = max(0.0, (center - margin) / denom)
     high = min(1.0, (center + margin) / denom)
     return min(low, phat), max(high, phat)
@@ -113,12 +113,10 @@ _CLAUSES_PER_PAIR = 16
 _LINEAGE_CELLS = 1 << 20
 
 
-class LineageBudgetError(RuntimeError):
+class LineageBudgetError(BudgetError):
     """A lineage, or its exact forward pass, grows past its budget."""
 
-    def __init__(self, estimate: int, budget: int):
-        self.estimate, self.budget = estimate, budget
-        super().__init__(f"estimated {estimate} exceeds lineage budget {budget}")
+    message = "estimated {estimate} exceeds lineage budget {budget}"
 
 
 @lru_cache(maxsize=256)

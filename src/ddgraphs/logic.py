@@ -96,16 +96,10 @@ class VocabularyError(LogicError):
 class Var:
     name: str
 
-    def __str__(self):
-        return self.name
-
 
 @dataclass(frozen=True)
 class Const:
     name: str  # "first" or "last"
-
-    def __str__(self):
-        return self.name
 
 
 Term = Var | Const
@@ -421,13 +415,10 @@ def to_text(f: Formula) -> str:
 # --- models and satisfaction ---------------------------------------------------
 
 
-class CheckerBudgetError(RuntimeError):
+class CheckerBudgetError(sampler.BudgetError):
     """One slice of a model-checking array exceeds ``sampler.CELL_BUDGET``."""
 
-    def __init__(self, estimate: int, budget: int):
-        self.estimate = estimate
-        self.budget = budget
-        super().__init__(f"estimated {estimate} cells in one slice exceeds budget {budget}")
+    unit = "cells in one slice"
 
 
 EQ_BIT, ADJ_BIT, SUCC_BIT, SUCC_BACK_BIT, LE_BIT = range(5)  # of LabeledModel.atoms
@@ -698,26 +689,22 @@ def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str,
     if len(pairs) != 2 or pairs[0][1] == pairs[1][1] or len(excluded) > 1:
         return None
     (s1, u1), (s2, u2) = pairs
-    t_axis = scope[excluded[0].name] if excluded and isinstance(excluded[0], Var) else None
+    # t is a variable: !(w = first) reads only w, so the quantifier makes it a range guard
+    t_axis = scope[excluded[0].name] if excluded else None
     if t_axis in (u1, u2):
         return None
-    t = _term(excluded[0], scope) if excluded else None
 
     def step(r: _Run) -> np.ndarray:
         m1, m2 = _matrix(s1(r), u1, d, r), _matrix(s2(r), d, u2, r)
         count = _count(m1, m2)
-        if t is None:
+        if t_axis is None:
             return _spread(count > 0, u1, u2, r)
         # the witness w = t: m1's columns and m2's rows by vertex, false outside w's range
         w = r.dom[d].ravel()
         by1, by2 = np.zeros((len(m1), r.n), dtype=bool), np.zeros((r.n, m2.shape[1]), dtype=bool)
         by1[:, w], by2[w] = m1, m2
-        at = t(r)
-        if t_axis is None:
-            witness = r.along(u1, by1[:, at]) & r.along(u2, by2[at])
-        else:
-            at = at.ravel()
-            witness = _spread(by1[:, at], u1, t_axis, r) & _spread(by2[at], t_axis, u2, r)
+        at = r.dom[t_axis].ravel()
+        witness = _spread(by1[:, at], u1, t_axis, r) & _spread(by2[at], t_axis, u2, r)
         # compared as uint8: a mixed float/bool comparison is several times slower
         few = _spread(np.minimum(count, 2).astype(np.uint8), u1, u2, r)
         return few > witness.view(np.uint8)

@@ -46,10 +46,10 @@ class RuleOverlapError(SequenceError):
 class IndexBudgetError(SequenceError):
     """A support index would exceed the 64-bit budget."""
 
-    def __init__(self, term: str, i: int, message: str | None = None):
+    def __init__(self, term: str, i: int):
         self.term = term
         self.i = i
-        super().__init__(message or f"{term} at i={i} exceeds the 64-bit index budget")
+        super().__init__(f"{term} at i={i} exceeds the 64-bit index budget")
 
 
 class ScaleWarning(UserWarning):

@@ -52,6 +52,20 @@ _ENTRY_CELLS = 480
 _COLUMN_CELLS = 5
 
 
+class BudgetError(RuntimeError):
+    """An estimated size exceeds its budget.  The message is ``message``
+    formatted with ``estimate``, ``budget`` and ``unit`` (the subclass's
+    own, or the one given)."""
+
+    message = "estimated {estimate} {unit} exceeds budget {budget}"
+    unit = "cells"
+
+    def __init__(self, estimate: int, budget: int, unit: str | None = None):
+        self.estimate, self.budget = estimate, budget
+        super().__init__(self.message.format(estimate=estimate, budget=budget,
+                                             unit=unit or self.unit))
+
+
 class _Columns:
     """Draws over pair-table columns with ``v``, ``w``, ``thresholds``, ``always``."""
 

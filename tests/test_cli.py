@@ -1,15 +1,27 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
 import json
+import os
 import re
 import runpy
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
+import ddgraphs
+from ddgraphs import sampler
 from ddgraphs.cli import main
 from ddgraphs.presets import NAMED_SEQUENCES, PRESETS, Check, PresetOutcome
+
+
+def test_package_root_binds_only_modules_and_the_version():
+    # every other name is imported from its module
+    public = {name for name in vars(ddgraphs) if not name.startswith("_")}
+    assert all(isinstance(getattr(ddgraphs, name), types.ModuleType) for name in public)
+    assert ddgraphs.__version__ == "0.1.0"
 
 
 def run(capsys, *argv):
@@ -147,6 +159,23 @@ class TestEstimateScanOracle:
         _, serial, _ = run(capsys, "--jobs", "1", *argv)
         _, parallel, _ = run(capsys, "--jobs", "2", *argv)
         assert serial == parallel
+
+    @pytest.mark.parametrize("seq", ["thm1_scaled", "file"])
+    def test_scan_warns_as_often_under_jobs(self, tmp_path, capfd, seq):
+        # a fresh interpreter, so warnings print with Python's default filters
+        if seq == "file":
+            (tmp_path / "seq.json").write_text(NAMED_SEQUENCES["thm1_scaled"]().to_json())
+            seq = f"@{tmp_path / 'seq.json'}"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        err = []
+        for jobs in ("1", "2"):
+            subprocess.run([sys.executable, "-m", "ddgraphs.cli", "--jobs", jobs, "scan", "--seq",
+                            seq, "--n-list", "10,12,14", "--target", "path2", "--trials", "50"],
+                           env=env, check=True)
+            err.append(capfd.readouterr().err)
+        assert err[0] == err[1]
+        assert err[0].count("ScaleWarning") == (seq != "thm1_scaled")
 
     def test_scan_json_format(self, capsys):
         code, out, _ = run(
@@ -289,6 +318,13 @@ class TestConfigRunner:
         cfg.write_text(f"sequence = {seq}\ntarget = triangle\nn_list = 8\ntrials = 0\n")
         code, out, err = run(capsys, "run", str(cfg))
         assert code == 1 and out == "" and err.startswith("error: ") and "lineage budget" in err
+
+    def test_checker_budget_is_an_operational_error(self, monkeypatch, capsys):
+        # edge_in_c4 has no lineage, so each row is decided by the model checker
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 8)
+        code, out, err = run(capsys, "estimate", "--seq", CONST_HALF, "--n", "6", "--target",
+                             "edge_in_c4", "--trials", "10")
+        assert (code, out, err) == (1, "", "error: estimated 36 cells in one slice exceeds budget 8\n")
 
     def test_circle_triangle_row_equals_oracle(self, tmp_path, capsys):
         thm6 = '{"kind":"thm6","params":{"a":[0.5,0.5,0.5]}}'

@@ -185,7 +185,6 @@ def reference_solve(m1, m2, pairs, rounds, memo, stats, restricted=None):
             break
     if memo is not None:
         memo[key] = value
-        stats.memo_size = len(memo)
     return value
 
 
@@ -525,7 +524,7 @@ class TestAgainstReferenceSolver:
         random.Random(1).shuffle(perm)
         h = make_graph(40, [(perm[v - 1], perm[w - 1]) for v, w in g.edges])
         got = th_k_equal_detailed(M(g), M(h), 3, node_budget=10**10)
-        assert got == (True, GameStats(positions=43948, memo_hits=7991, memo_size=43948))
+        assert got == (True, GameStats(positions=43948, memo_hits=7991))
 
     def test_baseline_pair_memory_is_one_grid_block_plus_the_keys(self):
         # the count holds one block of agreement grids (two bool arrays of at
@@ -592,8 +591,8 @@ class TestTypeTables:
         assert pointed_equiv(M(g, vocab), v, M(h, vocab), perm[v - 1], 3)
 
     @pytest.mark.parametrize("n, want", [
-        (8, (True, GameStats(positions=315, memo_hits=154, memo_size=315))),
-        (12, (True, GameStats(positions=894, memo_hits=404, memo_size=894))),
+        (8, (True, GameStats(positions=315, memo_hits=154))),
+        (12, (True, GameStats(positions=894, memo_hits=404))),
     ])
     def test_statistics_pinned_from_the_search(self, n, want):
         # values recorded from the game search that searched every answer

@@ -41,7 +41,7 @@ from ddgraphs.graph import Graph, has_triangle
 from ddgraphs.logic import (Adj, And, Const, Eq, Exists, Formula, LabeledModel, Not, Or, Var,
                             Vocab, holds, library, parse)
 from ddgraphs.graph import make_graph
-from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, seq_thm6_half
+from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, midpoint_chain_tv, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
 from ddgraphs.rng import derived_stream
 from ddgraphs.sampler import CIRCLE, LINE, Grounding, PairBatch
@@ -118,12 +118,12 @@ def reference_path2(seq, n):
 
 class TestWilson:
     def test_all_successes(self):
-        low, high = wilson_ci(10, 10, 0.95)
+        low, high = wilson_ci(10, 10)
         assert high == 1.0
         assert low == pytest.approx(0.722, abs=5e-4)
 
     def test_no_successes(self):
-        low, high = wilson_ci(0, 10, 0.95)
+        low, high = wilson_ci(0, 10)
         assert low == 0.0
         assert 0 < high < 0.3
 
@@ -137,11 +137,6 @@ class TestWilson:
     def test_zero_trials_rejected(self):
         with pytest.raises(EstimatorError):
             wilson_ci(0, 0)
-
-    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5])
-    def test_level_outside_unit_interval_rejected(self, level):
-        with pytest.raises(EstimatorError, match="level"):
-            wilson_ci(3, 10, level)
 
 
 class TestExactPath2:
@@ -653,6 +648,31 @@ class TestLineage:
             with pytest.raises(OracleValidityError, match="no exact oracle"):
                 exact_probability(make_constant(0.5), 5, f, LINE)
         assert estimator.lineage(lambda g: True, batch) is None
+
+    def test_refused_inside_a_conjunction(self):
+        # !adj has no clause, so the & above it has none either
+        f = parse("exists x. adj(first, x) & !adj(x, last)", Vocab.L_PLUS)
+        seq = make_constant(0.5)
+        assert estimator.lineage(f, PairBatch(seq, 5, LINE)) is None
+        with pytest.raises(OracleValidityError, match="no exact oracle"):
+            exact_probability(seq, 5, f, LINE)
+        # x = 5 needs only adj(1, 5); each x in 2..4 needs adj(1, x) and not
+        # adj(x, 5), on pairs no other x reads
+        assert brute_force_probability(seq, 5, f, LINE) == 1 - 0.5 * 0.75**3 == 0.7890625
+
+    def test_triangle_fallback_past_the_lineage_budget(self, monkeypatch):
+        # below the chain's 60 triangle cells at n = 6 and the circle's 18 at
+        # n = 18, so both read every column with PairBatch.triangles()
+        half, circle = make_constant(0.5), seq_thm6_half()
+        want = (midpoint_chain_tv(half, 5, 2000, 305),
+                [exact_triangle_circle(circle, n) for n in (17, 18)])
+        monkeypatch.setattr(estimator, "_LINEAGE_CELLS", 17)
+        sampler._GROUNDINGS.clear()
+        for seq, n, kind in ((half, 6, LINE), (circle, 18, CIRCLE)):
+            assert isinstance(estimator.grounding(seq, n, library("triangle"), kind).lineage,
+                              LineageBudgetError)
+        assert (midpoint_chain_tv(half, 5, 2000, 305),
+                [exact_triangle_circle(circle, n) for n in (17, 18)]) == want
 
     def test_constant_clauses(self):
         seq = make_constant(0.5)

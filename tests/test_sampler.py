@@ -18,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddgraphs import estimator, presets, probseq, rng, sampler
+from ddgraphs.efgame import GameBudgetError
+from ddgraphs.estimator import LineageBudgetError
 from ddgraphs.graph import complete_graph, count_triangles, edgeless_graph, make_graph
-from ddgraphs.logic import library
+from ddgraphs.logic import CheckerBudgetError, library
 from ddgraphs.presets import NAMED_SEQUENCES, midpoint_chain_tv
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
 from ddgraphs.rng import (
@@ -731,3 +733,14 @@ class TestBenchmarkHooks:
         assert tracer.counts["rng.cells"] == 15
         assert sampler.keyed_u64_grid is keyed_u64_grid
         assert sampler.support_upto is probseq.support_upto
+
+
+@pytest.mark.parametrize("error,message", [
+    (GameBudgetError(7, 3), "estimated 7 game positions exceeds budget 3"),
+    (GameBudgetError(7, 3, "type-table cells"), "estimated 7 type-table cells exceeds budget 3"),
+    (CheckerBudgetError(7, 3), "estimated 7 cells in one slice exceeds budget 3"),
+    (LineageBudgetError(7, 3), "estimated 7 exceeds lineage budget 3"),
+])
+def test_budget_errors_share_one_base(error, message):
+    assert isinstance(error, sampler.BudgetError) and isinstance(error, RuntimeError)
+    assert (error.estimate, error.budget, str(error)) == (7, 3, message)
