@@ -142,8 +142,6 @@ def type_id(m: LabeledModel, k: int, ids: dict, picks: tuple[int, ...] = ()) -> 
 def _same_type(m1: LabeledModel, m2: LabeledModel, k: int, picks1=(), picks2=()) -> bool:
     if m1.vocab is not m2.vocab:
         raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
-    if len(picks1) != len(picks2):
-        raise ValueError("pick lists must have equal length")
     ids: dict = {}
     return type_id(m1, k, ids, picks1) == type_id(m2, k, ids, picks2)
 
@@ -152,6 +150,8 @@ def partial_iso(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...],
                 picks2: tuple[int, ...]) -> bool:
     """Do the picked points (plus constants, where the vocabulary has them)
     induce isomorphic substructures under the index correspondence?"""
+    if len(picks1) != len(picks2):  # type ids of different pick counts may coincide
+        raise ValueError("pick lists must have equal length")
     return _same_type(m1, m2, 0, picks1, picks2)
 
 

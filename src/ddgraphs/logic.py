@@ -13,7 +13,8 @@ Vocabularies (all include adjacency and equality):
 Interpretations are derived from the vertex numbering, so a model is just a
 graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence once into
 an array plan over the model's adjacency matrix, bounded-variable evaluation
-as relational algebra: one axis per quantifier level, guards that narrow an
+as relational algebra: one axis per quantifier level (the innermost level
+leads, so quantifiers reduce along the leading axis), guards that narrow an
 axis's range, matrix products in place of innermost witnesses, and slices
 that keep every array within ``sampler.CELL_BUDGET`` cells.
 
@@ -482,22 +483,30 @@ def holds(m: LabeledModel, f: Formula) -> bool:
 
 
 # A plan step maps a run to a boolean array with one axis per quantifier
-# level, of size 1 on every axis the subformula does not read.
+# level, level d on axis ndim - 1 - d (the innermost level leads), of size 1
+# on every axis the subformula does not read.
 Step = Callable[["_Run"], np.ndarray]
 
 
 class _Run:
-    """One run of a plan: the model's adjacency, and the vertex indices each
-    axis ranges over, shaped to lie along that axis."""
+    """One run of a plan: the model's adjacency, and per quantifier level the
+    vertex indices it ranges over, shaped to lie along its axis, and their
+    number before any slicing."""
 
     def __init__(self, adj: np.ndarray, circular: bool, ndim: int):
         n = len(adj)
         self.adj, self.n, self.ndim = adj, n, ndim
         self.period = n if circular else n + 1
         self.first, self.last = np.intp(0), np.intp(n - 1)
+        self.every = np.arange(n)
         self.dom: list[np.ndarray | None] = [None] * ndim
+        self.size = [0] * ndim
 
-    def along(self, a: int, values: np.ndarray) -> np.ndarray:
+    def axis(self, d: int) -> int:
+        return self.ndim - 1 - d
+
+    def along(self, d: int, values: np.ndarray) -> np.ndarray:
+        a = self.axis(d)
         return values.reshape([-1 if i == a else 1 for i in range(self.ndim)])
 
 
@@ -515,13 +524,14 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
     """``f`` compiled once into an array plan, as a check of an (n, n)
     boolean adjacency matrix read in ``f.vocab``.
 
-    Each quantifier owns the axis of its nesting level, and every
-    subformula evaluates to a boolean array of size 1 on the axes it does
-    not read: atoms index the adjacency matrix or compare vertex indices
-    (``first`` and ``last`` are fixed indices), connectives are broadcast
-    elementwise ops, ``exists`` is ``any`` and ``forall`` is ``all`` along
-    the quantifier's axis.  Connectives skip their right side once the left
-    decides the whole array.
+    The quantifier at nesting level d of a depth-D sentence owns axis
+    D - 1 - d, so the innermost level leads, and every subformula evaluates
+    to a boolean array of size 1 on the axes it does not read: atoms index
+    the adjacency matrix or compare vertex indices (``first`` and ``last``
+    are fixed indices), connectives are broadcast elementwise ops, ``exists``
+    is ``any`` and ``forall`` is ``all`` along the quantifier's axis (numpy
+    reduces along a leading axis many times faster than along the last).
+    Connectives skip their right side once the left decides the whole array.
 
     Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)``
     the conjuncts of G that read only v and constants choose the vertices v's
@@ -535,8 +545,11 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
     subtracted, so the array never spans w.
 
     No array spans more than ``sampler.CELL_BUDGET`` cells: a quantifier whose
-    array would is evaluated in slices along its outermost axis, and
-    ``CheckerBudgetError`` is raised when one slice would still exceed it.
+    array would is evaluated in slices of the leading axis (its innermost
+    level) when one slice of it fits, else of its outermost level's axis.
+    ``CheckerBudgetError`` is raised when one slice of the outermost level
+    would still exceed the budget, counted at the ranges' unsliced sizes, so
+    the refusal does not depend on how enclosing quantifiers were sliced.
     """
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
@@ -545,13 +558,14 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
     return lambda adj: bool(root(_Run(adj, circular, ndim)))
 
 
-Planned = tuple[Step, frozenset[int]]  # a step and the axes it reads
+Planned = tuple[Step, frozenset[int]]  # a step and the levels it reads
 
 
 def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
     match node:
         case Adj(Var(a), Var(b)) if scope[a] != scope[b]:
-            return _adjacent(*sorted((scope[a], scope[b]))), frozenset((scope[a], scope[b]))
+            return (_adjacent(*sorted((scope[a], scope[b]), reverse=True)),
+                    frozenset((scope[a], scope[b])))
         case Atom():
             op, terms = _ATOM_ARRAYS[type(node)], [_term(t, scope) for t in node.terms]
             return (lambda r: op(r, *(t(r) for t in terms)),
@@ -563,7 +577,7 @@ def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
             return _all_of([_plan(c, scope, level) for c in _conjuncts(node)])
         case Or(l, r):
             (p, pa), (q, qa) = _plan(l, scope, level), _plan(r, scope, level)
-            return (lambda run: x if (x := p(run)).all() else x | q(run)), pa | qa
+            return (lambda run: x if (x := p(run)).all() else _or(x, q(run))), pa | qa
         case Implies(l, r):
             return _implies(_plan(l, scope, level), _plan(r, scope, level))
         case Forall() | Exists():
@@ -572,9 +586,9 @@ def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
 
 
 def _adjacent(a: int, b: int) -> Step:
-    """adj between the variables of axes a < b (adj is symmetric): the
-    adjacency's rows and columns in their ranges (a range as long as n is
-    every vertex)."""
+    """adj between the variables of levels a > b (adj is symmetric, and a's
+    axis comes first): the adjacency's rows and columns in their ranges (a
+    range as long as n is every vertex)."""
     def step(r: _Run) -> np.ndarray:
         rows, cols = r.dom[a].ravel(), r.dom[b].ravel()
         m = r.adj if len(rows) == r.n else r.adj[rows]
@@ -603,19 +617,36 @@ def _all_of(parts: list[Planned]) -> Planned:
 
     def step(r: _Run) -> np.ndarray:
         acc = steps[0](r)
-        for s in steps[1:]:
+        for i, s in enumerate(steps[1:]):
             if not acc.any():
                 break
-            acc = acc & s(r)
+            # past the first op acc is this step's own array, reused when it spans the result
+            acc = _and(acc, s(r), into=i > 0)
         return acc
 
     axes = frozenset().union(*(a for _, a in parts))
     return (steps[0] if len(steps) == 1 else step), axes
 
 
+def _and(x: np.ndarray, y: np.ndarray, into: bool = False) -> np.ndarray:
+    """x & y as a bitwise op on uint8 views, written into x when ``into`` and
+    x has the result's shape.  numpy's boolean loops run an operand that is
+    constant over the trailing axes one cell at a time: (2, 90, 90, 90) &
+    (2, 90, 1, 1) is over 20 times slower as bools."""
+    x8, y8 = x.view(np.uint8), y.view(np.uint8)
+    if into and x.ndim and x.shape == np.broadcast_shapes(x.shape, y.shape):
+        return np.bitwise_and(x8, y8, out=x8).view(np.bool_)
+    return np.bitwise_and(x8, y8).view(np.bool_)
+
+
+def _or(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x | y, as ``_and``."""
+    return np.bitwise_or(x.view(np.uint8), y.view(np.uint8)).view(np.bool_)
+
+
 def _implies(left: Planned, right: Planned) -> Planned:
     (p, pa), (q, qa) = left, right
-    return (lambda r: ~x if not (x := p(r)).any() else ~x | q(r)), pa | qa
+    return (lambda r: ~x if not (x := p(r)).any() else _or(~x, q(r))), pa | qa
 
 
 def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Planned:
@@ -641,13 +672,13 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Pla
     range_of = _all_of(ranged)[0] if ranged else None
 
     def step(r: _Run) -> np.ndarray:
-        dom = np.arange(r.n)
+        dom = r.every
         if range_of is not None:
             r.dom[d] = r.along(d, dom)
             dom = dom[np.broadcast_to(range_of(r), r.dom[d].shape).ravel()]
         if not len(dom):
             return np.bool_(forall)
-        r.dom[d] = r.along(d, dom)
+        r.dom[d], r.size[d] = r.along(d, dom), len(dom)
         return sliced(r)
 
     if not outside:
@@ -658,14 +689,15 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Pla
 
 
 def _reduced(body: Planned, d: int, forall: bool) -> Planned:
-    """``body`` reduced along d by ``all`` or ``any``, with the axes it spans."""
+    """``body`` reduced along level d by ``all`` or ``any``, with the levels
+    it spans."""
     b = body[0]
 
     def step(r: _Run) -> np.ndarray:
-        x = b(r)
-        if x.ndim == 0 or x.shape[d] == 1:  # x does not vary along d
+        x, a = b(r), r.axis(d)
+        if x.ndim == 0 or x.shape[a] == 1:  # x does not vary along d
             return x
-        return x.all(axis=d, keepdims=True) if forall else x.any(axis=d, keepdims=True)
+        return x.all(axis=a, keepdims=True) if forall else x.any(axis=a, keepdims=True)
 
     return step, body[1]
 
@@ -690,24 +722,30 @@ def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str,
         return None
     (s1, u1), (s2, u2) = pairs
     # t is a variable: !(w = first) reads only w, so the quantifier makes it a range guard
-    t_axis = scope[excluded[0].name] if excluded else None
-    if t_axis in (u1, u2):
+    t_level = scope[excluded[0].name] if excluded else None
+    if t_level in (u1, u2):
         return None
 
     def step(r: _Run) -> np.ndarray:
         m1, m2 = _matrix(s1(r), u1, d, r), _matrix(s2(r), d, u2, r)
         count = _count(m1, m2)
-        if t_axis is None:
+        if t_level is None:
             return _spread(count > 0, u1, u2, r)
-        # the witness w = t: m1's columns and m2's rows by vertex, false outside w's range
-        w = r.dom[d].ravel()
-        by1, by2 = np.zeros((len(m1), r.n), dtype=bool), np.zeros((r.n, m2.shape[1]), dtype=bool)
-        by1[:, w], by2[w] = m1, m2
-        at = r.dom[t_axis].ravel()
-        witness = _spread(by1[:, at], u1, t_axis, r) & _spread(by2[at], t_axis, u2, r)
+        # the witness w = t: m1's columns and m2's rows by vertex (false outside
+        # w's range), at t's range; ranges as long as n are every vertex
+        w, at = r.dom[d].ravel(), r.dom[t_level].ravel()
+        if len(w) < r.n:
+            by1, by2 = np.zeros((len(m1), r.n), dtype=bool), np.zeros((r.n, m2.shape[1]), dtype=bool)
+            by1[:, w], by2[w] = m1, m2
+            m1, m2 = by1, by2
+        if len(at) < r.n:
+            m1, m2 = m1[:, at], m2[at]
+        witness = _and(_spread(m1, u1, t_level, r), _spread(m2, t_level, u2, r))
         # compared as uint8: a mixed float/bool comparison is several times slower
         few = _spread(np.minimum(count, 2).astype(np.uint8), u1, u2, r)
-        return few > witness.view(np.uint8)
+        flags = witness.view(np.uint8)
+        np.less(flags, few, out=flags)  # in place: a fresh slice-sized array is fresh pages
+        return witness
 
     return step, frozenset().union(*(a for _, _, a in rest)) - {d}
 
@@ -731,48 +769,62 @@ def _count(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 
 
 def _matrix(x: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """The array ``x`` over axes a and b as a 2-D matrix, rows along a."""
+    """The array ``x`` over levels a and b as a 2-D matrix, rows along a."""
+    pa, pb = r.axis(a), r.axis(b)
     shape = [1] * r.ndim
-    lo, hi = sorted((a, b))
-    shape[lo], shape[hi] = r.dom[lo].size, r.dom[hi].size
-    m = np.broadcast_to(x, shape).reshape(shape[lo], shape[hi])
-    return m if a < b else m.T
+    shape[pa], shape[pb] = r.dom[a].size, r.dom[b].size
+    if x.shape != tuple(shape):
+        x = np.broadcast_to(x, shape)
+    m = x.reshape(shape[min(pa, pb)], shape[max(pa, pb)])
+    return m if pa < pb else m.T
 
 
 def _spread(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """A 2-D matrix with rows along axis a and columns along b, as a C-ordered
-    plan array (broadcast ops on transposed operands run several times slower)."""
-    if a > b:
-        m, a, b = np.ascontiguousarray(m.T), b, a
+    """A 2-D matrix with rows along level a and columns along b, as a
+    C-ordered plan array (broadcast ops on transposed operands run several
+    times slower)."""
+    pa, pb = r.axis(a), r.axis(b)
+    if pa > pb:
+        m, pa, pb = np.ascontiguousarray(m.T), pb, pa
     shape = [1] * r.ndim
-    shape[a], shape[b] = m.shape
+    shape[pa], shape[pb] = m.shape
     return m.reshape(shape)
 
 
 def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
-    """``step``, whose largest array spans the axes ``span``, run on slices of
-    the outermost of them when that array would exceed ``sampler.CELL_BUDGET``
-    cells.  Slices of d itself are combined by ``all`` or ``any``."""
+    """``step``, whose largest array spans the levels ``span``, run on slices
+    when that array would exceed ``sampler.CELL_BUDGET`` cells: slices of the
+    leading axis (the innermost level of ``span``) when one of them fits, else
+    of the outermost level's axis.  ``CheckerBudgetError`` when one slice of
+    the outermost level would not fit at the unsliced range sizes.  Slices of
+    d itself are folded into one output by ``and`` or ``or`` as each is made,
+    others concatenated."""
     order, out = sorted(span), span - {d}
 
     def run(r: _Run) -> np.ndarray:
         budget = sampler.CELL_BUDGET
+        per = math.prod(r.size[a] for a in order[1:])
+        if per > budget:
+            raise CheckerBudgetError(per, budget)
         cells = math.prod(r.dom[a].size for a in order)
         if cells <= budget:
             return step(r)
-        a, whole = order[0], r.dom[order[0]]
-        per = cells // whole.size
-        if per > budget:
-            raise CheckerBudgetError(per, budget)
-        values, rows, parts = whole.ravel(), budget // per, []
+        a = order[-1] if cells // r.dom[order[-1]].size <= budget else order[0]
+        whole = r.dom[a]
+        values, rows, parts, acc = whole.ravel(), budget // (cells // whole.size), [], None
         for lo in range(0, len(values), rows):
             r.dom[a] = r.along(a, values[lo:lo + rows])
-            parts.append(np.broadcast_to(step(r), [r.dom[i].size if i in out else 1
-                                                   for i in range(r.ndim)]))
+            # the output's shape: levels from the innermost are axes in order
+            part = np.broadcast_to(step(r), [r.dom[i].size if i in out else 1
+                                             for i in reversed(range(r.ndim))])
+            if a != d:
+                parts.append(part)
+            elif acc is None:
+                acc = part.view(np.uint8).copy()
+            else:  # folded as made: one slice and one output live, not every slice
+                (np.bitwise_and if forall else np.bitwise_or)(acc, part.view(np.uint8), out=acc)
         r.dom[a] = whole
-        if a == d:
-            return np.bool_(all(parts) if forall else any(parts))
-        return np.concatenate(parts, axis=a)
+        return acc.view(np.bool_) if a == d else np.concatenate(parts, axis=r.axis(a))
 
     return run
 

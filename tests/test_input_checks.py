@@ -43,7 +43,7 @@ CHECKS = {
     "unparsable config value": (lambda: command("run", config("preset = fig\ntrials = x\n")),
                                 CliError),
     "picks of unequal length": (
-        lambda: efgame._same_type(*[LabeledModel(edgeless_graph(2), Vocab.L)] * 2, 1, (1,), ()),
+        lambda: efgame.partial_iso(*[LabeledModel(edgeless_graph(2), Vocab.L)] * 2, (1,), ()),
         ValueError),
     "unknown fact4 mode": (
         lambda: efgame.fact4_search([edgeless_graph(1)], [], 1, mode="PRODUCT"), ValueError),

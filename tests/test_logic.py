@@ -281,6 +281,15 @@ class TestHolds:
         assert holds(LabeledModel(g, Vocab.L_PLUS), library("adj_first_last"))
         assert not holds(LabeledModel(make_graph(4, [(1, 2)]), Vocab.L_PLUS), library("adj_first_last"))
 
+    def test_conjunctions_of_constant_atoms(self):
+        # three or more conjuncts over constants only: each is a scalar, not an array
+        for text in ("adj(first, last) & !(first = last) & adj(last, first)",
+                     "exists x. adj(first, last) & !(first = last) & adj(last, first) & adj(x, first)"):
+            for edges in ([(1, 4)], [(1, 4), (2, 4)], [(1, 2)]):
+                m = LabeledModel(make_graph(4, edges), Vocab.L_PLUS)
+                f = parse(text, Vocab.L_PLUS)
+                assert holds(m, f) == brute_holds(m, f), (text, edges)
+
 
 class TestAgainstBruteForce:
     def test_every_library_sentence_on_all_tiny_graphs(self):
@@ -422,6 +431,16 @@ class TestArrayPlan:
         ("forall x. forall y. exists w. adj(w, first) & adj(x, w) & adj(w, y)", Vocab.L_PLUS),
         # a contracted body inside another contraction, as in ex2_path4
         ("forall x. exists y. exists z. adj(x, z) & (exists w. adj(z, w) & adj(w, y))", Vocab.L),
+        # t's range is narrower than n: w's range is every vertex, t's is not
+        ("forall z. !(z = first) -> !(exists x. exists y. adj(x, z) & adj(z, y) & !(x = y) &"
+         " !(exists w. adj(x, w) & adj(w, y) & !(w = z)))", Vocab.L_PLUS),
+        ("forall z. (exists v. adj(z, v)) -> (forall x. forall y. exists w."
+         " adj(x, w) & adj(w, y) & !(w = z))", Vocab.L),
+        # w's range narrower than n, then both
+        ("forall z. forall x. exists y. exists w. !(w = first) & adj(x, w) & succ(w, y) & !(w = z)",
+         Vocab.L_PLUS),
+        ("forall z. adj(z, last) -> (forall x. exists y. exists w."
+         " !(w = first) & adj(x, w) & succ(w, y) & !(w = z))", Vocab.L_PLUS),
     ])
     def test_contracted_shapes_match_oracle(self, text, vocab):
         f = parse(text, vocab)
@@ -446,6 +465,26 @@ class TestArrayPlan:
             m = LabeledModel(sample_line(make_constant(0.5), n, RngStream(n)), Vocab.L)
             for f in library_sentences(vocab=Vocab.L):
                 assert holds(m, f) == brute_holds(m, f), (n, f.name)
+
+    @pytest.mark.parametrize("budget, text", [
+        # under 20 cells at n = 8, arrays over two or three levels are cut along
+        # the leading axis, the innermost level's; guards make the ranges uneven
+        (20, "forall x. (x = first | adj(x, last)) -> (exists y. succ(x, y) | adj(x, y) & !(y = x))"),
+        (20, "forall x. forall y. (y = first | y = last) -> (exists z. adj(x, z) & adj(z, y) & !(z = x))"),
+        (20, "exists x. !adj(x, first) & (forall y. !(y = x) ->"
+             " (exists z. (z = first | succ(z, last)) & adj(y, z) & !adj(x, z)))"),
+        # under 6 cells, inside x's range guard v's array spans x's 8 vertices
+        # and v's 2: one slice of v's axis does not fit, so x's axis is cut
+        (6, "forall x. (exists v. (v = first | v = last) & adj(x, v)) ->"
+            " (exists y. !(y = first) & !(y = last) & adj(x, y))"),
+        (6, "exists x. (forall v. (v = first | succ(first, v)) -> adj(x, v) | v = x) & !(x = last)"),
+    ])
+    def test_leading_and_outermost_slices_match_oracle(self, monkeypatch, budget, text):
+        monkeypatch.setattr(sampler, "CELL_BUDGET", budget)
+        f = parse(text, Vocab.L_PLUS)
+        for seed in range(16):
+            m = LabeledModel(sample_line(make_constant(0.5), 8, RngStream(seed, 3)), Vocab.L_PLUS)
+            assert holds(m, f) == brute_holds(m, f), (text, seed)
 
     def test_slices_of_the_quantified_axis(self, monkeypatch):
         # a budget of 3 cells below n = 8: one-axis bodies are reduced slice by slice
@@ -486,6 +525,23 @@ class TestArrayPlan:
         finally:
             tracemalloc.stop()
         assert value and peak < 64 * 2**20, peak
+
+    def test_slices_of_the_quantified_level_fold_into_one_output(self, monkeypatch):
+        # z's array spans 48^4 cells; one z-slice of 48^3 cells is over half of
+        # 2^17, so z is cut one vertex at a time: 48 slices that must not all stay live
+        f = parse("forall x. forall y. forall u. exists z. adj(x, z) & adj(y, z) & !adj(u, z)",
+                  Vocab.L)
+        m = LabeledModel(sample_line(make_constant(0.5), 48, RngStream(1, 0)), Vocab.L)
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 1 << 23)
+        whole = holds(m, f)
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 1 << 17)
+        tracemalloc.start()
+        try:
+            value = holds(m, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == whole and peak < 4 * sampler.CELL_BUDGET, peak
 
     def test_budget_error_when_one_slice_does_not_fit(self, monkeypatch):
         # three conjuncts over w are not contracted, so the body spans 4 axes
