@@ -86,18 +86,23 @@ def resolve_sequence(text: str) -> probseq.ProbSeq:
     )
 
 
+_ARGUMENT_TARGETS = {  # name -> (maker, its integer arguments)
+    "psi_r": (psi_r_predicate, ["<f_r>"]), "copies": (kcopies_predicate, ["<l>", "<min>"]),
+    "extension_Ak": (lambda k: library("extension_Ak", k=k), ["<k>"])}
+
+
 def resolve_target(text: str):
     """Target names: library sentences, or native predicates
-    has_triangle / psi_r:<f_r> / copies:<l>:<min>."""
+    has_triangle / psi_r:<f_r> / copies:<l>:<min>, or extension_Ak:<k>."""
     if text == "has_triangle":
         return has_triangle_predicate()
-    if text.startswith("psi_r:"):
-        return psi_r_predicate(int(text.split(":")[1]))
-    if text.startswith("copies:"):
-        _, l, c = text.split(":")
-        return kcopies_predicate(int(l), int(c))
-    if text.startswith("extension_Ak:"):
-        return library("extension_Ak", k=int(text.split(":")[1]))
+    name, colon, args = text.partition(":")
+    if colon and name in _ARGUMENT_TARGETS:
+        make, spelling = _ARGUMENT_TARGETS[name]
+        values = args.split(":")
+        if len(values) != len(spelling) or not all(a.removeprefix("-").isdecimal() for a in values):
+            raise CliError(f"target {text!r} is not {':'.join([name, *spelling])} with integers")
+        return make(*map(int, values))
     try:
         return library(text)
     except Exception:

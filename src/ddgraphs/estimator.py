@@ -18,10 +18,10 @@ per (sequence, n, model, sentence), for every route to read.  Monte Carlo
 and brute force share one ``row_decision`` on blocks of boolean rows of
 those columns: a lineage of at most 16 clauses per pair reads only its
 columns, the only ones Monte Carlo hashes, and decides a block with one
-``clause_hits`` reduction.  Other sentences run their array plan on each
-row scattered into an adjacency matrix; other predicates build each row's
-graph.  Blocks are bounded by ``CELL_BUDGET``, not by a trial or subset
-count.
+``clause_hits`` reduction.  A predicate's ``rows`` decides a block itself;
+other sentences run their array plan on each row scattered into an
+adjacency matrix; only a plain callable builds each row's graph.  Blocks
+are bounded by ``CELL_BUDGET``, not by a trial or subset count.
 """
 
 from __future__ import annotations
@@ -270,12 +270,15 @@ def row_decision(target: Target, g: Grounding) -> tuple[int, Callable]:
     Returns (cells, decide): the cells per row a block must hold, and
     ``decide(rows)``, one bool per row.  A kernel grounding decides a block
     with one ``clause_hits`` reduction.  Otherwise every column is read: a
+    predicate's ``rows`` decides the block (n + 1 more cells a row), a
     sentence, compiled once, runs on each row scattered into an adjacency
-    matrix, and a predicate on each row's graph.
+    matrix, and any other predicate on each row's graph.
     """
     if g.kernel:
         clauses = g.lineage
         return max(len(g.read), len(clauses)), lambda rows: clause_hits(rows, clauses).any(axis=0)
+    if hasattr(target, "rows"):
+        return len(g.read) + g.n + 1, lambda rows: target.rows(rows, g.v, g.w, g.n)
     if isinstance(target, Formula):
         run, adj = target._checker, np.zeros((g.n, g.n), dtype=bool)
         v, w = g.v.astype(np.intp) - 1, g.w.astype(np.intp) - 1
@@ -308,11 +311,11 @@ def mc_probability(
     Only the columns the target's ``grounding`` reads are hashed:
     targets with a lineage (see ``lineage``) are decided by one
     ``clause_hits`` reduction per block; every other target reads every
-    column, and runs the compiled sentence on each row's adjacency or the
-    predicate on each row's graph.  Both give the same successes, since
-    each draw is a pure function of (master_seed, stream, v, w).  Blocks
-    hold at most ``CELL_BUDGET`` cells (at least one trial), which bounds
-    memory independently of ``trials``.
+    column: a predicate's ``rows`` decides the block, the compiled sentence
+    each row's adjacency, a plain predicate each row's graph.  All give the
+    same successes, since each draw is a pure function of (master_seed,
+    stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells (at least one
+    trial), which bounds memory independently of ``trials``.
     """
     if trials < 1:
         raise EstimatorError("trials must be >= 1")
@@ -495,9 +498,9 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     out; weights are multiplied in pair order from 1.0 and the weights that
     hold are added in leaf order, so the value is that recursion's, bit for
     bit.  Blocks of leaves go to the same ``row_decision`` as Monte Carlo:
-    targets with a lineage share its kernels and build no graph; any other
-    target is decided leaf by leaf, so it is refused past
-    ``_ROW_PATH_LEAVES`` leaves.
+    targets with a lineage share its kernels, and a predicate with ``rows``
+    its row function, so neither builds a graph; a target without a
+    lineage is refused past ``_ROW_PATH_LEAVES`` leaves.
     """
     if n < 1:
         raise EstimatorError("n must be >= 1")

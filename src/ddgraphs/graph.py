@@ -1,7 +1,7 @@
 """Finite simple graphs on {1..n} and the structural predicates the
-experiments need: shift-anchored exact copies, cutpoints, block sums,
-triangle counting, and realizability ("flatness") checks for circle
-subgraphs.
+experiments need: windowed cutpoints and disjoint exact K_l copies, both on
+boolean edge rows, block sums, triangle counting, and realizability
+("flatness") checks for circle subgraphs.
 """
 
 from __future__ import annotations
@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .probseq import ProbSeq, support_table
 
@@ -83,77 +85,55 @@ def edgeless_graph(n: int) -> Graph:
     return Graph(n, frozenset())
 
 
-# --- exact copies ------------------------------------------------------------
+# --- edge rows: cutpoints and exact copies ------------------------------------
 
 
-def is_exact_copy_at(g: Graph, h: Graph, i: int) -> bool:
-    """Does the block {i+1..i+l} induce h (under the shift) with no edge
-    leaving the block?
-    """
-    l = h.n
-    if not 0 <= i <= g.n - l:
-        raise GraphError(f"offset {i} out of range for block of {l} in [1,{g.n}]")
-    for j in range(1, l + 1):
-        for k in range(j + 1, l + 1):
-            if h.has_edge(j, k) != g.has_edge(i + j, i + k):
-                return False
-    lo, hi = i + 1, i + l
-    for u in range(lo, hi + 1):
-        for x in g.neighbor_sets[u]:
-            if x < lo or x > hi:
-                return False
-    return True
-
-
-def exact_copy_offsets(g: Graph, h: Graph, lo: int, hi: int) -> list[int]:
-    """All offsets whose copy block lies inside [lo, hi]."""
-    return [i for i in range(max(0, lo - 1), hi - h.n + 1) if is_exact_copy_at(g, h, i)]
-
-
-def max_disjoint_exact_copies(g: Graph, h: Graph, lo: int, hi: int) -> int:
-    """Maximum number of vertex-disjoint exact copies of h inside [lo, hi].
-
-    Copies occupy contiguous equal-length intervals, so the earliest-right-
-    endpoint greedy over sorted offsets is exact.
-    """
-    if not 1 <= lo <= hi <= g.n:
-        raise GraphError(f"window [{lo},{hi}] invalid for n={g.n}")
-    l = h.n
-    count = 0
-    last_end = lo - 1
-    for i in exact_copy_offsets(g, h, lo, hi):
-        if i + 1 > last_end:
-            count += 1
-            last_end = i + l
-    return count
-
-
-# --- cutpoints ---------------------------------------------------------------
-
-
-def cutpoints(g: Graph) -> list[int]:
-    """The vertices v, increasing, that no edge {a, b} with a <= v < b
-    crosses; v = n qualifies vacuously."""
-    crossing = [0] * (g.n + 2)
-    for a, b in g.edges:
-        crossing[a] += 1
-        crossing[b] -= 1
-    out, running = [], 0
-    for v in range(1, g.n + 1):
-        running += crossing[v]
-        if running == 0:
-            out.append(v)
+def _end_counts(rows: np.ndarray, ends: np.ndarray, size: int) -> np.ndarray:
+    """(rows, size) int32: per row, the edges whose end in ``ends`` is each u < size."""
+    order = np.argsort(ends, kind="stable")
+    order = order[ends[order] < size]
+    at, first = np.unique(ends[order], return_index=True)
+    out = np.zeros((len(rows), size), dtype=np.int32)
+    if len(order):
+        out[:, at] = np.add.reduceat(rows[:, order], first, axis=1, dtype=np.int32)
     return out
 
 
-def psi_r_holds(g: Graph, f_r: int) -> bool:
-    """Some cutpoint v lies in the window 2 f_r <= v <= n - 2 f_r."""
-    if f_r < 1:
-        raise GraphError("f_r must be >= 1")
-    lo, hi = 2 * f_r, g.n - 2 * f_r
+def cut_in_window(rows: np.ndarray, v, w, lo: int, hi: int) -> np.ndarray:
+    """Per boolean edge row over integer arrays of pairs (v, w), v < w
+    (pair-table rows, or a graph's edge list as one all-true row): is some
+    x in [lo, hi] (lo >= 1) a cutpoint, crossed by no edge with v <= x < w?
+    Vertex n always is."""
     if lo > hi:
-        return False
-    return any(lo <= v <= hi for v in cutpoints(g))
+        return np.zeros(len(rows), dtype=bool)
+    cover = _end_counts(rows, v, hi + 1) - _end_counts(rows, w, hi + 1)
+    np.cumsum(cover, axis=1, out=cover)  # the edges crossing each x <= hi
+    return (cover[:, lo:] == 0).any(axis=1)
+
+
+def copy_counts(rows: np.ndarray, v, w, n: int, l: int, lo: int, hi: int) -> np.ndarray:
+    """Per edge row (as for ``cut_in_window``), the most vertex-disjoint
+    exact copies of K_l inside [lo, hi]: blocks {i+1..i+l} whose pairs are
+    all edges and whose vertices have degree l - 1.  Two such blocks that
+    share a vertex are equal (its neighbours are either block less itself),
+    so every copy counts.  An empty window (lo > hi) holds none."""
+    if l < 1 or lo < 1 or hi > n:
+        raise GraphError(f"K_{l} copies in window [{lo},{hi}] invalid for n={n}")
+    v, w = np.asarray(v, dtype=np.int64), np.asarray(w, dtype=np.int64)
+    degree = _end_counts(rows, v, n + 1) + _end_counts(rows, w, n + 1)
+    off = np.cumsum(degree != l - 1, axis=1, dtype=np.int32)  # vertices <= u of other degree
+    # each offset's inner pairs as columns, found by their (v, w) keys
+    offsets = np.arange(lo - 1, hi - l + 1)[:, None]
+    a, b = np.triu_indices(l, 1)
+    want = (offsets + a + 1) * (n + 1) + offsets + b + 1
+    key = np.append(v * (n + 1) + w, 0)  # 0 is no pair's key
+    by_key = np.argsort(key)
+    inner = by_key[np.searchsorted(key[by_key], want).clip(max=len(v))]
+    inside = (key[inner] == want).all(axis=1)
+    count = np.zeros(len(rows), dtype=np.int64)
+    for i, cols in zip(offsets[inside, 0].tolist(), inner[inside]):
+        count += (off[:, i + l] == off[:, i]) & rows[:, cols].all(axis=1)
+    return count
 
 
 # --- block sums --------------------------------------------------------------

@@ -32,12 +32,12 @@ from .estimator import (
 )
 from .graph import (
     Graph,
-    complete_graph,
+    GraphError,
+    copy_counts,
+    cut_in_window,
     disjoint_sum,
     has_triangle,
     make_graph,
-    max_disjoint_exact_copies,
-    psi_r_holds,
 )
 from .logic import LabeledModel, Vocab, holds, library
 from .probseq import (
@@ -55,7 +55,7 @@ from .probseq import (
     ordered_sum,
 )
 from .rng import RngStream, keyed_u64_array
-from .sampler import CIRCLE, LINE, ground, markov_step_rows, sample_batch, sample_line
+from .sampler import CIRCLE, LINE, ground, markov_step_rows, sample_line
 
 
 @dataclass(frozen=True)
@@ -108,28 +108,39 @@ def has_triangle_predicate():
     return pred
 
 
-def psi_r_predicate(f_r: int):
-    def pred(g: Graph) -> bool:
-        return psi_r_holds(g, f_r)
+def margin_window(n: int) -> tuple[int, int]:
+    """The margin window [ceil(ln n), n - ceil(ln n)], its low end at least 1."""
+    lo = max(1, math.ceil(math.log(n)))
+    return lo, n - lo
 
-    pred.target_name = f"psi_r_{f_r}"
+
+def _rows_predicate(name: str, rows):
+    """``rows(edge_rows, v, w, n)`` on a graph's edge list as one all-true row,
+    as a predicate that carries ``rows`` for blocks of pair-table rows."""
+
+    def pred(g: Graph) -> bool:
+        v, w = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2).T
+        return bool(rows(np.ones((1, g.m), dtype=bool), v, w, g.n)[0])
+
+    pred.target_name, pred.rows = name, rows
     return pred
+
+
+def psi_r_predicate(f_r: int):
+    """Some cutpoint lies in the window [2 f_r, n - 2 f_r]."""
+    if f_r < 1:
+        raise GraphError("f_r must be >= 1")
+    return _rows_predicate(
+        f"psi_r_{f_r}", lambda rows, v, w, n: cut_in_window(rows, v, w, 2 * f_r, n - 2 * f_r))
 
 
 def kcopies_predicate(l: int, min_count: int):
     """At least ``min_count`` disjoint exact copies of K_l inside the
-    margin window [ceil(ln n), n - ceil(ln n)]."""
-    h = complete_graph(l)
-
-    def pred(g: Graph) -> bool:
-        lo = max(1, math.ceil(math.log(g.n))) if g.n > 1 else 1
-        hi = g.n - lo
-        if hi < lo:
-            return False
-        return max_disjoint_exact_copies(g, h, lo, hi) >= min_count
-
-    pred.target_name = f"copies_K{l}_ge{min_count}"
-    return pred
+    ``margin_window``."""
+    if l < 1:
+        raise GraphError("l must be >= 1")
+    return _rows_predicate(f"copies_K{l}_ge{min_count}", lambda rows, v, w, n: copy_counts(
+        rows, v, w, n, l, *margin_window(n)) >= min_count)
 
 
 # --- bundled sequences ------------------------------------------------------------
@@ -412,14 +423,10 @@ def _run_lemma_copies(seed: int, trials: int | None) -> PresetOutcome:
     seq = seq_lemma_edge()
     trials = trials or 200
     n = 200
-    margin = math.ceil(math.log(n))
-    lo, hi = margin, n - margin
-    h = make_graph(2, [(1, 2)])
-    streams = keyed_u64_array((7,), np.arange(trials, dtype=np.uint64))
-    counts = [
-        max_disjoint_exact_copies(g, h, lo, hi)
-        for g in sample_batch(seq, n, seed, streams, LINE)
-    ]
+    lo, hi = margin_window(n)
+    g = ground(seq, n, LINE)
+    drawn = g.edge_matrix(seed, keyed_u64_array((7,), np.arange(trials, dtype=np.uint64)))
+    counts = copy_counts(drawn, g.v, g.w, n, 2, lo, hi).tolist()
     hist = Counter(counts)
     share = sum(1 for c in counts if c >= 5) / trials
     rows = "copies,samples\n" + "".join(f"{k},{hist[k]}\n" for k in sorted(hist))

@@ -30,7 +30,7 @@ from ddgraphs.estimator import (
     exact_triangle_circle,
     mc_probability,
 )
-from ddgraphs.graph import make_graph, max_disjoint_exact_copies
+from ddgraphs.graph import copy_counts, make_graph
 from ddgraphs.logic import LabeledModel, Vocab, holds, library, library_sentences
 from ddgraphs.presets import (
     absorbing_sum_candidate,
@@ -49,8 +49,8 @@ from ddgraphs.probseq import (
     make_thm2,
     make_thm6,
 )
-from ddgraphs.rng import RngStream, keyed_u64
-from ddgraphs.sampler import CIRCLE, LINE, sample_batch, sample_line
+from ddgraphs.rng import RngStream, keyed_u64, stream_words
+from ddgraphs.sampler import CIRCLE, LINE, ground, sample_line
 
 TRIANGLE_18 = 1 - (7 / 8) ** 6  # 0.55120...
 TRIANGLE_162 = 1 - (7 / 8) ** 54  # 0.99926...
@@ -179,12 +179,9 @@ def test_isolated_edge_copies_at_scale():
     seq = make_support({1: 0.3})
     n, trials = 200, 200
     margin = math.ceil(math.log(n))
-    h = make_graph(2, [(1, 2)])
-    streams = [keyed_u64(77, t) for t in range(trials)]
-    counts = [
-        max_disjoint_exact_copies(g, h, margin, n - margin)
-        for g in sample_batch(seq, n, 0, streams, LINE)
-    ]
+    g = ground(seq, n, LINE)
+    rows = g.edge_matrix(0, stream_words([keyed_u64(77, t) for t in range(trials)]))
+    counts = copy_counts(rows, g.v, g.w, n, 2, margin, n - margin).tolist()
     share = sum(1 for c in counts if c >= 5) / trials
     ok = share >= 0.95
     assert _gate(

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import re
@@ -31,6 +32,31 @@ def run(capsys, *argv):
 
 
 CONST_HALF = '{"kind":"constant","params":{"p":0.5}}'
+
+# sha256 of each file ``preset --all --fast --seed 0`` writes
+FAST_SWEEP_SHA256 = {
+    "ak_random.csv": "509b47b30b2aa47a2ad59425a68ceaeac2d5932a1d98419adfeb8bf227e2477f",
+    "ak_random_summary.json": "081e947177f1fe1ca42e33ede7e6c84bfd9a01d6a9eec551c74a54384a54bf29",
+    "example2_osc.csv": "34c7daee253efb49df50c06f9d42e2cac97b007a5577c807ed4b0b60fe1c3553",
+    "example2_osc_summary.json": "7b24ecf77ecfa65f9bca6e0ef8c75486981c54d33529aa0f47ec956fe360121b",
+    "fact4_search.csv": "5e41e5081e2a6f89c0fc12311e26420a3c46c6324051bf928b931bebcca5e8c6",
+    "fact4_search_summary.json": "47bf95a578a7e7269f93e11d1fe5ad6b5a38247212e5e0639e93998ecd26cca0",
+    "lemma_copies.csv": "8ec0944ac7c7f0886c63fc4d55f0c0ece5027c0fb95870cd76a8b5930c32bb3d",
+    "lemma_copies_summary.json": "d5130aa897ac6bf0c89335e2bc28df69785a0380aa4af47de2222779f6e06eb0",
+    "ones_c4.csv": "7cef560bb177e95775168915712d336dccd92c437b793d229e6faff323c4b117",
+    "ones_c4_summary.json": "d9865c40c7790fd4f34f32664d4d6dca88e9be75c2d213e3c28131f5d89d5588",
+    "thm1_osc.csv": "42dd992bdb28d2bffa521dd04ec066b399bb015f1dac8c562753148d7bded8de",
+    "thm1_osc_stats.csv": "f1959d00584c9d26ad59473ce0286824419b41b5bf4970e5e09a4dfb40cb3694",
+    "thm1_osc_summary.json": "f7bada54f87daa55435bb6d4ae2d8e9aaf9d6c33584a3ebf397a54793846a921",
+    "thm2_osc.csv": "1a01f216e038d620b991d1c398f9ab6e8df319cf40d576cf9b58cf181505aa4a",
+    "thm2_osc_summary.json": "eb2765ef7bd02dd7953568146a1cdb8e8e44839c0727e1717d81304ac55c2547",
+    "thm3_cutpoint.csv": "248887f7ba335671d828ca855af1f05dc8dcdbcd9d6cfbcafaf14e7b479620c1",
+    "thm3_cutpoint_summary.json": "ac9785ac76851792e9bd0df099cb2d648ad296567165412e6240498bfb785478",
+    "thm5_chain.csv": "38d72fbb90beba8fbf6e526ff2e4ffc5d7afb638f8b27b1bf9a57e8069883d69",
+    "thm5_chain_summary.json": "2ae38f6de6be8ded1fc255b4fe5024da5c9f0c5f20426622be1e193dfb715bed",
+    "thm6_triangle.csv": "7109f19ffb074726a8279cd39d215fb22a9b97275cd9d1627ff091565a1c3655",
+    "thm6_triangle_summary.json": "9d6a18a84c284a29c6981f75efc3b9de13df5b2df359df48612e18e91d4255ea",
+}
 
 
 class TestPresetCommand:
@@ -65,6 +91,13 @@ class TestPresetCommand:
             (a / "lemma_copies_summary.json").read_bytes()
             == (b / "lemma_copies_summary.json").read_bytes()
         )
+
+    def test_fast_sweep_bytes_are_pinned(self, tmp_path, capsys):
+        # a refactor must leave every file the fast sweep writes byte for byte
+        code, _, _ = run(capsys, "--out", str(tmp_path), "--seed", "0", "preset", "--all", "--fast")
+        assert code == 0
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+        assert written == FAST_SWEEP_SHA256
 
     def test_threshold_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         # a preset whose one check fails by construction

@@ -40,6 +40,7 @@ from ddgraphs.estimator import (
 from ddgraphs.graph import Graph, has_triangle
 from ddgraphs.logic import (Adj, And, Const, Eq, Exists, Formula, LabeledModel, Not, Or, Var,
                             Vocab, holds, library, parse)
+from ddgraphs.cli import resolve_target
 from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, midpoint_chain_tv, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
@@ -213,6 +214,23 @@ class TestBruteForce:
         want = 1 - (7 / 8) ** 6
         got = brute_force_probability(make_thm6([0.5]), 18, library("triangle", vocab=Vocab.LC), CIRCLE)
         assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("target", ["psi_r:2", "copies:2:1"])
+    def test_row_predicate_builds_no_graph(self, monkeypatch, target):
+        # the same predicate wrapped in a plain callable takes the Graph route
+        seq, pred = make_support({1: 0.5, 2: 0.5}), resolve_target(target)
+        plain = lambda g: pred(g)
+        want_mc = mc_probability(seq, 12, plain, LINE, 300, 4).estimate
+        want_brute = brute_force_probability(seq, 8, plain, LINE)  # 13 free pairs
+
+        def refuse(self, *args):
+            raise AssertionError(f"{target} built a graph")
+
+        monkeypatch.setattr(Grounding, "graph_from_row", refuse)
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert mc_probability(seq, 12, pred, LINE, 300, 4).estimate == want_mc
+        assert brute_force_probability(seq, 8, pred, LINE) == want_brute
+        assert 0 < want_mc < 1 and 0 < want_brute < 1
 
     def test_plain_predicate_takes_the_row_path(self, row_graphs):
         # constant 1/2 on the line at n = 5: ten free pairs, one graph per subset

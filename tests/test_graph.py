@@ -4,6 +4,7 @@ import random
 import time
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,20 +14,20 @@ from ddgraphs.graph import (
     GraphError,
     Subgraph,
     complete_graph,
+    copy_counts,
     count_triangles,
-    cutpoints,
+    cut_in_window,
     disjoint_sum,
     edgeless_graph,
-    exact_copy_offsets,
     from_edgelist_text,
-    is_exact_copy_at,
     is_flat,
     make_graph,
-    max_disjoint_exact_copies,
-    psi_r_holds,
     to_edgelist_text,
 )
+from ddgraphs.presets import NAMED_SEQUENCES, kcopies_predicate, margin_window, psi_r_predicate
 from ddgraphs.probseq import make_constant, make_support
+from ddgraphs.rng import stream_words
+from ddgraphs.sampler import CIRCLE, LINE, ground
 
 
 def neighborhood(g, v, r):
@@ -41,6 +42,38 @@ def neighborhood(g, v, r):
 def is_cutpoint(g, v):
     """No edge {a, b} with a <= v < b; v = n holds vacuously."""
     return not any(a <= v < b for a, b in g.edges)
+
+
+def is_exact_copy(g, l, i):
+    """The block {i+1..i+l} induces K_l and no edge has one end in it."""
+    block = range(i + 1, i + l + 1)
+    return all(g.has_edge(a, b) for a, b in combinations(block, 2)) and not any(
+        (a in block) != (b in block) for a, b in g.edges)
+
+
+def greedy_copies(g, l, lo, hi):
+    """Disjoint exact copies inside [lo, hi], each taken if it starts after
+    the last one taken ends."""
+    count, last = 0, lo - 1
+    for i in range(lo - 1, hi - l + 1):
+        if is_exact_copy(g, l, i) and i + 1 > last:
+            count, last = count + 1, i + l
+    return count
+
+
+def edge_rows(g):
+    """g's edge list as one all-true row and its (v, w) arrays."""
+    v, w = np.array(sorted(g.edges), dtype=np.int64).reshape(-1, 2).T
+    return np.ones((1, g.m), dtype=bool), v, w
+
+
+def cut(g, lo, hi):
+    return bool(cut_in_window(*edge_rows(g), lo, hi)[0])
+
+
+def copies(g, l, lo, hi):
+    rows, v, w = edge_rows(g)
+    return int(copy_counts(rows, v, w, g.n, l, lo, hi)[0])
 
 
 @st.composite
@@ -89,52 +122,64 @@ class TestNeighborhood:
 class TestExactCopies:
     def test_isolated_block(self):
         g = make_graph(4, [(2, 3)])
-        h = make_graph(2, [(1, 2)])
-        assert is_exact_copy_at(g, h, 1)
+        assert copies(g, 2, 2, 3) == 1
 
     def test_block_missing_edge(self):
         g = make_graph(4, [(2, 3)])
-        h = make_graph(2, [(1, 2)])
-        assert not is_exact_copy_at(g, h, 0)
+        assert copies(g, 2, 1, 2) == 0
 
     def test_boundary_edge_breaks_copy(self):
         g = make_graph(4, [(2, 3), (3, 4)])
-        h = make_graph(2, [(1, 2)])
-        assert not is_exact_copy_at(g, h, 1)
+        assert copies(g, 2, 2, 3) == 0
 
     def test_offset_out_of_range(self):
         with pytest.raises(GraphError):
-            is_exact_copy_at(complete_graph(3), complete_graph(2), 2)
+            copies(complete_graph(3), 2, 2, 4)
+        with pytest.raises(GraphError):
+            copies(complete_graph(3), 0, 1, 3)
 
     def test_two_isolated_blocks(self):
         g = make_graph(6, [(1, 2), (4, 5)])
-        h = make_graph(2, [(1, 2)])
-        assert max_disjoint_exact_copies(g, h, 1, 6) == 2
+        assert copies(g, 2, 1, 6) == 2
 
     def test_block_larger_than_window(self):
         g = make_graph(6, [(1, 2)])
-        assert max_disjoint_exact_copies(g, complete_graph(4), 2, 4) == 0
+        assert copies(g, 4, 2, 4) == 0
 
     def test_dense_graph_has_no_isolated_blocks(self):
-        assert max_disjoint_exact_copies(complete_graph(4), complete_graph(2), 1, 4) == 0
+        assert copies(complete_graph(4), 2, 1, 4) == 0
 
-    @given(graphs(max_n=10), graphs(max_n=3), st.integers(min_value=0, max_value=9))
+    def test_copies_touching_both_window_ends(self):
+        g = make_graph(10, [(3, 4), (7, 8)])
+        assert copies(g, 2, 3, 8) == 2
+        assert copies(g, 2, 4, 8) == copies(g, 2, 3, 7) == 1
+        assert copies(g, 2, 4, 7) == 0
+        # isolated vertices 1 and 10 at the ends of the whole range
+        assert copies(make_graph(10, [(2, 9)]), 1, 1, 10) == 8
+
+    def test_single_vertex_and_empty_window(self):
+        assert copies(edgeless_graph(1), 1, 1, 1) == 1
+        assert copies(edgeless_graph(1), 2, 1, 1) == 0
+        assert copies(make_graph(6, [(1, 2)]), 2, 4, 3) == 0
+
+    @given(graphs(max_n=10), st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=9))
     @settings(max_examples=60, deadline=None)
-    def test_copy_blocks_are_shift_isomorphic(self, g, h, i):
-        if i > g.n - h.n:
+    def test_copy_blocks_are_shift_isomorphic(self, g, l, i):
+        if i > g.n - l:
             return
-        if is_exact_copy_at(g, h, i):
-            for a in range(1, h.n + 1):
-                for b in range(a + 1, h.n + 1):
-                    assert g.has_edge(i + a, i + b) == h.has_edge(a, b)
+        # the one-offset window [i + 1, i + l] holds a copy iff the block is one
+        assert copies(g, l, i + 1, i + l) == is_exact_copy(g, l, i)
+        if copies(g, l, i + 1, i + l):
+            for a in range(1, l + 1):
+                for b in range(a + 1, l + 1):
+                    assert g.has_edge(i + a, i + b)
 
     @given(graphs(max_n=12), st.integers(min_value=1, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_greedy_equals_exhaustive(self, g, l):
-        h = complete_graph(l)
         if l > g.n:
             return
-        offsets = exact_copy_offsets(g, h, 1, g.n)
+        offsets = [i for i in range(g.n - l + 1) if is_exact_copy(g, l, i)]
         # exhaustive maximum set of pairwise-disjoint blocks
         best = 0
         for r in range(len(offsets), 0, -1):
@@ -145,35 +190,62 @@ class TestExactCopies:
                     break
             if best:
                 break
-        assert max_disjoint_exact_copies(g, h, 1, g.n) == best
+        assert copies(g, l, 1, g.n) == best
 
 
 class TestCutpoints:
     def test_split_graph(self):
         g = make_graph(4, [(1, 2), (3, 4)])
-        assert is_cutpoint(g, 2)
-        assert not is_cutpoint(g, 3)
+        assert is_cutpoint(g, 2) and cut(g, 2, 2)
+        assert not is_cutpoint(g, 3) and not cut(g, 3, 3)
 
     def test_edgeless_everywhere(self):
         g = edgeless_graph(5)
-        assert all(is_cutpoint(g, v) for v in range(1, 6))
+        assert all(is_cutpoint(g, v) and cut(g, v, v) for v in range(1, 6))
 
     def test_last_vertex_vacuous(self):
-        assert is_cutpoint(complete_graph(6), 6)
+        assert is_cutpoint(complete_graph(6), 6) and cut(complete_graph(6), 6, 6)
+        assert not cut(complete_graph(6), 1, 5)
 
     def test_cutpoint_list_matches_predicate(self):
         g = make_graph(7, [(1, 3), (4, 5), (6, 7)])
-        assert cutpoints(g) == [v for v in range(1, 8) if is_cutpoint(g, v)]
+        assert [v for v in range(1, 8) if cut(g, v, v)] == [v for v in range(1, 8) if is_cutpoint(g, v)]
 
     def test_psi_window(self):
         g = make_graph(10, [(1, 2), (9, 10)])
-        assert psi_r_holds(g, 2)  # v = 5 is a cutpoint inside [4, 6]
+        assert psi_r_predicate(2)(g)  # v = 5 is a cutpoint inside [4, 6]
 
     def test_psi_no_cutpoints(self):
-        assert not psi_r_holds(complete_graph(10), 2)
+        assert not psi_r_predicate(2)(complete_graph(10))
 
     def test_psi_empty_window(self):
-        assert not psi_r_holds(edgeless_graph(7), 2)
+        assert not psi_r_predicate(2)(edgeless_graph(7))
+
+    @given(graphs(max_n=10), st.integers(min_value=1, max_value=11), st.integers(min_value=0, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_window_matches_definition(self, g, lo, hi):
+        assert cut(g, lo, hi) == any(is_cutpoint(g, x) for x in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("kind", [LINE, CIRCLE])
+@pytest.mark.parametrize("name", sorted(NAMED_SEQUENCES))
+def test_edge_rows_match_definitions_on_sampled_rows(name, kind):
+    # blocks of hashed pair-table rows against each row's graph
+    seq = NAMED_SEQUENCES[name]()
+    for n in (1, 2, 3, 7, 30):
+        g = ground(seq, n, kind)
+        rows = g.edge_matrix(5, stream_words(range(25)))
+        graphs = [g.graph_from_row(row) for row in rows]
+        for lo, hi in [(1, n), (n, n), (3, 2), (2, n - 2), (4, n - 4), (6, n - 6)]:
+            got = cut_in_window(rows, g.v, g.w, lo, hi).tolist()
+            assert got == [any(is_cutpoint(h, x) for x in range(lo, hi + 1)) for h in graphs]
+        for l in (1, 2, 3):
+            for lo, hi in [(1, n), margin_window(n), (min(2, n), n - 1)]:
+                got = copy_counts(rows, g.v, g.w, n, l, lo, hi).tolist()
+                assert got == [greedy_copies(h, l, lo, hi) for h in graphs], (n, l, lo, hi)
+        for pred in (psi_r_predicate(1), psi_r_predicate(3), kcopies_predicate(2, 1),
+                     kcopies_predicate(1, 3)):
+            assert pred.rows(rows, g.v, g.w, n).tolist() == [pred(h) for h in graphs]
 
 
 class TestSums:

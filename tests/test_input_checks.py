@@ -2,14 +2,16 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ddgraphs import cli, efgame
 from ddgraphs.cli import CliError
 from ddgraphs.estimator import EstimatorError, exact_probability, wilson_ci
-from ddgraphs.graph import (GraphError, Subgraph, complete_graph, edgeless_graph, is_flat,
-                            make_graph, max_disjoint_exact_copies, psi_r_holds)
+from ddgraphs.graph import (GraphError, Subgraph, complete_graph, copy_counts, edgeless_graph,
+                            is_flat, make_graph)
 from ddgraphs.logic import LabeledModel, Vocab, library
+from ddgraphs.presets import kcopies_predicate, psi_r_predicate
 from ddgraphs.probseq import (BandRule, IndexBudgetError, ProbSeq, SequenceError,
                               condition_statistic, log_partial_product, make_constant,
                               make_diluted, make_support, make_thm1, make_thm2, make_thm3,
@@ -17,6 +19,8 @@ from ddgraphs.probseq import (BandRule, IndexBudgetError, ProbSeq, SequenceError
 from ddgraphs.sampler import LINE, PairBatch, sample_batch
 
 HALF = make_constant(0.5)
+# native targets with too few, too many or non-integer arguments
+MALFORMED_TARGETS = ["copies:2", "copies:2:1:5", "psi_r:", "extension_Ak:x"]
 SEQ = '{"kind":"constant","params":{"p":0.5}}'
 
 
@@ -37,6 +41,8 @@ CHECKS = {
         lambda: command("run", config(f"sequence = {SEQ}\nn_list = 4\n")), CliError),
     "unknown target": (
         lambda: command("estimate", "--seq", SEQ, "--n", "4", "--target", "nonesuch"), CliError),
+    **{f"target {target}": (lambda target=target: cli.resolve_target(target), CliError)
+       for target in MALFORMED_TARGETS},
     "unknown model": (
         lambda: command("sample", "--seq", SEQ, "--n", "4", "--model", "torus"), CliError),
     "preset without name": (lambda: command("preset"), CliError),
@@ -53,9 +59,9 @@ CHECKS = {
     "make_graph on no vertex": (lambda: make_graph(0, []), GraphError),
     "complete graph on no vertex": (lambda: complete_graph(0), GraphError),
     "edgeless graph on no vertex": (lambda: edgeless_graph(0), GraphError),
-    "window past n": (
-        lambda: max_disjoint_exact_copies(edgeless_graph(3), edgeless_graph(1), 2, 4), GraphError),
-    "psi_r with f_r < 1": (lambda: psi_r_holds(edgeless_graph(3), 0), GraphError),
+    "window past n": (lambda: copy_counts(np.ones((1, 0), bool), [], [], 3, 1, 2, 4), GraphError),
+    "copies of K_0": (lambda: kcopies_predicate(0, 1), GraphError),
+    "psi_r with f_r < 1": (lambda: psi_r_predicate(0), GraphError),
     "repeated position": (lambda: Subgraph(6, (1, 1)), GraphError),
     "position past host": (lambda: Subgraph(6, (1, 7)), GraphError),
     "edge out of order": (lambda: Subgraph(6, (1, 2), frozenset({(2, 1)})), GraphError),
@@ -90,3 +96,9 @@ def test_bad_input_refused(call, error, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("target", MALFORMED_TARGETS)
+def test_malformed_target_is_named(target):
+    with pytest.raises(CliError, match=f"'{target}'"):
+        cli.resolve_target(target)
