@@ -16,12 +16,16 @@ clauses of pair columns, one of which holds iff it does.  ``grounding``
 keeps it, with the columns the target reads, in the sampler's memo, once
 per (sequence, n, model, sentence), for every route to read.  Monte Carlo
 and brute force share one ``row_decision`` on blocks of boolean rows of
-those columns: a lineage of at most 16 clauses per pair reads only its
-columns, the only ones Monte Carlo hashes, and decides a block with one
-``clause_hits`` reduction.  A predicate's ``rows`` decides a block itself;
-other sentences run their array plan on each row scattered into an
-adjacency matrix; only a plain callable builds each row's graph.  Blocks
-are bounded by ``CELL_BUDGET``, not by a trial or subset count.
+those columns: a lineage of at most 16 clauses per pair is a kernel that
+reads only its columns, the only ones Monte Carlo hashes, and decides a
+block with one ``clause_hits`` reduction.  A predicate's ``rows`` decides a
+block itself; other sentences run their array plan on each row scattered
+into an adjacency matrix; only a plain callable builds each row's graph.
+Where a kernel's later columns are seldom reached (``_first_columns``
+decides, once per grounding, from the columns' p), Monte Carlo hashes its
+clauses' first columns as a grid and each later column only at the trials
+where its clause still holds.  Blocks are bounded by ``CELL_BUDGET``, not
+by a trial or subset count.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import numpy as np
 from .graph import Graph
 from .logic import Adj, And, Eq, Exists, Formula, Node, Not, Or, Var, library
 from .probseq import ProbSeq, ordered_sum
-from .rng import derived_streams
+from .rng import derived_streams, keyed_u64_cells
 from .sampler import CELL_BUDGET, CIRCLE, LINE, BudgetError, Grounding, PairBatch, ground
 
 Target = Formula | Callable[[Graph], bool]
@@ -108,6 +112,9 @@ def _target_name(target: Target) -> str:
 # deciding each row (on the dense line the triangle's two routes break even
 # near n = 50-60, i.e. 16-19 triangles per pair).
 _CLAUSES_PER_PAIR = 16
+# What a cell hashed alone by ``keyed_u64_cells`` costs over one of a grid
+# column whose (stream, v) half is its own: about 36 ns against 13 ns.
+_CELL_COST = 3
 # Cells a lineage, or one grounding step's assignments, may hold; a lineage is
 # held whole while Monte Carlo and brute force run in blocks.
 _LINEAGE_CELLS = 1 << 20
@@ -259,9 +266,52 @@ def grounding(seq: ProbSeq, n: int, target: Target, model_kind: str) -> Groundin
         read = np.zeros(table.size, dtype=bool)
         read[clauses] = True
         # the columns read, and each clause column's position among them
-        return Grounding(table, np.flatnonzero(read), (np.cumsum(read) - 1)[clauses], kernel=True)
+        g = Grounding(table, np.flatnonzero(read), (np.cumsum(read) - 1)[clauses], kernel=True)
+        g.first = _first_columns(g)
+        g.cells += 0 if g.first is None else len(g.first)  # the memo counts them as clause cells
+        return g
 
     return ground(seq, n, model_kind, sentence, None if sentence is None else build)
+
+
+def _first_columns(g: Grounding) -> np.ndarray | None:
+    """The positions of the kernel ``g``'s clause-first columns when Monte
+    Carlo should hash them first and each later column of a clause only
+    where the clause still holds, else None (hash every read column).
+    Clause i's later position j is reached on a share prod_{l < j} p(c_il)
+    of the trials; the two stages pay when those expected cells, at
+    ``_CELL_COST`` each, cost less than the read columns that are no
+    clause's first."""
+    clauses = g.lineage
+    if clauses.shape[1] < 2:
+        return None
+    first = np.unique(clauses[:, 0])
+    live = np.cumprod(g.p[clauses[:, :-1]], axis=1).sum()
+    if live * _CELL_COST < len(g.read) - len(first):
+        first.flags.writeable = False
+        return first
+    return None
+
+
+def _two_stage_hits(g: Grounding, master_seed: int, ids: np.ndarray) -> np.ndarray:
+    """Whether some clause of the kernel ``g`` holds on the draw of each
+    stream in ``ids``: the columns ``g.first`` are hashed as one grid, and
+    each later column of a clause only at the (clause, trial) cells whose
+    earlier columns all drew an edge, by ``keyed_u64_cells``.  Equal to
+    ``clause_hits(g.edge_matrix(master_seed, ids), g.lineage).any(0)``."""
+    clauses = g.lineage
+    drawn = g.edge_matrix(master_seed, ids, g.first).T  # C-ordered (first, trials) view
+    live = drawn[np.searchsorted(g.first, clauses[:, 0])]
+    clause, trial = np.divmod(np.flatnonzero(live), len(ids))
+    for column in clauses.T[1:]:
+        c = column.take(clause)
+        edge = keyed_u64_cells((master_seed,), ids.take(trial), g.v.take(c), g.w.take(c)) \
+            < g.thresholds.take(c)
+        edge |= g.always.take(c)
+        clause, trial = clause[edge], trial[edge]
+    hits = np.zeros(len(ids), dtype=bool)
+    hits[trial] = True
+    return hits
 
 
 def row_decision(target: Target, g: Grounding) -> tuple[int, Callable]:
@@ -309,8 +359,11 @@ def mc_probability(
     are independent of evaluation order and parallel scheduling.
 
     Only the columns the target's ``grounding`` reads are hashed:
-    targets with a lineage (see ``lineage``) are decided by one
-    ``clause_hits`` reduction per block; every other target reads every
+    targets with a lineage (see ``lineage``) are decided by their clauses,
+    by one ``clause_hits`` reduction per block, or, where the grounding's
+    ``first`` is set, in two stages (``_two_stage_hits``): the clauses'
+    first columns as one grid, then each later column only at the (clause,
+    trial) cells whose clause still holds.  Every other target reads every
     column: a predicate's ``rows`` decides the block, the compiled sentence
     each row's adjacency, a plain predicate each row's graph.  All give the
     same successes, since each draw is a pure function of (master_seed,
@@ -328,7 +381,11 @@ def mc_probability(
     successes = 0
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
-        successes += int(np.count_nonzero(decide(g.edge_matrix(master_seed, ids))))
+        if g.first is None:
+            hits = decide(g.edge_matrix(master_seed, ids))
+        else:
+            hits = _two_stage_hits(g, master_seed, ids)
+        successes += int(np.count_nonzero(hits))
     low, high = wilson_ci(successes, trials)
     return EstimateResult(
         estimate=successes / trials,
@@ -484,7 +541,8 @@ def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
 
 
 # Leaves brute force decides one at a time (a sentence's array plan, or a
-# predicate on a graph, at about 0.1 ms each) for a target with no lineage.
+# predicate on a graph, at about 0.1 ms each) for a target with no lineage
+# and no ``rows``.
 _ROW_PATH_LEAVES = 1 << 15
 
 
@@ -498,9 +556,9 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     out; weights are multiplied in pair order from 1.0 and the weights that
     hold are added in leaf order, so the value is that recursion's, bit for
     bit.  Blocks of leaves go to the same ``row_decision`` as Monte Carlo:
-    targets with a lineage share its kernels, and a predicate with ``rows``
-    its row function, so neither builds a graph; a target without a
-    lineage is refused past ``_ROW_PATH_LEAVES`` leaves.
+    targets with a lineage are decided by ``clause_hits``, and a predicate
+    with ``rows`` by its row function, so neither builds a graph; any other
+    target is refused past ``_ROW_PATH_LEAVES`` leaves.
     """
     if n < 1:
         raise EstimatorError("n must be >= 1")
@@ -511,9 +569,9 @@ def brute_force_probability(seq: ProbSeq, n: int, target: Target, model_kind: st
     if f > 21:
         raise BruteForceGuardError(f"{f} free pairs is beyond the 2^21 subset guard")
     g = grounding(seq, n, target, model_kind)
-    if 2**f > _ROW_PATH_LEAVES and not g.kernel:
-        raise BruteForceGuardError(f"{2**f} leaves is beyond the bound of {_ROW_PATH_LEAVES} "
-                                   "leaves for a target decided leaf by leaf (no lineage)")
+    if 2**f > _ROW_PATH_LEAVES and not (g.kernel or hasattr(target, "rows")):
+        raise BruteForceGuardError(f"{2**f} leaves is beyond the bound of {_ROW_PATH_LEAVES} leaves "
+                                   "for a target decided leaf by leaf (no lineage and no rows)")
     cells, decide = row_decision(target, g)
     # A leaf holds ~8 words (index, weight, their temporaries) and a byte per
     # cell of its row, its read columns and the decision.  Blocks of

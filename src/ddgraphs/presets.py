@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
@@ -425,17 +424,22 @@ def _run_lemma_copies(seed: int, trials: int | None) -> PresetOutcome:
     n = 200
     lo, hi = margin_window(n)
     g = ground(seq, n, LINE)
-    drawn = g.edge_matrix(seed, keyed_u64_array((7,), np.arange(trials, dtype=np.uint64)))
-    counts = copy_counts(drawn, g.v, g.w, n, 2, lo, hi).tolist()
-    hist = Counter(counts)
-    share = sum(1 for c in counts if c >= 5) / trials
-    rows = "copies,samples\n" + "".join(f"{k},{hist[k]}\n" for k in sorted(hist))
+    # a trial holds a grid word per column and, in copy_counts, four int32 words per vertex
+    block = max(1, estimator.CELL_BUDGET // (len(g.v) + 2 * (n + 1)))
+    counts = []
+    for start in range(0, trials, block):
+        t = np.arange(start, min(start + block, trials), dtype=np.uint64)
+        counts.append(copy_counts(g.edge_matrix(seed, keyed_u64_array((7,), t)), g.v, g.w, n, 2, lo, hi))
+    counts = np.concatenate(counts)
+    hist = np.bincount(counts)
+    share = int(np.count_nonzero(counts >= 5)) / trials
+    rows = "copies,samples\n" + "".join(f"{k},{hist[k]}\n" for k in np.flatnonzero(hist))
     checks = [
         Check(
             "enough-disjoint-copies",
             share >= 0.95,
             f"{share:.1%} of {trials} samples had >= 5 disjoint copies in [{lo},{hi}] "
-            f"(mean {sum(counts) / trials:.1f})",
+            f"(mean {int(counts.sum()) / trials:.1f})",
         )
     ]
     return PresetOutcome("lemma_copies", {"lemma_copies": rows}, checks)

@@ -13,6 +13,9 @@ through the grid.  The grid is laid out by column (F-ordered), and is mixed
 in place in cache-sized blocks of whole columns.  Its (stream, v) half is
 mixed once per distinct v where the grid is large enough for that to pay
 (see ``keyed_u64_grid`` for the rule), and in every column otherwise.
+``keyed_u64_cells`` hashes chosen cells of such a grid one by one: the
+Monte Carlo kernels hash a clause's later columns only at the trials where
+its earlier columns all drew an edge.
 """
 
 from __future__ import annotations
@@ -128,6 +131,18 @@ def keyed_u64_grid(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarra
             np.bitwise_xor(scratch, w[c:c + step, None], out=block)
         _mix_inplace(block, scratch)
     return out.T
+
+
+def keyed_u64_cells(prefix_words: tuple[int, ...], rows: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``keyed_u64(*prefix_words, rows[i], v[i], w[i])`` for every i, over
+    uint64 arrays of one length: the cells of a hash grid taken one by one,
+    for cells scattered over a grid too sparsely to hash it whole."""
+    out = keyed_u64_array(prefix_words, rows)
+    tmp = np.empty_like(out)
+    for words in (v, w):
+        out ^= words
+        _mix_inplace(out, tmp)
+    return out
 
 
 def _shared_halves(out: np.ndarray, base: np.ndarray, v: np.ndarray, step: int,

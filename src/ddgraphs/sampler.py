@@ -209,8 +209,12 @@ class Grounding(_Columns):
     ``v``, ``w``, ``p``, ``thresholds`` and ``always`` taken from the
     table's runs, and ``lineage``: the target's clauses over positions in
     ``read``, None, or the ``LineageBudgetError`` that refused them.
-    ``kernel`` says the clauses alone decide a row.  The arrays are
+    ``kernel`` says the clauses alone decide a row, and a kernel's ``first``,
+    None unless its builder sets it, the positions of the clauses' first
+    columns where they are hashed before the rest.  The arrays are
     read-only, since ``ground`` hands one grounding to all its callers."""
+
+    first = None
 
     def __init__(self, table: PairBatch, read: np.ndarray, lineage=None, kernel: bool = False):
         self.n, self.read = table.n, read

@@ -44,7 +44,7 @@ from ddgraphs.cli import resolve_target
 from ddgraphs.graph import make_graph
 from ddgraphs.presets import NAMED_SEQUENCES, has_triangle_predicate, midpoint_chain_tv, seq_thm6_half
 from ddgraphs.probseq import make_constant, make_ones_powers, make_support, make_thm6
-from ddgraphs.rng import derived_stream
+from ddgraphs.rng import derived_stream, derived_streams
 from ddgraphs.sampler import CIRCLE, LINE, Grounding, PairBatch
 
 
@@ -424,6 +424,10 @@ KERNEL_TARGETS = [
 KERNEL_TARGET_IDS = ["path2-line", "path2-circle", "adj_first_last-line", "adj_first_last-circle",
                      "path2_reordered-line", "path2_reordered-circle", "triangle_L-line",
                      "triangle_LC-circle", "has_triangle-line", "has_triangle-circle"]
+# one clause of no column; clauses of one column padded to two (the last repeats)
+WIDTH0 = replace(parse("exists x. x = first", Vocab.L_PLUS), name="width0")
+MIXED = replace(parse("adj(first, last) | (exists v. adj(first, v) & adj(v, last))", Vocab.L_PLUS),
+                name="mixed_width")
 
 
 @pytest.fixture
@@ -476,6 +480,44 @@ class TestColumnKernels:
             want = row_path_successes(seq, n, reference, kind, trials, seed)
             assert round(got.estimate * trials) == want, n
 
+    @pytest.mark.parametrize("cost", [0, 10**9], ids=["first-columns", "every-column"])
+    @pytest.mark.parametrize("seq", KERNEL_SEQS, ids=KERNEL_SEQ_IDS)
+    @pytest.mark.parametrize(
+        "target,kind",
+        KERNEL_TARGETS + [(WIDTH0, LINE), (WIDTH0, CIRCLE), (MIXED, LINE), (MIXED, CIRCLE)],
+        ids=KERNEL_TARGET_IDS + ["width0-line", "width0-circle", "mixed-line", "mixed-circle"])
+    def test_two_stage_route_equals_dense_route(self, monkeypatch, cost, seq, target, kind):
+        # cost 0 hashes the first columns first wherever another column is
+        # read, cost 10^9 every column as one grid
+        monkeypatch.setattr(estimator, "_CELL_COST", cost)
+        rule, trials, seed = estimator._CLAUSES_PER_PAIR, 12, 5
+        for n in list(range(1, 31)) + [53, 54, 161, 162]:
+            monkeypatch.setattr(estimator, "_CLAUSES_PER_PAIR", 10**9 if n <= 54 else rule)
+            got = mc_probability(seq, n, target, kind, trials, seed)
+            g = estimator.grounding(seq, n, target, kind)
+            if not g.kernel:
+                continue
+            clauses = g.lineage
+            later = clauses.shape[1] > 1 and len(g.read) > len(np.unique(clauses[:, 0]))
+            assert (g.first is not None) == (cost == 0 and later), n
+            rows = g.edge_matrix(seed, derived_streams(n, 0, trials))
+            want = int(estimator.clause_hits(rows, clauses).any(axis=0).sum())
+            assert round(got.estimate * trials) == want, n
+
+    def test_rule_picks_first_columns_of_sparse_path2(self):
+        # 198 clauses {1, m}, {m, 200} at p = 0.1: 19.8 expected live cells a
+        # trial, at 3 each, against the 198 columns {m, 200}
+        g = estimator.grounding(make_constant(0.1), 200, library("path2"), LINE)
+        assert g.first is not None and len(g.read) == 396
+        assert g.v[g.first].tolist() == [1] * 198 and g.w[g.first].tolist() == list(range(2, 200))
+
+    @pytest.mark.parametrize("n", [18, 54, 162])
+    def test_rule_keeps_circle_triangles_dense(self, n):
+        # n / 3 disjoint triangles at p = 1/2: 0.75 live cells a triangle, at
+        # 3 each, against its two later columns
+        g = estimator.grounding(seq_thm6_half(), n, has_triangle_predicate(), CIRCLE)
+        assert g.kernel and g.lineage.shape == (n // 3, 3) and g.first is None
+
     @pytest.mark.parametrize(
         "target",
         [library("edge_in_c4"), lambda g: has_triangle(g)],
@@ -516,10 +558,15 @@ class TestColumnKernels:
         assert len(row_graphs) == 10
 
     def test_path2_hashes_only_midpoint_columns(self, grids):
-        n, trials = 200, 1000
-        mc_probability(make_constant(0.1), n, library("path2"), LINE, trials, 101)
-        assert {cols for _, cols in grids} == {2 * (n - 2)}
+        # the grid holds the columns {1, m}; a column {m, n} is hashed only
+        # for the trials where {1, m} is an edge
+        n, trials, seq = 200, 1000, make_constant(0.1)
+        got = mc_probability(seq, n, library("path2"), LINE, trials, 101)
+        assert {cols for _, cols in grids} == {n - 2}
         assert sum(rows for rows, _ in grids) == trials
+        g = estimator.grounding(seq, n, library("path2"), LINE)
+        rows = g.edge_matrix(101, derived_streams(n, 0, trials))
+        assert round(got.estimate * trials) == estimator.clause_hits(rows, g.lineage).any(axis=0).sum()
 
     def test_no_triangle_hashes_nothing(self, grids):
         r = mc_probability(seq_thm6_half(), 53, has_triangle_predicate(), CIRCLE, 100, 0)
@@ -887,6 +934,30 @@ class TestBruteForceBound:
             brute_force_probability(make_constant(0.5), 5, library("edge_in_c4"), LINE)
         monkeypatch.undo()
         assert want == brute_force_probability(make_constant(0.5), 5, library("edge_in_c4"), LINE)
+
+    @pytest.mark.parametrize("target", ["psi_r:1", "copies:2:1"])
+    def test_rows_predicate_is_bounded_as_a_kernel(self, monkeypatch, target):
+        # support {1, 2} on the line: 2n - 3 free pairs.  With the bound at
+        # 2^9 leaves both routes fit at n = 6; at n = 7 only rows does
+        seq, pred = make_support({1: 0.5, 2: 0.5}), resolve_target(target)
+        plain = lambda g: pred(g)
+        monkeypatch.setattr(estimator, "_ROW_PATH_LEAVES", 2**9)
+        want = brute_force_probability(seq, 6, plain, LINE)
+        assert brute_force_probability(seq, 6, pred, LINE) == want and 0 < want < 1
+        with pytest.raises(BruteForceGuardError, match=r"2048 leaves .* 512 leaves .* no rows"):
+            brute_force_probability(seq, 7, plain, LINE)
+        assert 0 < brute_force_probability(seq, 7, pred, LINE) < 1
+
+    def test_psi_r_at_twelve_vertices(self):
+        # 21 free pairs.  A cutpoint of [4, 8] is an x crossed by no edge
+        # {a, b}, a <= x < b; only the 11 pairs {a, a + 1}, 4 <= a <= 8, and
+        # {a, a + 2}, 3 <= a <= 8, cross one, each present with p = 1/2
+        crossing = [(a, a + 1) for a in range(4, 9)] + [(a, a + 2) for a in range(3, 9)]
+        cut = sum(any(not any(a <= x < b for (a, b), e in zip(crossing, edges) if e)
+                      for x in range(4, 9))
+                  for edges in product([False, True], repeat=len(crossing)))
+        got = brute_force_probability(make_support({1: 0.5, 2: 0.5}), 12, resolve_target("psi_r:2"), LINE)
+        assert got == cut / 2**11 == 0.44873046875
 
     def test_edge_in_c4_at_six_vertices(self):
         # 15 free pairs, 2^15 leaves: the largest line table admitted

@@ -207,6 +207,18 @@ class TestAgainstReference:
         assert grid.dtype == np.uint64 and grid.shape == (len(rows), len(v))
         assert grid.tolist() == [[keyed_u64(*prefix, r, a, b) for a, b in zip(v, w)] for r in rows]
 
+    @pytest.mark.parametrize("prefix", [(), (11,), (42, 7)])
+    def test_cells_equal_scalar_chain(self, prefix):
+        # every (row, v, w) of words on both sides of 2^63, and no cell at all
+        words = np.array([0, 1, 5, 2**63 - 1, 2**63, 2**63 + 5, MASK64], dtype=np.uint64)
+        rows, v, w = (a.ravel() for a in np.meshgrid(words, words, words, indexing="ij"))
+        got = rng.keyed_u64_cells(prefix, rows, v, w)
+        assert got.dtype == np.uint64
+        cells = zip(rows.tolist(), v.tolist(), w.tolist())
+        assert got.tolist() == [keyed_u64(*prefix, *cell) for cell in cells]
+        empty = np.zeros(0, dtype=np.uint64)
+        assert rng.keyed_u64_cells(prefix, empty, empty, empty).tolist() == []
+
     @pytest.mark.parametrize("columns", [7, 396])
     def test_grid_rows_cross_blocks(self, columns):
         # repeated, unsorted v; rows run past two blocks
