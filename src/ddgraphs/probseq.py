@@ -1,9 +1,9 @@
 """Edge-probability sequences indexed by vertex distance.
 
 A ``ProbSeq`` is a finitely described infinite sequence p(1), p(2), ... of
-values in [0, 1].  It is stored as an ordered list of matcher rules (single
-index, bounded band with a per-index formula, open tail, generated index
-set); the first matching rule wins and unmatched indices evaluate to 0.
+values in [0, 1], stored as disjoint ``Band``s (p(i) = fn(i) on [lo, hi])
+sorted by ``lo``: an overlap is refused at construction, ``eval`` bisects
+for the one band that can hold i, and indices outside every band are 0.
 
 Constructors cover the sequence families used throughout the experiments:
 constant sequences, two-band decay sequences, disjoint 1/m bands, sparse
@@ -17,14 +17,15 @@ choice still yields a well-defined sequence.
 from __future__ import annotations
 
 import inspect
-import itertools
 import json
 import math
 import sys
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,13 +35,15 @@ MAX_INDEX = 2**63 - 1  # all index arithmetic stays within 64-bit signed range
 
 _RAND_TAG = 0x52414E44  # stream tag for seeded {0,1} sequences
 
+_LO = attrgetter("lo")
+
 
 class SequenceError(ValueError):
     """Invalid construction parameters."""
 
 
 class RuleOverlapError(SequenceError):
-    """Two matchers overlap with conflicting values."""
+    """Two bands share an index."""
 
 
 class IndexBudgetError(SequenceError):
@@ -67,144 +70,60 @@ def _scale_warning(message: str) -> None:
     warnings.warn(message, ScaleWarning, stacklevel=level)
 
 
-# --- matcher rules -----------------------------------------------------------
+# --- bands -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class IndexRule:
-    index: int
-    value: float
-
-    def matches(self, i: int) -> bool:
-        return i == self.index
-
-    def value_at(self, i: int) -> float:
-        return self.value
-
-    def indices_upto(self, n: int) -> Iterable[int]:
-        return (self.index,) if self.index <= n else ()
-
-
-@dataclass(frozen=True)
-class BandRule:
-    """Closed interval [lo, hi] with a per-index value formula."""
+class Band:
+    """p(i) = fn(i) on lo <= i <= hi: a single index when lo == hi, an open
+    tail when hi == MAX_INDEX."""
 
     lo: int
     hi: int
     fn: Callable[[int], float]
 
-    def matches(self, i: int) -> bool:
-        return self.lo <= i <= self.hi
-
-    def value_at(self, i: int) -> float:
-        return self.fn(i)
-
-    def indices_upto(self, n: int) -> Iterable[int]:
-        return range(self.lo, min(self.hi, n) + 1)
+    def value(self, i: int) -> float:
+        v = self.fn(i)
+        if not 0.0 <= v <= 1.0:
+            raise SequenceError(f"band produced {v} outside [0,1] at i={i}")
+        return v
 
 
-@dataclass(frozen=True)
-class TailRule:
-    """Open tail [lo, inf) with a per-index value formula."""
-
-    lo: int
-    fn: Callable[[int], float]
-
-    def matches(self, i: int) -> bool:
-        return i >= self.lo
-
-    def value_at(self, i: int) -> float:
-        return self.fn(i)
-
-    def indices_upto(self, n: int) -> Iterable[int]:
-        return range(self.lo, n + 1)
-
-
-@dataclass(frozen=True)
-class GeneratedRule:
-    """Index set given by a stored integer generator (membership + enumerator)."""
-
-    member: Callable[[int], bool]
-    upto: Callable[[int], list[int]]
-    fn: Callable[[int], float]
-
-    def matches(self, i: int) -> bool:
-        return self.member(i)
-
-    def value_at(self, i: int) -> float:
-        return self.fn(i)
-
-    def indices_upto(self, n: int) -> Iterable[int]:
-        return self.upto(n)
-
-
-Rule = IndexRule | BandRule | TailRule | GeneratedRule
-
-
-def _check_overlaps(rules: Sequence[Rule]) -> None:
-    """Reject matcher sets that overlap with conflicting values.
-
-    Interval rules (index, band, tail) are compared at every index of a
-    finite overlap; two overlapping open tails are rejected outright.  A pair
-    with a ``GeneratedRule`` is probed only at the generated indices up to
-    4096 and the other rule's up to 256 past its start (and a band's top):
-    ``make_ones_powers(4)`` against ``TailRule(5000, ...)`` first conflicts
-    at 16384 and is accepted.  The constructors here only build disjoint
-    matchers; this is a safety net for hand-assembled lists.
-    """
-
-    def span(r: Rule) -> tuple[int, float]:
-        return (r.index, r.index) if isinstance(r, IndexRule) else (r.lo, getattr(r, "hi", math.inf))
-
-    def probe(r: Rule) -> set[int]:
-        if isinstance(r, GeneratedRule):
-            return set(r.upto(4096))
-        lo, hi = span(r)
-        return set(r.indices_upto(lo + 256)) | ({hi} if hi < math.inf else set())
-
-    for (a, ra), (b, rb) in itertools.combinations(enumerate(rules), 2):
-        if isinstance(ra, GeneratedRule) or isinstance(rb, GeneratedRule):
-            shared = [i for i in sorted(probe(ra) | probe(rb)) if ra.matches(i) and rb.matches(i)]
-        else:
-            lo, hi = max(span(ra)[0], span(rb)[0]), min(span(ra)[1], span(rb)[1])
-            if hi == math.inf:
-                raise RuleOverlapError(f"rules {a} and {b} are open tails that both match i >= {lo}")
-            shared = range(lo, hi + 1)
-        for i in shared:
-            va, vb = ra.value_at(i), rb.value_at(i)
-            if va != vb:
-                raise RuleOverlapError(f"rules {a} and {b} both match i={i} with values {va} != {vb}")
+def _point(i: int, v: float) -> Band:
+    return Band(i, i, lambda _, _v=v: _v)
 
 
 @dataclass(frozen=True, eq=False)
 class ProbSeq:
     """Immutable distance-indexed probability sequence.
 
-    ``kind`` and ``params`` record the constructor call for JSON round-trips;
-    ``meta`` retains named integer lists (growth lists, supports, clamps) so
-    experiment predicates can read them back.
+    ``bands`` are kept sorted by ``lo``, must be disjoint, and drop any
+    empty band (lo > hi).  ``kind`` and ``params`` record the constructor
+    call for JSON round-trips; ``meta`` retains named integer lists (growth
+    lists, supports, clamps) so experiment predicates can read them back.
     """
 
-    rules: tuple[Rule, ...]
+    bands: tuple[Band, ...]
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     seed: int | None = None
 
     def __post_init__(self):
-        _check_overlaps(self.rules)
+        bands = tuple(sorted((b for b in self.bands if b.lo <= b.hi), key=_LO))
+        for a, b in zip(bands, bands[1:]):
+            if b.lo <= a.hi:  # sorted and disjoint so far, so b.lo is the first shared index
+                raise RuleOverlapError(f"bands [{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] hold i={b.lo}")
+        object.__setattr__(self, "bands", bands)
 
     def eval(self, i: int) -> float:
-        """p(i) for i >= 1; 0 when no rule matches."""
+        """p(i) for 1 <= i <= MAX_INDEX; 0 outside every band."""
         if i < 1:
             raise ValueError(f"index must be >= 1, got {i}")
-        for r in self.rules:
-            if r.matches(i):
-                v = r.value_at(i)
-                if not 0.0 <= v <= 1.0:
-                    raise SequenceError(f"rule produced {v} outside [0,1] at i={i}")
-                return v
-        return 0.0
+        if i > MAX_INDEX:
+            raise IndexBudgetError("index", i)
+        k = bisect_right(self.bands, i, key=_LO) - 1
+        return self.bands[k].value(i) if k >= 0 and i <= self.bands[k].hi else 0.0
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params, "meta": self.meta}
@@ -222,7 +141,7 @@ def make_constant(p: float) -> ProbSeq:
         raise SequenceError(f"probability {p} outside [0,1]")
     p = float(p)
     return ProbSeq(
-        rules=(TailRule(1, lambda i, _p=p: _p),),
+        bands=(Band(1, MAX_INDEX, lambda i, _p=p: _p),),
         kind="constant",
         params={"p": p},
     )
@@ -232,16 +151,16 @@ def make_support(pairs: dict[int, float]) -> ProbSeq:
     """Explicit finite support: p(i) = pairs[i], zero elsewhere.  Keys may
     be the strings of the JSON form."""
     pairs = {int(i): v for i, v in pairs.items()}
-    rules = []
+    bands = []
     for i in sorted(pairs):
         v = float(pairs[i])
         if i < 1:
             raise SequenceError(f"support index {i} must be >= 1")
         if not 0.0 <= v <= 1.0:
             raise SequenceError(f"probability {v} outside [0,1] at i={i}")
-        rules.append(IndexRule(i, v))
+        bands.append(_point(i, v))
     return ProbSeq(
-        rules=tuple(rules),
+        bands=tuple(bands),
         kind="support",
         params={"pairs": {str(i): float(pairs[i]) for i in sorted(pairs)}},
         meta={"support": sorted(pairs)},
@@ -263,14 +182,14 @@ def make_thm1(k: int, b: Sequence[int]) -> ProbSeq:
         raise SequenceError(f"b must be strictly increasing, got {b}")
     if b[0] <= 6 * k:
         _scale_warning(f"b(1)={b[0]} <= 6k={6 * k}: smaller than the asymptotic argument assumes")
-    rules: list[Rule] = [BandRule(1, b[0], lambda i: 0.5)]
+    bands = [Band(1, b[0], lambda i: 0.5)]
     for m in range(1, (len(b) + 1) // 2 + 1):
         lo_idx, hi_idx = 2 * m - 2, 2 * m - 1  # b(2m-1), b(2m) as 0-based slots
         if hi_idx >= len(b):
             break
-        rules.append(BandRule(b[lo_idx] + 1, b[hi_idx], lambda i, _k=k: 1.0 / (3.0 * i * _k)))
+        bands.append(Band(b[lo_idx] + 1, b[hi_idx], lambda i, _k=k: 1.0 / (3.0 * i * _k)))
     return ProbSeq(
-        rules=tuple(rules),
+        bands=tuple(bands),
         kind="thm1",
         params={"k": k, "b": b},
         meta={"k": k, "b": b},
@@ -291,7 +210,7 @@ def make_thm2(f: Sequence[int]) -> ProbSeq:
     f = [int(x) for x in f]
     if not f:
         raise SequenceError("f must be nonempty")
-    rules: list[Rule] = []
+    bands = []
     prev_top: int | None = None
     for j, top in enumerate(f):
         m = j + 2
@@ -305,9 +224,9 @@ def make_thm2(f: Sequence[int]) -> ProbSeq:
                 f"f({m})={top}: f(m) - 2m^3 - 1 = {top - 2 * m**3 - 1} <= f({m - 1})={prev_top}, "
                 f"so band {m - 1} completes 2-paths at n = {2 * top - 2 * m**3}"
             )
-        rules.append(BandRule(lo, top, lambda i, _m=m: 1.0 / _m))
+        bands.append(Band(lo, top, lambda i, _m=m: 1.0 / _m))
         prev_top = top
-    return ProbSeq(rules=tuple(rules), kind="thm2", params={"f": f}, meta={"f": f, "m_start": 2})
+    return ProbSeq(bands=tuple(bands), kind="thm2", params={"f": f}, meta={"f": f, "m_start": 2})
 
 
 def make_example2(b: Sequence[int], f: Sequence[int], b0: int = 0) -> ProbSeq:
@@ -341,7 +260,7 @@ def make_example2(b: Sequence[int], f: Sequence[int], b0: int = 0) -> ProbSeq:
                 return float(i) ** (-0.2 if j % 2 == 0 else -0.95)
         return None
 
-    rules: list[Rule] = []
+    bands = []
     excluded: list[int] = []
     support: list[int] = []
     for j, fi in enumerate(f):
@@ -350,10 +269,10 @@ def make_example2(b: Sequence[int], f: Sequence[int], b0: int = 0) -> ProbSeq:
         if a is None or not 0.0 < a < 1.0:
             excluded.append(i)
             continue
-        rules.append(IndexRule(fi, a))
+        bands.append(_point(fi, a))
         support.append(fi)
     return ProbSeq(
-        rules=tuple(rules),
+        bands=tuple(bands),
         kind="example2",
         params={"b": b, "f": f, "b0": b0},
         meta={"b": b, "f": f, "b0": b0, "support": support, "excluded": excluded},
@@ -407,9 +326,8 @@ def make_thm3(a: Sequence[float], f: Sequence[int] | str) -> ProbSeq:
         if any(x > MAX_INDEX for x in fs):
             raise IndexBudgetError("f", fs.index(next(x for x in fs if x > MAX_INDEX)) + 1)
     pairs = list(zip(fs, a))
-    rules = tuple(IndexRule(fi, ai) for fi, ai in pairs)
     return ProbSeq(
-        rules=rules,
+        bands=tuple(_point(fi, ai) for fi, ai in pairs),
         kind="thm3",
         params={"a": a, "f": f},
         meta={"a_values": [ai for _, ai in pairs], "f": fs},
@@ -423,18 +341,18 @@ def make_thm6(a: Sequence[float]) -> ProbSeq:
         raise SequenceError("all a(i) must lie strictly within (0,1)")
     if any(a[j] < a[j + 1] for j in range(len(a) - 1)):
         _scale_warning("a is not non-increasing")
-    rules: list[Rule] = []
+    bands = []
     support: list[int] = []
     power = 3
     for j, ai in enumerate(a):
         idx = int(power / ai)
         if idx > MAX_INDEX or power > MAX_INDEX:
             raise IndexBudgetError("floor(3^i/a(i))", j + 1)
-        rules.append(IndexRule(idx, ai))
+        bands.append(_point(idx, ai))
         support.append(idx)
         power *= 3
     return ProbSeq(
-        rules=tuple(rules),
+        bands=tuple(bands),
         kind="thm6",
         params={"a": a},
         meta={"support": support},
@@ -453,7 +371,7 @@ def make_random_binary(seed: int) -> ProbSeq:
         return float(keyed_u64(_s, _RAND_TAG, i) & 1)
 
     return ProbSeq(
-        rules=(TailRule(1, bit),),
+        bands=(Band(1, MAX_INDEX, bit),),
         kind="random_binary",
         params={"seed": seed},
         seed=seed,
@@ -465,23 +383,12 @@ def make_ones_powers(base: int) -> ProbSeq:
     if base < 2:
         raise SequenceError("base must be >= 2")
     base = int(base)
-
-    def is_power(i: int, _b=base) -> bool:
-        if i < 1:
-            return False
-        while i % _b == 0:
-            i //= _b
-        return i == 1
-
-    def powers_upto(n: int, _b=base) -> list[int]:
-        out, p = [], 1
-        while p <= n:
-            out.append(p)
-            p *= _b
-        return out
-
+    bands, p = [], 1
+    while p <= MAX_INDEX:
+        bands.append(_point(p, 1.0))
+        p *= base
     return ProbSeq(
-        rules=(GeneratedRule(is_power, powers_upto, lambda i: 1.0),),
+        bands=tuple(bands),
         kind="ones_powers",
         params={"base": base},
     )
@@ -497,17 +404,17 @@ def make_diluted(a: Sequence[float], gap: Sequence[int]) -> ProbSeq:
         raise SequenceError("gaps must be non-negative")
     if any(not 0.0 <= x <= 1.0 for x in a):
         raise SequenceError("all a(i) must lie in [0,1]")
-    rules: list[Rule] = []
+    bands = []
     positions: list[int] = []
     pos = 1
     for i, (ai, gi) in enumerate(zip(a, gap), start=1):
         pos += 1 + gi
         if pos > MAX_INDEX:
             raise IndexBudgetError("position", i)
-        rules.append(IndexRule(pos, ai))
+        bands.append(_point(pos, ai))
         positions.append(pos)
     return ProbSeq(
-        rules=tuple(rules),
+        bands=tuple(bands),
         kind="diluted",
         params={"a": a, "gap": gap},
         meta={"positions": positions},
@@ -558,13 +465,16 @@ def ordered_sum(values: np.ndarray, start: float = 0.0) -> float:
 @lru_cache(maxsize=32)
 def support_table(seq: ProbSeq, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The support up to n: the sorted indices i <= n with p(i) > 0 (int64)
-    and p at each (float64); empty for n < 1.  Evaluates p once per
-    candidate index, once per (sequence, n): sequences are immutable and
-    hash by identity, and the arrays are read-only."""
-    candidates: set[int] = set()
-    for r in seq.rules:
-        candidates.update(i for i in r.indices_upto(n) if 1 <= i <= n)
-    support = [(i, p) for i in sorted(candidates) if (p := seq.eval(i)) > 0.0]
+    and p at each (float64); empty for n < 1.  Walks the sorted bands and
+    calls each band's fn once per index <= n, once per (sequence, n):
+    sequences are immutable and hash by identity, and the arrays are
+    read-only."""
+    support = [
+        (i, p)
+        for b in seq.bands
+        for i in range(max(b.lo, 1), min(b.hi, n) + 1)
+        if (p := b.value(i)) > 0.0
+    ]
     idx = np.array([i for i, _ in support], dtype=np.int64)
     probs = np.array([p for _, p in support], dtype=np.float64)
     idx.flags.writeable = probs.flags.writeable = False

@@ -150,6 +150,11 @@ class TestSampleAndEval:
         code, out, _ = run(capsys, "eval", "--seq", CONST_HALF, "--i", "3,9")
         assert "3,0.5" in out and "9,0.5" in out
 
+    def test_eval_past_the_index_budget_is_operational_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--seq", CONST_HALF, "--i", str(2**63))
+        assert code == 1
+        assert err == "error: index at i=9223372036854775808 exceeds the 64-bit index budget\n"
+
     def test_eval_statistic(self, capsys):
         code, out, _ = run(capsys, "eval", "--seq", CONST_HALF, "--n", "4", "--stat", "C2")
         assert code == 0 and "-2.0" in out

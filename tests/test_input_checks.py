@@ -12,7 +12,7 @@ from ddgraphs.graph import (GraphError, Subgraph, complete_graph, copy_counts, e
                             is_flat, make_graph)
 from ddgraphs.logic import LabeledModel, Vocab, library
 from ddgraphs.presets import kcopies_predicate, psi_r_predicate
-from ddgraphs.probseq import (BandRule, IndexBudgetError, ProbSeq, SequenceError,
+from ddgraphs.probseq import (Band, IndexBudgetError, ProbSeq, SequenceError,
                               condition_statistic, log_partial_product, make_constant,
                               make_diluted, make_support, make_thm1, make_thm2, make_thm3,
                               make_thm6, support_upto)
@@ -68,7 +68,7 @@ CHECKS = {
     "unknown flatness variant": (lambda: is_flat(HALF, 6, Subgraph(6, (1, 2)), "LC_MINUS"),
                                  GraphError),
     "rule value above 1": (
-        lambda: ProbSeq(rules=(BandRule(1, 3, lambda i: 1.5),)).eval(2), SequenceError),
+        lambda: ProbSeq(bands=(Band(1, 3, lambda i: 1.5),)).eval(2), SequenceError),
     "support index 0": (lambda: make_support({0: 0.5}), SequenceError),
     "support value above 1": (lambda: make_support({1: 1.5}), SequenceError),
     "thm1 with k = 0": (lambda: make_thm1(0, [8]), SequenceError),

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from ddgraphs.graph import complete_graph, edgeless_graph, make_graph
 from ddgraphs.presets import NAMED_SEQUENCES
 from ddgraphs.probseq import (
-    BandRule,
-    IndexRule,
+    MAX_INDEX,
+    Band,
     IndexBudgetError,
     ProbSeq,
     RuleOverlapError,
     ScaleWarning,
     SequenceError,
-    TailRule,
     condition_statistic,
     from_json,
     log_partial_product,
@@ -405,41 +404,120 @@ class TestSupportUpto:
                 a[0] = 3
 
 
+def half(i):
+    return 0.5
+
+
 class TestRuleSemantics:
     def test_rejects_conflicting_overlap(self):
+        # bands may not share an index, whether or not their values agree there
         with pytest.raises(RuleOverlapError):
-            ProbSeq(rules=(IndexRule(3, 0.5), IndexRule(3, 0.25)))
+            ProbSeq(bands=(Band(3, 3, half), Band(3, 3, lambda i: 0.25)))
+        with pytest.raises(RuleOverlapError, match="i=3$"):
+            ProbSeq(bands=(Band(3, 3, half), Band(3, 3, half)))
 
     def test_identical_overlap_allowed(self):
-        s = ProbSeq(rules=(IndexRule(3, 0.5), IndexRule(3, 0.5)))
-        assert s.eval(3) == 0.5
+        # equal values on adjacent disjoint bands
+        s = ProbSeq(bands=(Band(4, 4, half), Band(3, 3, half)))
+        assert (s.eval(2), s.eval(3), s.eval(4), s.eval(5)) == (0.0, 0.5, 0.5, 0.0)
 
     def test_rejects_band_conflict_at_every_index(self):
-        # the bands differ only at 500, far past the first few hundred indices
-        with pytest.raises(RuleOverlapError, match="i=500"):
-            ProbSeq(rules=(BandRule(1, 1000, lambda i: 0.5),
-                           BandRule(1, 1000, lambda i: 0.25 if i == 500 else 0.5)))
-        s = ProbSeq(rules=(BandRule(1, 1000, lambda i: 0.5), IndexRule(1000, 0.5),
-                           TailRule(1001, lambda i: 0.1)))
-        assert (s.eval(1000), s.eval(1001)) == (0.5, 0.1)
+        # the values differ only at 500; the error names the first shared index
+        with pytest.raises(RuleOverlapError, match="i=1$"):
+            ProbSeq(bands=(Band(1, 1000, half), Band(1, 1000, lambda i: 0.25 if i == 500 else 0.5)))
+        with pytest.raises(RuleOverlapError, match="i=1000$"):
+            ProbSeq(bands=(Band(1, 1000, half), Band(1000, 1000, half)))
+        s = ProbSeq(bands=(Band(1, 999, half), Band(1000, 1000, half),
+                           Band(1001, MAX_INDEX, lambda i: 0.1)))
+        assert (s.eval(999), s.eval(1000), s.eval(1001)) == (0.5, 0.5, 0.1)
 
     def test_rejects_overlapping_open_tails(self):
-        with pytest.raises(RuleOverlapError, match="open tails"):
-            ProbSeq(rules=(TailRule(1, lambda i: 0.5), TailRule(7, lambda i: 0.5)))
+        with pytest.raises(RuleOverlapError, match="i=7$"):
+            ProbSeq(bands=(Band(1, MAX_INDEX, half), Band(7, MAX_INDEX, half)))
 
     def test_generated_rule_conflict_is_probed(self):
-        powers = make_ones_powers(4).rules[0]
-        with pytest.raises(RuleOverlapError, match="i=16"):
-            ProbSeq(rules=(powers, BandRule(10, 20, lambda i: 0.5)))
+        powers = make_ones_powers(4).bands
+        with pytest.raises(RuleOverlapError, match="i=16$"):
+            ProbSeq(bands=(*powers, Band(10, 20, half)))
 
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             make_constant(0.5).eval(0)
 
 
+def band_fn(v):
+    """A constant value, or (for None) one that varies with the index and
+    is 0 at every fourth index."""
+    return (lambda i: (i % 4) / 4) if v is None else (lambda i: v)
+
+
+@st.composite
+def disjoint_bands(draw):
+    """Up to 6 disjoint bands in increasing order, 0..3 free indices apart;
+    the last may be an open tail."""
+    bands, lo = [], draw(st.integers(min_value=1, max_value=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        hi = lo + draw(st.integers(min_value=0, max_value=5))
+        bands.append(Band(lo, hi, band_fn(draw(st.sampled_from([0.0, 0.25, 1.0, None])))))
+        lo = hi + 1 + draw(st.integers(min_value=0, max_value=3))
+    if bands and draw(st.booleans()):
+        bands[-1] = Band(bands[-1].lo, MAX_INDEX, bands[-1].fn)
+    return bands
+
+
+def scan(bands, i):
+    """p(i) from the first band in list order that holds i."""
+    return next((b.fn(i) for b in bands if b.lo <= i <= b.hi), 0.0)
+
+
+class TestBands:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_and_table_match_a_linear_scan(self, data):
+        bands = data.draw(disjoint_bands())
+        top = max((b.lo for b in bands), default=0) + 8
+        for order in (bands, data.draw(st.permutations(bands))):
+            seq = ProbSeq(bands=tuple(order))
+            assert [seq.eval(i) for i in [*range(1, top), MAX_INDEX]] == [
+                scan(bands, i) for i in [*range(1, top), MAX_INDEX]]
+            n = data.draw(st.integers(min_value=0, max_value=top))
+            idx, probs = support_table(seq, n)
+            want = [(i, seq.eval(i)) for i in range(1, n + 1) if seq.eval(i) > 0.0]
+            assert list(zip(idx.tolist(), probs.tolist())) == want
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_overlap_names_the_first_shared_index(self, data):
+        bands = data.draw(disjoint_bands().filter(bool))
+        near = data.draw(st.sampled_from(bands))
+        lo = data.draw(st.integers(min_value=max(1, near.lo - 3), max_value=near.lo + 5))
+        hi = data.draw(st.one_of(st.integers(min_value=lo, max_value=lo + 8), st.just(MAX_INDEX)))
+        extra = Band(lo, hi, band_fn(0.5))
+        shared = [max(a.lo, extra.lo) for a in bands if max(a.lo, extra.lo) <= min(a.hi, extra.hi)]
+        order = data.draw(st.permutations([*bands, extra]))
+        if not shared:
+            assert ProbSeq(bands=tuple(order)).eval(lo) == 0.5
+            return
+        with pytest.raises(RuleOverlapError, match=f"i={min(shared)}$"):
+            ProbSeq(bands=tuple(order))
+
+    def test_thm6_terms_on_one_index_are_refused(self):
+        # floor(3 / 0.3) = floor(9 / 0.9) = 10
+        with pytest.warns(ScaleWarning), pytest.raises(RuleOverlapError, match="i=10$"):
+            make_thm6([0.3, 0.9])
+
+    @pytest.mark.parametrize("seq", [make_constant(0.5), make_support({3: 0.5}),
+                                     make_ones_powers(2)], ids=lambda s: s.kind)
+    def test_index_past_the_budget_is_refused(self, seq):
+        assert seq.eval(MAX_INDEX) == (0.5 if seq.kind == "constant" else 0.0)
+        with pytest.raises(IndexBudgetError, match=f"i={MAX_INDEX + 1} exceeds"):
+            seq.eval(MAX_INDEX + 1)
+
+
 @st.composite
 def any_sequence(draw):
-    kind = draw(st.sampled_from(["constant", "thm1", "thm2", "thm6", "ones", "rand", "support"]))
+    kind = draw(st.sampled_from(["constant", "thm1", "thm2", "example2", "thm3", "thm6", "ones",
+                                 "rand", "diluted", "support"]))
     if kind == "constant":
         return make_constant(draw(st.floats(min_value=0, max_value=1, allow_nan=False)))
     if kind == "thm1":
@@ -448,12 +526,23 @@ def any_sequence(draw):
         return make_thm1(draw(st.integers(min_value=1, max_value=2)), [b1, b2])
     if kind == "thm2":
         return make_thm2([1, 40, draw(st.integers(min_value=105, max_value=400))])
+    if kind == "example2":
+        b1 = draw(st.integers(min_value=1, max_value=4))
+        return make_example2([b1, draw(st.integers(min_value=b1 + 1, max_value=8))],
+                             [1, 20, 300, draw(st.integers(min_value=3500, max_value=9000))])
+    if kind == "thm3":
+        a = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), min_size=3, max_size=3))
+        return make_thm3(a, draw(st.sampled_from(["eq5", [1, 16, 200]])))
     if kind == "thm6":
         return make_thm6([draw(st.floats(min_value=0.2, max_value=0.9, allow_nan=False))] * 3)
     if kind == "ones":
         return make_ones_powers(draw(st.integers(min_value=2, max_value=5)))
     if kind == "rand":
         return make_random_binary(draw(st.integers(min_value=0, max_value=2**32)))
+    if kind == "diluted":
+        a = draw(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=4))
+        return make_diluted(a, draw(st.lists(st.integers(min_value=0, max_value=3000),
+                                             min_size=len(a), max_size=len(a))))
     return make_support({draw(st.integers(min_value=1, max_value=50)): 0.7})
 
 

@@ -293,10 +293,11 @@ class TestAgainstReference:
         assert peak < 40 * 2**20, peak
 
     def test_build_evaluates_each_distance_once(self, monkeypatch):
-        # PairBatch reads p from support_upto's scan, which is memoized
+        # PairBatch reads p from support_upto's scan, which is memoized and
+        # calls a band once per index
         calls = []
-        real = probseq.ProbSeq.eval
-        monkeypatch.setattr(probseq.ProbSeq, "eval", lambda self, i: calls.append(i) or real(self, i))
+        real = probseq.Band.value
+        monkeypatch.setattr(probseq.Band, "value", lambda self, i: calls.append(i) or real(self, i))
         seq = make_constant(0.1)
         batch = PairBatch(seq, 200, LINE)
         assert sorted(calls) == list(range(1, 200))
