@@ -21,11 +21,11 @@ reads only its columns, the only ones Monte Carlo hashes, and decides a
 block with one ``clause_hits`` reduction.  A predicate's ``rows`` decides a
 block itself; other sentences run their array plan on each row scattered
 into an adjacency matrix; only a plain callable builds each row's graph.
-Where a kernel's later columns are seldom reached (``_first_columns``
-decides, once per grounding, from the columns' p), Monte Carlo hashes its
-clauses' first columns as a grid and each later column only at the trials
-where its clause still holds.  Blocks are bounded by ``CELL_BUDGET``, not
-by a trial or subset count.
+Monte Carlo decides a kernel's clause blocks in turn, each at the trials no
+earlier block settled, hashing a block's columns as one grid or, where later
+columns are seldom reached, its first columns and then each later column
+only where its clause still holds.  Blocks of trials and leaves are bounded
+by ``CELL_BUDGET``, not by a trial or subset count.
 """
 
 from __future__ import annotations
@@ -115,6 +115,9 @@ _CLAUSES_PER_PAIR = 16
 # What a cell hashed alone by ``keyed_u64_cells`` costs over one of a grid
 # column whose (stream, v) half is its own: about 36 ns against 13 ns.
 _CELL_COST = 3
+# Clause blocks end where the sum of -log(1 - q) over clauses of probability q
+# reaches 1, 3, 7, ... times this: half the trials stay live, then an eighth.
+_BLOCK_MASS = math.log(2)
 # Cells a lineage, or one grounding step's assignments, may hold; a lineage is
 # held whole while Monte Carlo and brute force run in blocks.
 _LINEAGE_CELLS = 1 << 20
@@ -253,7 +256,7 @@ def grounding(seq: ProbSeq, n: int, target: Target, model_kind: str) -> Groundin
     sampler's memo (``ground``), keyed by the target's sentence: itself, a
     predicate's ``sentence``, or None.  A lineage of at most
     ``_CLAUSES_PER_PAIR`` clauses per pair is a kernel that reads its own
-    columns; any other target reads every column."""
+    columns, hashed by its ``first`` and ``blocks``; others read every column."""
     sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
 
     def build(table: PairBatch) -> Grounding:
@@ -268,7 +271,9 @@ def grounding(seq: ProbSeq, n: int, target: Target, model_kind: str) -> Groundin
         # the columns read, and each clause column's position among them
         g = Grounding(table, np.flatnonzero(read), (np.cumsum(read) - 1)[clauses], kernel=True)
         g.first = _first_columns(g)
+        g.blocks = _clause_blocks(g)
         g.cells += 0 if g.first is None else len(g.first)  # the memo counts them as clause cells
+        g.cells += sum(c.size + k.size for c, k in g.blocks) if len(g.blocks) > 1 else 0  # and blocks
         return g
 
     return ground(seq, n, model_kind, sentence, None if sentence is None else build)
@@ -293,24 +298,55 @@ def _first_columns(g: Grounding) -> np.ndarray | None:
     return None
 
 
-def _two_stage_hits(g: Grounding, master_seed: int, ids: np.ndarray) -> np.ndarray:
-    """Whether some clause of the kernel ``g`` holds on the draw of each
-    stream in ``ids``: the columns ``g.first`` are hashed as one grid, and
-    each later column of a clause only at the (clause, trial) cells whose
-    earlier columns all drew an edge, by ``keyed_u64_cells``.  Equal to
-    ``clause_hits(g.edge_matrix(master_seed, ids), g.lineage).any(0)``."""
+def _clause_blocks(g: Grounding) -> list[tuple]:
+    """The kernel ``g``'s clauses in blocks, in order, as (columns hashed as
+    one grid, clauses): the block's first columns and its clauses where
+    ``g.first`` is set, else all its columns and its clauses as positions
+    among them.  Block b ends where the running sum of -log(1 - q), q a
+    clause's product of p, reaches ``_BLOCK_MASS`` * (2^(b+1) - 1).  A lineage
+    whose sum is at most 2 ``_BLOCK_MASS``, or whose first block would end at
+    its last clause, stays one block, hashed unsplit."""
     clauses = g.lineage
-    drawn = g.edge_matrix(master_seed, ids, g.first).T  # C-ordered (first, trials) view
-    live = drawn[np.searchsorted(g.first, clauses[:, 0])]
-    clause, trial = np.divmod(np.flatnonzero(live), len(ids))
-    for column in clauses.T[1:]:
-        c = column.take(clause)
-        edge = keyed_u64_cells((master_seed,), ids.take(trial), g.v.take(c), g.w.take(c)) \
-            < g.thresholds.take(c)
-        edge |= g.always.take(c)
-        clause, trial = clause[edge], trial[edge]
+    with np.errstate(divide="ignore"):  # a clause of q = 1 has infinite mass
+        mass = np.cumsum(-np.log1p(-np.prod(g.p[clauses], axis=1)))
+    if len(clauses) < 2 or mass[-1] <= 2 * _BLOCK_MASS or mass[-2] < _BLOCK_MASS:
+        return [(slice(None) if g.first is None else g.first, clauses)]
+    ends = np.searchsorted(mass, _BLOCK_MASS * (2.0 ** np.arange(1, 64) - 1)) + 1
+    blocks = []
+    for block in np.split(clauses, np.unique(ends[ends < len(clauses)])):
+        columns = np.unique(block if g.first is None else block[:, 0])
+        if g.first is None:  # the block's clauses as positions among its columns
+            block = np.searchsorted(columns, block)
+        columns.flags.writeable = block.flags.writeable = False
+        blocks.append((columns, block))
+    return blocks
+
+
+def _kernel_hits(g: Grounding, master_seed: int, ids: np.ndarray) -> np.ndarray:
+    """``clause_hits(g.edge_matrix(master_seed, ids), g.lineage).any(0)``
+    for the kernel ``g``, by ``g.blocks`` in order, each at the trials no
+    earlier block settled: its grid reduced by ``clause_hits``, or, where
+    ``g.first`` is set, each later column of a clause hashed only at the
+    (clause, trial) cells whose earlier columns drew edges."""
     hits = np.zeros(len(ids), dtype=bool)
-    hits[trial] = True
+    for b, (columns, clauses) in enumerate(g.blocks):
+        live = np.flatnonzero(~hits) if b else slice(None)
+        at = ids[live]
+        if not len(at):
+            break
+        drawn = g.edge_matrix(master_seed, at, columns)
+        if g.first is None:
+            hits[live] = clause_hits(drawn, clauses).any(axis=0)
+            continue
+        cell = drawn.T[np.searchsorted(columns, clauses[:, 0])]  # C-ordered (first, trials) view
+        clause, trial = np.divmod(np.flatnonzero(cell), len(at))
+        for column in clauses.T[1:]:
+            c = column.take(clause)
+            edge = keyed_u64_cells((master_seed,), at.take(trial), g.v.take(c), g.w.take(c)) \
+                < g.thresholds.take(c)
+            edge |= g.always.take(c)
+            clause, trial = clause[edge], trial[edge]
+        hits[live] = np.bincount(trial, minlength=len(at)) > 0
     return hits
 
 
@@ -360,15 +396,17 @@ def mc_probability(
 
     Only the columns the target's ``grounding`` reads are hashed:
     targets with a lineage (see ``lineage``) are decided by their clauses,
-    by one ``clause_hits`` reduction per block, or, where the grounding's
-    ``first`` is set, in two stages (``_two_stage_hits``): the clauses'
-    first columns as one grid, then each later column only at the (clause,
-    trial) cells whose clause still holds.  Every other target reads every
-    column: a predicate's ``rows`` decides the block, the compiled sentence
-    each row's adjacency, a plain predicate each row's graph.  All give the
-    same successes, since each draw is a pure function of (master_seed,
-    stream, v, w).  Blocks hold at most ``CELL_BUDGET`` cells (at least one
-    trial), which bounds memory independently of ``trials``.
+    by ``_kernel_hits``, clause block by clause block, each block at the
+    trials no earlier block has settled: its columns as one grid reduced by
+    ``clause_hits``, or, where the grounding's ``first`` is set, its
+    clauses' first columns as one grid, then each later column only at the
+    (clause, trial) cells whose clause still holds.  Every other target
+    reads every column: a predicate's ``rows`` decides the block, the
+    compiled sentence each row's adjacency, a plain predicate each row's
+    graph.  All give the same successes, since each draw is a pure function
+    of (master_seed, stream, v, w).  Blocks of trials hold at most
+    ``CELL_BUDGET`` cells (at least one trial), which bounds memory
+    independently of ``trials``.
     """
     if trials < 1:
         raise EstimatorError("trials must be >= 1")
@@ -381,10 +419,7 @@ def mc_probability(
     successes = 0
     for start in range(0, trials, block):
         ids = derived_streams(n, start, min(start + block, trials))
-        if g.first is None:
-            hits = decide(g.edge_matrix(master_seed, ids))
-        else:
-            hits = _two_stage_hits(g, master_seed, ids)
+        hits = _kernel_hits(g, master_seed, ids) if g.kernel else decide(g.edge_matrix(master_seed, ids))
         successes += int(np.count_nonzero(hits))
     low, high = wilson_ci(successes, trials)
     return EstimateResult(

@@ -243,6 +243,8 @@ def make_example2(b: Sequence[int], f: Sequence[int], b0: int = 0) -> ProbSeq:
         raise SequenceError(f"b must be strictly increasing above b0, got b0={b0}, b={b}")
     if any(f[j] >= f[j + 1] for j in range(len(f) - 1)):
         raise SequenceError(f"f must be strictly increasing, got {f}")
+    if f and f[0] < 1:
+        raise SequenceError(f"support index {f[0]} must be >= 1")
     running = 0
     for j, fi in enumerate(f):
         if j >= 1 and fi <= 10 * running:
@@ -323,6 +325,8 @@ def make_thm3(a: Sequence[float], f: Sequence[int] | str) -> ProbSeq:
         f = fs = [int(x) for x in f]
         if any(fs[j] >= fs[j + 1] for j in range(len(fs) - 1)):
             raise SequenceError(f"f must be strictly increasing, got {fs}")
+        if fs and fs[0] < 1:
+            raise SequenceError(f"support index {fs[0]} must be >= 1")
         if any(x > MAX_INDEX for x in fs):
             raise IndexBudgetError("f", fs.index(next(x for x in fs if x > MAX_INDEX)) + 1)
     pairs = list(zip(fs, a))

@@ -458,6 +458,43 @@ def grids(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Records the stream ids, v and w of every hash grid."""
+    calls = []
+    real = sampler.keyed_u64_grid
+
+    def spy(prefix, rows, v, w):
+        calls.append((rows.copy(), v.copy(), w.copy()))
+        return real(prefix, rows, v, w)
+
+    monkeypatch.setattr(sampler, "keyed_u64_grid", spy)
+    return calls
+
+
+def assert_block_contract(calls, g, seed, n, trials):
+    """The grids of one estimate of ``trials`` trials on ``g``, in order:
+    each block of trials is hashed whole by its first grid, the first grids
+    together cover every trial once, and each later grid of a trial block
+    (a later clause block of a kernel) holds exactly the trials that no
+    earlier clause block hit."""
+    calls, start = iter([rows for rows, _, _ in calls]), 0
+    ids = derived_streams(n, 0, trials)
+    sizes = [len(clauses) for _, clauses in g.blocks] if g.kernel else [0]
+    hit = estimator.clause_hits(g.edge_matrix(seed, ids), g.lineage) if g.kernel else None
+    while start < trials:
+        first = next(calls)
+        assert len(first) and (first == ids[start:start + len(first)]).all(), start
+        live, lo = np.arange(start, start + len(first)), 0
+        for size in sizes[:-1]:
+            live, lo = live[~hit[lo:lo + size][:, live].any(axis=0)], lo + size
+            if not len(live):
+                break
+            assert (next(calls) == ids[live]).all(), (start, lo)
+        start += len(first)
+    assert next(calls, None) is None
+
+
 class TestColumnKernels:
     """Compiled targets must count exactly the successes of the row path on
     the same streams."""
@@ -481,15 +518,25 @@ class TestColumnKernels:
             assert round(got.estimate * trials) == want, n
 
     @pytest.mark.parametrize("cost", [0, 10**9], ids=["first-columns", "every-column"])
+    @pytest.mark.parametrize("mass,budget", [(0.0, 5000), (1e-6, estimator.CELL_BUDGET),
+                                             (math.inf, estimator.CELL_BUDGET)],
+                             ids=["blocks-forced", "blocks-doubling", "one-block"])
     @pytest.mark.parametrize("seq", KERNEL_SEQS, ids=KERNEL_SEQ_IDS)
     @pytest.mark.parametrize(
         "target,kind",
         KERNEL_TARGETS + [(WIDTH0, LINE), (WIDTH0, CIRCLE), (MIXED, LINE), (MIXED, CIRCLE)],
         ids=KERNEL_TARGET_IDS + ["width0-line", "width0-circle", "mixed-line", "mixed-circle"])
-    def test_two_stage_route_equals_dense_route(self, monkeypatch, cost, seq, target, kind):
+    def test_block_route_equals_clause_hits(self, monkeypatch, cost, mass, budget, seq, target, kind):
         # cost 0 hashes the first columns first wherever another column is
-        # read, cost 10^9 every column as one grid
+        # read, cost 10^9 every column as one grid.  Mass 0 splits every
+        # lineage of two or more clauses after its first clause, and its
+        # budget of 5000 cells splits the 12 trials into blocks wherever a
+        # kernel reads more than 416 columns or clauses; mass 10^-6 ends
+        # blocks at every doubling of the running mass; mass inf keeps every
+        # lineage one block
         monkeypatch.setattr(estimator, "_CELL_COST", cost)
+        monkeypatch.setattr(estimator, "_BLOCK_MASS", mass)
+        monkeypatch.setattr(estimator, "CELL_BUDGET", budget)
         rule, trials, seed = estimator._CLAUSES_PER_PAIR, 12, 5
         for n in list(range(1, 31)) + [53, 54, 161, 162]:
             monkeypatch.setattr(estimator, "_CLAUSES_PER_PAIR", 10**9 if n <= 54 else rule)
@@ -500,6 +547,9 @@ class TestColumnKernels:
             clauses = g.lineage
             later = clauses.shape[1] > 1 and len(g.read) > len(np.unique(clauses[:, 0]))
             assert (g.first is not None) == (cost == 0 and later), n
+            if mass in (0.0, math.inf):
+                assert len(g.blocks) == (2 if mass == 0.0 and len(clauses) > 1 else 1), n
+            assert sum(len(block) for _, block in g.blocks) == len(clauses), n
             rows = g.edge_matrix(seed, derived_streams(n, 0, trials))
             want = int(estimator.clause_hits(rows, clauses).any(axis=0).sum())
             assert round(got.estimate * trials) == want, n
@@ -517,6 +567,27 @@ class TestColumnKernels:
         # 3 each, against its two later columns
         g = estimator.grounding(seq_thm6_half(), n, has_triangle_predicate(), CIRCLE)
         assert g.kernel and g.lineage.shape == (n // 3, 3) and g.first is None
+
+    @pytest.mark.parametrize("seq,n,target,kind,sizes", [
+        (make_constant(0.1), 100, library("path2"), LINE, [98]),
+        (make_constant(0.1), 200, library("path2"), LINE, [69, 129]),
+        (seq_thm6_half(), 18, has_triangle_predicate(), CIRCLE, [6]),
+        (seq_thm6_half(), 162, has_triangle_predicate(), CIRCLE, [6, 10, 21, 17]),
+    ], ids=["path2-line-100", "path2-line-200", "triangle-circle-18", "triangle-circle-162"])
+    def test_rule_splits_heavy_lineages(self, grids, seq, n, target, kind, sizes):
+        # a path2 clause at p = 0.1 has q = 0.01 and mass -log(0.99) = 0.01005:
+        # 98 of them (0.985) stay under 2 ln 2 = 1.386; of 198 (1.99) the first
+        # 69 reach ln 2 and the rest stay under 3 ln 2.  A circle triangle at
+        # p = 1/2 has q = 1/8 and mass 0.1335: 6 (0.80) stay one block; of 54
+        # the running mass reaches ln 2, 3 ln 2 and 7 ln 2 at clauses 6, 16, 37
+        g = estimator.grounding(seq, n, target, kind)
+        assert [len(block) for _, block in g.blocks] == sizes
+        if len(sizes) == 1:  # hashed unsplit: every read column, or the first ones, as one grid
+            columns, clauses = g.blocks[0]
+            assert clauses is g.lineage
+            assert (columns is g.first) if g.first is not None else (columns == slice(None))
+            mc_probability(seq, n, target, kind, 500, 3)
+            assert grids == [(500, len(g.read) if g.first is None else len(g.first))]
 
     @pytest.mark.parametrize(
         "target",
@@ -557,14 +628,16 @@ class TestColumnKernels:
             mc_probability(seq, n, has_triangle_predicate(), LINE, 10, 0)
         assert len(row_graphs) == 10
 
-    def test_path2_hashes_only_midpoint_columns(self, grids):
-        # the grid holds the columns {1, m}; a column {m, n} is hashed only
-        # for the trials where {1, m} is an edge
+    def test_path2_hashes_only_midpoint_columns(self, grid_calls):
+        # the grids hold the columns {1, m}, those of the first 69 clauses for
+        # every trial, the other 129 for the trials no earlier clause hit; a
+        # column {m, n} is hashed only for the trials where {1, m} is an edge
         n, trials, seq = 200, 1000, make_constant(0.1)
         got = mc_probability(seq, n, library("path2"), LINE, trials, 101)
-        assert {cols for _, cols in grids} == {n - 2}
-        assert sum(rows for rows, _ in grids) == trials
+        assert [(v.tolist(), w.tolist()) for _, v, w in grid_calls] == [
+            ([1] * 69, list(range(2, 71))), ([1] * 129, list(range(71, n)))]
         g = estimator.grounding(seq, n, library("path2"), LINE)
+        assert_block_contract(grid_calls, g, 101, n, trials)
         rows = g.edge_matrix(101, derived_streams(n, 0, trials))
         assert round(got.estimate * trials) == estimator.clause_hits(rows, g.lineage).any(axis=0).sum()
 
@@ -579,7 +652,7 @@ class TestColumnKernels:
             make_constant(0.1), 200, library("adj_first_last"), LINE, 1000, 1)
 
     @pytest.mark.parametrize("budget", [estimator.CELL_BUDGET, 5000])
-    def test_blocks_stay_within_cell_budget(self, monkeypatch, grids, budget):
+    def test_blocks_stay_within_cell_budget(self, monkeypatch, grids, grid_calls, budget):
         monkeypatch.setattr(estimator, "CELL_BUDGET", budget)
         seq, n = make_constant(0.5), 30
         pairs, triangles = 435, len(PairBatch(seq, n, LINE).triangles())
@@ -588,9 +661,10 @@ class TestColumnKernels:
         for target, trials, width in [(library("triangle"), 300, triangles),
                                       (library("edge_in_c4"), 40, pairs)]:
             grids.clear()
+            grid_calls.clear()
             got = mc_probability(seq, n, target, LINE, trials, 0)
-            assert sum(rows for rows, _ in grids) == trials
             assert all(rows * width <= budget for rows, _ in grids), grids
+            assert_block_contract(grid_calls, estimator.grounding(seq, n, target, LINE), 0, n, trials)
             want = row_path_successes(seq, n, target, LINE, trials, 0)
             assert round(got.estimate * trials) == want
 
@@ -860,21 +934,23 @@ class TestGroundingMemo:
 
     def test_cells_stay_within_the_budget(self, monkeypatch):
         # path2 on the line reads 2(n - 2) columns, 5 cells each, in n - 2
-        # two-column clauses: 12(n - 2) cells, so 696, 1296, 1896, 2496 and
-        # 3096 at n = 60, 110, 160, 210 and 260, and n = 260 alone is past a
-        # budget of 2600
+        # two-column clauses, split into clause blocks (at p = 1/2 the mass
+        # passes 2 ln 2 by the fifth clause) that keep each clause's columns
+        # once more and its clause over them: 16(n - 2) cells, so 928, 1728,
+        # 2528, 3328 and 4128 at n = 60, 110, 160, 210 and 260, and n = 260
+        # alone is past a budget of 3500
         assert sampler._ENTRY_CELLS == 480 and sampler._COLUMN_CELLS == 5
         seq, path2 = make_constant(0.5), library("path2")
         want = {n: mc_probability(seq, n, path2, LINE, 50, 0) for n in (60, 110, 160, 210, 260)}
-        assert [sampler._GROUNDINGS[seq, n, LINE, path2].cells for n in want] == [696, 1296, 1896, 2496, 3096]
+        assert [sampler._GROUNDINGS[seq, n, LINE, path2].cells for n in want] == [928, 1728, 2528, 3328, 4128]
         sampler._GROUNDINGS.clear()
-        monkeypatch.setattr(sampler, "CELL_BUDGET", 2600)
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 3500)
         for n, kept in [(60, [60]), (110, [60, 110]), (60, [110, 60]), (160, [60, 160]),
                         (260, [60, 160]), (210, [210])]:
             assert mc_probability(seq, n, path2, LINE, 50, 0) == want[n]
             assert [key[1] for key in sampler._GROUNDINGS] == kept, n
             assert sampler._GROUNDINGS.cells == sum(g.cells for g in sampler._GROUNDINGS.values())
-            assert sampler._GROUNDINGS.cells <= 2600
+            assert sampler._GROUNDINGS.cells <= 3500
 
     def test_cells_price_the_bytes_held(self, monkeypatch):
         # groundings that read every column of the line table of constant

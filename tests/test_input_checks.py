@@ -14,8 +14,8 @@ from ddgraphs.logic import LabeledModel, Vocab, library
 from ddgraphs.presets import kcopies_predicate, psi_r_predicate
 from ddgraphs.probseq import (Band, IndexBudgetError, ProbSeq, SequenceError,
                               condition_statistic, log_partial_product, make_constant,
-                              make_diluted, make_support, make_thm1, make_thm2, make_thm3,
-                              make_thm6, support_upto)
+                              make_diluted, make_example2, make_support, make_thm1, make_thm2,
+                              make_thm3, make_thm6, support_upto)
 from ddgraphs.sampler import LINE, PairBatch, sample_batch
 
 HALF = make_constant(0.5)
@@ -79,6 +79,8 @@ CHECKS = {
     "thm3 unknown f mode": (lambda: make_thm3([0.5], "eq6"), SequenceError),
     "thm3 f out of order": (lambda: make_thm3([0.5, 0.5], [3, 2]), SequenceError),
     "thm3 f past 2^63": (lambda: make_thm3([0.5], [2**63]), IndexBudgetError),
+    "thm3 f index 0": (lambda: make_thm3([0.5, 0.25], [0, 5]), SequenceError),
+    "example2 f index below 1": (lambda: make_example2([2, 4], [-3, 0, 7]), SequenceError),
     "thm6 a outside (0, 1)": (lambda: make_thm6([1.0]), SequenceError),
     "diluted lengths differ": (lambda: make_diluted([0.5], [1, 2]), SequenceError),
     "diluted a above 1": (lambda: make_diluted([1.5], [0]), SequenceError),

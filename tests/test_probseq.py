@@ -185,6 +185,12 @@ class TestExample2:
         with pytest.warns(ScaleWarning):
             make_example2([2, 8], [1, 11, 120, 130])
 
+    @pytest.mark.parametrize("f,bad", [([0, 11, 120], 0), ([-3, 0, 7], -3)])
+    def test_rejects_support_index_below_one(self, f, bad):
+        # as make_support does: no eval reaches an index below 1
+        with pytest.raises(SequenceError, match=f"^support index {bad} must be >= 1$"):
+            make_example2([2, 8], f)
+
 
 class TestThm3:
     def test_recursion_first_step(self):
@@ -205,6 +211,11 @@ class TestThm3:
     def test_rejects_values_outside_open_interval(self):
         with pytest.raises(SequenceError):
             make_thm3([1.0, 0.5], [1, 16])
+
+    @pytest.mark.parametrize("f,bad", [([0, 5], 0), ([-7, 16], -7)])
+    def test_rejects_support_index_below_one(self, f, bad):
+        with pytest.raises(SequenceError, match=f"^support index {bad} must be >= 1$"):
+            make_thm3([0.5, 0.25], f)
 
 
 class TestThm6:
