@@ -13,10 +13,7 @@ Vocabularies (all include adjacency and equality):
 Interpretations are derived from the vertex numbering, so a model is just a
 graph plus a vocabulary tag.  ``compile_sentence`` turns a sentence once into
 an array plan over the model's adjacency matrix, bounded-variable evaluation
-as relational algebra: one axis per quantifier level (the innermost level
-leads, so quantifiers reduce along the leading axis), guards that narrow an
-axis's range, matrix products in place of innermost witnesses, and slices
-that keep every array within ``sampler.CELL_BUDGET`` cells.
+as relational algebra; its docstring states the plan's rules.
 
 Text grammar (whitespace insignificant; the tables ``_ATOMS``, ``_BINARY``
 and ``_QUANTIFIERS`` hold its words, and ``_children`` its tree shapes)::
@@ -482,32 +479,30 @@ def holds(m: LabeledModel, f: Formula) -> bool:
     return f._checker(m.adjacency)
 
 
-# A plan step maps a run to a boolean array with one axis per quantifier
-# level, level d on axis ndim - 1 - d (the innermost level leads), of size 1
-# on every axis the subformula does not read.
+# A plan step maps a run to a uint8 truth array: level d on axis ``_Run.ax[d]``, size 1 where
+# unread.  Not bool: numpy's boolean loops run an operand that is constant over the trailing
+# axes one cell at a time, so (2, 90, 90, 90) & (2, 90, 1, 1) is over 20 times slower as bools.
 Step = Callable[["_Run"], np.ndarray]
 
 
 class _Run:
-    """One run of a plan: the model's adjacency, and per quantifier level the
-    vertex indices it ranges over, shaped to lie along its axis, and their
-    number before any slicing."""
+    """One run of a plan: the adjacency; per quantifier level d its axis (its own, or
+    that of the level whose edges it ranges over), its vertex indices and their number
+    before any slicing or edge ranging; and the matrices made once per run."""
 
-    def __init__(self, adj: np.ndarray, circular: bool, ndim: int):
-        n = len(adj)
-        self.adj, self.n, self.ndim = adj, n, ndim
-        self.period = n if circular else n + 1
-        self.first, self.last = np.intp(0), np.intp(n - 1)
-        self.every = np.arange(n)
-        self.dom: list[np.ndarray | None] = [None] * ndim
-        self.size = [0] * ndim
-
-    def axis(self, d: int) -> int:
-        return self.ndim - 1 - d
+    def __init__(self, adj: np.ndarray, circular: bool, lines: list[tuple[int, ...]]):
+        n, ndim = len(adj), len(lines)
+        self.adj, self.n, self.ndim, self.lines = adj.view(np.uint8), n, ndim, lines
+        self.period, self.every = n if circular else n + 1, np.arange(n)
+        self.ax, self.memo = list(range(ndim - 1, -1, -1)), {}
+        self.dom, self.size = [None] * ndim, [0] * ndim
+        self.small = n ** ndim <= sampler.CELL_BUDGET  # an array spans at most n cells a level
 
     def along(self, d: int, values: np.ndarray) -> np.ndarray:
-        a = self.axis(d)
-        return values.reshape([-1 if i == a else 1 for i in range(self.ndim)])
+        return values.reshape(self.lines[self.ax[d]])
+
+    def full(self, dom: np.ndarray) -> bool:  # a level's indices are every vertex in order
+        return dom.size == self.n and dom.base is self.every
 
 
 # Each atom on term arrays of 0-based vertex indices (constants are scalars).
@@ -524,84 +519,104 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
     """``f`` compiled once into an array plan, as a check of an (n, n)
     boolean adjacency matrix read in ``f.vocab``.
 
-    The quantifier at nesting level d of a depth-D sentence owns axis
-    D - 1 - d, so the innermost level leads, and every subformula evaluates
-    to a boolean array of size 1 on the axes it does not read: atoms index
-    the adjacency matrix or compare vertex indices (``first`` and ``last``
-    are fixed indices), connectives are broadcast elementwise ops, ``exists``
-    is ``any`` and ``forall`` is ``all`` along the quantifier's axis (numpy
-    reduces along a leading axis many times faster than along the last).
-    Connectives skip their right side once the left decides the whole array.
+    Every subformula evaluates to a uint8 truth array with one axis per quantifier level,
+    of size 1 on the axes it does not read.  Level d of a depth-D sentence owns axis
+    D - 1 - d, so the innermost level leads and ``exists`` and ``forall`` reduce along a
+    leading axis, many times faster in numpy than along the last.  Atoms index the
+    adjacency or compare vertex indices (``first`` and ``last`` are fixed); connectives are
+    broadcast ops that skip their right side once the left decides the whole array.
 
-    Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)``
-    the conjuncts of G that read only v and constants choose the vertices v's
-    axis ranges over (an empty range makes ``exists`` false and ``forall``
-    true), and the conjuncts that do not read v move outside the quantifier.
+    Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)`` the
+    conjuncts of G that read only v and constants choose v's range (an empty range makes
+    ``exists`` false and ``forall`` true), and those that do not read v move outside.  A
+    conjunct ``adj(u, v)`` or ``adj(v, u)``, u an enclosing level whose axis no other level
+    shares, lets v range over u's neighbours: the edges (u, v), u in its current range and v
+    in its own, are one axis laid along u's, on which both are read elementwise, so a body
+    over u, v and others spans E edges by the others, not n_u by n_v.  The result folds back
+    onto u's vertices by ``all`` or ``any`` over each vertex's edges (true under ``forall``,
+    false under ``exists`` for a vertex with none), or by ``all`` over every edge when v's
+    ``forall`` is all of u's and reads u only on edges.  A run takes the edges where they pay
+    and cannot move a refusal: at least 2048 (u, v) pairs, at most an eighth of them edges,
+    and no quantifier inside that could be refused at its largest range sizes; else the
+    guard is an array.
 
-    An ``exists w`` whose remaining conjuncts are two subformulas, over w and
-    u1 and over w and u2 (u1 != u2), and at most one ``!(w = t)`` with t
-    neither of them, is contracted before it is materialized: a matrix
-    product counts the witnesses of the two, and the witness w = t is
-    subtracted, so the array never spans w.
+    An ``exists w`` whose other conjuncts are two subformulas, over w and u1 and over w and
+    u2 (u1 != u2), and at most one ``!(w = t)``, t neither, is contracted in preference: a
+    matrix product made once per run counts the witnesses at every pair of vertices, less
+    w = t, so no array spans w.
 
-    No array spans more than ``sampler.CELL_BUDGET`` cells: a quantifier whose
-    array would is evaluated in slices of the leading axis (its innermost
-    level) when one slice of it fits, else of its outermost level's axis.
-    ``CheckerBudgetError`` is raised when one slice of the outermost level
-    would still exceed the budget, counted at the ranges' unsliced sizes, so
-    the refusal does not depend on how enclosing quantifiers were sliced.
+    An array past ``sampler.CELL_BUDGET`` cells is made in slices of its leading axis (its
+    innermost level) when one fits, else of its outermost level's axis (an edge axis counts
+    once, and is cut by cutting u or v).  ``CheckerBudgetError`` is raised when one slice of
+    the outermost level would still not fit, counted at the ranges' unsliced sizes with
+    every level on an axis of its own, whatever the enclosing slices or the edges in a range.
     """
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
-    root, _ = _plan(f.root, {}, 0)
-    circular, ndim = f.vocab.circular, f.depth
-    return lambda adj: bool(root(_Run(adj, circular, ndim)))
+    root, _ = _plan(f.root, {}, (), [])
+    circular, depth = f.vocab.circular, f.depth
+    lines = [tuple(-1 if i == a else 1 for i in range(depth)) for a in range(depth)]  # 1-D along each axis
+    return lambda adj: bool(root(_Run(adj, circular, lines)))
 
 
 Planned = tuple[Step, frozenset[int]]  # a step and the levels it reads
 
 
-def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
+def _plan(node: Node, scope: dict[str, int], axes: tuple[int, ...], spans: list[list[int]]) -> Planned:
+    """``node``'s step; ``axes[d]`` is the level whose axis enclosing level d lies on,
+    ``len(axes)`` the next quantifier's level; ``spans`` gets each quantifier's sorted levels."""
     match node:
         case Adj(Var(a), Var(b)) if scope[a] != scope[b]:
-            return (_adjacent(*sorted((scope[a], scope[b]), reverse=True)),
-                    frozenset((scope[a], scope[b])))
+            a, b = sorted((scope[a], scope[b]))  # adj is symmetric: rows along b, whose axis leads
+            return (lambda r: _gather(r.adj, b, a, r)), frozenset((a, b))
         case Atom():
             op, terms = _ATOM_ARRAYS[type(node)], [_term(t, scope) for t in node.terms]
-            return (lambda r: op(r, *(t(r) for t in terms)),
+            return (lambda r: op(r, *(t(r) for t in terms)).view(np.uint8),
                     frozenset(scope[t.name] for t in node.terms if isinstance(t, Var)))
+        case Not(Eq(a, b)):  # one compare, not a compare and a flip
+            ta, tb = _term(a, scope), _term(b, scope)
+            return (lambda r: (ta(r) != tb(r)).view(np.uint8)), _plan(node.body, scope, axes, spans)[1]
         case Not(body):
-            p, axes = _plan(body, scope, level)
-            return (lambda r: ~p(r)), axes
+            p, levels = _plan(body, scope, axes, spans)
+            return (lambda r: p(r) ^ 1), levels
         case And():
-            return _all_of([_plan(c, scope, level) for c in _conjuncts(node)])
+            return _all_of([_plan(c, scope, axes, spans) for c in _conjuncts(node)])
         case Or(l, r):
-            (p, pa), (q, qa) = _plan(l, scope, level), _plan(r, scope, level)
-            return (lambda run: x if (x := p(run)).all() else _or(x, q(run))), pa | qa
+            (p, pa), (q, qa) = _plan(l, scope, axes, spans), _plan(r, scope, axes, spans)
+            return (lambda run: x if np.count_nonzero(x := p(run)) == x.size else x | q(run)), pa | qa
         case Implies(l, r):
-            return _implies(_plan(l, scope, level), _plan(r, scope, level))
+            return _implies(_plan(l, scope, axes, spans), _plan(r, scope, axes, spans))
         case Forall() | Exists():
-            return _quantifier(node, scope, level)
+            return _quantifier(node, scope, axes, spans)
     raise LogicError(f"unknown node {node!r}")
 
 
-def _adjacent(a: int, b: int) -> Step:
-    """adj between the variables of levels a > b (adj is symmetric, and a's
-    axis comes first): the adjacency's rows and columns in their ranges (a
-    range as long as n is every vertex)."""
-    def step(r: _Run) -> np.ndarray:
-        rows, cols = r.dom[a].ravel(), r.dom[b].ravel()
-        m = r.adj if len(rows) == r.n else r.adj[rows]
-        return _spread(m if len(cols) == r.n else m[:, cols], a, b, r)
+def _gather(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
+    """The vertex-indexed (n, n) matrix ``m`` at levels a (rows) and b: elementwise on a shared
+    axis, else a C-ordered block (broadcasts with transposed operands run several times slower)."""
+    pa, pb = r.ax[a], r.ax[b]
+    if pa == pb:
+        return m[r.dom[a], r.dom[b]]
+    m = _block(m, a, b, r)
+    if pa > pb:
+        m, pa, pb = np.ascontiguousarray(m.T), pb, pa
+    shape = [1] * r.ndim
+    shape[pa], shape[pb] = m.shape
+    return m.reshape(shape)
 
-    return step
+
+def _block(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
+    """``m``'s rows at level a's vertices and columns at level b's."""
+    rows, cols, n, every = r.dom[a], r.dom[b], r.n, r.every  # full(), inlined for a hot path
+    m = m if rows.size == n and rows.base is every else m[rows.ravel()]
+    return m if cols.size == n and cols.base is every else m[:, cols.ravel()]
 
 
 def _term(t: Term, scope: dict[str, int]) -> Step:
     if isinstance(t, Var):
         a = scope[t.name]
         return lambda r: r.dom[a]
-    return (lambda r: r.first) if t.name == "first" else (lambda r: r.last)
+    return (lambda r: np.intp(0)) if t.name == "first" else (lambda r: np.intp(r.n - 1))
 
 
 def _conjuncts(node: Node) -> list[Node]:
@@ -612,45 +627,32 @@ def _all_of(parts: list[Planned]) -> Planned:
     """The conjunction of ``parts`` (true if none), stopping once it is false
     everywhere."""
     if not parts:
-        return (lambda r: np.True_), frozenset()
+        return (lambda r: np.uint8(1)), frozenset()
     steps = [s for s, _ in parts]
 
     def step(r: _Run) -> np.ndarray:
         acc = steps[0](r)
         for i, s in enumerate(steps[1:]):
-            if not acc.any():
+            if not np.count_nonzero(acc):
                 break
+            y = s(r)
             # past the first op acc is this step's own array, reused when it spans the result
-            acc = _and(acc, s(r), into=i > 0)
+            into = i > 0 and acc.ndim and all(p >= q for p, q in zip(acc.shape, y.shape))
+            acc = np.bitwise_and(acc, y, out=acc if into else None)
         return acc
 
-    axes = frozenset().union(*(a for _, a in parts))
-    return (steps[0] if len(steps) == 1 else step), axes
-
-
-def _and(x: np.ndarray, y: np.ndarray, into: bool = False) -> np.ndarray:
-    """x & y as a bitwise op on uint8 views, written into x when ``into`` and
-    x has the result's shape.  numpy's boolean loops run an operand that is
-    constant over the trailing axes one cell at a time: (2, 90, 90, 90) &
-    (2, 90, 1, 1) is over 20 times slower as bools."""
-    x8, y8 = x.view(np.uint8), y.view(np.uint8)
-    if into and x.ndim and x.shape == np.broadcast_shapes(x.shape, y.shape):
-        return np.bitwise_and(x8, y8, out=x8).view(np.bool_)
-    return np.bitwise_and(x8, y8).view(np.bool_)
-
-
-def _or(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x | y, as ``_and``."""
-    return np.bitwise_or(x.view(np.uint8), y.view(np.uint8)).view(np.bool_)
+    levels = frozenset().union(*(a for _, a in parts))
+    return (steps[0] if len(steps) == 1 else step), levels
 
 
 def _implies(left: Planned, right: Planned) -> Planned:
     (p, pa), (q, qa) = left, right
-    return (lambda r: ~x if not (x := p(r)).any() else _or(~x, q(r))), pa | qa
+    return (lambda r: x ^ 1 if not np.count_nonzero(x := p(r)) else (x ^ 1) | q(r)), pa | qa
 
 
-def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Planned:
-    d, forall = level, isinstance(node, Forall)
+def _quantifier(node: Forall | Exists, scope: dict[str, int], axes: tuple[int, ...],
+                spans: list[list[int]], whole: bool = False) -> Planned:
+    d, forall = len(axes), isinstance(node, Forall)
     inner = {**scope, node.var: d}
     if not forall:
         guards, tail = _conjuncts(node.body), None
@@ -658,27 +660,39 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Pla
         guards, tail = _conjuncts(node.body.left), node.body.right
     else:
         guards, tail = [], node.body
-    planned = [(g, *_plan(g, inner, level + 1)) for g in guards]
+    # the first guard adj(u, v) or adj(v, u) to an enclosing level u alone on its own axis
+    ends = [sorted(inner[t.name] for t in g.terms) for g in guards
+            if isinstance(g, Adj) and all(isinstance(t, Var) for t in g.terms)]
+    u = next((a for a, b in ends if b == d > a and axes[a] == a and axes.count(a) == 1), None)
+    inner_axes, inside = axes + (d if u is None else u,), []
+    planned = [(g, *_plan(g, inner, inner_axes, inside)) for g in guards]
     ranged = [(s, a) for _, s, a in planned if a <= {d}]  # read only v and constants
     outside = [(s, a) for _, s, a in planned if a and d not in a]
     rest = [(g, s, a) for g, s, a in planned if d in a and a != {d}]
-    body = _all_of([(s, a) for _, s, a in rest])
-    if forall:
-        then = _plan(tail, inner, level + 1)
-        reduced = _reduced(_implies(body, then) if rest else then, d, forall)
-    else:
-        reduced = _contraction(rest, inner, d) or _reduced(body, d, forall)
+    reduced = None if forall else _contraction(rest, inner, d)
+    if reduced is None:
+        # a forall that is all of this one's body, reading u only on edges, need not fold per vertex
+        then = (_quantifier(tail, inner, inner_axes, inside, not rest) if isinstance(tail, Forall)
+                else _plan(tail, inner, inner_axes, inside)) if forall else None
+        kept = [(s, a) for g, s, a in rest if not (isinstance(g, Adj) and a == {u, d})]  # true on edges
+        dense, body = _all_of([(s, a) for _, s, a in rest]), _all_of(kept)
+        if forall:
+            dense, body = _implies(dense, then) if rest else then, _implies(body, then) if kept else then
+        reduced = _reduced(dense, d, forall)
+        if u is not None:
+            reduced = _edged(body, reduced, u, d, forall, inside, whole and u == d - 1 and not outside)
     sliced, span = _sliced(*reduced, d, forall), reduced[1]
+    spans += inside + [sorted(span)]
     range_of = _all_of(ranged)[0] if ranged else None
 
     def step(r: _Run) -> np.ndarray:
         dom = r.every
         if range_of is not None:
             r.dom[d] = r.along(d, dom)
-            dom = dom[np.broadcast_to(range_of(r), r.dom[d].shape).ravel()]
+            dom = dom[np.broadcast_to(range_of(r), r.dom[d].shape).ravel().view(np.bool_)]
         if not len(dom):
-            return np.bool_(forall)
-        r.dom[d], r.size[d] = r.along(d, dom), len(dom)
+            return np.uint8(forall)
+        r.dom[d], r.size[d] = dom.reshape(r.lines[r.ax[d]]), len(dom)
         return sliced(r)
 
     if not outside:
@@ -689,17 +703,48 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], level: int) -> Pla
 
 
 def _reduced(body: Planned, d: int, forall: bool) -> Planned:
-    """``body`` reduced along level d by ``all`` or ``any``, with the levels
-    it spans."""
+    """``body`` reduced along level d by ``all`` or ``any``, with the levels it spans."""
     b = body[0]
 
     def step(r: _Run) -> np.ndarray:
-        x, a = b(r), r.axis(d)
+        x, a = b(r), r.ax[d]
         if x.ndim == 0 or x.shape[a] == 1:  # x does not vary along d
             return x
-        return x.all(axis=a, keepdims=True) if forall else x.any(axis=a, keepdims=True)
+        return (np.bitwise_and if forall else np.bitwise_or).reduce(x, axis=a, keepdims=True)
 
     return step, body[1]
+
+
+def _edged(body: Planned, dense: Planned, u: int, d: int, forall: bool, inside: list[list[int]],
+           whole: bool) -> Planned:
+    """``body`` on the edges (u, v) of u's and v's ranges laid along u's axis, folded back onto
+    u's vertices by ``all`` or ``any`` (when ``whole``, by ``all`` over every edge); or ``dense``,
+    the guard an array, where edges do not pay or a quantifier over ``inside`` could be refused
+    (the dense plan reaches conjunctions that edges skip)."""
+
+    def step(r: _Run) -> np.ndarray:
+        us, vs, a, every = r.dom[u], r.dom[d], r.ax[u], r.full(r.dom[u])
+        block, budget = _block(r.adj, u, d, r), sampler.CELL_BUDGET
+        if block.size < _EDGE_PAY[0] or not 0 < _EDGE_PAY[1] * np.count_nonzero(block) <= block.size or not r.small \
+                and any(math.prod(r.size[i] if i <= d else r.n for i in o[1:]) > budget for o in inside):
+            return dense[0](r)
+        at, to = block.nonzero()
+        r.ax[d], line = a, r.lines[a]
+        r.dom[u] = (at if every else us.ravel()[at]).reshape(line)
+        r.dom[d] = (to if r.full(vs) else vs.ravel()[to]).reshape(line)
+        x = body[0](r)
+        r.ax[d], r.dom[u], r.dom[d] = r.ndim - 1 - d, us, vs
+        if whole:
+            return np.bitwise_and.reduce(x, axis=a, keepdims=True) if x.ndim and x.shape[a] > 1 else x
+        # each vertex's edges are one run of at; a vertex with none is true under forall, false under exists
+        starts = np.flatnonzero(np.diff(at, prepend=-1))
+        if x.ndim and x.shape[a] > 1:
+            x = (np.bitwise_and if forall else np.bitwise_or).reduceat(x, starts, axis=a)
+        out = np.full([us.size if i == a else x.shape[i] if x.ndim else 1 for i in range(r.ndim)], forall, np.uint8)
+        out[(slice(None),) * a + (at[starts],)] = x
+        return out
+
+    return step, dense[1]
 
 
 def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str, int],
@@ -709,15 +754,15 @@ def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str,
     never spans w: some witness remains once the witnesses counted by a
     matrix product lose w = t.  None for any other body."""
     pairs, excluded = [], []
-    for node, step, axes in rest:
+    for node, step, levels in rest:
         if isinstance(node, Not) and isinstance(node.body, Eq):
             others = [t for t in node.body.terms if not (isinstance(t, Var) and scope[t.name] == d)]
             if len(others) == 1:
                 excluded.append(others[0])
                 continue
-        if len(axes) != 2:
+        if len(levels) != 2:
             return None
-        pairs.append((step, next(iter(axes - {d}))))
+        pairs.append((step, next(iter(levels - {d}))))
     if len(pairs) != 2 or pairs[0][1] == pairs[1][1] or len(excluded) > 1:
         return None
     (s1, u1), (s2, u2) = pairs
@@ -725,26 +770,41 @@ def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str,
     t_level = scope[excluded[0].name] if excluded else None
     if t_level in (u1, u2):
         return None
+    plain = {step for node, step, _ in rest if isinstance(node, Adj)}
 
-    def step(r: _Run) -> np.ndarray:
-        m1, m2 = _matrix(s1(r), u1, d, r), _matrix(s2(r), d, u2, r)
+    def matrix(s: Step, ui: int, r: _Run) -> np.ndarray:
+        # s at every vertex of ui, on ui's own axis, as a (w, ui) matrix (w, the innermost, leads)
+        if s in plain and r.full(r.dom[d]):  # adj(w, ui) is the adjacency itself
+            return r.adj
+        kept = r.dom[ui], r.ax[ui]
+        r.ax[ui], r.dom[ui] = r.ndim - 1 - ui, r.every.reshape(r.lines[r.ndim - 1 - ui])
+        shape = [1] * r.ndim
+        shape[r.ax[d]], shape[r.ax[ui]] = r.dom[d].size, r.n
+        x = s(r)
+        r.dom[ui], r.ax[ui] = kept
+        return (x if x.shape == tuple(shape) else np.broadcast_to(x, shape)).reshape(shape[r.ax[d]], -1)
+
+    def made(r: _Run) -> tuple:  # by vertex, so once per run
+        m1, m2 = matrix(s1, u1, r).T, matrix(s2, u2, r)
         count = _count(m1, m2)
         if t_level is None:
-            return _spread(count > 0, u1, u2, r)
-        # the witness w = t: m1's columns and m2's rows by vertex (false outside
-        # w's range), at t's range; ranges as long as n are every vertex
-        w, at = r.dom[d].ravel(), r.dom[t_level].ravel()
-        if len(w) < r.n:
-            by1, by2 = np.zeros((len(m1), r.n), dtype=bool), np.zeros((r.n, m2.shape[1]), dtype=bool)
-            by1[:, w], by2[w] = m1, m2
-            m1, m2 = by1, by2
-        if len(at) < r.n:
-            m1, m2 = m1[:, at], m2[at]
-        witness = _and(_spread(m1, u1, t_level, r), _spread(m2, t_level, u2, r))
-        # compared as uint8: a mixed float/bool comparison is several times slower
-        few = _spread(np.minimum(count, 2).astype(np.uint8), u1, u2, r)
-        flags = witness.view(np.uint8)
-        np.less(flags, few, out=flags)  # in place: a fresh slice-sized array is fresh pages
+            return ((count > 0).view(np.uint8),)
+        # the witness w = t: m1's columns and m2's rows by vertex (false outside w's range)
+        if not r.full(w := r.dom[d]):
+            by = np.zeros((2, r.n, r.n), dtype=np.uint8)
+            by[0][:, w.ravel()], by[1][w.ravel()] = m1, m2
+            m1, m2 = by
+        # as uint8 (a mixed float/uint8 comparison is several times slower), exact below 256
+        return (np.minimum(count, 2) if r.n > 255 else count).astype(np.uint8), m1, m2
+
+    def step(r: _Run) -> np.ndarray:
+        if (mats := r.memo.get(step)) is None:
+            mats = r.memo[step] = made(r)
+        if t_level is None:
+            return _gather(mats[0], u1, u2, r)
+        few, by1, by2 = mats
+        witness = _gather(by1, u1, t_level, r) & _gather(by2, t_level, u2, r)
+        np.less(witness, _gather(few, u1, u2, r), out=witness)  # in place: fresh arrays are fresh pages
         return witness
 
     return step, frozenset().union(*(a for _, _, a in rest)) - {d}
@@ -754,77 +814,57 @@ def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str,
 # threads; on a shared two-core host that made a 400 x 400 x 13 product about
 # 60 times slower than on one thread, so products are taken in row blocks.
 _PRODUCT_BLOCK = 1 << 18
+# Edges pay for their fixed cost (cold, about 100 ref-us at n <= 32 in edge_in_c4) from
+# about 2048 (u, v) pairs, with at most an eighth of them edges (measured up to n = 400).
+_EDGE_PAY = 2048, 8
 
 
 def _count(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The product of two boolean matrices: witness counts, in float32 (exact
+    """The product of two 0/1 matrices: witness counts, in float32 (exact
     below 2^24), by ``np.dot`` (``@`` ran these float32 shapes about 90 times
     slower)."""
     a, b = m1.astype(np.float32), m2.astype(np.float32)
-    out = np.empty((len(a), b.shape[1]), dtype=np.float32)
     rows = max(1, _PRODUCT_BLOCK // max(1, a.shape[1] * b.shape[1]))
+    out = np.empty((len(a), b.shape[1]), dtype=np.float32)
     for i in range(0, len(a), rows):
         np.dot(a[i:i + rows], b, out=out[i:i + rows])
     return out
 
 
-def _matrix(x: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """The array ``x`` over levels a and b as a 2-D matrix, rows along a."""
-    pa, pb = r.axis(a), r.axis(b)
-    shape = [1] * r.ndim
-    shape[pa], shape[pb] = r.dom[a].size, r.dom[b].size
-    if x.shape != tuple(shape):
-        x = np.broadcast_to(x, shape)
-    m = x.reshape(shape[min(pa, pb)], shape[max(pa, pb)])
-    return m if pa < pb else m.T
-
-
-def _spread(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """A 2-D matrix with rows along level a and columns along b, as a
-    C-ordered plan array (broadcast ops on transposed operands run several
-    times slower)."""
-    pa, pb = r.axis(a), r.axis(b)
-    if pa > pb:
-        m, pa, pb = np.ascontiguousarray(m.T), pb, pa
-    shape = [1] * r.ndim
-    shape[pa], shape[pb] = m.shape
-    return m.reshape(shape)
-
-
 def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
-    """``step``, whose largest array spans the levels ``span``, run on slices
-    when that array would exceed ``sampler.CELL_BUDGET`` cells: slices of the
-    leading axis (the innermost level of ``span``) when one of them fits, else
-    of the outermost level's axis.  ``CheckerBudgetError`` when one slice of
-    the outermost level would not fit at the unsliced range sizes.  Slices of
-    d itself are folded into one output by ``and`` or ``or`` as each is made,
-    others concatenated."""
+    """``step``, whose largest array spans the levels ``span``, run on slices when that array
+    would exceed ``sampler.CELL_BUDGET`` cells: slices of the leading axis (the innermost level
+    of ``span``) when one of them fits, else of the outermost level's axis.  ``CheckerBudgetError``
+    when one slice of the outermost level would not fit at the unsliced range sizes.  Slices of d
+    itself are folded into one output by ``and`` or ``or`` as each is made, others concatenated."""
     order, out = sorted(span), span - {d}
 
     def run(r: _Run) -> np.ndarray:
         budget = sampler.CELL_BUDGET
+        if r.small:  # no array can pass the budget, nor any slice be refused
+            return step(r)
         per = math.prod(r.size[a] for a in order[1:])
         if per > budget:
             raise CheckerBudgetError(per, budget)
-        cells = math.prod(r.dom[a].size for a in order)
+        # an edge axis counts once; its quantifier cut u's or v's dense range already
+        cells = math.prod({r.ax[a]: r.dom[a].size for a in order}.values())
         if cells <= budget:
             return step(r)
         a = order[-1] if cells // r.dom[order[-1]].size <= budget else order[0]
-        whole = r.dom[a]
+        whole, axis = r.dom[a], r.ax[a]
         values, rows, parts, acc = whole.ravel(), budget // (cells // whole.size), [], None
         for lo in range(0, len(values), rows):
             r.dom[a] = r.along(a, values[lo:lo + rows])
-            # the output's shape: levels from the innermost are axes in order
-            part = np.broadcast_to(step(r), [r.dom[i].size if i in out else 1
-                                             for i in reversed(range(r.ndim))])
+            # the output's shape: each axis as long as the levels of out on it
+            part = np.broadcast_to(step(r), np.broadcast_shapes((1,) * r.ndim, *(r.dom[i].shape for i in out)))
             if a != d:
                 parts.append(part)
             elif acc is None:
-                acc = part.view(np.uint8).copy()
+                acc = part.copy()
             else:  # folded as made: one slice and one output live, not every slice
-                (np.bitwise_and if forall else np.bitwise_or)(acc, part.view(np.uint8), out=acc)
+                (np.bitwise_and if forall else np.bitwise_or)(acc, part, out=acc)
         r.dom[a] = whole
-        return acc.view(np.bool_) if a == d else np.concatenate(parts, axis=r.axis(a))
+        return acc if a == d else np.concatenate(parts, axis=axis)
 
     return run
 

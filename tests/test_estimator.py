@@ -609,10 +609,10 @@ class TestColumnKernels:
         compiled = []
         real = logic._plan
 
-        def spy(node, scope, level):
+        def spy(node, *context):
             if node is f.root:  # planning starts from the root once per compile
                 compiled.append(node)
-            return real(node, scope, level)
+            return real(node, *context)
 
         monkeypatch.setattr(logic, "_plan", spy)
         holds(LabeledModel(make_graph(4, [(1, 2)]), f.vocab), f)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddgraphs import presets, sampler
+from ddgraphs import logic, presets, sampler
 from ddgraphs.graph import complete_graph, edgeless_graph, make_graph
 from ddgraphs.logic import (
     Adj,
@@ -29,6 +29,7 @@ from ddgraphs.logic import (
     FormulaSyntaxError,
     LabeledModel,
     LogicError,
+    Node,
     Not,
     Or,
     Implies,
@@ -88,10 +89,10 @@ def brute_holds(m: LabeledModel, f: Formula) -> bool:
     return ev(f.root, {})
 
 
-def random_sentence(rng: random.Random, vocab: Vocab, depth: int) -> Formula:
-    """A random sentence of depth at most ``depth``: every atom the vocabulary
-    allows, constants included; binders are drawn from three names, so
-    siblings and shadowing both occur."""
+def random_node(rng: random.Random, vocab: Vocab, depth: int, scope: list[str]) -> Node:
+    """A random formula of depth at most ``depth`` over the variables in
+    ``scope``: every atom the vocabulary allows, constants included; binders
+    are drawn from three names, so siblings and shadowing both occur."""
     consts = [Const("first"), Const("last")] if vocab.has_constants else []
     atoms = [Adj, Eq] + [Succ] * vocab.has_succ + [Le] * vocab.has_le + [Cw] * vocab.has_cw
 
@@ -115,7 +116,45 @@ def random_sentence(rng: random.Random, vocab: Vocab, depth: int) -> Formula:
         v = rng.choice("xyz")
         return rng.choice([Forall, Exists])(v, gen(depth - 1, scope + [v]))
 
-    return Formula(gen(depth, []), vocab)
+    return gen(depth, list(scope))
+
+
+def random_sentence(rng: random.Random, vocab: Vocab, depth: int) -> Formula:
+    """A random sentence of depth at most ``depth`` (see ``random_node``)."""
+    return Formula(random_node(rng, vocab, depth, []), vocab)
+
+
+def guarded_sentence(rng: random.Random, vocab: Vocab, levels: int) -> Formula:
+    """``levels`` nested quantifiers, most past the first guarded by adj to
+    an enclosing variable (the immediately enclosing one or an outer one), in
+    either argument order, as ``forall v. (G -> B)`` or ``exists v. (G & B)``;
+    G may hold an atom besides the guard, on either side of it, over the
+    variables so far or over u alone, and the innermost body is a random
+    formula over every variable."""
+    names = ["a", "b", "c", "e"][:levels]
+
+    def nest(i):
+        if i == levels:
+            return random_node(rng, vocab, 2, names)
+        v, body = names[i], nest(i + 1)
+        if i == 0 or rng.random() < 0.3:
+            return rng.choice([Forall, Exists])(v, body)
+        u = rng.choice(names[:i])
+        guard = [rng.choice([Adj(Var(u), Var(v)), Adj(Var(v), Var(u))])]
+        guard += [random_node(rng, vocab, 0, rng.choice((names[:i + 1], [u])))] * rng.randint(0, 1)
+        rng.shuffle(guard)
+        g = guard[0] if len(guard) == 1 else And(*guard)
+        return Forall(v, Implies(g, body)) if rng.random() < 0.5 else Exists(v, And(g, body))
+
+    return Formula(nest(0), vocab)
+
+
+def guard_models(n: int, vocab: Vocab, seed: int) -> list[LabeledModel]:
+    """An edgeless, a complete and a sampled graph on n vertices, the last
+    with its first and last vertex isolated."""
+    g = sample(make_constant(0.5), n, RngStream(seed, n), CIRCLE if vocab.circular else LINE)
+    isolated = make_graph(n, [e for e in g.edges if not {1, n} & set(e)])
+    return [LabeledModel(h, vocab) for h in (edgeless_graph(n), complete_graph(n), isolated)]
 
 
 def all_graphs(n):
@@ -429,6 +468,8 @@ class TestArrayPlan:
         # a guard on w alone narrows its range first; t among the ui is not contracted
         ("forall x. forall y. exists w. adj(x, w) & adj(w, y) & !(w = x)", Vocab.L),
         ("forall x. forall y. exists w. adj(w, first) & adj(x, w) & adj(w, y)", Vocab.L_PLUS),
+        # two contractions of one run, each with matrices of its own
+        ("exists x. exists y. (exists w. adj(x, w) & adj(w, y)) & !(exists w. !adj(x, w) & !adj(w, y))", Vocab.L),
         # a contracted body inside another contraction, as in ex2_path4
         ("forall x. exists y. exists z. adj(x, z) & (exists w. adj(z, w) & adj(w, y))", Vocab.L),
         # t's range is narrower than n: w's range is every vertex, t's is not
@@ -449,6 +490,70 @@ class TestArrayPlan:
                 g = sample(make_constant(p), n, RngStream(n, int(10 * p)), CIRCLE if vocab.circular else LINE)
                 m = LabeledModel(g, vocab)
                 assert holds(m, f) == brute_holds(m, f), (text, n, p)
+
+    @pytest.fixture
+    def edges_always(self, monkeypatch):
+        # the edge axis is taken at every size and density, not only where it pays
+        monkeypatch.setattr(logic, "_EDGE_PAY", (0, 1))
+
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_edge_guards_match_oracle(self, edges_always, vocab):
+        # v ranges over the edges of its guard's variable on edgeless, complete
+        # and partly isolated graphs
+        rng = random.Random(vocab.value)
+        for n in range(1, 13):
+            models = guard_models(n, vocab, n)
+            for _ in range(4 if n <= 6 else 2):
+                f = guarded_sentence(rng, vocab, rng.choice((3, 4)) if n <= 6 else 3)
+                for m in models:
+                    assert holds(m, f) == brute_holds(m, f), (n, m.graph.edges, to_text(f))
+
+    @pytest.mark.parametrize("text, vocab, edges", [
+        # y's forall is all of x's, so its edges reduce by all at once
+        ("forall x. forall y. adj(x, y) -> (exists z. adj(y, z) & !(z = x))", Vocab.L, [(1, 2), (2, 3)]),
+        ("forall x. forall y. adj(y, x) -> (forall z. adj(x, z) -> !(z = y) | succ(y, z))", Vocab.L_PLUS,
+         [(1, 2), (2, 3), (3, 4), (2, 4)]),
+        # a conjunct on x alone beside y's guard stays outside y's quantifier
+        ("forall x. forall y. x = first & adj(x, y) -> x = first", Vocab.L_PLUS, [(1, 2)]),
+        ("forall x. forall y. x = first & adj(x, y) -> y = last", Vocab.L_PLUS, [(1, 2), (2, 3), (1, 3)]),
+        ("exists x. exists y. adj(y, x) & !(x = first) & y = last", Vocab.L_PLUS, [(1, 2), (2, 3)]),
+        # vertex 8 has no edge, so vertex 7's edges end the edge axis
+        ("forall a. forall b. adj(a, b) & succ(b, a) -> (forall c. adj(a, c) -> succ(c, a))", Vocab.L_PLUS,
+         [(2, 4), (2, 6), (2, 7), (4, 7), (6, 7)]),
+        ("exists a. exists b. adj(a, b) & !succ(b, a) & !succ(a, b)", Vocab.L_PLUS, [(1, 2), (2, 3), (1, 4)]),
+    ])
+    def test_edge_axis_shapes_match_oracle(self, edges_always, text, vocab, edges):
+        f = parse(text, vocab)
+        for n in range(1, 9):
+            for g in (make_graph(n, [e for e in edges if max(e) <= n]), complete_graph(n)):
+                m = LabeledModel(g, vocab)
+                assert holds(m, f) == brute_holds(m, f), (text, n, g.edges)
+
+    @pytest.mark.parametrize("budget, text", [
+        # at 64 cells and n = 8 no quantifier inside y's can be refused, so the
+        # edges are taken, and the (z, E) arrays are cut along z
+        (64, "forall x. forall y. adj(x, y) -> (exists z. (z = first | z = last) & adj(y, z) & !(z = x))"),
+        (64, "exists x. exists y. adj(y, x) & (forall z. z = first | z = last -> adj(y, z) | z = x)"),
+        # z ranges over the edges of x, an outer level: z's range is cut first
+        (20, "forall x. forall y. forall z. adj(z, x) & (z = first | z = last) -> adj(y, z) | y = x"),
+    ])
+    def test_slices_of_the_edge_axis_match_oracle(self, monkeypatch, edges_always, budget, text):
+        monkeypatch.setattr(sampler, "CELL_BUDGET", budget)
+        f = parse(text, Vocab.L_PLUS)
+        for seed in range(16):
+            for m in guard_models(8, Vocab.L_PLUS, seed):
+                assert holds(m, f) == brute_holds(m, f), (text, seed, m.graph.edges)
+
+    def test_sliced_edge_guards_match_oracle(self, monkeypatch, edges_always):
+        # n = 7 and a budget of 49 cells: arrays over an edge axis and a level
+        # of its own are cut into slices, and so are the dense ranges of v
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 49)
+        rng = random.Random(11)
+        for vocab in Vocab:
+            for seed in range(8):
+                f = guarded_sentence(rng, vocab, 3)
+                for m in guard_models(7, vocab, seed):
+                    assert holds(m, f) == brute_holds(m, f), to_text(f)
 
     def test_sliced_evaluation_matches_oracle(self, monkeypatch):
         # n = 7 and a budget of 49 cells: every 3-axis array is cut into slices
@@ -555,6 +660,29 @@ class TestArrayPlan:
             holds(LabeledModel(complete_graph(20), Vocab.L), f)
         assert (err.value.estimate, err.value.budget) == (20**3, 1000)
         assert isinstance(err.value, RuntimeError) and "8000" in str(err.value)
+
+    def test_refusal_does_not_depend_on_edges(self):
+        # w ranges over a's edges, yet is refused at its dense range sizes, so
+        # a sparse model is refused as an edgeless one of the same n
+        sparse = sample_line(make_constant(0.1), 400, RngStream(4, 0))
+        for text in ("forall a. forall b. forall c. exists w. adj(a, w) & adj(b, w) & adj(c, w)",
+                     "forall a. forall b. forall c. forall w. adj(w, a) -> adj(b, w) | adj(c, w)"):
+            f = parse(text, Vocab.L)
+            for g in (edgeless_graph(400), sparse):
+                with pytest.raises(CheckerBudgetError) as err:
+                    holds(LabeledModel(g, Vocab.L), f)
+                assert err.value.estimate == 400**3, (text, len(g.edges))
+
+    def test_refused_where_the_dense_plan_reaches_a_quantifier(self, monkeypatch, edges_always):
+        # a = b is false on every edge (a, b), but the dense plan reaches c on the
+        # diagonal and refuses it; so does y's quantifier, which takes no edges
+        # while a quantifier inside it could be refused
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 16)
+        f = parse("forall a. forall b. adj(a, b) -> (forall c. a = b & adj(c, a) -> b = c)", Vocab.L)
+        with pytest.raises(CheckerBudgetError) as err:
+            holds(LabeledModel(make_graph(8, [(i, i + 1) for i in range(1, 8)]), Vocab.L), f)
+        assert err.value.estimate == 64
+        assert holds(LabeledModel(edgeless_graph(8), Vocab.L), f)
 
 
 class TestClockwise:
