@@ -6,7 +6,9 @@ rank-r (Hintikka) types agree, so games are decided by comparing type ids.
 then its picks) in an ``ids`` dict shared by all models compared.  A tuple's
 atomic id is its prefix's id plus the new entry's atoms from
 ``LabeledModel.atoms``: its loop atom, against each earlier entry, and on
-LC_LE both betweenness orientations with each two earlier entries.  Its
+LC_LE both betweenness orientations with each two earlier entries; the codes
+of these atoms for every next entry extend the prefix's by the columns of
+its last entry, so each level adds one column, not the whole tuple.  Its
 rank-0 type is its atomic id, and its rank-r type is the atomic id plus the
 set of its one-point extensions' rank-(r-1) types.  ``pointed_equiv`` forces
 the first picks and confines round i to radius 3^(k-i) of earlier picks, in
@@ -18,7 +20,6 @@ level at a time, the positions the plain game search visits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -45,25 +46,22 @@ _PAD = np.iinfo(np.int64).max  # sorts after every code and id
 _HASHED_ROWS = 512  # fewer rows are interned one by one: most are distinct, and a hash costs more
 
 
-def _extension_codes(m: LabeledModel, tuples: np.ndarray, ids: dict) -> np.ndarray:
-    """(N, n) codes of appending each vertex to each row of ``tuples`` (N, t,
-    0-based): the new entry's loop atom, its atoms against each entry, and on
-    LC_LE both orientations of its betweenness triple with each two entries.
-    Codes of models sharing ``ids`` are equal exactly when the atoms are."""
-    t, new, entries = m.atoms[1:, 1:], np.arange(m.n), tuples.T
-    cols = [(t[x], 5) for x in entries]  # atoms are below 2^5
+def _extended(m: LabeledModel, code: np.ndarray, bits: int, tuples: np.ndarray, ids: dict) -> tuple:
+    """The (N, n) codes, and their width in bits, of appending each vertex v to each row of
+    ``tuples`` (N, t, 0-based), from ``code``, those of appending v to each row without its
+    last entry e: that code, then v's atoms against e and, on LC_LE, both orientations of
+    v's betweenness triple with e and each earlier entry.  Codes of models sharing ``ids``
+    are equal exactly when the atoms are."""
+    new, e = np.arange(m.n), tuples[:, -1:]
+    cols = [(m.atoms[1:, 1:][e[:, 0]], 5)]  # atoms are below 2^5
     if m.vocab.has_cw:
-        cols += [(cw_holds(new, x, y) << 1 | cw_holds(new, y, x), 2)
-                 for x, y in combinations(entries[:, :, None], 2)]
-    code, bits = t.diagonal() + np.zeros((len(tuples), 1), np.int64), 5  # the loop atom
+        cols += [(cw_holds(new, x, e) << 1 | cw_holds(new, e, x), 2) for x in tuples[:, :-1, None].transpose(1, 0, 2)]
     for col, width in cols:
         if bits + width > 62:  # renumber through ids, which stay below 2^31
             u, i = np.unique(code, return_inverse=True)  # each distinct code interned once
-            code = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)]
-            bits = 31
-        code = code << width | col
-        bits += width
-    return code
+            code, bits = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)], 31
+        code, bits = code << width | col, bits + width
+    return code, bits
 
 
 def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -106,20 +104,22 @@ def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> 
     _check_table(m, k)
     n, levels = m.n, []
     tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
+    code, bits = m.atoms[1:, 1:].diagonal()[None].astype(np.int64), 5  # appending v: its loop atom
     for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
-        heads = _set_ids(ids, heads, _extension_codes(m, tuples, ids)[:, [e]])
+        heads = _set_ids(ids, heads, code[:, [e]])
         tuples = np.append(tuples, [[e]], axis=1)
+        code, bits = _extended(m, code, bits, tuples, ids)
     if k == 0:
         return [(heads, heads)]
     dist = _hop_distances(m)[1:, 1:] if picks else None
     near = None if dist is None else dist[[v - 1 for v in picks]].min(0)[None]
     for j in range(k):
         levels.append((heads, None if near is None else near <= 3 ** (k - j - 1)))
-        code = _extension_codes(m, tuples, ids)
         if j < k - 1:
             heads = _set_ids(ids, np.repeat(heads, n), code.reshape(-1, 1))
             entry = np.arange(len(tuples) * n)[:, None] % n  # each row's new last entry
             tuples = np.concatenate([np.repeat(tuples, n, 0), entry], 1)
+            code, bits = _extended(m, np.repeat(code, n, 0), bits, tuples, ids)
             near = None if near is None else np.minimum(near[:, None], dist[None]).reshape(-1, n)
     table: list = []
     for heads, ball in reversed(levels):  # rank 1 reads the codes of the last entries

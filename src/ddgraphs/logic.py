@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain, combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -486,9 +487,8 @@ Step = Callable[["_Run"], np.ndarray]
 
 
 class _Run:
-    """One run of a plan: the adjacency; per quantifier level d its axis (its own, or
-    that of the level whose edges it ranges over), its vertex indices and their number
-    before any slicing or edge ranging; and the matrices made once per run."""
+    """One run of a plan: the adjacency; per quantifier level d its axis, its vertex
+    indices and their number before any slicing; and the arrays made once per run."""
 
     def __init__(self, adj: np.ndarray, circular: bool, lines: list[tuple[int, ...]]):
         n, ndim = len(adj), len(lines)
@@ -500,9 +500,6 @@ class _Run:
 
     def along(self, d: int, values: np.ndarray) -> np.ndarray:
         return values.reshape(self.lines[self.ax[d]])
-
-    def full(self, dom: np.ndarray) -> bool:  # a level's indices are every vertex in order
-        return dom.size == self.n and dom.base is self.every
 
 
 # Each atom on term arrays of 0-based vertex indices (constants are scalars).
@@ -528,32 +525,27 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
 
     Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)`` the
     conjuncts of G that read only v and constants choose v's range (an empty range makes
-    ``exists`` false and ``forall`` true), and those that do not read v move outside.  A
-    conjunct ``adj(u, v)`` or ``adj(v, u)``, u an enclosing level whose axis no other level
-    shares, lets v range over u's neighbours: the edges (u, v), u in its current range and v
-    in its own, are one axis laid along u's, on which both are read elementwise, so a body
-    over u, v and others spans E edges by the others, not n_u by n_v.  The result folds back
-    onto u's vertices by ``all`` or ``any`` over each vertex's edges (true under ``forall``,
-    false under ``exists`` for a vertex with none), or by ``all`` over every edge when v's
-    ``forall`` is all of u's and reads u only on edges.  A run takes the edges where they pay
-    and cannot move a refusal: at least 2048 (u, v) pairs, at most an eighth of them edges,
-    and no quantifier inside that could be refused at its largest range sizes; else the
-    guard is an array.
+    ``exists`` false and ``forall`` true), and those that do not read v move outside.
 
-    An ``exists w`` whose other conjuncts are two subformulas, over w and u1 and over w and
-    u2 (u1 != u2), and at most one ``!(w = t)``, t neither, is contracted in preference: a
-    matrix product made once per run counts the witnesses at every pair of vertices, less
-    w = t, so no array spans w.
+    An ``exists w`` whose other conjuncts span w and two or more other levels is counted
+    when each is a factor over w and at most one other level, a disequality ``!(w = t)``
+    or a counted ``exists`` (exists z. P & exists w. Q is exists z, w. P & Q: a chain
+    multiplies its counts and tests > 0 at its top).  Summing out w multiplies the factors
+    over w, those over one other level grouped (``!adj(v, x) & !(v = x)`` is J - I - A),
+    by a matrix product where two other levels remain; a ``!(w = t)`` with t not among
+    them is expanded first, into the count less the count at w = t.  Counts are made once
+    per run, exact: float32 where none can reach 2^24, else float64 (below 2^53), else
+    integers.  A witness over three other levels (``exists w. adj(a, w) & adj(b, w) &
+    adj(c, w)``) keeps the array plan.
 
     An array past ``sampler.CELL_BUDGET`` cells is made in slices of its leading axis (its
-    innermost level) when one fits, else of its outermost level's axis (an edge axis counts
-    once, and is cut by cutting u or v).  ``CheckerBudgetError`` is raised when one slice of
-    the outermost level would still not fit, counted at the ranges' unsliced sizes with
-    every level on an axis of its own, whatever the enclosing slices or the edges in a range.
+    innermost level) when one fits, else of its outermost level's axis.
+    ``CheckerBudgetError`` is raised when one slice of the outermost level would still not
+    fit, counted at the ranges' unsliced sizes, whatever the enclosing slices.
     """
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
-    root, _ = _plan(f.root, {}, (), [])
+    root, _ = _plan(f.root, {}, 0)
     circular, depth = f.vocab.circular, f.depth
     lines = [tuple(-1 if i == a else 1 for i in range(depth)) for a in range(depth)]  # 1-D along each axis
     return lambda adj: bool(root(_Run(adj, circular, lines)))
@@ -562,9 +554,8 @@ def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
 Planned = tuple[Step, frozenset[int]]  # a step and the levels it reads
 
 
-def _plan(node: Node, scope: dict[str, int], axes: tuple[int, ...], spans: list[list[int]]) -> Planned:
-    """``node``'s step; ``axes[d]`` is the level whose axis enclosing level d lies on,
-    ``len(axes)`` the next quantifier's level; ``spans`` gets each quantifier's sorted levels."""
+def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
+    """``node``'s step, with ``level`` the next quantifier's level."""
     match node:
         case Adj(Var(a), Var(b)) if scope[a] != scope[b]:
             a, b = sorted((scope[a], scope[b]))  # adj is symmetric: rows along b, whose axis leads
@@ -575,28 +566,26 @@ def _plan(node: Node, scope: dict[str, int], axes: tuple[int, ...], spans: list[
                     frozenset(scope[t.name] for t in node.terms if isinstance(t, Var)))
         case Not(Eq(a, b)):  # one compare, not a compare and a flip
             ta, tb = _term(a, scope), _term(b, scope)
-            return (lambda r: (ta(r) != tb(r)).view(np.uint8)), _plan(node.body, scope, axes, spans)[1]
+            return (lambda r: (ta(r) != tb(r)).view(np.uint8)), _plan(node.body, scope, level)[1]
         case Not(body):
-            p, levels = _plan(body, scope, axes, spans)
+            p, levels = _plan(body, scope, level)
             return (lambda r: p(r) ^ 1), levels
         case And():
-            return _all_of([_plan(c, scope, axes, spans) for c in _conjuncts(node)])
+            return _all_of([_plan(c, scope, level) for c in _conjuncts(node)])
         case Or(l, r):
-            (p, pa), (q, qa) = _plan(l, scope, axes, spans), _plan(r, scope, axes, spans)
+            (p, pa), (q, qa) = _plan(l, scope, level), _plan(r, scope, level)
             return (lambda run: x if np.count_nonzero(x := p(run)) == x.size else x | q(run)), pa | qa
         case Implies(l, r):
-            return _implies(_plan(l, scope, axes, spans), _plan(r, scope, axes, spans))
+            return _implies(_plan(l, scope, level), _plan(r, scope, level))
         case Forall() | Exists():
-            return _quantifier(node, scope, axes, spans)
+            return _quantifier(node, scope, level)
     raise LogicError(f"unknown node {node!r}")
 
 
 def _gather(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """The vertex-indexed (n, n) matrix ``m`` at levels a (rows) and b: elementwise on a shared
-    axis, else a C-ordered block (broadcasts with transposed operands run several times slower)."""
+    """The vertex-indexed (n, n) matrix ``m`` at levels a (rows) and b, as a C-ordered block
+    (broadcasts with transposed operands run several times slower)."""
     pa, pb = r.ax[a], r.ax[b]
-    if pa == pb:
-        return m[r.dom[a], r.dom[b]]
     m = _block(m, a, b, r)
     if pa > pb:
         m, pa, pb = np.ascontiguousarray(m.T), pb, pa
@@ -607,7 +596,7 @@ def _gather(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
 
 def _block(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
     """``m``'s rows at level a's vertices and columns at level b's."""
-    rows, cols, n, every = r.dom[a], r.dom[b], r.n, r.every  # full(), inlined for a hot path
+    rows, cols, n, every = r.dom[a], r.dom[b], r.n, r.every  # every vertex in order: m itself
     m = m if rows.size == n and rows.base is every else m[rows.ravel()]
     return m if cols.size == n and cols.base is every else m[:, cols.ravel()]
 
@@ -650,40 +639,27 @@ def _implies(left: Planned, right: Planned) -> Planned:
     return (lambda r: x ^ 1 if not np.count_nonzero(x := p(r)) else (x ^ 1) | q(r)), pa | qa
 
 
-def _quantifier(node: Forall | Exists, scope: dict[str, int], axes: tuple[int, ...],
-                spans: list[list[int]], whole: bool = False) -> Planned:
-    d, forall = len(axes), isinstance(node, Forall)
-    inner = {**scope, node.var: d}
+def _quantifier(node: Forall | Exists, scope: dict[str, int], d: int) -> Planned:
+    forall, inner = isinstance(node, Forall), {**scope, node.var: d}
     if not forall:
         guards, tail = _conjuncts(node.body), None
     elif isinstance(node.body, Implies):
         guards, tail = _conjuncts(node.body.left), node.body.right
     else:
         guards, tail = [], node.body
-    # the first guard adj(u, v) or adj(v, u) to an enclosing level u alone on its own axis
-    ends = [sorted(inner[t.name] for t in g.terms) for g in guards
-            if isinstance(g, Adj) and all(isinstance(t, Var) for t in g.terms)]
-    u = next((a for a, b in ends if b == d > a and axes[a] == a and axes.count(a) == 1), None)
-    inner_axes, inside = axes + (d if u is None else u,), []
-    planned = [(g, *_plan(g, inner, inner_axes, inside)) for g in guards]
+    planned = [(g, *_plan(g, inner, d + 1)) for g in guards]
     ranged = [(s, a) for _, s, a in planned if a <= {d}]  # read only v and constants
     outside = [(s, a) for _, s, a in planned if a and d not in a]
     rest = [(g, s, a) for g, s, a in planned if d in a and a != {d}]
-    reduced = None if forall else _contraction(rest, inner, d)
-    if reduced is None:
-        # a forall that is all of this one's body, reading u only on edges, need not fold per vertex
-        then = (_quantifier(tail, inner, inner_axes, inside, not rest) if isinstance(tail, Forall)
-                else _plan(tail, inner, inner_axes, inside)) if forall else None
-        kept = [(s, a) for g, s, a in rest if not (isinstance(g, Adj) and a == {u, d})]  # true on edges
-        dense, body = _all_of([(s, a) for _, s, a in rest]), _all_of(kept)
-        if forall:
-            dense, body = _implies(dense, then) if rest else then, _implies(body, then) if kept else then
-        reduced = _reduced(dense, d, forall)
-        if u is not None:
-            reduced = _edged(body, reduced, u, d, forall, inside, whole and u == d - 1 and not outside)
-    sliced, span = _sliced(*reduced, d, forall), reduced[1]
-    spans += inside + [sorted(span)]
     range_of = _all_of(ranged)[0] if ranged else None
+    body = _all_of([(s, a) for _, s, a in rest])
+    if forall:
+        then = _plan(tail, inner, d + 1)
+        body = _implies(body, then) if rest else then
+    # a body over w and one other level spans n^2 cells either way
+    counted = None if forall or len(frozenset().union(*(a for _, _, a in rest))) < 3 else _counted(rest, range_of, d)
+    reduced = counted[0] if counted else _reduced(body, d, forall)
+    sliced, span = _sliced(*reduced, d, forall), reduced[1]
 
     def step(r: _Run) -> np.ndarray:
         dom = r.every
@@ -695,6 +671,8 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], axes: tuple[int, .
         r.dom[d], r.size[d] = dom.reshape(r.lines[r.ax[d]]), len(dom)
         return sliced(r)
 
+    if counted:  # the count reads w's range itself
+        step, step.terms = sliced, counted[1]  # an enclosing count multiplies these terms in
     if not outside:
         return step, span - {d}
     # forall v. (P & G -> B) is P -> forall v. (G -> B); exists v. (P & B) is P & exists v. B
@@ -715,119 +693,162 @@ def _reduced(body: Planned, d: int, forall: bool) -> Planned:
     return step, body[1]
 
 
-def _edged(body: Planned, dense: Planned, u: int, d: int, forall: bool, inside: list[list[int]],
-           whole: bool) -> Planned:
-    """``body`` on the edges (u, v) of u's and v's ranges laid along u's axis, folded back onto
-    u's vertices by ``all`` or ``any`` (when ``whole``, by ``all`` over every edge); or ``dense``,
-    the guard an array, where edges do not pay or a quantifier over ``inside`` could be refused
-    (the dense plan reaches conjunctions that edges skip)."""
-
-    def step(r: _Run) -> np.ndarray:
-        us, vs, a, every = r.dom[u], r.dom[d], r.ax[u], r.full(r.dom[u])
-        block, budget = _block(r.adj, u, d, r), sampler.CELL_BUDGET
-        if block.size < _EDGE_PAY[0] or not 0 < _EDGE_PAY[1] * np.count_nonzero(block) <= block.size or not r.small \
-                and any(math.prod(r.size[i] if i <= d else r.n for i in o[1:]) > budget for o in inside):
-            return dense[0](r)
-        at, to = block.nonzero()
-        r.ax[d], line = a, r.lines[a]
-        r.dom[u] = (at if every else us.ravel()[at]).reshape(line)
-        r.dom[d] = (to if r.full(vs) else vs.ravel()[to]).reshape(line)
-        x = body[0](r)
-        r.ax[d], r.dom[u], r.dom[d] = r.ndim - 1 - d, us, vs
-        if whole:
-            return np.bitwise_and.reduce(x, axis=a, keepdims=True) if x.ndim and x.shape[a] > 1 else x
-        # each vertex's edges are one run of at; a vertex with none is true under forall, false under exists
-        starts = np.flatnonzero(np.diff(at, prepend=-1))
-        if x.ndim and x.shape[a] > 1:
-            x = (np.bitwise_and if forall else np.bitwise_or).reduceat(x, starts, axis=a)
-        out = np.full([us.size if i == a else x.shape[i] if x.ndim else 1 for i in range(r.ndim)], forall, np.uint8)
-        out[(slice(None),) * a + (at[starts],)] = x
-        return out
-
-    return step, dense[1]
+# A factor of a count is (the levels it reads, at most two; a maker of a run's vertex-indexed array
+# over them, an axis of n per level in that order; e, where its entries are at most n^e, 0 for 0/1).
 
 
-def _contraction(rest: list[tuple[Node, Step, frozenset[int]]], scope: dict[str, int],
-                 d: int) -> Planned | None:
-    """``exists w. M1 & M2 & !(w = t)``, the last conjunct optional, with each
-    Mi over w and one other variable ui (u1 != u2, t neither), as a step that
-    never spans w: some witness remains once the witnesses counted by a
-    matrix product lose w = t.  None for any other body."""
-    pairs, excluded = [], []
-    for node, step, levels in rest:
-        if isinstance(node, Not) and isinstance(node.body, Eq):
-            others = [t for t in node.body.terms if not (isinstance(t, Var) and scope[t.name] == d)]
-            if len(others) == 1:
-                excluded.append(others[0])
-                continue
-        if len(levels) != 2:
+def _once(make: Callable[[_Run], np.ndarray]) -> Callable[[_Run], np.ndarray]:
+    def get(r: _Run) -> np.ndarray:  # made at most once per run
+        if (x := r.memo.get(get)) is None:
+            x = r.memo[get] = make(r)
+        return x
+
+    return get
+
+
+_adjacency, _unequal = attrgetter("adj"), _once(lambda r: np.not_equal.outer(r.every, r.every))  # !(v = w): J - I
+
+
+def _counted(rest: list[tuple[Node, Step, frozenset[int]]], range_of: Step | None, d: int) -> tuple | None:
+    """``exists w`` counted (see ``compile_sentence``): a step testing its count of witnesses for > 0,
+    and the count's signed products of factors.  None for a body the rule does not take."""
+    terms = [(1, () if range_of is None else (((d,), _once(lambda r: _every(range_of, (d,), r)), 0),))]
+    for node, s, levels in rest:
+        if (inner := getattr(s, "terms", None)) is not None:  # a counted exists multiplies in
+            terms = [(c * k, fs + gs) for c, fs in terms for k, gs in inner]
+        elif len(levels) > 2:
             return None
-        pairs.append((step, next(iter(levels - {d}))))
-    if len(pairs) != 2 or pairs[0][1] == pairs[1][1] or len(excluded) > 1:
-        return None
-    (s1, u1), (s2, u2) = pairs
-    # t is a variable: !(w = first) reads only w, so the quantifier makes it a range guard
-    t_level = scope[excluded[0].name] if excluded else None
-    if t_level in (u1, u2):
-        return None
-    plain = {step for node, step, _ in rest if isinstance(node, Adj)}
+        else:
+            lv = tuple(sorted(levels, reverse=True))  # the axis order of _every
+            make = _unequal if isinstance(node, Not) and isinstance(node.body, Eq) else _adjacency \
+                if isinstance(node, Adj) else _once(lambda r, s=s, lv=lv: _every(s, lv, r))
+            terms = [(c, fs + ((lv, make, 0),)) for c, fs in terms]
+    return None if (terms := _eliminate(terms, d)) is None else (_tested(terms), terms)
 
-    def matrix(s: Step, ui: int, r: _Run) -> np.ndarray:
-        # s at every vertex of ui, on ui's own axis, as a (w, ui) matrix (w, the innermost, leads)
-        if s in plain and r.full(r.dom[d]):  # adj(w, ui) is the adjacency itself
-            return r.adj
-        kept = r.dom[ui], r.ax[ui]
-        r.ax[ui], r.dom[ui] = r.ndim - 1 - ui, r.every.reshape(r.lines[r.ndim - 1 - ui])
-        shape = [1] * r.ndim
-        shape[r.ax[d]], shape[r.ax[ui]] = r.dom[d].size, r.n
-        x = s(r)
-        r.dom[ui], r.ax[ui] = kept
-        return (x if x.shape == tuple(shape) else np.broadcast_to(x, shape)).reshape(shape[r.ax[d]], -1)
 
-    def made(r: _Run) -> tuple:  # by vertex, so once per run
-        m1, m2 = matrix(s1, u1, r).T, matrix(s2, u2, r)
-        count = _count(m1, m2)
-        if t_level is None:
-            return ((count > 0).view(np.uint8),)
-        # the witness w = t: m1's columns and m2's rows by vertex (false outside w's range)
-        if not r.full(w := r.dom[d]):
-            by = np.zeros((2, r.n, r.n), dtype=np.uint8)
-            by[0][:, w.ravel()], by[1][w.ravel()] = m1, m2
-            m1, m2 = by
-        # as uint8 (a mixed float/uint8 comparison is several times slower), exact below 256
-        return (np.minimum(count, 2) if r.n > 255 else count).astype(np.uint8), m1, m2
+def _every(s: Step, levels: tuple[int, ...], r: _Run) -> np.ndarray:
+    """``s`` at every vertex of ``levels`` (descending), as a vertex-indexed array."""
+    kept = [(r.dom[a], r.size[a]) for a in levels]
+    for a in levels:
+        r.dom[a], r.size[a] = r.along(a, r.every), r.n
+    x = np.broadcast_to(s(r), np.broadcast_shapes(*(r.dom[a].shape for a in levels)))
+    for a, k in zip(levels, kept):
+        r.dom[a], r.size[a] = k
+    return x.reshape((r.n,) * len(levels))
+
+
+def _eliminate(terms: list[tuple], w: int) -> list[tuple] | None:
+    """The terms summed over w, each term's factors over w made one (``_summed``) once each ``!(w = t)``
+    with t not among their other levels is expanded into the term without it less the term at w = t.
+    None where a term's factors over w read three other levels."""
+    out, todo = [], list(terms)
+    while todo:
+        c, fs = todo.pop()
+        mine = [f for f in fs if w in f[0]]
+        other = sorted({a for lv, make, _ in mine if make is not _unequal for a in lv} - {w}, reverse=True)
+        loose = next((f for f in mine if f[1] is _unequal and not set(f[0]) <= {w, *other}), None)
+        if loose is None:
+            if len(other) > 2:
+                return None
+            out.append((c, tuple(f for f in fs if w not in f[0]) + (_summed(mine, w, other),)))
+            continue
+        todo.append((c, fs := tuple(f for f in fs if f is not loose)))
+        t = sum(loose[0]) - w  # no other factor reads w and t, so at w = t only a !(t = t) (then 0) does
+        at = tuple((tuple(t if a == w else a for a in lv), make, e) for lv, make, e in fs)
+        if all(lv != (t, t) for lv, _, _ in at):
+            out.append((-c, at))
+    return out
+
+
+def _summed(mine: list[tuple], w: int, other: list[int]) -> tuple:
+    """The sum over w of the product of ``mine``: a factor over ``other`` (a matrix product for two)."""
+    e = 1 + sum(f[2] for f in mine)
+    left = _product([f for f in mine if not other[1:] or other[1] not in f[0]], (*other[:1], w))
+    right = _product([f for f in mine if other[1:] and other[1] in f[0]], (w, *other[1:]))
+
+    def make(r: _Run) -> np.ndarray:
+        m = left(r, dtype := _exact(r.n ** e))
+        return _count(m, right(r, dtype)) if other[1:] else m.sum(-1)
+
+    return tuple(other), _once(make), e
+
+
+def _product(fs: list[tuple], key: tuple[int, ...]) -> Callable:
+    """A maker of ``fs``' product as a read-only vertex-indexed array over ``key`` (0/1 factors once)."""
+    plan, seen = [], set()
+    for lv, make, e in fs:
+        symmetric = make in (_adjacency, _unequal)
+        if e or (same := (make, frozenset(lv) if symmetric else lv)) not in seen:
+            seen.add(None if e else same)
+            shape = ((-1, 1) if lv[0] == key[0] else (1, -1)) if len(lv) == 1 < len(key) else None
+            plan.append((make, len(lv) == 2 and lv[0] != key[0] and not symmetric, shape))
+    full = {a for lv, _, _ in fs for a in lv} == set(key)
+
+    def made(r: _Run, dtype: type) -> np.ndarray:
+        acc = None
+        for make, flip, shape in plan:
+            if (x := r.memo.get((make, dtype))) is None:  # cast once: a mixed op runs a cast loop too
+                x = r.memo[make, dtype] = x if (x := make(r)).dtype.type is dtype else x.astype(dtype)
+            x = x.T if flip else x if shape is None else x.reshape(shape)
+            acc = x if acc is None else acc * x
+        return acc if full else np.broadcast_to(np.ones((), dtype) if acc is None else acc, (r.n,) * len(key))
+
+    return made
+
+
+def _exact(bound: int) -> type:  # the narrowest type that holds every integer up to bound
+    return np.float32 if bound < 1 << 24 else np.float64 if bound < 1 << 53 else np.int64 if bound < 1 << 63 else object
+
+
+def _tested(terms: list[tuple]) -> Planned:
+    """The step testing the sum of ``terms`` (signed 1 or -1) for > 0: made once per run over at
+    most two levels, else with each factor placed at the current ranges."""
+    levels = tuple(sorted({a for _, fs in terms for f in fs for a in f[0]}, reverse=True))  # laid as gathered
+    e, wide = max((sum(f[2] for f in fs) for _, fs in terms), default=0), len(levels) > 2
+    sums = [(c, _product(fs, levels)) for c, fs in terms if not wide]
+
+    def place(x: np.ndarray, lv: tuple[int, ...], r: _Run) -> np.ndarray:  # at the current ranges
+        return _gather(x, *lv, r) if len(lv) == 2 else x[r.dom[lv[0]]] if lv else x
+
+    @_once
+    def made(r: _Run):
+        dtype = _exact(len(terms) * r.n ** e)
+        if wide:
+            return [(np.array(c, dtype), [(lv, make(r)) for lv, make, _ in fs]) for c, fs in terms]
+        total = 0
+        for c, p in sums:
+            total = total + p(r, dtype) if c > 0 else total - p(r, dtype)
+        return (total > 0).view(np.uint8)
 
     def step(r: _Run) -> np.ndarray:
-        if (mats := r.memo.get(step)) is None:
-            mats = r.memo[step] = made(r)
-        if t_level is None:
-            return _gather(mats[0], u1, u2, r)
-        few, by1, by2 = mats
-        witness = _gather(by1, u1, t_level, r) & _gather(by2, t_level, u2, r)
-        np.less(witness, _gather(few, u1, u2, r), out=witness)  # in place: fresh arrays are fresh pages
-        return witness
+        x = made(r)
+        if not wide:
+            return place(x, levels, r)
+        return (sum(math.prod((place(y, lv, r) for lv, y in fs), start=c) for c, fs in x) > 0).view(np.uint8)
 
-    return step, frozenset().union(*(a for _, _, a in rest)) - {d}
+    return step, frozenset(levels)
 
 
 # OpenBLAS spreads a product of more than 2^18 multiply-adds over all its
 # threads; on a shared two-core host that made a 400 x 400 x 13 product about
-# 60 times slower than on one thread, so products are taken in row blocks.
+# 60 times slower than on one thread, so products are taken in blocks.
 _PRODUCT_BLOCK = 1 << 18
-# Edges pay for their fixed cost (cold, about 100 ref-us at n <= 32 in edge_in_c4) from
-# about 2048 (u, v) pairs, with at most an eighth of them edges (measured up to n = 400).
-_EDGE_PAY = 2048, 8
 
 
 def _count(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """The product of two 0/1 matrices: witness counts, in float32 (exact
-    below 2^24), by ``np.dot`` (``@`` ran these float32 shapes about 90 times
-    slower)."""
-    a, b = m1.astype(np.float32), m2.astype(np.float32)
-    rows = max(1, _PRODUCT_BLOCK // max(1, a.shape[1] * b.shape[1]))
-    out = np.empty((len(a), b.shape[1]), dtype=np.float32)
-    for i in range(0, len(a), rows):
-        np.dot(a[i:i + rows], b, out=out[i:i + rows])
+    """Two count arrays' product, exact in their type, by ``np.dot`` (``@`` ran float32 ~90x slower)."""
+    inner, width = m2.shape
+    rows = _PRODUCT_BLOCK // max(1, inner * width)
+    if rows >= len(m1):
+        return np.dot(m1, m2)
+    # blocks of fewer rows run as matrix-vector products, 4x slower at 400^3: cut the columns too
+    rows = max(rows, 32)
+    cols = max(1, _PRODUCT_BLOCK // (inner * rows))
+    out = np.empty((len(m1), width), dtype=m1.dtype)
+    for j in range(0, width, cols):
+        block = np.ascontiguousarray(m2[:, j:j + cols])
+        for i in range(0, len(m1), rows):
+            out[i:i + rows, j:j + cols] = np.dot(m1[i:i + rows], block)
     return out
 
 
@@ -846,8 +867,7 @@ def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
         per = math.prod(r.size[a] for a in order[1:])
         if per > budget:
             raise CheckerBudgetError(per, budget)
-        # an edge axis counts once; its quantifier cut u's or v's dense range already
-        cells = math.prod({r.ax[a]: r.dom[a].size for a in order}.values())
+        cells = math.prod(r.dom[a].size for a in order)
         if cells <= budget:
             return step(r)
         a = order[-1] if cells // r.dom[order[-1]].size <= budget else order[0]

@@ -358,11 +358,12 @@ class TestConfigRunner:
         assert code == 1 and out == "" and err.startswith("error: ") and "lineage budget" in err
 
     def test_checker_budget_is_an_operational_error(self, monkeypatch, capsys):
-        # edge_in_c4 has no lineage, so each row is decided by the model checker
-        monkeypatch.setattr(sampler, "CELL_BUDGET", 8)
+        # edge_in_c4 has no lineage, so each row is decided by the model checker; its
+        # witnesses are counted, so the largest slice is one x's 6 vertices y
+        monkeypatch.setattr(sampler, "CELL_BUDGET", 5)
         code, out, err = run(capsys, "estimate", "--seq", CONST_HALF, "--n", "6", "--target",
                              "edge_in_c4", "--trials", "10")
-        assert (code, out, err) == (1, "", "error: estimated 36 cells in one slice exceeds budget 8\n")
+        assert (code, out, err) == (1, "", "error: estimated 6 cells in one slice exceeds budget 5\n")
 
     def test_circle_triangle_row_equals_oracle(self, tmp_path, capsys):
         thm6 = '{"kind":"thm6","params":{"a":[0.5,0.5,0.5]}}'

@@ -149,6 +149,40 @@ def guarded_sentence(rng: random.Random, vocab: Vocab, levels: int) -> Formula:
     return Formula(nest(0), vocab)
 
 
+def counted_chain(rng: random.Random, vocab: Vocab, free: int) -> Formula:
+    """``free`` quantified variables over a chain of two nested ``exists``
+    (the inner one sometimes left out): each level's conjuncts are one or two
+    factors over its variable and one other (an atom of the vocabulary, maybe
+    negated, maybe paired with a second factor over the same two variables),
+    0-2 disequalities to earlier variables and, with constants, sometimes a
+    range guard; the chain is sometimes negated."""
+    consts = ["first", "last"] if vocab.has_constants else []
+
+    def atom(w, u):
+        a, b = rng.sample([w, u], 2)
+        choices = [f"adj({a}, {b})", f"{a} = {b}"] + [f"succ({a}, {b})"] * vocab.has_succ
+        choices += [f"{a} <= {b}"] * vocab.has_le + [f"C({a}, {b}, {b})", f"C({a}, {a}, {b})"] * vocab.has_cw
+        text = rng.choice(choices)
+        return f"!({text})" if rng.random() < 0.3 else text
+
+    def level(i, scope):
+        w = "wv"[i]
+        parts = [atom(w, u) for u in rng.sample(scope, rng.randint(1, 2))]
+        if rng.random() < 0.3:
+            parts.append(atom(w, rng.choice(scope)))
+        parts += [f"!({w} = {t})" for t in rng.sample(scope, rng.randint(0, 2))]
+        if consts and rng.random() < 0.3:
+            parts.append(f"!({w} = {rng.choice(consts)})")
+        if i == 0 and rng.random() < 0.8:
+            parts.append(level(1, scope + [w]))
+        rng.shuffle(parts)
+        return f"(exists {w}. {' & '.join(parts)})"
+
+    names = ["a", "b", "c"][:free]
+    text = "".join(f"{rng.choice(['forall', 'exists'])} {x}. " for x in names)
+    return parse(text + "!" * (rng.random() < 0.3) + level(0, names), vocab)
+
+
 def guard_models(n: int, vocab: Vocab, seed: int) -> list[LabeledModel]:
     """An edgeless, a complete and a sampled graph on n vertices, the last
     with its first and last vertex isolated."""
@@ -491,14 +525,89 @@ class TestArrayPlan:
                 m = LabeledModel(g, vocab)
                 assert holds(m, f) == brute_holds(m, f), (text, n, p)
 
-    @pytest.fixture
-    def edges_always(self, monkeypatch):
-        # the edge axis is taken at every size and density, not only where it pays
-        monkeypatch.setattr(logic, "_EDGE_PAY", (0, 1))
+    @pytest.mark.parametrize("text, vocab", [
+        # at w = a the second !(w = a) is !(a = a): that term is 0
+        ("forall a. forall b. exists w. adj(w, b) & !(w = a) & !(w = a)", Vocab.L),
+        # v's expansion at v = w leaves !(w = a) beside w's own
+        ("forall a. forall b. exists w. !(w = a) & adj(w, b) & (exists v. adj(v, b) & !(v = w) & !(v = a))", Vocab.L),
+        # counts through a chain of three, with range guards
+        ("forall a. forall b. !(a = b) -> (exists x. !(x = first) & adj(a, x) & (exists y. adj(x, y) &"
+         " !(y = a) & (exists z. !(z = last) & adj(y, z) & adj(z, b) & !(z = x))))", Vocab.L_PLUS),
+        # a witness over three free levels keeps the array plan
+        ("forall a. forall b. forall c. exists w. adj(a, w) & adj(b, w) & adj(c, w)", Vocab.L),
+    ])
+    def test_counted_shapes_match_oracle(self, text, vocab):
+        f = parse(text, vocab)
+        for n in range(1, 9):
+            for p in (0.3, 0.7):
+                g = sample(make_constant(p), n, RngStream(n, int(10 * p)), CIRCLE if vocab.circular else LINE)
+                m = LabeledModel(g, vocab)
+                assert holds(m, f) == brute_holds(m, f), (text, n, p)
 
     @pytest.mark.parametrize("vocab", list(Vocab))
-    def test_edge_guards_match_oracle(self, edges_always, vocab):
-        # v ranges over the edges of its guard's variable on edgeless, complete
+    def test_counted_chains_match_oracle(self, vocab):
+        rng = random.Random(f"chain:{vocab.value}")
+        for n in range(1, 13):
+            for _ in range(6 if n <= 6 else 2):
+                f = counted_chain(rng, vocab, 2 if n > 8 else rng.randint(2, 3))
+                for m in guard_models(n, vocab, n)[1 if n > 8 else 0:]:
+                    assert holds(m, f) == brute_holds(m, f), (n, m.graph.edges, to_text(f))
+
+    def test_sliced_counted_chains_match_oracle(self, monkeypatch):
+        # budgets of n to n^2 cells cut the arrays over two or three free levels into
+        # slices; where one slice of the outermost level does not fit, the check is refused
+        rng, answered = random.Random(17), 0
+        for vocab in Vocab:
+            for n in range(5, 9):
+                monkeypatch.setattr(sampler, "CELL_BUDGET", rng.choice((n, 2 * n, n * n)))
+                f = counted_chain(rng, vocab, 3)
+                for m in guard_models(n, vocab, n):
+                    try:
+                        value = holds(m, f)
+                    except CheckerBudgetError:
+                        continue
+                    answered += 1
+                    assert value == brute_holds(m, f), (n, sampler.CELL_BUDGET, m.graph.edges, to_text(f))
+        assert answered >= 36
+
+    @pytest.mark.parametrize("block", [64, 51200])
+    def test_blocked_products_match_oracle(self, monkeypatch, block):
+        # products past the block are cut into row blocks, and columns too where
+        # fewer than 32 rows would fit: at 64 multiply-adds one column at a time,
+        # at 51200 and n = 40 blocks of 32 whole rows
+        sentences = library_sentences(vocab=Vocab.L) + library_sentences(vocab=Vocab.L_PLUS)
+        for n, p in product((7, 12, 40), (0.3, 0.7)):
+            models = [LabeledModel(sample_line(make_constant(p), n, RngStream(n, int(10 * p))), f.vocab)
+                      for f in sentences]
+            whole = [holds(m, f) for m, f in zip(models, sentences)]
+            monkeypatch.setattr(logic, "_PRODUCT_BLOCK", block)
+            assert [holds(m, f) for m, f in zip(models, sentences)] == whole, (block, n, p)
+            if n <= 12:
+                assert whole == [brute_holds(m, f) for m, f in zip(models, sentences)], (n, p)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("name, params, levels", [
+        ("ex2_path4", {}, [2, 3, 4]),  # z1, z2, z3
+        ("triangle", {}, [2]),  # z: y's body spans x and y only
+        ("edge_in_c4", {}, [2, 3]),  # z and w
+        ("extension_Ak", {"k": 2}, [2, 2, 2, 2]),  # the witness v of each of the four patterns
+        ("extension_Ak", {"k": 3}, []),  # a witness over three free levels keeps the dense plan
+    ])
+    def test_counted_levels_of_library_sentences(self, monkeypatch, name, params, levels):
+        counted, seen = logic._counted, []
+
+        def spy(rest, range_of, d):
+            out = counted(rest, range_of, d)
+            seen.extend([d] * (out is not None))
+            return out
+
+        monkeypatch.setattr(logic, "_counted", spy)
+        logic.compile_sentence(library(name, **params))
+        assert sorted(seen) == levels
+
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_edge_guards_match_oracle(self, vocab):
+        # v guarded by adjacency to an enclosing variable, on edgeless, complete
         # and partly isolated graphs
         rng = random.Random(vocab.value)
         for n in range(1, 13):
@@ -509,7 +618,7 @@ class TestArrayPlan:
                     assert holds(m, f) == brute_holds(m, f), (n, m.graph.edges, to_text(f))
 
     @pytest.mark.parametrize("text, vocab, edges", [
-        # y's forall is all of x's, so its edges reduce by all at once
+        # y's forall is all of x's
         ("forall x. forall y. adj(x, y) -> (exists z. adj(y, z) & !(z = x))", Vocab.L, [(1, 2), (2, 3)]),
         ("forall x. forall y. adj(y, x) -> (forall z. adj(x, z) -> !(z = y) | succ(y, z))", Vocab.L_PLUS,
          [(1, 2), (2, 3), (3, 4), (2, 4)]),
@@ -517,12 +626,12 @@ class TestArrayPlan:
         ("forall x. forall y. x = first & adj(x, y) -> x = first", Vocab.L_PLUS, [(1, 2)]),
         ("forall x. forall y. x = first & adj(x, y) -> y = last", Vocab.L_PLUS, [(1, 2), (2, 3), (1, 3)]),
         ("exists x. exists y. adj(y, x) & !(x = first) & y = last", Vocab.L_PLUS, [(1, 2), (2, 3)]),
-        # vertex 8 has no edge, so vertex 7's edges end the edge axis
+        # vertex 8 has no edge, and vertex 7's are the last
         ("forall a. forall b. adj(a, b) & succ(b, a) -> (forall c. adj(a, c) -> succ(c, a))", Vocab.L_PLUS,
          [(2, 4), (2, 6), (2, 7), (4, 7), (6, 7)]),
         ("exists a. exists b. adj(a, b) & !succ(b, a) & !succ(a, b)", Vocab.L_PLUS, [(1, 2), (2, 3), (1, 4)]),
     ])
-    def test_edge_axis_shapes_match_oracle(self, edges_always, text, vocab, edges):
+    def test_guarded_shapes_match_oracle(self, text, vocab, edges):
         f = parse(text, vocab)
         for n in range(1, 9):
             for g in (make_graph(n, [e for e in edges if max(e) <= n]), complete_graph(n)):
@@ -530,23 +639,23 @@ class TestArrayPlan:
                 assert holds(m, f) == brute_holds(m, f), (text, n, g.edges)
 
     @pytest.mark.parametrize("budget, text", [
-        # at 64 cells and n = 8 no quantifier inside y's can be refused, so the
-        # edges are taken, and the (z, E) arrays are cut along z
+        # at 64 cells and n = 8 no quantifier inside y's can be refused, and the
+        # arrays over z and the guard's two levels are cut into slices
         (64, "forall x. forall y. adj(x, y) -> (exists z. (z = first | z = last) & adj(y, z) & !(z = x))"),
         (64, "exists x. exists y. adj(y, x) & (forall z. z = first | z = last -> adj(y, z) | z = x)"),
-        # z ranges over the edges of x, an outer level: z's range is cut first
+        # z is guarded by adjacency to x, an outer level
         (20, "forall x. forall y. forall z. adj(z, x) & (z = first | z = last) -> adj(y, z) | y = x"),
     ])
-    def test_slices_of_the_edge_axis_match_oracle(self, monkeypatch, edges_always, budget, text):
+    def test_slices_of_guarded_bodies_match_oracle(self, monkeypatch, budget, text):
         monkeypatch.setattr(sampler, "CELL_BUDGET", budget)
         f = parse(text, Vocab.L_PLUS)
         for seed in range(16):
             for m in guard_models(8, Vocab.L_PLUS, seed):
                 assert holds(m, f) == brute_holds(m, f), (text, seed, m.graph.edges)
 
-    def test_sliced_edge_guards_match_oracle(self, monkeypatch, edges_always):
-        # n = 7 and a budget of 49 cells: arrays over an edge axis and a level
-        # of its own are cut into slices, and so are the dense ranges of v
+    def test_sliced_edge_guards_match_oracle(self, monkeypatch):
+        # n = 7 and a budget of 49 cells: arrays over a guard's two levels and
+        # a third are cut into slices
         monkeypatch.setattr(sampler, "CELL_BUDGET", 49)
         rng = random.Random(11)
         for vocab in Vocab:
@@ -673,10 +782,9 @@ class TestArrayPlan:
                     holds(LabeledModel(g, Vocab.L), f)
                 assert err.value.estimate == 400**3, (text, len(g.edges))
 
-    def test_refused_where_the_dense_plan_reaches_a_quantifier(self, monkeypatch, edges_always):
-        # a = b is false on every edge (a, b), but the dense plan reaches c on the
-        # diagonal and refuses it; so does y's quantifier, which takes no edges
-        # while a quantifier inside it could be refused
+    def test_refused_where_the_plan_reaches_a_quantifier(self, monkeypatch):
+        # a = b is false on every edge (a, b), but the plan reaches c on the
+        # diagonal and refuses it
         monkeypatch.setattr(sampler, "CELL_BUDGET", 16)
         f = parse("forall a. forall b. adj(a, b) -> (forall c. a = b & adj(c, a) -> b = c)", Vocab.L)
         with pytest.raises(CheckerBudgetError) as err:
