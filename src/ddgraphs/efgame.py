@@ -2,19 +2,23 @@
 
 The duplicator wins the r-round game from two tuples exactly when their
 rank-r (Hintikka) types agree, so games are decided by comparing type ids.
-``type_id`` interns the rank-k type of a model's first tuple (its constants,
-then its picks) in an ``ids`` dict shared by all models compared.  A tuple's
-atomic id is its prefix's id plus the new entry's atoms from
-``LabeledModel.atoms``: its loop atom, against each earlier entry, and on
-LC_LE both betweenness orientations with each two earlier entries; the codes
-of these atoms for every next entry extend the prefix's by the columns of
-its last entry, so each level adds one column, not the whole tuple.  Its
-rank-0 type is its atomic id, and its rank-r type is the atomic id plus the
-set of its one-point extensions' rank-(r-1) types.  ``pointed_equiv`` forces
-the first picks and confines round i to radius 3^(k-i) of earlier picks, in
-the graph plus, with successor, the successor path; its types take only the
-extensions inside those balls.  ``th_k_equal_detailed`` also counts, one
-level at a time, the positions the plain game search visits.
+``type_ids`` numbers the rank-k types of a batch of models' first tuples
+(each one's constants, then its picks) in one pass: the models are padded to
+the largest n, with padded vertices masked out of every type, and each level
+interns the rows of all of them at once, so ids compare only within one
+call.  A batch of more than two models is bounded by its padded cells, each
+model by its own.  A tuple's atomic id is its prefix's id plus the new
+entry's atoms from ``LabeledModel.atoms``: its loop atom, against each
+earlier entry, and on LC_LE both betweenness orientations with each two
+earlier entries; the codes of these atoms for every next entry extend the
+prefix's by the columns of its last entry, so each level adds one column,
+not the whole tuple.  Its rank-0 type is its atomic id, and its rank-r type
+is the atomic id plus the set of its one-point extensions' rank-(r-1) types.
+``pointed_equiv`` forces the first picks and confines round i to radius
+3^(k-i) of earlier picks, in the graph plus, with successor, the successor
+path; its types take only the extensions inside those balls.
+``th_k_equal_detailed`` also counts, one level at a time, the positions the
+plain game search visits.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from .sampler import CELL_BUDGET, BudgetError
 
 class GameBudgetError(BudgetError):
     """Estimated game size exceeds its budget: the counted game search's
-    positions, or a model's type-table cells (``sampler.CELL_BUDGET``)."""
+    positions, or type-table cells (``sampler.CELL_BUDGET``): the largest
+    model's, or, past a pair, the padded batch's."""
 
     unit = "game positions"
 
@@ -43,115 +48,121 @@ class GameStats:
 
 
 _PAD = np.iinfo(np.int64).max  # sorts after every code and id
-_HASHED_ROWS = 512  # fewer rows are interned one by one: most are distinct, and a hash costs more
+_HASHED_ROWS = 512  # below, the dict's cost a row (one setdefault, distinct or not) is under the hash's fixed cost
 
 
-def _extended(m: LabeledModel, code: np.ndarray, bits: int, tuples: np.ndarray, ids: dict) -> tuple:
-    """The (N, n) codes, and their width in bits, of appending each vertex v to each row of
-    ``tuples`` (N, t, 0-based), from ``code``, those of appending v to each row without its
-    last entry e: that code, then v's atoms against e and, on LC_LE, both orientations of
-    v's betweenness triple with e and each earlier entry.  Codes of models sharing ``ids``
-    are equal exactly when the atoms are."""
-    new, e = np.arange(m.n), tuples[:, -1:]
-    cols = [(m.atoms[1:, 1:][e[:, 0]], 5)]  # atoms are below 2^5
-    if m.vocab.has_cw:
-        cols += [(cw_holds(new, x, e) << 1 | cw_holds(new, e, x), 2) for x in tuples[:, :-1, None].transpose(1, 0, 2)]
+def _extended(atoms: np.ndarray, cw: bool, code: np.ndarray, bits: int, tuples: np.ndarray) -> tuple:
+    """The (M, N, n) codes, and their width in bits, of appending each vertex v to each row of
+    ``tuples`` (M, N, t, 0-based) of M models with stacked (M, n, n) ``atoms``, from ``code``,
+    those of appending v to each row without its last entry e: that code, then v's atoms
+    against e and, with ``cw``, both orientations of v's betweenness triple with e and each
+    earlier entry.  Codes of one call are equal exactly when the atoms are.  Shifts ``code``
+    in place."""
+    new, e = np.arange(atoms.shape[1]), tuples[..., -1:]
+    cols = [(atoms[np.arange(len(atoms))[:, None], e[..., 0]], 5)]  # atoms are below 2^5
+    if cw:
+        cols += [(cw_holds(new, x, e) << 1 | cw_holds(new, e, x), 2) for x in np.moveaxis(tuples[..., :-1, None], 2, 0)]
     for col, width in cols:
-        if bits + width > 62:  # renumber through ids, which stay below 2^31
-            u, i = np.unique(code, return_inverse=True)  # each distinct code interned once
-            code, bits = np.array([ids.setdefault(c, len(ids)) for c in u.tolist()])[i.reshape(code.shape)], 31
-        code, bits = code << width | col, bits + width
+        if bits + width > 62:  # renumber: each code becomes its rank among the distinct codes
+            u, i = np.unique(code, return_inverse=True)
+            code, bits = i.reshape(code.shape), len(u).bit_length()
+        code <<= width
+        code |= col
+        bits += width
     return code, bits
 
 
-def _set_ids(ids: dict, heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The ids in ``ids`` of (heads[i], the set of row i's entries other than
-    ``_PAD``), keyed by the set's bytes; sorts ``rows`` in place.  From ``_HASHED_ROWS``
-    rows on, each distinct (head, set) is interned once, found by a row hash checked in full."""
+def _set_ids(heads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Ids, equal exactly when the keys are, of the keys (heads[i], the set of row i's entries
+    other than ``_PAD``); sorts ``rows`` in place.  From ``_HASHED_ROWS`` rows on, a row hash
+    checked in full numbers the distinct keys; below, or on a collision, a dict keyed by each
+    canonical (head, row)'s bytes."""
     if rows.shape[1] > 1:
         rows.sort(axis=1)
         rows[:, 1:][rows[:, 1:] == rows[:, :-1]] = _PAD
         rows.sort(axis=1)
-    inv = slice(None)
     if len(rows) >= _HASHED_ROWS:
         mix = keyed_u64_array((), np.arange(rows.shape[1] + 1, dtype=np.uint64)) | np.uint64(1)
         hashes = rows.view(np.uint64) @ mix[1:] + heads.view(np.uint64) * mix[0]
         _, first, inv = np.unique(hashes, return_index=True, return_inverse=True)
-        same = (rows[first][inv] == rows).all()  # then so are the heads: mix[0] is odd
-        pick, inv = (first, inv) if same else (slice(None), slice(None))  # else intern every row
-        heads, rows = heads[pick], rows[pick]
-    b, width, sizes = rows.tobytes(), rows.shape[1] * 8, (rows != _PAD).sum(1) * 8
-    keys = zip(heads.tolist(), range(0, len(b), width), sizes.tolist())
-    return np.array([ids.setdefault((h, b[i:i + s]), len(ids)) for h, i, s in keys])[inv]
+        if (rows[first][inv] == rows).all():  # then so are the heads: mix[0] is odd
+            return inv
+    keys, ids = np.column_stack([heads, rows]), {}
+    return np.array([ids.setdefault(key, len(ids)) for key in keys.view(f"V{keys.shape[1] * 8}").ravel().tolist()])
 
 
-def _check_table(m: LabeledModel, k: int) -> None:
-    """Refuse k < 0, and a type table that would read more than
-    ``CELL_BUDGET`` k-vertex extensions of ``m``."""
+def _type_tables(models: list[LabeledModel], picks, k: int) -> list:
+    """Per level j < max(k, 1): the atomic ids and rank-(k - j) type ids of each model's first
+    tuple plus j vertices, as one (2, M n^j) array over the M models padded to the largest n,
+    model-major, then row-major; rows through a padded vertex are junk.  Only level 0 when the
+    models' first tuples already have pairwise distinct atomic ids.  With ``picks`` (one tuple
+    per model), the game is the pointed one and each level sees only the vertices in its move
+    balls."""
+    vocab, count, n = models[0].vocab, len(models), max(m.n for m in models)
+    for m in models:
+        if m.vocab is not vocab:
+            raise ValueError(f"vocabulary mismatch: {vocab.value} vs {m.vocab.value}")
+    if len({len(p) for p in picks}) > 1:  # type ids of different pick counts may coincide
+        raise ValueError("pick lists must have equal length")
+    if not all(1 <= v <= m.n for m, p in zip(models, picks) for v in p):
+        raise ValueError("picks out of range")
     if k < 0:
         raise ValueError("k must be >= 0")
-    cells = m.n**k  # the deepest level reads every k-vertex extension
-    if cells > CELL_BUDGET:
+    cells = n**k * (count if count > 2 else 1)  # the deepest level reads every k-vertex extension
+    if cells > CELL_BUDGET:  # of the largest model, or of the padded batch past a pair
         raise GameBudgetError(cells, CELL_BUDGET, "type-table cells")
-
-
-def _type_tables(m: LabeledModel, picks: tuple[int, ...], k: int, ids: dict) -> list:
-    """Per level j < max(k, 1): the atomic ids and rank-(k - j) type ids of
-    the first tuple plus j vertices, row-major.  With picks, the game is the
-    pointed one and each level sees only the vertices in its move balls."""
-    if not all(1 <= v <= m.n for v in picks):
-        raise ValueError("picks out of range")
-    _check_table(m, k)
-    n, levels = m.n, []
-    tuples, heads = np.empty((1, 0), np.intp), np.zeros(1, np.int64)
-    code, bits = m.atoms[1:, 1:].diagonal()[None].astype(np.int64), 5  # appending v: its loop atom
-    for e in ((0, n - 1) if m.vocab.has_constants else ()) + tuple(v - 1 for v in picks):
-        heads = _set_ids(ids, heads, code[:, [e]])
-        tuples = np.append(tuples, [[e]], axis=1)
-        code, bits = _extended(m, code, bits, tuples, ids)
-    if k == 0:
-        return [(heads, heads)]
-    dist = _hop_distances(m)[1:, 1:] if picks else None
-    near = None if dist is None else dist[[v - 1 for v in picks]].min(0)[None]
+    atoms, at = np.zeros((count, n, n), np.uint8), np.arange(count)
+    for a, m in zip(atoms, models):
+        a[:m.n, :m.n] = m.atoms[1:, 1:]
+    tuples, heads = np.empty((count, 1, 0), np.intp), np.zeros(count, np.int64)
+    code, bits = atoms.diagonal(0, 1, 2)[:, None].astype(np.int64), 5  # appending v: its loop atom
+    firsts = [((0, m.n - 1) if vocab.has_constants else ()) + tuple(v - 1 for v in p) for m, p in zip(models, picks)]
+    for e in np.array(firsts, np.intp).reshape(count, -1).T:
+        heads = _set_ids(heads, code[at, 0, e, None])
+        tuples = np.concatenate([tuples, e[:, None, None]], 2)
+        code, bits = _extended(atoms, vocab.has_cw, code, bits, tuples)
+    if k == 0 or len(set(heads.tolist())) == count:  # distinct atomic ids, distinct types
+        return [np.array([heads, heads])]
+    valid, near = np.arange(n) < np.array([m.n for m in models])[:, None], None
+    if picks[0]:
+        dist = _hop_distances(atoms)
+        near = dist[at[:, None], np.array(picks) - 1].min(1)[:, None]
+    levels = []
     for j in range(k):
-        levels.append((heads, None if near is None else near <= 3 ** (k - j - 1)))
+        levels.append((heads, valid[:, None] if near is None else near <= 3 ** (k - j - 1)))
         if j < k - 1:
-            heads = _set_ids(ids, np.repeat(heads, n), code.reshape(-1, 1))
-            entry = np.arange(len(tuples) * n)[:, None] % n  # each row's new last entry
-            tuples = np.concatenate([np.repeat(tuples, n, 0), entry], 1)
-            code, bits = _extended(m, np.repeat(code, n, 0), bits, tuples, ids)
-            near = None if near is None else np.minimum(near[:, None], dist[None]).reshape(-1, n)
+            heads = _set_ids(np.repeat(heads, n), code.reshape(-1, 1))
+            entry = np.broadcast_to(np.arange(code.shape[1] * n)[:, None] % n, (count, code.shape[1] * n, 1))
+            tuples = np.concatenate([np.repeat(tuples, n, 1), entry], 2)  # each row's new last entry
+            code, bits = _extended(atoms, vocab.has_cw, np.repeat(code, n, 1), bits, tuples)
+            near = None if near is None else np.minimum(near[:, :, None], dist[:, None]).reshape(count, -1, n)
     table: list = []
-    for heads, ball in reversed(levels):  # rank 1 reads the codes of the last entries
-        code = code.reshape(len(heads), n)
-        if ball is not None:
-            code[~ball] = _PAD
-        code = _set_ids(ids, heads, code)
+    for heads, mask in reversed(levels):  # rank 1 reads the codes of the last entries
+        code = code.reshape(count, -1, n)
+        np.copyto(code, _PAD, where=~mask)
+        code = _set_ids(heads, code.reshape(-1, n))
         table.insert(0, np.array([heads, code]))  # a copy: the next level masks and sorts code
     return table
 
 
-def type_id(m: LabeledModel, k: int, ids: dict, picks: tuple[int, ...] = ()) -> int:
-    """The rank-k type id of ``m``'s first tuple: its constants, then
-    ``picks`` (with picks, of the pointed game).  Ids are equal exactly when
-    the types are, among models of one vocabulary, one pick count and one k
-    that share ``ids``.  ``GameBudgetError`` past ``CELL_BUDGET`` cells."""
-    return int(_type_tables(m, picks, k, ids)[0][1][0])
+def type_ids(models: list[LabeledModel], k: int, picks: list[tuple[int, ...]] | None = None) -> list[int]:
+    """The rank-k type ids of the models' first tuples: each one's constants, then its
+    ``picks`` (with picks, of the pointed game).  The models share a vocabulary and a pick
+    count, and are padded to the largest n.  Ids of one call are equal exactly when the types
+    are; ids of different calls do not compare.  ``GameBudgetError`` past ``CELL_BUDGET`` cells
+    of one model, or of a padded batch of more than two."""
+    return _type_tables(models, picks or [()] * len(models), k)[0][1].tolist() if models else []
 
 
 def _same_type(m1: LabeledModel, m2: LabeledModel, k: int, picks1=(), picks2=()) -> bool:
-    if m1.vocab is not m2.vocab:
-        raise ValueError(f"vocabulary mismatch: {m1.vocab.value} vs {m2.vocab.value}")
-    ids: dict = {}
-    return type_id(m1, k, ids, picks1) == type_id(m2, k, ids, picks2)
+    t1, t2 = type_ids([m1, m2], k, [picks1, picks2])
+    return t1 == t2
 
 
 def partial_iso(m1: LabeledModel, m2: LabeledModel, picks1: tuple[int, ...],
                 picks2: tuple[int, ...]) -> bool:
     """Do the picked points (plus constants, where the vocabulary has them)
     induce isomorphic substructures under the index correspondence?"""
-    if len(picks1) != len(picks2):  # type ids of different pick counts may coincide
-        raise ValueError("pick lists must have equal length")
     return _same_type(m1, m2, 0, picks1, picks2)
 
 
@@ -201,12 +212,12 @@ def _count(tables, n1: int, n2: int, k: int) -> GameStats:
     return GameStats(positions, hits)
 
 
-def _hop_distances(m: LabeledModel) -> np.ndarray:
-    """All-pairs hop distances, shape (n+1, n+1), in ``m``'s graph plus, with
-    successor, the successor path (wrapping on circles); inf where unreachable
-    and in column 0."""
-    metric = (m.atoms & (1 << ADJ_BIT | 1 << SUCC_BIT | 1 << SUCC_BACK_BIT)) != 0
-    reached = np.eye(len(metric), dtype=bool)
+def _hop_distances(atoms: np.ndarray) -> np.ndarray:
+    """All-pairs hop distances of each model of stacked (M, n, n) 0-based
+    ``atoms``, in its graph plus, with successor, the successor path (wrapping
+    on circles); inf where unreachable, so from a real vertex to a padded one."""
+    metric = (atoms & (1 << ADJ_BIT | 1 << SUCC_BIT | 1 << SUCC_BACK_BIT)) != 0
+    reached = np.broadcast_to(np.eye(atoms.shape[1], dtype=bool), atoms.shape)
     dist = np.where(reached, 0.0, np.inf)
     frontier, d = reached, 0
     while frontier.any():
@@ -220,19 +231,21 @@ def _hop_distances(m: LabeledModel) -> np.ndarray:
 def th_k_equal_detailed(m1: LabeledModel, m2: LabeledModel, k: int,
                         node_budget: int = 10**9) -> tuple[bool, GameStats]:
     """``th_k_equal`` with the plain game search's statistics, counted one level
-    at a time from both models' type tables (built only when the constants'
-    atoms agree); ``node_budget`` bounds its (n1 n2)^k position estimate."""
-    first = partial_iso(m1, m2, (), ())  # the constants' atoms; checks the vocabularies
+    at a time from each model's rows of the pair's type tables (built past the
+    constants only when their atoms agree); ``node_budget`` bounds its (n1 n2)^k
+    position estimate."""
     est = (m1.n * m2.n) ** min(k, 64)  # past any budget below 2^64 from k = 64 on, if n1 n2 > 1
     if est > node_budget:
         raise GameBudgetError(est, node_budget)
-    for m in (m1, m2):
-        _check_table(m, k)
-    if not first:  # the types differ at rank 0 already, and the search visits nothing
+    tables = _type_tables([m1, m2], ((), ()), k)
+    if tables[0][0][0] != tables[0][0][1]:  # the constants' atoms differ, and the search visits nothing
         return False, GameStats()
-    ids: dict = {}
-    tables = [_type_tables(m, (), k, ids) for m in (m1, m2)]
-    return bool(tables[0][0][1][0] == tables[1][0][1][0]), _count(tables, m1.n, m2.n, k)
+    n, split = max(m1.n, m2.n), ([], [])
+    for i, m in enumerate((m1, m2)):
+        for j, t in enumerate(tables):  # model i's rows whose tuples pass through no padded vertex
+            at = (at[:, None] * n + np.arange(m.n)).ravel() if j else np.zeros(1, np.intp)
+            split[i].append(t.reshape(2, 2, -1)[:, i].take(at, 1))
+    return bool(tables[0][1][0] == tables[0][1][1]), _count(split, m1.n, m2.n, k)
 
 
 def th_k_equal(m1: LabeledModel, m2: LabeledModel, k: int) -> bool:
@@ -264,9 +277,11 @@ def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str 
     CONCAT_BOTH_ENDS: Th_k(G) = Th_k(G ++ H ++ G)  as L_PLUS or L_LE models
     CONCAT_RIGHT:     Th_k(G) = Th_k(G ++ H)       as LC_LE models
 
-    Each identity is a compare of rank-k type ids, G's built once; the search
-    certifies the returned graph instance-wise.  Returns None when no
-    candidate qualifies.
+    Each identity is a compare of rank-k type ids: G is typed in one batch with
+    all of its combined graphs, so every H is typed, not only those up to the
+    first that G does not absorb, and the batch's cell bound holds.  The search
+    certifies the returned graph instance-wise.  Returns None when no candidate
+    qualifies.
     """
     if mode not in _MODE_VOCABS:
         raise ValueError(f"unknown mode {mode!r}")
@@ -276,15 +291,11 @@ def fact4_search(candidates: list[Graph], h_set: list[Graph], k: int, mode: str 
         vocab = _MODE_VOCABS[mode][0]
     elif vocab not in _MODE_VOCABS[mode]:
         raise ValueError(f"vocabulary {vocab.value} not valid for mode {mode}")
-    ids: dict = {}
     for g in candidates:
-        want = type_id(LabeledModel(g, vocab), k, ids)
-        for h in h_set:
-            combined = disjoint_sum(g, h)
-            if mode == CONCAT_BOTH_ENDS:
-                combined = disjoint_sum(combined, g)
-            if type_id(LabeledModel(combined, vocab), k, ids) != want:
-                break
-        else:
+        combined = [disjoint_sum(g, h) for h in h_set]
+        if mode == CONCAT_BOTH_ENDS:
+            combined = [disjoint_sum(c, g) for c in combined]
+        want, *got = type_ids([LabeledModel(x, vocab) for x in [g, *combined]], k)
+        if all(t == want for t in got):
             return g
     return None

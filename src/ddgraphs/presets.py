@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, probseq
-from .efgame import SUM, fact4_search, type_id
+from .efgame import SUM, fact4_search, type_ids
 from .estimator import (
     EstimateResult,
     exact_path2,
@@ -381,10 +381,10 @@ def all_labeled_graphs(max_n: int) -> list[Graph]:
 def thk_class_representatives(max_n: int, k: int) -> list[Graph]:
     """The first of each depth-k equivalence class, bucketed by rank-k type
     id, among all labeled graphs on at most max_n vertices."""
-    ids: dict = {}
+    graphs = all_labeled_graphs(max_n)
     reps: dict[int, Graph] = {}
-    for g in all_labeled_graphs(max_n):
-        reps.setdefault(type_id(LabeledModel(g, Vocab.L), k, ids), g)
+    for g, t in zip(graphs, type_ids([LabeledModel(g, Vocab.L) for g in graphs], k)):
+        reps.setdefault(t, g)
     return list(reps.values())
 
 
@@ -401,11 +401,10 @@ def _run_fact4_search(seed: int, trials: int | None) -> PresetOutcome:
     found = fact4_search([candidate], h_set, k, SUM)
     rows = "h_index,h_n,h_edges,absorbed\n"
     if found is not None:
-        ids: dict = {}
-        want = type_id(LabeledModel(found, Vocab.L), k, ids)
-        for i, h in enumerate(h_set):
-            eq = type_id(LabeledModel(disjoint_sum(found, h), Vocab.L), k, ids) == want
-            rows += f"{i},{h.n},{len(h.edges)},{int(eq)}\n"
+        combined = [LabeledModel(g, Vocab.L) for g in [found, *(disjoint_sum(found, h) for h in h_set)]]
+        want, *got = type_ids(combined, k)
+        for i, (h, t) in enumerate(zip(h_set, got)):
+            rows += f"{i},{h.n},{len(h.edges)},{int(t == want)}\n"
     checks = [
         Check(
             "absorbing-candidate-found",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ddgraphs import efgame
 from ddgraphs.efgame import (
     CONCAT_BOTH_ENDS,
+    CONCAT_RIGHT,
     GameBudgetError,
     GameStats,
     SUM,
@@ -21,7 +22,7 @@ from ddgraphs.efgame import (
     pointed_equiv,
     th_k_equal,
     th_k_equal_detailed,
-    type_id,
+    type_ids,
 )
 from ddgraphs.graph import (
     Graph,
@@ -278,12 +279,19 @@ class TestThkEqual:
         assert err.value.estimate > err.value.budget == CELL_BUDGET
         with pytest.raises(ValueError):
             th_k_equal_detailed(one, many, -1)
-        built = []
-        real = efgame._type_tables
-        monkeypatch.setattr(efgame, "_type_tables",
-                            lambda m, picks, k, ids: built.append(k) or real(m, picks, k, ids))
+        built, interned = [], []
+        real_tables, real_ids = efgame._type_tables, efgame._set_ids
+
+        def tables(models, picks, k):
+            out = real_tables(models, picks, k)
+            built.append((len(models), k, len(out)))
+            return out
+
+        monkeypatch.setattr(efgame, "_type_tables", tables)
+        monkeypatch.setattr(efgame, "_set_ids", lambda heads, rows: interned.append(rows.shape) or real_ids(heads, rows))
         assert th_k_equal_detailed(one, many, 2) == (False, GameStats())
-        assert built == [0, 0]  # the rank-0 ids of the constants only
+        assert built == [(2, 2, 1)]  # one batch, whose table stops at level 0
+        assert interned == [(2, 1)] * 2  # the atomic ids of first, then last: no deeper row
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=40, deadline=None)
@@ -454,8 +462,6 @@ class TestFact4Search:
         # betweenness atoms are vacuous on two picks, so edgeless blocks of
         # different sizes stay equivalent at depth 2 under right-concatenation
         e3 = edgeless_graph(3)
-        from ddgraphs.efgame import CONCAT_RIGHT
-
         assert fact4_search([e3], [edgeless_graph(1), edgeless_graph(2)], 2, CONCAT_RIGHT) is e3
         bad = make_graph(2, [(1, 2)])
         assert fact4_search([edgeless_graph(2)], [bad], 2, CONCAT_RIGHT) is None
@@ -463,6 +469,28 @@ class TestFact4Search:
     def test_requires_candidates(self):
         with pytest.raises(ValueError):
             fact4_search([], [], 1, SUM)
+
+    @pytest.mark.parametrize("mode, vocab, k, candidates", [
+        (SUM, Vocab.L, 2, [make_graph(4, [(1, 4), (2, 3)]), make_graph(3, [(1, 2)])]),
+        (CONCAT_BOTH_ENDS, Vocab.L_PLUS, 1, [edgeless_graph(2), edgeless_graph(5)]),
+        (CONCAT_BOTH_ENDS, Vocab.L_LE, 2, [edgeless_graph(3), make_graph(4, [(1, 4), (2, 3)])]),
+        (CONCAT_RIGHT, Vocab.LC_LE, 2, [make_graph(4, [(1, 4), (2, 3)]), make_graph(3, [(1, 2)])]),
+    ])
+    def test_first_candidate_that_does_not_absorb(self, mode, vocab, k, candidates):
+        # every H is typed in one batch with G, so a candidate that absorbs
+        # some H and not others is passed over as the reference game says
+        h_set = all_labeled_graphs(2)
+
+        def absorbed(g):
+            def combined(h):
+                c = disjoint_sum(g, h)
+                return disjoint_sum(c, g) if mode == CONCAT_BOTH_ENDS else c
+
+            return [reference_th_k_equal_detailed(M(g, vocab), M(combined(h), vocab), k)[0] for h in h_set]
+
+        assert not all(absorbed(candidates[0]))
+        want = next((g for g in candidates if all(absorbed(g))), None)
+        assert fact4_search(candidates, h_set, k, mode, vocab) is want
 
 
 # --- table-driven solver against the reference search ----------------------------
@@ -626,6 +654,47 @@ class TestTypeTables:
             v1, v2 = 1 + seed % m1.n, 1 + seed % m2.n
             assert pointed_equiv(m1, v1, m2, v2, 2) == reference_pointed_equiv_detailed(m1, v1, m2, v2, 2)[0]
 
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_batches_of_mixed_sizes_match_the_reference(self, vocab):
+        # one batch of models on 1-6 vertices, padded to the largest: a graph,
+        # an isomorphic copy, the graph plus an isolated vertex and draws, each
+        # with its own pick; ids are equal exactly when the reference game is won
+        rng = random.Random(f"batch:{vocab.value}")
+        g = random_graph(rng, 5)
+        h, perm = relabelled(g, vocab, rng)
+        graphs = [g, h, disjoint_sum(g, edgeless_graph(1))] + [random_graph(rng, rng.randint(1, 6)) for _ in range(3)]
+        models = [M(x, vocab) for x in graphs]
+        picks = [(3,), (perm[2],)] + [(rng.randint(1, x.n),) for x in graphs[2:]]
+        for k in range(4):
+            plain, pointed = type_ids(models, k), type_ids(models, k, picks)
+            for i, j in combinations(range(len(models)), 2):
+                (m1, (v1,)), (m2, (v2,)) = (models[i], picks[i]), (models[j], picks[j])
+                assert (plain[i] == plain[j]) == reference_th_k_equal_detailed(m1, m2, k)[0], (i, j, k)
+                assert (pointed[i] == pointed[j]) == reference_pointed_equiv_detailed(m1, v1, m2, v2, k)[0], (i, j, k)
+            assert plain[0] == plain[1] and pointed[0] == pointed[1]
+
+    @pytest.mark.parametrize("vocab, k", [(Vocab.LC_LE, 7), (Vocab.L_PLUS, 11)])
+    def test_deep_batches_renumber_wide_codes(self, vocab, k):
+        # past 62 bits a batch renumbers the codes of all its models at once
+        models = [M(g, vocab) for g in (edgeless_graph(1), edgeless_graph(2), complete_graph(2), edgeless_graph(2))]
+        plain, pointed = type_ids(models, k), type_ids(models, k - 1, [(1,), (1,), (2,), (2,)])
+        for i, j in combinations(range(len(models)), 2):
+            m1, m2 = models[i], models[j]
+            assert (plain[i] == plain[j]) == reference_th_k_equal_detailed(m1, m2, k)[0]
+            want = reference_pointed_equiv_detailed(m1, 1 + (i > 1), m2, 1 + (j > 1), k - 1)[0]
+            assert (pointed[i] == pointed[j]) == want
+
+    def test_batch_is_refused_by_its_padded_cells(self):
+        # three models fit one by one at k = 3, but not padded to 100
+        # vertices together; a pair is bounded by its models' own budgets
+        one, many = M(edgeless_graph(1)), M(edgeless_graph(100))
+        with pytest.raises(GameBudgetError) as err:
+            type_ids([one, one, many], 3)
+        assert (err.value.estimate, err.value.budget) == (3 * 100**3, CELL_BUDGET)
+        assert "type-table cells" in str(err.value)
+        assert len(set(type_ids([one, one, many], 2))) == 2
+        assert len(type_ids([M(g) for g in all_labeled_graphs(5)], 3)) == 1099  # 137,375 cells
+
     def test_frontier_that_empties_above_the_last_level(self):
         # the root has no children, so the count's later levels start from
         # no positions at all
@@ -668,12 +737,11 @@ class TestClassRepresentatives:
 
     @pytest.mark.parametrize("vocab", [Vocab.L, Vocab.L_PLUS])
     def test_type_ids_shared_across_models(self, vocab):
-        # one ids dict for every model: equal ids exactly when the reference
-        # game is a win, at each depth
+        # one type_ids batch of every model, padded to 3 vertices: equal ids
+        # exactly when the reference game is a win, at each depth
         graphs = all_labeled_graphs(3)
         for k in range(3):
-            ids = {}
-            got = [type_id(M(g, vocab), k, ids) for g in graphs]
+            got = type_ids([M(g, vocab) for g in graphs], k)
             for (g1, t1), (g2, t2) in combinations(zip(graphs, got), 2):
                 want = reference_th_k_equal_detailed(M(g1, vocab), M(g2, vocab), k)[0]
                 assert (t1 == t2) == want, (g1, g2, k)

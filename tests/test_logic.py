@@ -770,9 +770,9 @@ class TestArrayPlan:
         assert (err.value.estimate, err.value.budget) == (20**3, 1000)
         assert isinstance(err.value, RuntimeError) and "8000" in str(err.value)
 
-    def test_refusal_does_not_depend_on_edges(self):
-        # w ranges over a's edges, yet is refused at its dense range sizes, so
-        # a sparse model is refused as an edgeless one of the same n
+    def test_sparse_and_edgeless_models_are_refused_alike(self):
+        # every level ranges over all n vertices, and the estimate counts
+        # those ranges, so a sparse model is refused as an edgeless one of its n
         sparse = sample_line(make_constant(0.1), 400, RngStream(4, 0))
         for text in ("forall a. forall b. forall c. exists w. adj(a, w) & adj(b, w) & adj(c, w)",
                      "forall a. forall b. forall c. forall w. adj(w, a) -> adj(b, w) | adj(c, w)"):
