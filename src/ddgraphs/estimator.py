@@ -506,8 +506,9 @@ def exact_probability(seq: ProbSeq, n: int, target: Target, model_kind: str) -> 
                 before, states = states, {}
                 for state, mass in before.items():
                     moved = [r for r in state if r[0] == c]
-                    absent = state.difference(moved)
-                    present = absent.union([r[1:] for r in moved], new)
+                    # a state column c does not touch is its absent branch, and with no new clause its present one
+                    absent = state.difference(moved) if moved else state
+                    present = absent.union([r[1:] for r in moved], new) if moved or new else absent
                     for branch, weight in ((present, mass * p[c]), (absent, mass * (1.0 - p[c]))):
                         if weight:  # a p = 1 column has no absent branch
                             states[branch] = states.get(branch, 0.0) + weight

@@ -35,7 +35,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations
 from operator import attrgetter
 
@@ -53,25 +53,11 @@ class Vocab(str, Enum):
     LC_PLUS = "LC_PLUS"
     LC_LE = "LC_LE"
 
-    @property
-    def circular(self) -> bool:
-        return self in (Vocab.LC, Vocab.LC_PLUS, Vocab.LC_LE)
-
-    @property
-    def has_succ(self) -> bool:
-        return self in (Vocab.L_PLUS, Vocab.LC_PLUS)
-
-    @property
-    def has_constants(self) -> bool:
-        return self is Vocab.L_PLUS
-
-    @property
-    def has_le(self) -> bool:
-        return self is Vocab.L_LE
-
-    @property
-    def has_cw(self) -> bool:
-        return self is Vocab.LC_LE
+    circular = property(lambda self: self in (Vocab.LC, Vocab.LC_PLUS, Vocab.LC_LE))
+    has_succ = property(lambda self: self in (Vocab.L_PLUS, Vocab.LC_PLUS))
+    has_constants = property(lambda self: self is Vocab.L_PLUS)
+    has_le = property(lambda self: self is Vocab.L_LE)
+    has_cw = property(lambda self: self is Vocab.LC_LE)
 
 
 class LogicError(ValueError):
@@ -439,9 +425,6 @@ class LabeledModel:
             return w == v % self.n + 1
         return w == v + 1
 
-    def constant(self, name: str) -> int:
-        return 1 if name == "first" else self.n
-
     @cached_property
     def adjacency(self) -> np.ndarray:
         """The (n, n) boolean adjacency matrix: entry [v - 1, w - 1] is adj(v, w)."""
@@ -473,8 +456,7 @@ class LabeledModel:
 
 
 def holds(m: LabeledModel, f: Formula) -> bool:
-    """Satisfaction of a sentence: ``compile_sentence(f)``, built once per
-    formula, run on ``m.adjacency``."""
+    """Satisfaction of a sentence: ``compile_sentence(f)``, built once per formula, run on ``m.adjacency``."""
     if f.vocab is not m.vocab:
         raise VocabularyError(f"model vocabulary {m.vocab.value} != formula {f.vocab.value}")
     return f._checker(m.adjacency)
@@ -487,19 +469,22 @@ Step = Callable[["_Run"], np.ndarray]
 
 
 class _Run:
-    """One run of a plan: the adjacency; per quantifier level d its axis, its vertex
-    indices and their number before any slicing; and the arrays made once per run."""
+    """One run of a plan: the adjacency, the shape of a line along each level's axis and the arrays
+    made once per run; and, made on first use (a run that flat makers decide never reads it), per
+    quantifier level d its axis, its vertex indices and their number before any slicing."""
 
     def __init__(self, adj: np.ndarray, circular: bool, lines: list[tuple[int, ...]]):
-        n, ndim = len(adj), len(lines)
-        self.adj, self.n, self.ndim, self.lines = adj.view(np.uint8), n, ndim, lines
-        self.period, self.every = n if circular else n + 1, np.arange(n)
-        self.ax, self.memo = list(range(ndim - 1, -1, -1)), {}
-        self.dom, self.size = [None] * ndim, [0] * ndim
-        self.small = n ** ndim <= sampler.CELL_BUDGET  # an array spans at most n cells a level
+        self.adj, self.n, self.circular, self.lines, self.memo = adj, len(adj), circular, lines, {}
+        self.flat = self.n ** 2 <= sampler.CELL_BUDGET  # flat makers run (see compile_sentence)
 
-    def along(self, d: int, values: np.ndarray) -> np.ndarray:
-        return values.reshape(self.lines[self.ax[d]])
+    def __getattr__(self, name: str):
+        if name not in ("ndim", "period", "every", "ax", "dom", "size", "small"):
+            raise AttributeError(name)
+        n, ndim = self.n, len(self.lines)
+        self.period, self.every, self.ax = n + (not self.circular), np.arange(n), list(range(ndim - 1, -1, -1))
+        self.ndim, self.dom, self.size = ndim, [None] * ndim, [0] * ndim
+        self.small = n ** ndim <= sampler.CELL_BUDGET  # an array spans at most n cells a level
+        return getattr(self, name)
 
 
 # Each atom on term arrays of 0-based vertex indices (constants are scalars).
@@ -513,68 +498,67 @@ _ATOM_ARRAYS: dict[type[Atom], Callable[..., np.ndarray]] = {
 
 
 def compile_sentence(f: Formula) -> Callable[[np.ndarray], bool]:
-    """``f`` compiled once into an array plan, as a check of an (n, n)
-    boolean adjacency matrix read in ``f.vocab``.
+    """``f`` compiled once into a check of an (n, n) boolean adjacency matrix read in ``f.vocab``.
 
-    Every subformula evaluates to a uint8 truth array with one axis per quantifier level,
-    of size 1 on the axes it does not read.  Level d of a depth-D sentence owns axis
-    D - 1 - d, so the innermost level leads and ``exists`` and ``forall`` reduce along a
-    leading axis, many times faster in numpy than along the last.  Atoms index the
-    adjacency or compare vertex indices (``first`` and ``last`` are fixed); connectives are
-    broadcast ops that skip their right side once the left decides the whole array.
+    The array plan: every subformula is a uint8 truth array with one axis per quantifier level, of
+    size 1 on the axes it does not read; level d of a depth-D sentence owns axis D - 1 - d, so the
+    innermost level leads and quantifiers reduce along a leading axis, many times faster in numpy
+    than along the last.  Atoms index the adjacency or compare vertex indices; ``&`` stops once the
+    array is all false, and ``|`` and ``->`` are written with it and ``!``.  In ``forall v. (G -> B)``
+    and ``exists v. (G & B)`` the conjuncts of G that read only v and constants choose v's range (an
+    empty range makes ``exists`` false and ``forall`` true); those that do not read v move outside.
 
-    Guards are relativized: in ``forall v. (G -> B)`` and ``exists v. (G & B)`` the
-    conjuncts of G that read only v and constants choose v's range (an empty range makes
-    ``exists`` false and ``forall`` true), and those that do not read v move outside.
+    Counts: an ``exists w`` whose other conjuncts span w and two or more other levels is counted
+    when each is a factor over w and at most one other level, a disequality ``!(w = t)`` or a
+    counted ``exists`` (a chain multiplies its counts and tests > 0 at its top).  Summing out w
+    multiplies its factors, those over one other level grouped (``!adj(v, x) & !(v = x)`` is
+    J - I - A), by a matrix product where two other levels remain; a ``!(w = t)`` with t not among
+    them is first expanded into the count less the count at w = t.  Counts are exact: float32 where
+    none can reach 2^24, else float64 (below 2^53), else integers.
 
-    An ``exists w`` whose other conjuncts span w and two or more other levels is counted
-    when each is a factor over w and at most one other level, a disequality ``!(w = t)``
-    or a counted ``exists`` (exists z. P & exists w. Q is exists z, w. P & Q: a chain
-    multiplies its counts and tests > 0 at its top).  Summing out w multiplies the factors
-    over w, those over one other level grouped (``!adj(v, x) & !(v = x)`` is J - I - A),
-    by a matrix product where two other levels remain; a ``!(w = t)`` with t not among
-    them is expanded first, into the count less the count at w = t.  Counts are made once
-    per run, exact: float32 where none can reach 2^24, else float64 (below 2^53), else
-    integers.  A witness over three other levels (``exists w. adj(a, w) & adj(b, w) &
-    adj(c, w)``) keeps the array plan.
+    The flat route: a subformula over at most two levels made of atoms, connectives, counts and
+    flat quantifiers is also a bool array over every vertex of its levels (atoms and counts made
+    once per run), or that array's complement (``!`` flips which).  A quantifier whose guards and
+    body are flat is one ``any`` or ``all`` along their leading axis, so
+    ``forall x. forall y. adj(x, y) -> C(x, y)``, C a count, is two reductions of A > C.  It runs
+    while an (n, n) array fits in ``sampler.CELL_BUDGET``, else the array plan runs.
 
-    An array past ``sampler.CELL_BUDGET`` cells is made in slices of its leading axis (its
-    innermost level) when one fits, else of its outermost level's axis.
-    ``CheckerBudgetError`` is raised when one slice of the outermost level would still not
-    fit, counted at the ranges' unsliced sizes, whatever the enclosing slices.
+    Slices: an array past ``sampler.CELL_BUDGET`` cells is made in slices of its leading axis (its
+    innermost level) when one fits, else of its outermost level's axis; ``CheckerBudgetError``
+    refuses when one slice of the outermost level would not fit at the unsliced range sizes.
     """
     if not f.is_sentence:
         raise LogicError(f"free variable(s): {', '.join(sorted(f.free_variables))}")
     root, _ = _plan(f.root, {}, 0)
     circular, depth = f.vocab.circular, f.depth
-    lines = [tuple(-1 if i == a else 1 for i in range(depth)) for a in range(depth)]  # 1-D along each axis
-    return lambda adj: bool(root(_Run(adj, circular, lines)))
+    lines = [tuple(-1 if i == depth - 1 - d else 1 for i in range(depth)) for d in range(depth)]  # 1-D along d's axis
+    make, neg = root.flat[1:] if root.flat and not root.flat[0] else (None, False)  # flat makers decide f whole
+    return lambda adj: bool(make(r)) != neg if (r := _Run(adj, circular, lines)).flat and make else bool(root(r))
 
 
 Planned = tuple[Step, frozenset[int]]  # a step and the levels it reads
 
 
 def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
-    """``node``'s step, with ``level`` the next quantifier's level."""
+    """``node``'s step, with ``level`` the next quantifier's level; the step's ``flat`` is its
+    flat maker, or None."""
     match node:
         case Adj(Var(a), Var(b)) if scope[a] != scope[b]:
             a, b = sorted((scope[a], scope[b]))  # adj is symmetric: rows along b, whose axis leads
-            return (lambda r: _gather(r.adj, b, a, r)), frozenset((a, b))
+            return _flat_step(((b, a), _adjacency, False)), frozenset((a, b))
         case Atom():
             op, terms = _ATOM_ARRAYS[type(node)], [_term(t, scope) for t in node.terms]
-            return (lambda r: op(r, *(t(r) for t in terms)).view(np.uint8),
-                    frozenset(scope[t.name] for t in node.terms if isinstance(t, Var)))
-        case Not(Eq(a, b)):  # one compare, not a compare and a flip
-            ta, tb = _term(a, scope), _term(b, scope)
-            return (lambda r: (ta(r) != tb(r)).view(np.uint8)), _plan(node.body, scope, level)[1]
+            levels = frozenset(scope[t.name] for t in node.terms if isinstance(t, Var))
+            step, lv = (lambda r: op(r, *(t(r) for t in terms)).view(np.uint8)), tuple(sorted(levels, reverse=True))
+            eq = isinstance(node, Eq) and len(lv) == 2  # v = w: the complement of J - I
+            make = _unequal if eq else _once(lambda r: _every(step, lv, r).view(np.bool_))
+            return _flat(step, (lv, make, eq) if len(lv) <= 2 else None), levels
         case Not(body):
-            p, levels = _plan(body, scope, level)
-            return (lambda r: p(r) ^ 1), levels
+            return _negated(_plan(body, scope, level))
         case And():
             return _all_of([_plan(c, scope, level) for c in _conjuncts(node)])
-        case Or(l, r):
-            (p, pa), (q, qa) = _plan(l, scope, level), _plan(r, scope, level)
-            return (lambda run: x if np.count_nonzero(x := p(run)) == x.size else x | q(run)), pa | qa
+        case Or(l, r):  # !(!l & !r)
+            return _negated(_all_of([_negated(_plan(l, scope, level)), _negated(_plan(r, scope, level))]))
         case Implies(l, r):
             return _implies(_plan(l, scope, level), _plan(r, scope, level))
         case Forall() | Exists():
@@ -585,8 +569,9 @@ def _plan(node: Node, scope: dict[str, int], level: int) -> Planned:
 def _gather(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
     """The vertex-indexed (n, n) matrix ``m`` at levels a (rows) and b, as a C-ordered block
     (broadcasts with transposed operands run several times slower)."""
-    pa, pb = r.ax[a], r.ax[b]
-    m = _block(m, a, b, r)
+    rows, cols, pa, pb = r.dom[a], r.dom[b], r.ax[a], r.ax[b]
+    m = m if rows.size == r.n and rows.base is r.every else m[rows.ravel()]  # every vertex in order: m itself
+    m = m if cols.size == r.n and cols.base is r.every else m[:, cols.ravel()]
     if pa > pb:
         m, pa, pb = np.ascontiguousarray(m.T), pb, pa
     shape = [1] * r.ndim
@@ -594,18 +579,15 @@ def _gather(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
     return m.reshape(shape)
 
 
-def _block(m: np.ndarray, a: int, b: int, r: _Run) -> np.ndarray:
-    """``m``'s rows at level a's vertices and columns at level b's."""
-    rows, cols, n, every = r.dom[a], r.dom[b], r.n, r.every  # every vertex in order: m itself
-    m = m if rows.size == n and rows.base is every else m[rows.ravel()]
-    return m if cols.size == n and cols.base is every else m[:, cols.ravel()]
+def _place(x: np.ndarray, lv: tuple[int, ...], r: _Run) -> np.ndarray:
+    """The vertex-indexed array ``x`` over levels ``lv`` (descending) at the current ranges."""
+    return _gather(x, *lv, r) if len(lv) == 2 else x[r.dom[lv[0]]] if lv else x
 
 
-def _term(t: Term, scope: dict[str, int]) -> Step:
+def _term(t: Term, scope: dict[str, int]) -> Step:  # a variable's vertex indices, a constant's index
     if isinstance(t, Var):
-        a = scope[t.name]
-        return lambda r: r.dom[a]
-    return (lambda r: np.intp(0)) if t.name == "first" else (lambda r: np.intp(r.n - 1))
+        return lambda r, a=scope[t.name]: r.dom[a]
+    return lambda r: np.intp(0 if t.name == "first" else r.n - 1)
 
 
 def _conjuncts(node: Node) -> list[Node]:
@@ -613,8 +595,7 @@ def _conjuncts(node: Node) -> list[Node]:
 
 
 def _all_of(parts: list[Planned]) -> Planned:
-    """The conjunction of ``parts`` (true if none), stopping once it is false
-    everywhere."""
+    """The conjunction of ``parts`` (true if none), stopping once it is false everywhere."""
     if not parts:
         return (lambda r: np.uint8(1)), frozenset()
     steps = [s for s, _ in parts]
@@ -631,12 +612,15 @@ def _all_of(parts: list[Planned]) -> Planned:
         return acc
 
     levels = frozenset().union(*(a for _, a in parts))
-    return (steps[0] if len(steps) == 1 else step), levels
+    return (steps[0] if len(steps) == 1 else _flat(step, _conj([s.flat for s in steps]))), levels
 
 
-def _implies(left: Planned, right: Planned) -> Planned:
-    (p, pa), (q, qa) = left, right
-    return (lambda r: x ^ 1 if not np.count_nonzero(x := p(r)) else (x ^ 1) | q(r)), pa | qa
+def _negated(p: Planned) -> Planned:
+    return _flat(lambda r: p[0](r) ^ 1, (flat := p[0].flat) and (*flat[:2], not flat[2])), p[1]
+
+
+def _implies(p: Planned, q: Planned) -> Planned:  # !(p & !q)
+    return _negated(_all_of([p, _negated(q)]))
 
 
 def _quantifier(node: Forall | Exists, scope: dict[str, int], d: int) -> Planned:
@@ -647,32 +631,46 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], d: int) -> Planned
         guards, tail = _conjuncts(node.body.left), node.body.right
     else:
         guards, tail = [], node.body
-    planned = [(g, *_plan(g, inner, d + 1)) for g in guards]
-    ranged = [(s, a) for _, s, a in planned if a <= {d}]  # read only v and constants
-    outside = [(s, a) for _, s, a in planned if a and d not in a]
-    rest = [(g, s, a) for g, s, a in planned if d in a and a != {d}]
+    planned = [_plan(g, inner, d + 1) for g in guards]
+    ranged = [(s, a) for s, a in planned if a <= {d}]  # read only v and constants
+    outside = [(s, a) for s, a in planned if a and d not in a]
+    rest = [(s, a) for s, a in planned if d in a and a != {d}]
     range_of = _all_of(ranged)[0] if ranged else None
-    body = _all_of([(s, a) for _, s, a in rest])
+    body = _all_of(rest)
     if forall:
         then = _plan(tail, inner, d + 1)
         body = _implies(body, then) if rest else then
     # a body over w and one other level spans n^2 cells either way
-    counted = None if forall or len(frozenset().union(*(a for _, _, a in rest))) < 3 else _counted(rest, range_of, d)
-    reduced = counted[0] if counted else _reduced(body, d, forall)
-    sliced, span = _sliced(*reduced, d, forall), reduced[1]
+    counted = None if forall or len(frozenset().union(*(a for _, a in rest))) < 3 else _counted(rest, range_of, d)
+
+    def reduced(r: _Run) -> np.ndarray:  # the body along d by all or any, unless it does not vary along d
+        x, a = body[0](r), r.ax[d]
+        return x if x.ndim == 0 or x.shape[a] == 1 else (np.bitwise_and if forall else np.bitwise_or).reduce(
+            x, axis=a, keepdims=True)
+
+    span = (counted[0] if counted else body)[1]
+    sliced = _sliced(counted[0][0] if counted else reduced, span, d, forall)
 
     def step(r: _Run) -> np.ndarray:
         dom = r.every
         if range_of is not None:
-            r.dom[d] = r.along(d, dom)
+            r.dom[d] = dom.reshape(r.lines[d])
             dom = dom[np.broadcast_to(range_of(r), r.dom[d].shape).ravel().view(np.bool_)]
         if not len(dom):
             return np.uint8(forall)
-        r.dom[d], r.size[d] = dom.reshape(r.lines[r.ax[d]]), len(dom)
+        r.dom[d], r.size[d] = dom.reshape(r.lines[d]), len(dom)
         return sliced(r)
 
-    if counted:  # the count reads w's range itself
-        step, step.terms = sliced, counted[1]  # an enclosing count multiplies these terms in
+    # flat: the guards but those outside, and for forall the negated tail, as forall v. B is !(exists v. !B)
+    whole = _conj([s.flat for s, a in planned if d in a or not a] + ([_negated(then)[0].flat] if forall else []))
+    step.flat = None
+    if counted:  # the count reads w's range itself; an enclosing count multiplies its terms in
+        step, step.terms, step.flat = sliced, counted[1], counted[0][0].flat
+    elif whole and whole[0][:1] == (d,):
+        (key, make, neg), plan = whole, step  # exists v. !x is !(forall v. x)
+        flat = key[1:], lambda r: (np.logical_and if neg else np.logical_or).reduce(make(r)), neg is not forall
+        placed = _flat_step(flat)
+        step = _flat(lambda r: placed(r) if r.flat else plan(r), flat)
     if not outside:
         return step, span - {d}
     # forall v. (P & G -> B) is P -> forall v. (G -> B); exists v. (P & B) is P & exists v. B
@@ -680,21 +678,39 @@ def _quantifier(node: Forall | Exists, scope: dict[str, int], d: int) -> Planned
     return wrap(_all_of(outside), (step, span - {d}))
 
 
-def _reduced(body: Planned, d: int, forall: bool) -> Planned:
-    """``body`` reduced along level d by ``all`` or ``any``, with the levels it spans."""
-    b = body[0]
-
-    def step(r: _Run) -> np.ndarray:
-        x, a = b(r), r.ax[d]
-        if x.ndim == 0 or x.shape[a] == 1:  # x does not vary along d
-            return x
-        return (np.bitwise_and if forall else np.bitwise_or).reduce(x, axis=a, keepdims=True)
-
-    return step, body[1]
+# A flat maker (levels, make, neg): ``make(run)`` is a bool array over every vertex of at most two levels,
+# in descending order; the truth is that array, or where ``neg`` its complement.
+Flat = tuple[tuple[int, ...], Callable[[_Run], np.ndarray], bool]
 
 
-# A factor of a count is (the levels it reads, at most two; a maker of a run's vertex-indexed array
-# over them, an axis of n per level in that order; e, where its entries are at most n^e, 0 for 0/1).
+def _flat(step: Step, flat: Flat | None) -> Step:
+    step.flat = flat
+    return step
+
+
+def _conj(flats: list[Flat | None]) -> Flat | None:
+    """The conjunction of ``flats``: P & !N as P > N, with P the and of the positive parts and N the
+    or of the others.  None where one is missing or they read more than two levels."""
+    if not flats or None in flats or len(key := tuple(sorted({a for f in flats for a in f[0]}, reverse=True))) > 2:
+        return None
+    if len(flats) == 1:
+        return flats[0]
+    parts = [(make, (-1, 1) if len(lv) == 1 < len(key) and lv[0] == key[0] else None, neg)  # an axis of key
+             for lv, make, neg in flats]
+
+    def make(r: _Run) -> np.ndarray:
+        p = q = None
+        for m, shape, neg in parts:
+            x = m(r) if shape is None else m(r).reshape(shape)
+            p, q = (p, x if q is None else q | x) if neg else (x if p is None else p & x, q)
+        return q if p is None else p if q is None else p > q
+
+    return key, make, all(f[2] for f in flats)
+
+
+def _flat_step(flat: Flat) -> Step:  # the step of a flat maker's truth at the current ranges
+    (lv, make, neg), placed = flat, lambda r: _place(make(r).view(np.uint8), lv, r)
+    return _flat((lambda r: placed(r) ^ 1) if neg else placed, flat)
 
 
 def _once(make: Callable[[_Run], np.ndarray]) -> Callable[[_Run], np.ndarray]:
@@ -706,22 +722,24 @@ def _once(make: Callable[[_Run], np.ndarray]) -> Callable[[_Run], np.ndarray]:
     return get
 
 
-_adjacency, _unequal = attrgetter("adj"), _once(lambda r: np.not_equal.outer(r.every, r.every))  # !(v = w): J - I
+_unequal_of = lru_cache(maxsize=64)(lambda n: ~np.eye(n, dtype=bool))  # J - I, at most 64 n^2 bytes
+_adjacency, _unequal = attrgetter("adj"), lambda r: _unequal_of(r.n)  # adj(v, w); !(v = w)
 
 
-def _counted(rest: list[tuple[Node, Step, frozenset[int]]], range_of: Step | None, d: int) -> tuple | None:
+# A factor of a count is (the levels it reads, at most two; a maker of a run's vertex-indexed array
+# over them, an axis of n per level in that order; e, where its entries are at most n^e, 0 for 0/1).
+def _counted(rest: list[Planned], range_of: Step | None, d: int) -> tuple | None:
     """``exists w`` counted (see ``compile_sentence``): a step testing its count of witnesses for > 0,
     and the count's signed products of factors.  None for a body the rule does not take."""
     terms = [(1, () if range_of is None else (((d,), _once(lambda r: _every(range_of, (d,), r)), 0),))]
-    for node, s, levels in rest:
+    for s, levels in rest:
         if (inner := getattr(s, "terms", None)) is not None:  # a counted exists multiplies in
             terms = [(c * k, fs + gs) for c, fs in terms for k, gs in inner]
         elif len(levels) > 2:
             return None
-        else:
-            lv = tuple(sorted(levels, reverse=True))  # the axis order of _every
-            make = _unequal if isinstance(node, Not) and isinstance(node.body, Eq) else _adjacency \
-                if isinstance(node, Adj) else _once(lambda r, s=s, lv=lv: _every(s, lv, r))
+        else:  # a flat maker of the conjunct's truth, else the conjunct at every vertex
+            lv, flat = tuple(sorted(levels, reverse=True)), s.flat  # the axis order of _every
+            make = flat[1] if flat and not flat[2] else _once(lambda r, s=s, lv=lv: _every(s, lv, r))
             terms = [(c, fs + ((lv, make, 0),)) for c, fs in terms]
     return None if (terms := _eliminate(terms, d)) is None else (_tested(terms), terms)
 
@@ -730,7 +748,7 @@ def _every(s: Step, levels: tuple[int, ...], r: _Run) -> np.ndarray:
     """``s`` at every vertex of ``levels`` (descending), as a vertex-indexed array."""
     kept = [(r.dom[a], r.size[a]) for a in levels]
     for a in levels:
-        r.dom[a], r.size[a] = r.along(a, r.every), r.n
+        r.dom[a], r.size[a] = r.every.reshape(r.lines[a]), r.n
     x = np.broadcast_to(s(r), np.broadcast_shapes(*(r.dom[a].shape for a in levels)))
     for a, k in zip(levels, kept):
         r.dom[a], r.size[a] = k
@@ -768,7 +786,7 @@ def _summed(mine: list[tuple], w: int, other: list[int]) -> tuple:
 
     def make(r: _Run) -> np.ndarray:
         m = left(r, dtype := _exact(r.n ** e))
-        return _count(m, right(r, dtype)) if other[1:] else m.sum(-1)
+        return _count(m, right(r, dtype)) if other[1:] else np.add.reduce(m, -1)
 
     return tuple(other), _once(make), e
 
@@ -801,32 +819,27 @@ def _exact(bound: int) -> type:  # the narrowest type that holds every integer u
 
 
 def _tested(terms: list[tuple]) -> Planned:
-    """The step testing the sum of ``terms`` (signed 1 or -1) for > 0: made once per run over at
-    most two levels, else with each factor placed at the current ranges."""
+    """The step testing the sum of ``terms`` (signed 1 or -1) for > 0: made once per run, a flat maker
+    over at most two levels, else with each factor placed at the current ranges."""
     levels = tuple(sorted({a for _, fs in terms for f in fs for a in f[0]}, reverse=True))  # laid as gathered
     e, wide = max((sum(f[2] for f in fs) for _, fs in terms), default=0), len(levels) > 2
-    sums = [(c, _product(fs, levels)) for c, fs in terms if not wide]
-
-    def place(x: np.ndarray, lv: tuple[int, ...], r: _Run) -> np.ndarray:  # at the current ranges
-        return _gather(x, *lv, r) if len(lv) == 2 else x[r.dom[lv[0]]] if lv else x
+    sums = sorted([(c, _product(fs, levels)) for c, fs in terms if not wide], key=lambda t: t[0] < 0)
 
     @_once
     def made(r: _Run):
         dtype = _exact(len(terms) * r.n ** e)
         if wide:
             return [(np.array(c, dtype), [(lv, make(r)) for lv, make, _ in fs]) for c, fs in terms]
-        total = 0
+        total = None  # from the first term, a positive one where there is one
         for c, p in sums:
-            total = total + p(r, dtype) if c > 0 else total - p(r, dtype)
-        return (total > 0).view(np.uint8)
+            x = p(r, dtype)
+            total = (x if c > 0 else -x) if total is None else total + x if c > 0 else total - x
+        return total > 0
 
-    def step(r: _Run) -> np.ndarray:
-        x = made(r)
-        if not wide:
-            return place(x, levels, r)
-        return (sum(math.prod((place(y, lv, r) for lv, y in fs), start=c) for c, fs in x) > 0).view(np.uint8)
-
-    return step, frozenset(levels)
+    if not wide:
+        return _flat_step((levels, made, False)), frozenset(levels)
+    return _flat(lambda r: (sum(math.prod((_place(y, lv, r) for lv, y in fs), start=c) for c, fs in made(r)) > 0)
+                 .view(np.uint8), None), frozenset(levels)
 
 
 # OpenBLAS spreads a product of more than 2^18 multiply-adds over all its
@@ -853,11 +866,9 @@ def _count(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
 
 
 def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
-    """``step``, whose largest array spans the levels ``span``, run on slices when that array
-    would exceed ``sampler.CELL_BUDGET`` cells: slices of the leading axis (the innermost level
-    of ``span``) when one of them fits, else of the outermost level's axis.  ``CheckerBudgetError``
-    when one slice of the outermost level would not fit at the unsliced range sizes.  Slices of d
-    itself are folded into one output by ``and`` or ``or`` as each is made, others concatenated."""
+    """``step``, whose largest array spans the levels ``span``, run on slices past ``sampler.CELL_BUDGET``
+    cells (see ``compile_sentence``); slices of d itself are folded into one output by ``and`` or
+    ``or`` as each is made, others concatenated."""
     order, out = sorted(span), span - {d}
 
     def run(r: _Run) -> np.ndarray:
@@ -874,7 +885,7 @@ def _sliced(step: Step, span: frozenset[int], d: int, forall: bool) -> Step:
         whole, axis = r.dom[a], r.ax[a]
         values, rows, parts, acc = whole.ravel(), budget // (cells // whole.size), [], None
         for lo in range(0, len(values), rows):
-            r.dom[a] = r.along(a, values[lo:lo + rows])
+            r.dom[a] = values[lo:lo + rows].reshape(r.lines[a])
             # the output's shape: each axis as long as the levels of out on it
             part = np.broadcast_to(step(r), np.broadcast_shapes((1,) * r.ndim, *(r.dom[i].shape for i in out)))
             if a != d:

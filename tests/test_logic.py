@@ -55,7 +55,7 @@ def brute_holds(m: LabeledModel, f: Formula) -> bool:
     n = m.graph.n
 
     def val(t, env):
-        return env[t.name] if isinstance(t, Var) else m.constant(t.name)
+        return env[t.name] if isinstance(t, Var) else 1 if t.name == "first" else n
 
     def ev(node, env) -> bool:
         name = type(node).__name__
@@ -181,6 +181,35 @@ def counted_chain(rng: random.Random, vocab: Vocab, free: int) -> Formula:
     names = ["a", "b", "c"][:free]
     text = "".join(f"{rng.choice(['forall', 'exists'])} {x}. " for x in names)
     return parse(text + "!" * (rng.random() < 0.3) + level(0, names), vocab)
+
+
+def two_level_sentence(rng: random.Random, vocab: Vocab) -> Formula:
+    """``Q x. Q y.`` over a body of x and y, both quantifiers drawn: ``G -> B``
+    under forall, ``G & B`` under exists.  G is 0-2 guards, each an atom of
+    the vocabulary over the variables so far and the constants (so guards
+    from constants), an ``Or`` of two or a negated one; B is an atom, its
+    negation, or an ``Or`` or ``Implies`` of two."""
+    consts = ["first", "last"] * vocab.has_constants
+
+    def atom(scope):
+        a, b, c = (rng.choice(scope + consts) for _ in range(3))
+        choices = [f"adj({a}, {b})", f"{a} = {b}"] + [f"succ({a}, {b})"] * vocab.has_succ
+        return rng.choice(choices + [f"{a} <= {b}"] * vocab.has_le + [f"C({a}, {b}, {c})"] * vocab.has_cw)
+
+    def part(scope, connectives):
+        kind = rng.choice(["atom", "atom"] + connectives)
+        return {"atom": lambda: atom(scope), "not": lambda: f"!({atom(scope)})",
+                "or": lambda: f"({atom(scope)} | {atom(scope)})",
+                "implies": lambda: f"({atom(scope)} -> {atom(scope)})"}[kind]()
+
+    def level(scope, body):
+        forall, guards = rng.random() < 0.5, [part(scope, ["not", "or"]) for _ in range(rng.randint(0, 2))]
+        if not guards:
+            return f"{'forall' if forall else 'exists'} {scope[-1]}. {body}"
+        return f"forall {scope[-1]}. {' & '.join(guards)} -> {body}" if forall else \
+            f"exists {scope[-1]}. {' & '.join(guards)} & {body}"
+
+    return parse(level(["x"], "(" + level(["x", "y"], part(["x", "y"], ["not", "or", "implies"])) + ")"), vocab)
 
 
 def guard_models(n: int, vocab: Vocab, seed: int) -> list[LabeledModel]:
@@ -604,6 +633,72 @@ class TestArrayPlan:
         monkeypatch.setattr(logic, "_counted", spy)
         logic.compile_sentence(library(name, **params))
         assert sorted(seen) == levels
+
+    @pytest.mark.parametrize("name, params, levels", [
+        ("path2", {}, [0]),  # m: two range guards from constants
+        ("ex2_path4", {}, [0, 1]),  # x and y, above the count of z1
+        ("triangle", {}, [0, 1]),
+        ("edge_in_c4", {}, [0, 1]),
+        ("adj_first_last", {}, []),
+        ("extension_Ak", {"k": 1}, [0, 1, 1]),  # x1 and both witnesses v, over x1 and v only
+        ("extension_Ak", {"k": 2}, [0, 1]),  # x1 and x2, above the four counts
+        ("extension_Ak", {"k": 3}, []),  # a witness over three free levels keeps the array plan
+    ])
+    def test_flat_levels_of_library_sentences(self, monkeypatch, name, params, levels):
+        # a quantifier takes the flat route when its step has a flat maker and is no count
+        quantifier, seen = logic._quantifier, []
+
+        def spy(node, scope, d):
+            out = quantifier(node, scope, d)
+            seen.extend([d] * (out[0].flat is not None and not hasattr(out[0], "terms")))
+            return out
+
+        monkeypatch.setattr(logic, "_quantifier", spy)
+        logic.compile_sentence(library(name, **params))
+        assert sorted(seen) == levels
+
+    @staticmethod
+    def flat_sentences():
+        """Every library sentence, those of ``Vocab.L`` also read on the circle."""
+        out = library_sentences()
+        return out + [Formula(f.root, Vocab.LC, f.name) for f in out if f.vocab is Vocab.L]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_flat_route_on_all_small_graphs(self, n):
+        # the oracle costs n^depth: at n = 5 a sentence of depth d > 3 sees every 2^d-th graph
+        sentences = self.flat_sentences()
+        for i, g in enumerate(all_graphs(n)):
+            for f in sentences:
+                if n < 5 or f.depth <= 3 or i % 2 ** f.depth == 0:
+                    m = LabeledModel(g, f.vocab)
+                    assert holds(m, f) == brute_holds(m, f), (n, g.edges, f.name, f.vocab)
+
+    @pytest.mark.parametrize("n", range(6, 10))
+    def test_flat_route_on_random_graphs(self, n):
+        for seed, f in product(range(3), self.flat_sentences()):
+            p = (0.2, 0.5, 0.8)[seed]
+            g = sample(make_constant(p), n, RngStream(seed, n), CIRCLE if f.vocab.circular else LINE)
+            m = LabeledModel(g, f.vocab)
+            assert holds(m, f) == brute_holds(m, f), (n, p, f.name, f.vocab)
+
+    @pytest.mark.parametrize("vocab", list(Vocab))
+    def test_flat_two_level_sentences_match_oracle(self, monkeypatch, vocab):
+        rng = random.Random(f"two:{vocab.value}")
+        quantifier, planned = logic._quantifier, []
+
+        def spy(node, scope, d):
+            planned.append(quantifier(node, scope, d))
+            return planned[-1]
+
+        monkeypatch.setattr(logic, "_quantifier", spy)
+        sentences = [two_level_sentence(rng, vocab) for _ in range(20)]
+        assert all(step.flat is not None for step, _ in planned)  # each quantifier, so each sentence, is flat
+        graphs = [g for n in range(1, 5) for g in all_graphs(n)] + list(all_graphs(5))[::8]
+        graphs += [sample(make_constant(p), n, RngStream(n, int(10 * p)), CIRCLE if vocab.circular else LINE)
+                   for n in range(6, 10) for p in (0.3, 0.7)]
+        for f, g in product(sentences, graphs):
+            m = LabeledModel(g, vocab)
+            assert holds(m, f) == brute_holds(m, f), (to_text(f), g.n, g.edges)
 
     @pytest.mark.parametrize("vocab", list(Vocab))
     def test_edge_guards_match_oracle(self, vocab):
