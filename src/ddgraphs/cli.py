@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands: sample, eval, estimate, scan, efgame, preset, oracle.
+Subcommands: sample, eval, estimate, scan, oracle, efgame, preset, run.
 Global flags: --seed, --jobs, --out, --format.  Exit status: 0 on success,
 2 when a preset's in-file acceptance threshold fails, 1 on operational
 errors, budget errors among them.  All randomness flows from --seed through
 derived per-(n, trial) streams, so outputs are byte-identical across reruns
-and --jobs settings.
+and --jobs settings.  Every row estimate, scan, run and the closed-form or
+lineage oracles write is one ``_row``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import estimator, probseq
+from . import probseq
 from .efgame import th_k_equal
 from .estimator import (
     brute_force_probability,
@@ -35,7 +35,6 @@ from .presets import (
     FAST_TRIALS,
     NAMED_SEQUENCES,
     PRESETS,
-    PresetError,
     has_triangle_predicate,
     kcopies_predicate,
     psi_r_predicate,
@@ -47,27 +46,6 @@ from .sampler import CIRCLE, LINE, BudgetError, sample
 
 class CliError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One config-driven run: either a preset name or an explicit setup."""
-
-    preset: str | None = None
-    sequence: dict | None = None
-    target: str | None = None
-    model_kind: str = LINE
-    n_list: tuple[int, ...] = ()
-    trials: int | None = None  # unset: the preset's default, or 1000 for an explicit setup
-    master_seed: int = 0
-    out: str | None = None
-
-    def validate(self):
-        if (self.preset is None) == (self.sequence is None):
-            raise CliError("config needs exactly one of 'preset' or 'sequence'")
-        if self.sequence is not None:
-            if self.target is None or not self.n_list:
-                raise CliError("explicit config needs 'target' and 'n_list'")
 
 
 def resolve_sequence(text: str) -> probseq.ProbSeq:
@@ -130,6 +108,39 @@ def _results_payload(results, fmt: str) -> str:
     return json.dumps([r.__dict__ for r in results], indent=2, sort_keys=True) + "\n"
 
 
+def _row(payload):
+    """One row from (sequence JSON, target text, model kind, n, trials,
+    seed): a Monte Carlo estimate, or with 0 trials the exact row
+    ``{target}_exact``, the circle triangle by its closed form and any other
+    target by ``exact_probability`` (an error for one with no lineage)."""
+    seq_json, target, kind, n, trials, seed = payload
+    with warnings.catch_warnings():  # the parent warned once when it resolved the sequence
+        warnings.simplefilter("ignore", probseq.ScaleWarning)
+        seq = probseq.from_json(seq_json)
+    if trials != 0:
+        return mc_probability(seq, n, resolve_target(target), kind, trials, seed)
+    name = "triangle" if target == "has_triangle" else target
+    if name == "triangle" and kind == CIRCLE:
+        value = exact_triangle_circle(seq, n)
+    else:
+        value = exact_probability(seq, n, resolve_target(target), kind)
+    return exact_result(value, n, f"{name}_exact", kind, seed)
+
+
+def _write_rows(args, target: str, kind: str, ns: list[int], trials: int) -> int:
+    """``_row`` of ``target`` on ``args.seq`` at each n, written to
+    ``{args.command}.csv``; --jobs above 1 maps the rows over a process pool."""
+    seq_json = resolve_sequence(args.seq).to_json()
+    payloads = [(seq_json, target, kind, n, trials, args.seed) for n in ns]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(_row, payloads))
+    else:
+        results = list(map(_row, payloads))
+    _write(args.out, f"{args.command}.csv", _results_payload(results, args.format))
+    return 0
+
+
 # --- subcommands ------------------------------------------------------------------
 
 
@@ -161,58 +172,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    seq = resolve_sequence(args.seq)
-    result = mc_probability(
-        seq, args.n, resolve_target(args.target), _model_kind(args.model), args.trials, args.seed
-    )
-    _write(args.out, "estimate.csv", _results_payload([result], args.format))
-    return 0
-
-
-def _scan_one(payload):
-    seq_json, target_text, kind, n, trials, seed = payload
-    with warnings.catch_warnings():  # the parent warned once when it resolved the sequence
-        warnings.simplefilter("ignore", probseq.ScaleWarning)
-        seq = probseq.from_json(seq_json)
-    return mc_probability(seq, n, resolve_target(target_text), kind, trials, seed)
+    return _write_rows(args, args.target, _model_kind(args.model), [args.n], args.trials)
 
 
 def cmd_scan(args) -> int:
-    seq = resolve_sequence(args.seq)
-    kind = _model_kind(args.model)
     ns = [int(x) for x in args.n_list.split(",")]
-    if args.jobs > 1:
-        payloads = [(seq.to_json(), args.target, kind, n, args.trials, args.seed) for n in ns]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_scan_one, payloads))
-    else:
-        results = estimator.scan(seq, resolve_target(args.target), kind, ns, args.trials, args.seed)
-    _write(args.out, "scan.csv", _results_payload(results, args.format))
-    return 0
-
-
-def _exact_row(seq, n: int, target: str, model_kind: str, master_seed: int):
-    """The exact row ``{target}_exact`` for ``target`` on ``model_kind``: the
-    triangle on the circle by its closed form, any other target by
-    ``exact_probability`` (an error for a target with no lineage)."""
-    name = "triangle" if target == "has_triangle" else target
-    if name == "triangle" and model_kind == CIRCLE:
-        value = exact_triangle_circle(seq, n)
-    else:
-        value = exact_probability(seq, n, resolve_target(target), model_kind)
-    return exact_result(value, n, f"{name}_exact", model_kind, master_seed)
+    return _write_rows(args, args.target, _model_kind(args.model), ns, args.trials)
 
 
 def cmd_oracle(args) -> int:
-    seq = resolve_sequence(args.seq)
     if args.kind == "path2":
-        result = _exact_row(seq, args.n, "path2", _model_kind(args.model), args.seed)
-    elif args.kind == "triangle_circle":
-        result = _exact_row(seq, args.n, "triangle", CIRCLE, args.seed)
-    else:
-        kind = _model_kind(args.model)
-        value = brute_force_probability(seq, args.n, resolve_target(args.target), kind)
-        result = exact_result(value, args.n, f"brute_{args.target}", kind, args.seed)
+        return _write_rows(args, "path2", _model_kind(args.model), [args.n], 0)
+    if args.kind == "triangle_circle":
+        return _write_rows(args, "triangle", CIRCLE, [args.n], 0)
+    seq, kind = resolve_sequence(args.seq), _model_kind(args.model)
+    value = brute_force_probability(seq, args.n, resolve_target(args.target), kind)
+    result = exact_result(value, args.n, f"brute_{args.target}", kind, args.seed)
     _write(args.out, "oracle.csv", _results_payload([result], args.format))
     return 0
 
@@ -261,7 +236,14 @@ def cmd_preset(args) -> int:
     return 0 if outcome.passed else 2
 
 
-def parse_config(path: Path) -> ExperimentConfig:
+# config key -> the option it gives; ``preset = NAME`` picks ``preset NAME``
+# over ``scan``, and --seed and --out go before the subcommand
+_CONFIG_OPTIONS = {"master_seed": "--seed", "out": "--out", "sequence": "--seq",
+                   "target": "--target", "model_kind": "--model", "n_list": "--n-list",
+                   "trials": "--trials"}
+
+
+def parse_config(path: Path) -> dict[str, str]:
     """Flat key = value lines; '#' comments; sequence JSON inline."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -270,45 +252,33 @@ def parse_config(path: Path) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    try:
-        cfg = ExperimentConfig(
-            preset=values.get("preset"),
-            sequence=json.loads(values["sequence"]) if "sequence" in values else None,
-            target=values.get("target"),
-            model_kind=_model_kind(values.get("model_kind", "line")),
-            n_list=tuple(int(x) for x in values.get("n_list", "").split(",") if x.strip()),
-            trials=int(values["trials"]) if "trials" in values else None,
-            master_seed=int(values.get("master_seed", "0")),
-            out=values.get("out"),
-        )
-    except (ValueError, KeyError) as e:
-        raise CliError(f"{path}: invalid config: {e}") from None
-    cfg.validate()
-    return cfg
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key != "preset" and key not in _CONFIG_OPTIONS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = val
+    return values
 
 
 def cmd_run(args) -> int:
-    cfg = parse_config(Path(args.config))
-    out = Path(cfg.out) if cfg.out else args.out
-    if cfg.preset is not None:
-        outcome = run_preset(cfg.preset, seed=cfg.master_seed, trials=cfg.trials or None)
-        outcome.write(out or Path("out"))
-        return 0 if outcome.passed else 2
-    seq = probseq.from_json_dict(cfg.sequence)
-    trials = 1000 if cfg.trials is None else cfg.trials
-    if trials == 0:
-        results = [
-            _exact_row(seq, n, cfg.target, cfg.model_kind, cfg.master_seed)
-            for n in cfg.n_list
-        ]
-    else:
-        results = estimator.scan(
-            seq, resolve_target(cfg.target), cfg.model_kind, list(cfg.n_list), trials, cfg.master_seed
-        )
-    _write(out, "run.csv", _results_payload(results, args.format))
-    return 0
+    """A config as ``preset NAME`` or as a ``scan`` written to run.csv, under
+    the global --jobs, --format and (unless it sets out) --out; seed 0 unless set."""
+    path = Path(args.config)
+    values = parse_config(path)
+    if ("preset" in values) == ("sequence" in values):
+        raise CliError("config needs exactly one of 'preset' or 'sequence'")
+    if "sequence" in values and ("target" not in values or not values.get("n_list")):
+        raise CliError("explicit config needs 'target' and 'n_list'")
+    out = values.pop("out", args.out)
+    argv = [f"--jobs={args.jobs}", f"--format={args.format}", f"--seed={values.pop('master_seed', 0)}"]
+    argv += [] if out is None else [f"--out={out}"]
+    argv += ["preset", values.pop("preset")] if "preset" in values else ["scan"]
+    argv += [f"{_CONFIG_OPTIONS[key]}={value}" for key, value in values.items()]
+    try:
+        config = build_parser().parse_args(argv)
+    except CliError as e:
+        raise CliError(f"{path}: invalid config: {e}") from None
+    config.command = args.command
+    return config.fn(config)
 
 
 # --- entry point ------------------------------------------------------------------
@@ -322,7 +292,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ddgraphs", description=__doc__)
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for scans")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers for row commands")
     p.add_argument("--out", type=Path, default=None, help="output directory (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = p.add_subparsers(dest="command", required=True)
@@ -341,21 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--stat", choices=("C2", "C3_SUM", "C5"), default=None)
     s.set_defaults(fn=cmd_eval)
 
-    s = sub.add_parser("estimate", help="Monte Carlo estimate at one n")
-    s.add_argument("--seq", required=True)
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--target", required=True)
-    s.add_argument("--model", default="line")
-    s.add_argument("--trials", type=int, default=1000)
-    s.set_defaults(fn=cmd_estimate)
-
-    s = sub.add_parser("scan", help="Monte Carlo estimates over an n grid")
-    s.add_argument("--seq", required=True)
-    s.add_argument("--n-list", required=True)
-    s.add_argument("--target", required=True)
-    s.add_argument("--model", default="line")
-    s.add_argument("--trials", type=int, default=1000)
-    s.set_defaults(fn=cmd_scan)
+    for name, rows, grid, fn in (("estimate", "one row", ("--n", int), cmd_estimate),
+                                 ("scan", "one row per n", ("--n-list", str), cmd_scan)):
+        s = sub.add_parser(name, help=f"{rows}: Monte Carlo, or exact with --trials 0")
+        s.add_argument("--seq", required=True)
+        s.add_argument(grid[0], type=grid[1], required=True)
+        s.add_argument("--target", required=True)
+        s.add_argument("--model", default="line")
+        s.add_argument("--trials", type=int, default=1000)
+        s.set_defaults(fn=fn)
 
     s = sub.add_parser("oracle", help="exact probability: closed form, lineage or brute force")
     s.add_argument("--kind", choices=("path2", "triangle_circle", "brute"), required=True)
@@ -391,11 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except (CliError, PresetError, BudgetError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as e:
-        # sequence/graph/logic/estimator errors are ValueError subclasses
+    except (CliError, BudgetError, ValueError, OSError) as e:
+        # sequence/graph/logic/estimator/preset and JSON errors are ValueError subclasses
         sys.stderr.write(f"error: {e}\n")
         return 1
 

@@ -11,8 +11,8 @@ Three routes:
   set for tiny instances (the oracle the other two are checked against).
 
 A sentence built from exists, & and | over adj atoms and (negated)
-equalities, or a predicate's ``sentence``, grounds to its ``lineage``:
-clauses of pair columns, one of which holds iff it does.  ``grounding``
+equalities grounds to its ``lineage``: clauses of pair columns, one of
+which holds iff it does.  ``grounding``
 keeps it, with the columns the target reads, in the sampler's memo, once
 per (sequence, n, model, sentence), for every route to read.  Monte Carlo
 and brute force share one ``row_decision`` on blocks of boolean rows of
@@ -209,14 +209,13 @@ def lineage(target: Target, batch: PairBatch) -> np.ndarray | None:
     """``target`` grounded on ``batch``: a (k, r) array of pair-table
     columns, a clause per row, such that the target holds on a draw iff some
     clause has all its columns as edges (a clause may repeat a column, and
-    one of no column holds).  None unless the target, or a predicate's
-    ``sentence``, is built from exists, & and | over adj atoms and (negated)
-    equalities; ``first`` and ``last`` are vertices 1 and n.  Each
-    conjunctive query is grounded by ``_ground``, except that a triangle's
-    clauses are ``batch.triangle_blocks``, each triangle once.  Raises
+    one of no column holds).  None unless the target is a sentence built
+    from exists, & and | over adj atoms and (negated) equalities; ``first``
+    and ``last`` are vertices 1 and n.  Each conjunctive query is grounded
+    by ``_ground``, except that a triangle's clauses are
+    ``batch.triangle_blocks``, each triangle once.  Raises
     ``LineageBudgetError`` past ``_LINEAGE_CELLS`` cells."""
-    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
-    queries = None if sentence is None else _queries(sentence.root)
+    queries = _queries(target.root) if isinstance(target, Formula) else None
     if queries is None:
         return None
     parts, cells = [], 0
@@ -253,11 +252,11 @@ def clause_hits(rows: np.ndarray, clauses: np.ndarray) -> np.ndarray:
 
 def grounding(seq: ProbSeq, n: int, target: Target, model_kind: str) -> Grounding:
     """``target`` grounded on ``PairBatch(seq, n, model_kind)`` by the
-    sampler's memo (``ground``), keyed by the target's sentence: itself, a
-    predicate's ``sentence``, or None.  A lineage of at most
-    ``_CLAUSES_PER_PAIR`` clauses per pair is a kernel that reads its own
+    sampler's memo (``ground``), keyed by the target if it is a sentence,
+    else by None.  A lineage of at most ``_CLAUSES_PER_PAIR`` clauses per
+    pair is a kernel that reads its own
     columns, hashed by its ``first`` and ``blocks``; others read every column."""
-    sentence = target if isinstance(target, Formula) else getattr(target, "sentence", None)
+    sentence = target if isinstance(target, Formula) else None
 
     def build(table: PairBatch) -> Grounding:
         try:
@@ -542,34 +541,40 @@ def triangles(seq: ProbSeq, n: int, model_kind: str) -> Grounding:
     return Grounding(table, np.arange(table.size), table.triangles())
 
 
+def _aligned_triangles(table: PairBatch) -> Grounding:
+    """The circle table's candidate triangles, walked by ``triangle_blocks``
+    and read as columns with the triangles as clauses.  Raises
+    OracleValidityError at the first block that holds a triangle outside the
+    edge-disjoint family {v, v+n/3, v+2n/3}, so a refusal holds at most one
+    block.  Each triangle comes once and the family's rotations are all
+    candidates, so no more than n/3 are ever kept."""
+    n, step, kept = table.n, table.n // 3, []
+    for triples in table.triangle_blocks():
+        a, b, c = table.v[triples[:, 0]], table.w[triples[:, 0]], table.w[triples[:, 2]]
+        if len(triples) and (n % 3 or ((b - a != step) | (c - b != step) | (a > step)).any()):
+            raise OracleValidityError(
+                f"a candidate triangle at n={n} is not one of the aligned triples {{v, v+n/3, v+2n/3}}")
+        kept.append(triples)
+    triples = np.concatenate([np.zeros((0, 3), dtype=np.int64), *kept])
+    read = np.unique(triples)
+    return Grounding(table, read, np.searchsorted(read, triples))
+
+
 def exact_triangle_circle(seq: ProbSeq, n: int) -> float:
     """P(circle model on [n] contains a triangle), in closed form.
 
     Valid only when the positive-probability triangles are exactly the
-    edge-disjoint family {v, v+n/3, v+2n/3}; a verifier compares the pair
-    table's ``triangles`` with that family and raises OracleValidityError
-    otherwise.  With no candidate triangle the probability is exactly 0.
+    edge-disjoint family {v, v+n/3, v+2n/3}: ``_aligned_triangles`` checks
+    that, once per (sequence, n) in the sampler's memo, and raises
+    OracleValidityError otherwise.  With no candidate triangle the
+    probability is exactly 0.
     """
     if n < 3:
         raise EstimatorError("needs n >= 3")
-    g = triangles(seq, n, CIRCLE)
-    triples = g.lineage
-    if len(triples) == 0:
+    g = ground(seq, n, CIRCLE, "aligned triangles", _aligned_triangles)
+    if not len(g.lineage):
         return 0.0
-    if n % 3 != 0:
-        raise OracleValidityError(
-            f"{len(triples)} candidate triangles at n={n} with 3 not dividing n"
-        )
-    pairs = list(zip(g.v.tolist(), g.w.tolist()))
-    candidates = {(*pairs[j1], pairs[j2][1]) for j1, j2, _ in triples.tolist()}
-    step = n // 3
-    aligned = {(v, v + step, v + 2 * step) for v in range(1, step + 1)}
-    if candidates != aligned:
-        raise OracleValidityError(
-            f"candidate triangles at n={n} are not the {step} aligned triples "
-            f"({len(triples)} candidates)"
-        )
-    p = float(g.p[triples[0, 0]])
+    step, p = n // 3, float(g.p[0])
     if p >= 1.0:
         return 1.0
     # the aligned triples partition their edges, so counts are binomial

@@ -35,10 +35,9 @@ from .graph import (
     copy_counts,
     cut_in_window,
     disjoint_sum,
-    has_triangle,
     make_graph,
 )
-from .logic import LabeledModel, Vocab, holds, library
+from .logic import Formula, LabeledModel, Vocab, holds, library
 from .probseq import (
     ProbSeq,
     condition_statistic,
@@ -98,13 +97,9 @@ class PresetOutcome:
 # --- reusable predicates --------------------------------------------------------
 
 
-def has_triangle_predicate():
-    def pred(g: Graph) -> bool:
-        return has_triangle(g)
-
-    pred.target_name = "has_triangle"
-    pred.sentence = library("triangle")  # decides the same; lets the estimator compile it
-    return pred
+def has_triangle_predicate() -> Formula:
+    """The triangle sentence, named ``has_triangle`` in result rows."""
+    return Formula(library("triangle").root, Vocab.L, "has_triangle")
 
 
 def margin_window(n: int) -> tuple[int, int]:

@@ -107,7 +107,6 @@ class ProbSeq:
     kind: str = "custom"
     params: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
         bands = tuple(sorted((b for b in self.bands if b.lo <= b.hi), key=_LO))
@@ -378,7 +377,6 @@ def make_random_binary(seed: int) -> ProbSeq:
         bands=(Band(1, MAX_INDEX, bit),),
         kind="random_binary",
         params={"seed": seed},
-        seed=seed,
     )
 
 

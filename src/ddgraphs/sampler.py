@@ -61,9 +61,12 @@ class BudgetError(RuntimeError):
     unit = "cells"
 
     def __init__(self, estimate: int, budget: int, unit: str | None = None):
-        self.estimate, self.budget = estimate, budget
+        self.estimate, self.budget, self._unit = estimate, budget, unit
         super().__init__(self.message.format(estimate=estimate, budget=budget,
                                              unit=unit or self.unit))
+
+    def __reduce__(self):  # rebuilt from its arguments, so a worker process can raise it
+        return type(self), (self.estimate, self.budget, self._unit)
 
 
 class _Columns:

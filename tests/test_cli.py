@@ -171,15 +171,16 @@ class TestSampleAndEval:
 
 
 class TestEstimateScanOracle:
-    def test_estimate_row(self, capsys):
-        code, out, _ = run(
-            capsys, "estimate", "--seq", CONST_HALF, "--n", "4", "--target", "triangle",
-            "--trials", "500",
-        )
+    def test_estimate_row(self, tmp_path, capsys):
+        argv = ["estimate", "--seq", CONST_HALF, "--n", "4", "--target", "triangle", "--trials", "500"]
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         rows = out.strip().split("\n")
         assert rows[0].startswith("n,estimate")
         assert rows[1].startswith("4,")
+        assert run(capsys, "--out", str(tmp_path), *argv) == (0, "", "")
+        assert [f.name for f in tmp_path.iterdir()] == ["estimate.csv"]
+        assert (tmp_path / "estimate.csv").read_text() == out
 
     def test_scan_grid(self, capsys):
         code, out, _ = run(
@@ -307,11 +308,11 @@ class TestConfigRunner:
     def test_minimal_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
-            "# triangle probability at one size\n"
+            "# triangle probability at two sizes\n"
             f"sequence = {CONST_HALF}\n"
             "target = triangle\n"
             "model_kind = line\n"
-            "n_list = 4\n"
+            "n_list = 4, 5\n"
             "trials = 10000\n"
             "master_seed = 3\n"
         )
@@ -319,14 +320,29 @@ class TestConfigRunner:
         assert code == 0
         est = float(out.strip().split("\n")[1].split(",")[1])
         assert abs(est - 23 / 64) < 0.02
+        # the config honours --jobs, and its rows do not depend on it
+        for jobs in ("1", "2"):
+            assert run(capsys, "--jobs", jobs, "--out", str(tmp_path / jobs), "run", str(cfg))[0] == 0
+            assert (tmp_path / jobs / "run.csv").read_text() == out
 
-    def test_exact_oracle_row_when_trials_zero(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model", ["line", "circle"])
+    def test_exact_oracle_row_when_trials_zero(self, tmp_path, capsys, model):
+        # a trials = 0 config, scan and estimate with --trials 0, and the
+        # path2 oracle write the same exact rows
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
-            f"sequence = {CONST_HALF}\ntarget = path2\nn_list = 5\ntrials = 0\n"
+            f"sequence = {CONST_HALF}\ntarget = path2\nmodel_kind = {model}\nn_list = 5\ntrials = 0\n"
         )
         code, out, _ = run(capsys, "run", str(cfg))
         assert code == 0 and "5,0.578125," in out
+        common = ["--seq", CONST_HALF, "--model", model]
+        assert run(capsys, "oracle", "--kind", "path2", "--n", "5", *common) == (0, out, "")
+        exact = ["--target", "path2", "--trials", "0", *common]
+        assert run(capsys, "estimate", "--n", "5", *exact) == (0, out, "")
+        assert run(capsys, "scan", "--n-list", "5", *exact) == (0, out, "")
+        code, rows, _ = run(capsys, "scan", "--n-list", "2,5", *exact)
+        assert code == 0 and rows.splitlines()[2] == out.splitlines()[1]
+        assert rows.splitlines()[1] == f"2,0,0,0,0,0,path2_exact,{model.upper()}"
 
     def test_path2_on_the_circle_answers_through_lineage(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
@@ -350,11 +366,13 @@ class TestConfigRunner:
         code, out, err = run(capsys, "run", str(cfg))
         assert code == 1 and out == "" and "no exact oracle" in err
 
-    def test_lineage_budget_is_an_operational_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_lineage_budget_is_an_operational_error(self, tmp_path, capsys, jobs):
+        # under --jobs 2 the error is raised in a worker and rebuilt in the caller
         cfg = tmp_path / "exp.cfg"
         seq = '{"kind":"constant","params":{"p":0.1}}'
         cfg.write_text(f"sequence = {seq}\ntarget = triangle\nn_list = 8\ntrials = 0\n")
-        code, out, err = run(capsys, "run", str(cfg))
+        code, out, err = run(capsys, "--jobs", jobs, "run", str(cfg))
         assert code == 1 and out == "" and err.startswith("error: ") and "lineage budget" in err
 
     def test_checker_budget_is_an_operational_error(self, monkeypatch, capsys):
@@ -379,6 +397,9 @@ class TestConfigRunner:
         )
         assert code == 0
         assert from_run == from_oracle
+        for target in ("triangle", "has_triangle"):
+            assert run(capsys, "--seed", "4", "scan", "--seq", thm6, "--n-list", "18", "--target",
+                       target, "--model", "circle", "--trials", "0") == (0, from_run, "")
         assert from_run.splitlines()[1].startswith("18,0.551204681396,") and "triangle_exact,CIRCLE" in from_run
 
     def test_preset_config(self, tmp_path, capsys):
@@ -391,19 +412,25 @@ class TestConfigRunner:
     def test_preset_config_without_trials_matches_preset_command(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"preset = thm6_triangle\nmaster_seed = 5\nout = {tmp_path / 'run'}\n")
-        assert run(capsys, "run", str(cfg))[0] == 0
-        code, _, _ = run(
+        code, from_run, _ = run(capsys, "run", str(cfg))
+        assert code == 0
+        code, from_preset, _ = run(
             capsys, "--out", str(tmp_path / "preset"), "--seed", "5", "preset", "thm6_triangle"
         )
-        assert code == 0
+        assert code == 0 and from_run == from_preset
         csv = "thm6_triangle.csv"
         assert (tmp_path / "run" / csv).read_bytes() == (tmp_path / "preset" / csv).read_bytes()
 
-    def test_malformed_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text,message", [
+        ("this is not a config\n", "expected key = value"),
+        (f"sequence = {CONST_HALF}\ntarget = path2\nn_list = 5\ntrails = 100\n",
+         ":4: unknown config key 'trails'"),
+    ], ids=["no-equals", "unknown-key"])
+    def test_malformed_config(self, tmp_path, capsys, text, message):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("this is not a config\n")
-        code, _, err = run(capsys, "run", str(cfg))
-        assert code == 1 and "expected key = value" in err
+        cfg.write_text(text)
+        code, out, err = run(capsys, "run", str(cfg))
+        assert code == 1 and out == "" and message in err
 
     def test_config_requires_exactly_one_mode(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -324,6 +324,20 @@ class TestExactTriangleCircle:
         with pytest.raises(OracleValidityError):
             exact_triangle_circle(make_constant(0.5), 6)
 
+    def test_dense_refusal_holds_one_block(self):
+        # constant 1/2 on the circle at n = 300: 44,850 pairs and 4,455,100
+        # candidate triangles, refused in the first block, which holds (1, 2, 3)
+        seq = make_constant(0.5)
+        PairBatch(seq, 300, CIRCLE)  # the support scan, outside the measurement
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleValidityError, match="n=300 is not one of the aligned"):
+                exact_triangle_circle(seq, 300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+
     def test_rejects_unaligned_candidates(self):
         # distances 2 and 3 close triangles at n = 7, which is not 3-aligned
         with pytest.raises(OracleValidityError):
@@ -622,11 +636,19 @@ class TestColumnKernels:
         assert len(compiled) == 1
 
     def test_dense_triangles_take_the_row_path(self, row_graphs):
-        # constant p: n(n-1)/2 pairs, C(n, 3) triangles, (n - 2) / 3 per pair
+        # constant p: n(n-1)/2 pairs, C(n, 3) triangles, (n - 2) / 3 per pair;
+        # past the kernel's 16 a pair the compiled checker decides each row
+        # of has_triangle, a named sentence, and builds no graph
         seq = make_constant(0.5)
         for n in (50, 51):  # 16 and 16.33 triangles per pair
-            mc_probability(seq, n, has_triangle_predicate(), LINE, 10, 0)
-        assert len(row_graphs) == 10
+            target, checked = has_triangle_predicate(), []
+            run = target._checker
+            target.__dict__["_checker"] = lambda adj: checked.append(1) or run(adj)
+            got = mc_probability(seq, n, target, LINE, 10, 0)
+            assert estimator.grounding(seq, n, target, LINE).kernel == (n == 50)
+            assert len(checked) == (0 if n == 50 else 10)
+            assert round(got.estimate * 10) == row_path_successes(seq, n, has_triangle, LINE, 10, 0)
+        assert row_graphs == []
 
     def test_path2_hashes_only_midpoint_columns(self, grid_calls):
         # the grids hold the columns {1, m}, those of the first 69 clauses for
@@ -929,8 +951,11 @@ class TestGroundingMemo:
         monkeypatch.setattr(PairBatch, "triangle_blocks", lambda self: called.append(1) or real(self))
         first = mc_probability(seq, n, has_triangle_predicate(), CIRCLE, 500, 1)
         assert mc_probability(seq, n, has_triangle_predicate(), CIRCLE, 500, 1) == first
-        assert exact_triangle_circle(seq, n) == pytest.approx(-math.expm1(6 * math.log1p(-0.125)))
         assert len(called) == 1 and len(sampler._GROUNDINGS) == 1
+        # the oracle checks the table's triangles under its own memo entry
+        for _ in range(2):
+            assert exact_triangle_circle(seq, n) == pytest.approx(-math.expm1(6 * math.log1p(-0.125)))
+        assert len(called) == 2 and len(sampler._GROUNDINGS) == 2
 
     def test_cells_stay_within_the_budget(self, monkeypatch):
         # path2 on the line reads 2(n - 2) columns, 5 cells each, in n - 2

@@ -7,6 +7,7 @@ graph-per-trial midpoint chain that the row-native one is checked against.
 """
 
 import importlib
+import pickle
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -757,3 +758,5 @@ class TestBenchmarkHooks:
 def test_budget_errors_share_one_base(error, message):
     assert isinstance(error, sampler.BudgetError) and isinstance(error, RuntimeError)
     assert (error.estimate, error.budget, str(error)) == (7, 3, message)
+    copy = pickle.loads(pickle.dumps(error))  # as a process pool returns it
+    assert (type(copy), copy.estimate, copy.budget, str(copy)) == (type(error), 7, 3, message)
